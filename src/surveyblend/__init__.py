@@ -9,7 +9,7 @@ Monte Carlo harness that serves as the verification oracle.
 
 __version__ = "0.1.0"
 
-from .combiner import PooledReport, combine, optimal_weight, pool, pooled_variance
+from .combiner import PooledReport, combine, pool, pooled_variance, z_score
 from .designs import (
     JointProbProvider,
     hajek_mean,
@@ -18,18 +18,8 @@ from .designs import (
     ht_var_estimate,
     provider_for,
 )
-from .estimators import EstimatorKind, point_estimate
-from .nuisance import (
-    NuisanceFit,
-    SolverError,
-    fit_kim_haziza,
-    fit_nuisance,
-    fit_outcome_ml,
-    fit_selection_calibration,
-    fit_selection_pml,
-    predict_outcome,
-    predict_selection,
-)
+from .estimators import Analysis, EstimatorKind, point_estimate
+from .nuisance import NuisanceFit, SolverError, fit_nuisance, predict_outcome, predict_selection
 from .simulate import (
     Covariate,
     EvalPlan,
@@ -49,75 +39,18 @@ from .types import (
     ModelSpec,
     ObservedData,
     OutcomeFamily,
-    UnitRecord,
     ValidationError,
     validate,
 )
 from .uncertainty import (
     CenteringTerms,
-    EstimateReport,
     Regime,
     ResidualVarianceModel,
     centering_terms,
     cov_estimate,
-    estimate_report,
     regression_adjustment,
     residual_variance,
     var_estimate,
     var_prob_estimate,
+    variance,
 )
-
-__all__ = [
-    "CenteringTerms",
-    "Covariate",
-    "DesignDescriptor",
-    "DesignKind",
-    "EstimateReport",
-    "EstimatorKind",
-    "EvalPlan",
-    "FinitePopulation",
-    "FitMethod",
-    "JointProbProvider",
-    "ModelSpec",
-    "MonteCarloSummary",
-    "NuisanceFit",
-    "ObservedData",
-    "OutcomeFamily",
-    "PooledReport",
-    "Regime",
-    "ResidualVarianceModel",
-    "ScenarioConfig",
-    "SimulationError",
-    "SolverError",
-    "SummaryRow",
-    "UnitRecord",
-    "ValidationError",
-    "centering_terms",
-    "combine",
-    "cov_estimate",
-    "draw_samples",
-    "estimate_report",
-    "fit_kim_haziza",
-    "fit_nuisance",
-    "fit_outcome_ml",
-    "fit_selection_calibration",
-    "fit_selection_pml",
-    "generate_population",
-    "hajek_mean",
-    "ht_cov_estimate",
-    "ht_mean",
-    "ht_var_estimate",
-    "optimal_weight",
-    "point_estimate",
-    "pool",
-    "pooled_variance",
-    "predict_outcome",
-    "predict_selection",
-    "provider_for",
-    "regression_adjustment",
-    "residual_variance",
-    "run_replications",
-    "validate",
-    "var_estimate",
-    "var_prob_estimate",
-]

@@ -32,13 +32,11 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.stats import norm
 
 from . import __version__
-from .combiner import PooledReport, pool
-from .designs import provider_for
-from .estimators import EstimatorKind, PROB_KINDS, point_estimate
-from .nuisance import NuisanceFit, SolverError, fit_nuisance
+from .combiner import pool, z_score
+from .estimators import PROB_KINDS, Analysis, EstimatorKind
+from .nuisance import SolverError, fit_nuisance
 from .simulate import MonteCarloSummary, ScenarioConfig, SimulationError, run_replications
 from .types import (
     DesignDescriptor,
@@ -50,7 +48,8 @@ from .types import (
     ValidationError,
     validate,
 )
-from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, estimate_report, var_prob_estimate
+from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
+                          var_prob_estimate, variance)
 
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
@@ -86,13 +85,6 @@ def _kind(name: str) -> EstimatorKind:
     raise ValidationError(f"unknown estimator {name!r}")
 
 
-def _regime(name: str) -> Regime:
-    try:
-        return Regime(str(name))
-    except ValueError:
-        raise ValidationError(f"unknown regime {name!r}") from None
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration for one CLI run."""
@@ -125,8 +117,18 @@ def _mask_from_config(cols) -> tuple[int, ...] | None:
 
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
+    """Read and check a YAML config; a malformed value raises :class:`ValidationError`."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
+    try:
+        return _parse_config(raw, mode)
+    except ValidationError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{path}: malformed config value: {exc}") from None
+
+
+def _parse_config(raw, mode: str) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a mapping")
     cfg_mode = raw.get("mode", mode)
@@ -161,11 +163,13 @@ def load_config(path: str | Path, mode: str) -> RunConfig:
     )
     est = raw.get("estimators", {})
     points = tuple(_kind(k) for k in est.get("points", ()))
-    variances = tuple((_kind(v["kind"]), _regime(v["regime"])) for v in est.get("variances", ()))
-    covariances = tuple((_kind(v["kind"]), _regime(v["regime"]), _kind(v["prob"]))
+    variances = tuple((_kind(v["kind"]), Regime(v["regime"])) for v in est.get("variances", ()))
+    covariances = tuple((_kind(v["kind"]), Regime(v["regime"]), _kind(v["prob"]))
                         for v in est.get("covariances", ()))
-    pooled = tuple((_kind(v["kind"]), _regime(v["regime"]), _kind(v["prob"]))
+    pooled = tuple((_kind(v["kind"]), Regime(v["regime"]), _kind(v["prob"]))
                    for v in est.get("pooled", ()))
+    for kind, regime, *_ in variances + covariances + pooled:
+        check_supported(kind, regime, model.fit_method)
     return RunConfig(
         mode=mode, output_dir=output_dir, level=level,
         sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
@@ -277,11 +281,17 @@ def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Pa
 
 
 def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
-    """Compute every requested quantity on validated data; one nuisance fit feeds all of them."""
-    provider = provider_for(observed)
+    """Compute every requested quantity on validated data from one fitted analysis."""
     needs_fit = any(k not in PROB_KINDS for k in config.points) or config.variances \
         or config.covariances or config.pooled
-    fit: NuisanceFit | None = fit_nuisance(observed, config.model) if needs_fit else None
+    analysis = Analysis(observed, fit_nuisance(observed, config.model) if needs_fit else None)
+    z = z_score(config.level)
+
+    def interval(kind: EstimatorKind, regime: str | None, var: float) -> dict:
+        est = analysis.point(kind)
+        half = z * float(np.sqrt(max(var, 0.0)))
+        return {"estimator": kind.value, "regime": regime, "estimate": est, "variance": var,
+                "ci_low": est - half, "ci_high": est + half}
 
     report: dict = {
         "mode": "estimate",
@@ -295,37 +305,21 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
         "pooled": [],
     }
     for kind in config.points:
-        report["points"].append({"estimator": kind.value,
-                                 "estimate": point_estimate(kind, observed, fit)})
-    z = float(norm.ppf(0.5 * (1.0 + config.level)))
+        report["points"].append({"estimator": kind.value, "estimate": analysis.point(kind)})
     for kind, regime in config.variances:
-        er = estimate_report(kind, regime, observed, fit, provider, sigma_model=config.sigma_model)
-        half = z * float(np.sqrt(max(er.variance, 0.0)))
-        report["variances"].append({
-            "estimator": kind.value, "regime": regime.value,
-            "estimate": er.estimate, "variance": er.variance,
-            "ci_low": er.estimate - half, "ci_high": er.estimate + half,
-        })
+        var = variance(kind, regime, analysis, sigma_model=config.sigma_model)
+        report["variances"].append(interval(kind, regime.value, var))
     for kind in config.points:
         if kind in PROB_KINDS and observed.y_a is not None:
-            var = var_prob_estimate(kind, observed, provider)
-            est = point_estimate(kind, observed)
-            half = z * float(np.sqrt(max(var, 0.0)))
-            report["variances"].append({
-                "estimator": kind.value, "regime": None,
-                "estimate": est, "variance": var,
-                "ci_low": est - half, "ci_high": est + half,
-            })
+            report["variances"].append(interval(kind, None, var_prob_estimate(kind, analysis)))
     for kind, regime, prob in config.covariances:
         report["covariances"].append({
             "estimator": kind.value, "regime": regime.value, "prob_estimator": prob.value,
-            "covariance": cov_estimate(kind, regime, prob, observed, fit, provider),
+            "covariance": cov_estimate(kind, regime, prob, analysis),
         })
     for kind, regime, prob in config.pooled:
-        pooled: PooledReport = pool(observed, fit, kind, regime, prob, config.level,
-                                    sigma_model=config.sigma_model)
         entry = {"estimator": kind.value, "regime": regime.value, "prob_estimator": prob.value}
-        entry.update(pooled.to_dict())
+        entry.update(pool(analysis, kind, regime, prob, config.level, sigma_model=config.sigma_model).to_dict())
         report["pooled"].append(entry)
     return report
 

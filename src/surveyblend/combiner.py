@@ -17,15 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .designs import provider_for
-from .estimators import EstimatorKind, point_estimate
-from .nuisance import NuisanceFit
-from .types import ObservedData, ValidationError
-from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, var_estimate, var_prob_estimate
+from .estimators import Analysis, EstimatorKind
+from .types import ValidationError, plain_data
+from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, var_prob_estimate, variance
 
-__all__ = ["PooledReport", "combine", "optimal_weight", "pool", "pooled_variance"]
+__all__ = ["PooledReport", "combine", "pool", "pooled_variance", "z_score"]
 
 _DEGENERATE_EPS = 1e-10
 
@@ -48,9 +46,7 @@ class PooledReport:
     fallback_used: bool
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "w", "pooled_estimate", "pooled_variance", "ci_low", "ci_high",
-            "est_prob", "var_prob", "est_dr", "var_dr", "cov", "level", "fallback_used")}
+        return plain_data(self)
 
 
 def _weight(var_p: float, var_dr: float, cov: float) -> tuple[float, bool]:
@@ -62,10 +58,9 @@ def _weight(var_p: float, var_dr: float, cov: float) -> tuple[float, bool]:
     return (var_p - cov) / denom, False
 
 
-def optimal_weight(var_p: float, var_dr: float, cov: float) -> float:
-    """Variance-minimizing pooling weight on the reweighted estimate."""
-    w, _ = _weight(var_p, var_dr, cov)
-    return w
+def z_score(level: float) -> float:
+    """Standard-normal quantile bounding a two-sided interval at confidence ``level``."""
+    return float(ndtri(0.5 * (1.0 + level)))
 
 
 def pooled_variance(w: float, var_p: float, var_dr: float, cov: float) -> float:
@@ -88,8 +83,7 @@ def combine(est_prob: float, var_prob: float, est_dr: float, var_dr: float, cov:
         for other in (0.0, 1.0, w - 0.01, w + 0.01):
             assert variance <= pooled_variance(other, var_prob, var_dr, cov) + 1e-12 * scale
     variance = max(variance, 0.0)
-    z = float(norm.ppf(0.5 * (1.0 + level)))
-    half = z * float(np.sqrt(variance))
+    half = z_score(level) * float(np.sqrt(variance))
     return PooledReport(
         w=w, pooled_estimate=estimate, pooled_variance=variance,
         ci_low=estimate - half, ci_high=estimate + half,
@@ -98,14 +92,10 @@ def combine(est_prob: float, var_prob: float, est_dr: float, var_dr: float, cov:
     )
 
 
-def pool(observed: ObservedData, fit: NuisanceFit, kind_dr: EstimatorKind, regime: Regime,
-         prob_kind: EstimatorKind, level: float = 0.95, *,
+def pool(analysis: Analysis, kind_dr: EstimatorKind, regime: Regime, prob_kind: EstimatorKind,
+         level: float = 0.95, *,
          sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> PooledReport:
-    """Full pooling pipeline from observed data to a PooledReport."""
-    provider = provider_for(observed)
-    est_p = point_estimate(prob_kind, observed)
-    var_p = var_prob_estimate(prob_kind, observed, provider)
-    est_dr = point_estimate(kind_dr, observed, fit)
-    var_dr = var_estimate(kind_dr, regime, observed, fit, provider, sigma_model=sigma_model)
-    cov = cov_estimate(kind_dr, regime, prob_kind, observed, fit, provider)
-    return combine(est_p, var_p, est_dr, var_dr, cov, level)
+    """Pool a reweighted estimate with a probability-sample one, reading the analysis's results."""
+    return combine(analysis.point(prob_kind), var_prob_estimate(prob_kind, analysis),
+                   analysis.point(kind_dr), variance(kind_dr, regime, analysis, sigma_model=sigma_model),
+                   cov_estimate(kind_dr, regime, prob_kind, analysis), level)

@@ -52,10 +52,6 @@ class JointProbProvider:
             if self.design.n >= self.n_population:
                 raise ValidationError("SRSWOR sample size must be below the population size")
 
-    @property
-    def n_sampled(self) -> int:
-        return self.pi.shape[0]
-
     def joint_prob(self, i: int, j: int) -> float:
         """P(both unit i and unit j are sampled); equals pi_i when i == j."""
         if i == j:

@@ -1,4 +1,4 @@
-"""Point estimators of the population mean.
+"""Point estimators of the population mean, and the fitted analysis they read.
 
 Six estimators are provided. HT and Hajek use outcome data from the
 probability sample alone. IPW1/IPW2 reweight the nonprobability sample by
@@ -14,11 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .designs import hajek_mean, ht_mean
+from .designs import JointProbProvider, hajek_mean, ht_mean, provider_for
 from .nuisance import NuisanceFit, check_selection_floor
 from .types import ObservedData, ValidationError
 
-__all__ = ["EstimatorKind", "point_estimate"]
+__all__ = ["Analysis", "EstimatorKind", "point_estimate"]
 
 
 class EstimatorKind(Enum):
@@ -35,35 +35,89 @@ IPW_KINDS = (EstimatorKind.IPW1, EstimatorKind.IPW2)
 DR_KINDS = (EstimatorKind.DR1, EstimatorKind.DR2)
 
 
-def point_estimate(kind: EstimatorKind, observed: ObservedData, fit: NuisanceFit | None = None) -> float:
-    """Evaluate one point estimator of the population mean.
+class Analysis:
+    """One dataset with its nuisance fit, and everything computed from the pair.
 
-    HT/Hajek require the outcome on sample A; IPW kinds require a fitted
-    selection model and DR kinds a full nuisance fit.
+    The pairwise-probability provider, the floor-checked fitted selection
+    probabilities and the outcome-model means on each sample are computed
+    on first use and kept. Point estimates here, and the centering terms,
+    variances and covariances of :mod:`surveyblend.uncertainty`, are kept
+    per key through :meth:`memo`, so a quantity that several reports need
+    is computed once.
     """
-    n_pop = observed.n_population
-    if kind in PROB_KINDS:
-        if observed.y_a is None:
-            raise ValidationError(f"{kind.value} needs the outcome on sample A")
-        if kind is EstimatorKind.HT:
-            return ht_mean(observed.y_a, observed.pi_a, n_pop)
-        return hajek_mean(observed.y_a, observed.pi_a)
 
-    if fit is None:
-        raise ValidationError(f"{kind.value} needs a nuisance fit")
-    pi_b = check_selection_floor(fit.pi_b(observed.x_b))
+    def __init__(self, observed: ObservedData, fit: NuisanceFit | None = None):
+        self.observed = observed
+        self.fit = fit
+        self._memo: dict = {}
 
-    if kind is EstimatorKind.IPW1:
-        return float(np.sum(observed.y_b / pi_b) / n_pop)
-    if kind is EstimatorKind.IPW2:
-        return hajek_mean(observed.y_b, pi_b)
+    def memo(self, key, compute):
+        """The value kept under ``key``; ``compute()`` makes it on the first request.
 
-    m_a = fit.m(observed.x_a)
-    m_b = fit.m(observed.x_b)
-    if kind is EstimatorKind.DR1:
-        return float((np.sum(m_a / observed.pi_a) + np.sum((observed.y_b - m_b) / pi_b)) / n_pop)
-    if kind is EstimatorKind.DR2:
-        n_hat_a = float(np.sum(1.0 / observed.pi_a))
-        n_hat_b = float(np.sum(1.0 / pi_b))
-        return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)
-    raise ValidationError(f"unknown estimator kind {kind}")
+        A kept array is made read-only, because every later request shares it.
+        """
+        if key not in self._memo:
+            value = self._memo[key] = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return self._memo[key]
+
+    @property
+    def provider(self) -> JointProbProvider:
+        return self.memo("provider", lambda: provider_for(self.observed))
+
+    @property
+    def pi_b_a(self) -> np.ndarray:
+        return self.memo("pi_b_a", lambda: check_selection_floor(self.fit.pi_b(self.observed.x_a)))
+
+    @property
+    def pi_b_b(self) -> np.ndarray:
+        return self.memo("pi_b_b", lambda: check_selection_floor(self.fit.pi_b(self.observed.x_b)))
+
+    @property
+    def m_a(self) -> np.ndarray:
+        return self.memo("m_a", lambda: self.fit.m(self.observed.x_a))
+
+    @property
+    def m_b(self) -> np.ndarray:
+        return self.memo("m_b", lambda: self.fit.m(self.observed.x_b))
+
+    def point(self, kind: EstimatorKind) -> float:
+        """Evaluate one point estimator of the population mean.
+
+        HT/Hajek require the outcome on sample A; IPW kinds require a fitted
+        selection model and DR kinds a full nuisance fit.
+        """
+        return self.memo(("point", kind), lambda: self._point(kind))
+
+    def _point(self, kind: EstimatorKind) -> float:
+        observed = self.observed
+        n_pop = observed.n_population
+        if kind in PROB_KINDS:
+            if observed.y_a is None:
+                raise ValidationError(f"{kind.value} needs the outcome on sample A")
+            if kind is EstimatorKind.HT:
+                return ht_mean(observed.y_a, observed.pi_a, n_pop)
+            return hajek_mean(observed.y_a, observed.pi_a)
+
+        if self.fit is None:
+            raise ValidationError(f"{kind.value} needs a nuisance fit")
+        pi_b = self.pi_b_b
+        if kind is EstimatorKind.IPW1:
+            return float(np.sum(observed.y_b / pi_b) / n_pop)
+        if kind is EstimatorKind.IPW2:
+            return hajek_mean(observed.y_b, pi_b)
+
+        m_a, m_b = self.m_a, self.m_b
+        if kind is EstimatorKind.DR1:
+            return float((np.sum(m_a / observed.pi_a) + np.sum((observed.y_b - m_b) / pi_b)) / n_pop)
+        if kind is EstimatorKind.DR2:
+            n_hat_a = float(np.sum(1.0 / observed.pi_a))
+            n_hat_b = float(np.sum(1.0 / pi_b))
+            return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)
+        raise ValidationError(f"unknown estimator kind {kind}")
+
+
+def point_estimate(kind: EstimatorKind, observed: ObservedData, fit: NuisanceFit | None = None) -> float:
+    """One point estimate of the population mean; see :meth:`Analysis.point`."""
+    return Analysis(observed, fit).point(kind)

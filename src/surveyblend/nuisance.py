@@ -29,17 +29,7 @@ from scipy.special import expit
 
 from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, ValidationError
 
-__all__ = [
-    "NuisanceFit",
-    "SolverError",
-    "fit_kim_haziza",
-    "fit_nuisance",
-    "fit_outcome_ml",
-    "fit_selection_calibration",
-    "fit_selection_pml",
-    "predict_outcome",
-    "predict_selection",
-]
+__all__ = ["NuisanceFit", "SolverError", "fit_nuisance", "predict_outcome", "predict_selection"]
 
 SELECTION_TOL = 1e-10
 KH_TOL = 1e-8
@@ -108,12 +98,12 @@ class NuisanceFit:
 _MAX_STEP = 10.0
 
 
-def _newton(system, x0, tol: float, max_iter: int, context: str):
+def _newton(system, x0, tol: float, context: str):
     """Damped Newton on a square system; returns (solution, iterations, residual)."""
     x = np.array(x0, dtype=float)
     f, jac = system(x)
     norm = float(np.max(np.abs(f)))
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if norm <= tol:
             return x, it, norm
         try:
@@ -135,8 +125,8 @@ def _newton(system, x0, tol: float, max_iter: int, context: str):
                 raise SolverError(f"{context}: no descent direction (residual {norm:.3e})")
         x, f, jac, norm = cand, f_c, jac_c, norm_c
     if norm <= tol:
-        return x, max_iter, norm
-    raise SolverError(f"{context}: no convergence after {max_iter} iterations (residual {norm:.3e})")
+        return x, MAX_ITER, norm
+    raise SolverError(f"{context}: no convergence after {MAX_ITER} iterations (residual {norm:.3e})")
 
 
 def score_and_jacobian_pml(observed: ObservedData, cols, alpha):
@@ -210,41 +200,16 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec, theta):
     return score, jac
 
 
-def fit_selection_pml(observed: ObservedData, cols=None, *, tol: float = SELECTION_TOL,
-                      max_iter: int = MAX_ITER) -> np.ndarray:
-    """Pseudo-maximum-likelihood estimate of the selection coefficients."""
-    alpha, _, _ = _fit_selection_pml(observed, cols, tol, max_iter)
-    return alpha
+def _fit_selection(observed: ObservedData, cols: np.ndarray, method: FitMethod):
+    if method is FitMethod.CALIBRATION:
+        score, context = score_and_jacobian_calibration, "calibration selection fit"
+    else:
+        score, context = score_and_jacobian_pml, "pseudo-ML selection fit"
+    return _newton(lambda a: score(observed, cols, a), np.zeros(cols.size), SELECTION_TOL, context)
 
 
-def _fit_selection_pml(observed, cols, tol, max_iter):
-    cols = _as_cols(observed, cols)
-    return _newton(lambda a: score_and_jacobian_pml(observed, cols, a),
-                   np.zeros(cols.size), tol, max_iter, "pseudo-ML selection fit")
-
-
-def fit_selection_calibration(observed: ObservedData, cols=None, *, tol: float = SELECTION_TOL,
-                              max_iter: int = MAX_ITER) -> np.ndarray:
-    """Calibration estimate of the selection coefficients."""
-    alpha, _, _ = _fit_selection_calibration(observed, cols, tol, max_iter)
-    return alpha
-
-
-def _fit_selection_calibration(observed, cols, tol, max_iter):
-    cols = _as_cols(observed, cols)
-    return _newton(lambda a: score_and_jacobian_calibration(observed, cols, a),
-                   np.zeros(cols.size), tol, max_iter, "calibration selection fit")
-
-
-def fit_outcome_ml(observed: ObservedData, family: OutcomeFamily, cols=None, *,
-                   tol: float = OUTCOME_TOL, max_iter: int = MAX_ITER) -> np.ndarray:
+def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray):
     """Maximum-likelihood outcome coefficients on sample B (OLS for the linear family)."""
-    beta, _, _ = _fit_outcome_ml(observed, family, cols, tol, max_iter)
-    return beta
-
-
-def _fit_outcome_ml(observed, family, cols, tol, max_iter):
-    cols = _as_cols(observed, cols)
     x_b = observed.x_b[:, cols]
     if family is OutcomeFamily.LINEAR_GAUSSIAN:
         gram = x_b.T @ x_b
@@ -253,46 +218,35 @@ def _fit_outcome_ml(observed, family, cols, tol, max_iter):
         return beta, 0, 0.0
     beta, iters, resid = _newton(
         lambda b: score_and_jacobian_outcome_logistic(observed, cols, b),
-        np.zeros(cols.size), tol, max_iter, "logistic outcome fit")
+        np.zeros(cols.size), OUTCOME_TOL, "logistic outcome fit")
     if float(np.max(np.abs(beta))) > _SEPARATION_SCALE:
         raise SolverError("logistic outcome fit: separation or non-convergence (diverging coefficients)")
     return beta, iters, resid
 
 
-def fit_kim_haziza(observed: ObservedData, spec: ModelSpec, *, tol: float = KH_TOL,
-                   max_iter: int = MAX_ITER) -> tuple[np.ndarray, np.ndarray]:
+def _fit_kim_haziza(observed: ObservedData, spec: ModelSpec):
     """Joint (alpha, beta) solve of the Kim-Haziza estimating equations."""
-    alpha, beta, _, _ = _fit_kim_haziza(observed, spec, tol, max_iter)
-    return alpha, beta
-
-
-def _fit_kim_haziza(observed, spec, tol, max_iter):
-    if spec.outcome_cols != spec.selection_cols:
-        raise ValidationError("Kim-Haziza fitting requires identical covariate columns in both models")
     cols = spec.columns("selection", observed.n_covariates)
     # Warm start at the separable fits: the joint system is nonconvex and
     # this is its natural basin.
-    alpha0, it_a, _ = _fit_selection_pml(observed, cols, SELECTION_TOL, max_iter)
-    beta0, it_b, _ = _fit_outcome_ml(observed, spec.outcome_family, cols, OUTCOME_TOL, max_iter)
+    alpha0, it_a, _ = _fit_selection(observed, cols, FitMethod.PSEUDO_ML)
+    beta0, it_b, _ = _fit_outcome(observed, spec.outcome_family, cols)
     theta0 = np.concatenate([alpha0, beta0])
     theta, iters, resid = _newton(lambda t: score_and_jacobian_kh(observed, spec, t),
-                                  theta0, tol, max_iter, "Kim-Haziza joint fit")
+                                  theta0, KH_TOL, "Kim-Haziza joint fit")
     k = cols.size
     return theta[:k], theta[k:], it_a + it_b + iters, resid
 
 
-def fit_nuisance(observed: ObservedData, spec: ModelSpec, *, max_iter: int = MAX_ITER) -> NuisanceFit:
+def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     """Fit both nuisance models by the method named in ``spec``."""
     if spec.fit_method is FitMethod.KIM_HAZIZA:
-        alpha, beta, iters, resid = _fit_kim_haziza(observed, spec, KH_TOL, max_iter)
+        alpha, beta, iters, resid = _fit_kim_haziza(observed, spec)
     else:
         sel_cols = spec.columns("selection", observed.n_covariates)
         out_cols = spec.columns("outcome", observed.n_covariates)
-        if spec.fit_method is FitMethod.PSEUDO_ML:
-            alpha, it_a, r_a = _fit_selection_pml(observed, sel_cols, SELECTION_TOL, max_iter)
-        else:
-            alpha, it_a, r_a = _fit_selection_calibration(observed, sel_cols, SELECTION_TOL, max_iter)
-        beta, it_b, r_b = _fit_outcome_ml(observed, spec.outcome_family, out_cols, OUTCOME_TOL, max_iter)
+        alpha, it_a, r_a = _fit_selection(observed, sel_cols, spec.fit_method)
+        beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, out_cols)
         iters, resid = it_a + it_b, max(r_a, r_b)
     fit = NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
     check_selection_floor(fit.pi_b(observed.x_b))
@@ -317,8 +271,3 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
     except Exception as exc:
         raise SolverError(f"{context}: singular gram matrix ({exc})") from None
 
-
-def _as_cols(observed: ObservedData, cols) -> np.ndarray:
-    if cols is None:
-        return np.arange(observed.n_covariates)
-    return np.asarray(cols, dtype=int)

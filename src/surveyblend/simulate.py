@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 from scipy.special import expit
-from scipy.stats import norm
 
-from .combiner import pool
-from .designs import provider_for
-from .estimators import EstimatorKind, PROB_KINDS, point_estimate
+from .combiner import pool, z_score
+from .estimators import PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import fit_nuisance
 from .types import (
     DesignDescriptor,
@@ -37,8 +35,10 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
+    plain_data,
 )
-from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, var_estimate, var_prob_estimate
+from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
+                          var_prob_estimate, variance)
 
 __all__ = [
     "Covariate",
@@ -56,6 +56,7 @@ __all__ = [
 _POP_STREAM = 0
 _REP_STREAM = 1
 _MAX_FAILURE_FRACTION = 0.01
+_DRAW_ATTEMPTS = 10
 
 
 class SimulationError(RuntimeError):
@@ -77,9 +78,6 @@ class Covariate:
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if self.kind not in ("normal", "uniform", "bernoulli", "square_of"):
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": list(self.params)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Covariate":
@@ -108,15 +106,6 @@ class EvalPlan:
         for _, _, prob in tuple(self.cov_pairs) + tuple(self.pooled):
             if prob not in PROB_KINDS:
                 raise ValidationError(f"{prob.value} is not a probability-sample estimator")
-
-    def to_dict(self) -> dict:
-        return {
-            "prob_points": [k.value for k in self.prob_points],
-            "point_only": [k.value for k in self.point_only],
-            "var_pairs": [[k.value, r.value] for k, r in self.var_pairs],
-            "cov_pairs": [[k.value, r.value, p.value] for k, r, p in self.cov_pairs],
-            "pooled": [[k.value, r.value, p.value] for k, r, p in self.pooled],
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalPlan":
@@ -177,6 +166,9 @@ class ScenarioConfig:
                 src = int(cov.params[0]) if cov.params else 0
                 if not 1 <= src < j:
                     raise ValidationError("square_of must reference an earlier covariate column")
+        plan = self.plan
+        for kind, regime, *_ in plan.var_pairs + plan.cov_pairs + plan.pooled:
+            check_supported(kind, regime, self.fit_method)
 
     @property
     def n_covariate_columns(self) -> int:
@@ -200,31 +192,7 @@ class ScenarioConfig:
                          outcome_cols=outcome_cols, selection_cols=selection_cols)
 
     def to_dict(self) -> dict:
-        return {
-            "n_population": self.n_population,
-            "covariates": [c.to_dict() for c in self.covariates],
-            "beta_true": list(self.beta_true),
-            "alpha_true": list(self.alpha_true),
-            "outcome_family": self.outcome_family.value,
-            "noise_sd": self.noise_sd,
-            "noise_sd_coef": None if self.noise_sd_coef is None else list(self.noise_sd_coef),
-            "design_kind": self.design_kind.value,
-            "sample_a_size": self.sample_a_size,
-            "pi_a_coef": None if self.pi_a_coef is None else list(self.pi_a_coef),
-            "fit_method": self.fit_method.value,
-            "outcome_wrong": self.outcome_wrong,
-            "selection_wrong": self.selection_wrong,
-            "misspec_drop_col": self.misspec_drop_col,
-            "outcome_cols_override": None if self.outcome_cols_override is None else list(self.outcome_cols_override),
-            "selection_cols_override": None if self.selection_cols_override is None else list(self.selection_cols_override),
-            "collect_y_on_a": self.collect_y_on_a,
-            "redraw_y": self.redraw_y,
-            "replicates": self.replicates,
-            "level": self.level,
-            "sigma_model": self.sigma_model.value,
-            "plan": self.plan.to_dict(),
-            "seed": self.seed,
-        }
+        return plain_data(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -326,18 +294,18 @@ def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) 
     return dataclasses.replace(population, y=y)
 
 
-def draw_samples(population: FinitePopulation, seed, *, collect_y_on_a: bool = True,
-                 max_retries: int = 10) -> tuple[ObservedData, ReplicateTruth]:
+def draw_samples(population: FinitePopulation, seed, *,
+                 collect_y_on_a: bool = True) -> tuple[ObservedData, ReplicateTruth]:
     """Draw sample A by the design and sample B by independent Bernoulli selection.
 
     The two samples come from independent RNG streams. Degenerate draws
-    (either sample smaller than the covariate dimension + 1) are redrawn
-    up to ``max_retries`` times.
+    (either sample smaller than the covariate dimension + 1) are redrawn,
+    up to ten attempts in all.
     """
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     n = population.size
     need = population.x.shape[1] + 1
-    for _ in range(max_retries):
+    for _ in range(_DRAW_ATTEMPTS):
         a_ss, b_ss = ss.spawn(2)
         rng_a, rng_b = default_rng(a_ss), default_rng(b_ss)
         if population.design.kind is DesignKind.SRSWOR:
@@ -357,7 +325,7 @@ def draw_samples(population: FinitePopulation, seed, *, collect_y_on_a: bool = T
             )
             truth = ReplicateTruth(y_bar=float(np.mean(population.y)), a_index=a_idx, b_index=b_idx)
             return observed, truth
-    raise SimulationError(f"could not draw usable samples after {max_retries} attempts")
+    raise SimulationError(f"could not draw usable samples after {_DRAW_ATTEMPTS} attempts")
 
 
 def _label(kind: EstimatorKind, regime: Regime | None = None) -> str:
@@ -372,14 +340,13 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         y_ss, sample_ss = ss.spawn(2)
         pop = redraw_outcomes(population, config, y_ss) if config.redraw_y else population
         observed, truth = draw_samples(pop, sample_ss, collect_y_on_a=config.collect_y_on_a)
-        fit = fit_nuisance(observed, config.model_spec())
-        provider = provider_for(observed)
-        z = float(norm.ppf(0.5 * (1.0 + config.level)))
+        analysis = Analysis(observed, fit_nuisance(observed, config.model_spec()))
+        z = z_score(config.level)
         y_bar = truth.y_bar
         rec: dict[str, float] = {"_ybar": y_bar}
 
         def add_point(label: str, kind: EstimatorKind) -> float:
-            est = point_estimate(kind, observed, None if kind in PROB_KINDS else fit)
+            est = analysis.point(kind)
             rec[f"{label};est"] = est
             rec[f"{label};err"] = est - y_bar
             return est
@@ -392,24 +359,22 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         for kind in config.plan.prob_points:
             label = _label(kind)
             est = add_point(label, kind)
-            add_cover(label, est, var_prob_estimate(kind, observed, provider))
+            add_cover(label, est, var_prob_estimate(kind, analysis))
         for kind in config.plan.point_only:
             add_point(_label(kind), kind)
         for kind, regime in config.plan.var_pairs:
             label = _label(kind, regime)
             est = add_point(label, kind)
-            add_cover(label, est, var_estimate(kind, regime, observed, fit, provider,
-                                               sigma_model=config.sigma_model))
+            add_cover(label, est, variance(kind, regime, analysis, sigma_model=config.sigma_model))
         for kind, regime, prob in config.plan.cov_pairs:
             for member, member_regime in ((kind, regime), (prob, None)):
                 member_label = _label(member, member_regime)
                 if f"{member_label};est" not in rec:
                     add_point(member_label, member)
-            rec[f"cov({_label(kind, regime)},{prob.value});covest"] = cov_estimate(
-                kind, regime, prob, observed, fit, provider)
+            label = f"cov({_label(kind, regime)},{prob.value})"
+            rec[f"{label};covest"] = cov_estimate(kind, regime, prob, analysis)
         for kind, regime, prob in config.plan.pooled:
-            report = pool(observed, fit, kind, regime, prob, config.level,
-                          sigma_model=config.sigma_model)
+            report = pool(analysis, kind, regime, prob, config.level, sigma_model=config.sigma_model)
             label = f"pooled({_label(kind, regime)},{prob.value})"
             rec[f"{label};w"] = report.w
             rec[f"{label};est"] = report.pooled_estimate

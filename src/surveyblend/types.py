@@ -7,6 +7,7 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,6 @@ __all__ = [
     "ModelSpec",
     "ObservedData",
     "OutcomeFamily",
-    "UnitRecord",
     "ValidationError",
     "validate",
 ]
@@ -58,6 +58,17 @@ def _set(obj, name, value) -> None:
     object.__setattr__(obj, name, value)
 
 
+def plain_data(value):
+    """A dataclass instance or field value as JSON-ready data: enums by value, tuples as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: plain_data(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [plain_data(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class DesignDescriptor:
     """How the probability sample was drawn.
@@ -78,40 +89,7 @@ class DesignDescriptor:
             raise ValidationError("Poisson design takes no fixed sample size")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "n": self.n}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DesignDescriptor":
-        return cls(kind=DesignKind(d["kind"]), n=d.get("n"))
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One population unit: covariates (with explicit leading intercept),
-    auxiliary covariates, and an optionally missing outcome."""
-
-    x: tuple[float, ...]
-    z: tuple[float, ...] = ()
-    y: float | None = None
-
-    def __post_init__(self):
-        _set(self, "x", tuple(float(v) for v in self.x))
-        _set(self, "z", tuple(float(v) for v in self.z))
-        if len(self.x) == 0:
-            raise ValidationError("unit covariate vector is empty")
-        if self.x[0] != 1.0:
-            raise ValidationError("first covariate entry must be the intercept (1)")
-        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.z)):
-            raise ValidationError("non-finite covariate entry")
-        if self.y is not None:
-            _set(self, "y", float(self.y))
-
-    def to_dict(self) -> dict:
-        return {"x": list(self.x), "z": list(self.z), "y": self.y}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnitRecord":
-        return cls(x=tuple(d["x"]), z=tuple(d.get("z", ())), y=d.get("y"))
+        return plain_data(self)
 
 
 @dataclass(frozen=True)
@@ -128,7 +106,6 @@ class FinitePopulation:
     pi_a: np.ndarray       # (N,)
     pi_b_true: np.ndarray  # (N,)
     design: DesignDescriptor
-    z: np.ndarray | None = None  # (N, q) auxiliary columns, carried but unused
 
     def __post_init__(self):
         x = _frozen(self.x)
@@ -141,10 +118,6 @@ class FinitePopulation:
             if arr.shape != (n,):
                 raise ValidationError(f"population field {name} has length {arr.shape}, expected ({n},)")
             _set(self, name, arr)
-        z = self.z
-        _set(self, "z", _frozen(np.zeros((n, 0)) if z is None else z))
-        if self.z.ndim != 2 or self.z.shape[0] != n:
-            raise ValidationError("auxiliary covariates must be (N, q)")
         if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
             raise ValidationError("non-finite population entry")
         if not np.all(self.x[:, 0] == 1.0):
@@ -157,30 +130,6 @@ class FinitePopulation:
     @property
     def size(self) -> int:
         return self.x.shape[0]
-
-    def unit(self, i: int) -> UnitRecord:
-        return UnitRecord(x=tuple(self.x[i]), z=tuple(self.z[i]), y=float(self.y[i]))
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "pi_a": self.pi_a.tolist(),
-            "pi_b_true": self.pi_b_true.tolist(),
-            "design": self.design.to_dict(),
-            "z": self.z.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FinitePopulation":
-        return cls(
-            x=d["x"],
-            y=d["y"],
-            pi_a=d["pi_a"],
-            pi_b_true=d["pi_b_true"],
-            design=DesignDescriptor.from_dict(d["design"]),
-            z=d.get("z"),
-        )
 
 
 @dataclass(frozen=True)
@@ -239,29 +188,6 @@ class ObservedData:
     def n_covariates(self) -> int:
         return self.x_a.shape[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_population": self.n_population,
-            "design": self.design.to_dict(),
-            "x_a": self.x_a.tolist(),
-            "pi_a": self.pi_a.tolist(),
-            "y_a": None if self.y_a is None else self.y_a.tolist(),
-            "x_b": self.x_b.tolist(),
-            "y_b": self.y_b.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservedData":
-        return cls(
-            n_population=d["n_population"],
-            design=DesignDescriptor.from_dict(d["design"]),
-            x_a=d["x_a"],
-            pi_a=d["pi_a"],
-            x_b=d["x_b"],
-            y_b=d["y_b"],
-            y_a=d.get("y_a"),
-        )
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -297,24 +223,7 @@ class ModelSpec:
         return idx
 
     def to_dict(self) -> dict:
-        return {
-            "outcome_family": self.outcome_family.value,
-            "fit_method": self.fit_method.value,
-            "outcome_cols": None if self.outcome_cols is None else list(self.outcome_cols),
-            "selection_cols": None if self.selection_cols is None else list(self.selection_cols),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        def _cols(v):
-            return None if v is None else tuple(v)
-
-        return cls(
-            outcome_family=OutcomeFamily(d.get("outcome_family", "linear_gaussian")),
-            fit_method=FitMethod(d.get("fit_method", "pseudo_ml")),
-            outcome_cols=_cols(d.get("outcome_cols")),
-            selection_cols=_cols(d.get("selection_cols")),
-        )
+        return plain_data(self)
 
 
 def validate(observed: ObservedData) -> ObservedData:

@@ -11,14 +11,19 @@ nonprobability sample built from centered outcome residuals,
 
 where C is a mean-zero correction used only under the Kim-Haziza doubly
 robust regime. The centering vectors depend on which estimator is being
-assessed and on which nuisance model is assumed correct; those that adjust
-for selection-model estimation error involve a weighted-least-squares
-coefficient (:func:`regression_adjustment`) of the (possibly centered)
-outcomes or residuals on the selection covariates.
+assessed and on which nuisance model is assumed correct (the table
+:data:`CENTERING`); those that adjust for selection-model estimation error
+involve a weighted-least-squares coefficient (:func:`regression_adjustment`)
+of the (possibly centered) outcomes or residuals on the selection
+covariates.
 
 Covariances with the probability-sample estimators reduce to the design
 covariance of two Horvitz-Thompson means over sample A: the centered
 predictions against the outcomes centered at 0 (HT) or at the Hajek mean.
+
+Each function reads one :class:`~surveyblend.estimators.Analysis` and keeps
+its result there. ``var_estimate``, ``regression_adjustment`` and
+``residual_variance`` are one-shot entry points that build the analysis.
 """
 
 from __future__ import annotations
@@ -29,24 +34,24 @@ from enum import Enum
 
 import numpy as np
 
-from .designs import JointProbProvider, hajek_mean, ht_cov_estimate, ht_mean, ht_var_estimate
-from .estimators import DR_KINDS, EstimatorKind, IPW_KINDS, PROB_KINDS, point_estimate
-from .nuisance import NuisanceFit, check_selection_floor, solve_spd
+from .designs import JointProbProvider, ht_cov_estimate, ht_mean, ht_var_estimate
+from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
+from .nuisance import NuisanceFit, solve_spd
 from .types import DesignKind, FitMethod, ObservedData, ValidationError
 
 __all__ = [
     "CenteringTerms",
-    "EstimateReport",
     "Regime",
     "ResidualVarianceModel",
     "centering_terms",
+    "check_supported",
     "cov_estimate",
     "diagnostics",
-    "estimate_report",
     "regression_adjustment",
     "residual_variance",
     "var_estimate",
     "var_prob_estimate",
+    "variance",
 ]
 
 
@@ -67,6 +72,31 @@ class ResidualVarianceModel(Enum):
 # SRSWOR first terms may legitimately come out negative.
 diagnostics = {"negative_total": 0, "negative_first_term": 0}
 
+# The supported (estimator, regime) pairs -> (self-normalized, adjusted).
+# A self-normalized estimator (IPW2, DR2) centers its predictions at their
+# HT mean, and under adjustment its outcomes at its own estimate. The
+# selection_correct regime adds the regression adjustment for selection-fit
+# error. IPW kinds are DR kinds with a zero outcome model.
+CENTERING = {
+    (EstimatorKind.DR1, Regime.BOTH_CORRECT): (False, False),
+    (EstimatorKind.DR1, Regime.KH_DOUBLY_ROBUST): (False, False),
+    (EstimatorKind.DR1, Regime.SELECTION_CORRECT): (False, True),
+    (EstimatorKind.DR2, Regime.BOTH_CORRECT): (True, False),
+    (EstimatorKind.DR2, Regime.SELECTION_CORRECT): (True, True),
+    (EstimatorKind.IPW1, Regime.SELECTION_CORRECT): (False, True),
+    (EstimatorKind.IPW2, Regime.SELECTION_CORRECT): (True, True),
+}
+
+
+def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) -> None:
+    """Reject an (estimator, regime) pair that has no variance formula under ``fit_method``."""
+    if (kind, regime) not in CENTERING:
+        if kind in PROB_KINDS:
+            raise ValidationError(f"no variance regime is defined for {kind.value}")
+        raise ValidationError(f"unsupported regime {regime.value} for {kind.value}")
+    if regime is Regime.KH_DOUBLY_ROBUST and fit_method is not FitMethod.KIM_HAZIZA:
+        raise ValidationError("the doubly robust variance regime requires a Kim-Haziza fit")
+
 
 @dataclass(frozen=True)
 class CenteringTerms:
@@ -74,14 +104,10 @@ class CenteringTerms:
 
     ``pred_center`` is subtracted from the outcome-model predictions on
     sample A, ``outcome_center`` from the observed outcomes on sample B.
-    ``adjustment`` is the weighted-regression coefficient used (if any)
-    and ``pred_ht_mean`` the HT mean of the predictions over sample A.
     """
 
     pred_center: np.ndarray
     outcome_center: np.ndarray
-    adjustment: np.ndarray | None
-    pred_ht_mean: float
 
     def __post_init__(self):
         for name in ("pred_center", "outcome_center"):
@@ -92,15 +118,22 @@ class CenteringTerms:
             raise ValidationError("non-finite centering term")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with its variance estimate and the centering used."""
+def _adjustment(analysis: Analysis, on_residuals: bool, centered: bool) -> np.ndarray:
+    def compute():
+        observed, fit = analysis.observed, analysis.fit
+        cols = fit.spec.columns("selection", observed.n_covariates)
+        x = observed.x_b[:, cols]
+        pi = analysis.pi_b_b
+        target = observed.y_b - analysis.m_b if on_residuals else observed.y_b
+        if centered:
+            w = 1.0 / pi
+            target = target - np.sum(target * w) / np.sum(w)
+        n_pop = observed.n_population
+        gram = (x * (1.0 - pi)[:, None]).T @ x / n_pop
+        rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
+        return solve_spd(gram, rhs, "regression adjustment")
 
-    kind: EstimatorKind
-    regime: Regime | None
-    estimate: float
-    variance: float
-    centering: CenteringTerms | None
+    return analysis.memo(("adjustment", on_residuals, centered), compute)
 
 
 def regression_adjustment(observed: ObservedData, fit: NuisanceFit, *,
@@ -113,95 +146,55 @@ def regression_adjustment(observed: ObservedData, fit: NuisanceFit, *,
     ``centered``, the target is first centered at its self-normalized
     inverse-probability mean over sample B.
     """
-    cols = fit.spec.columns("selection", observed.n_covariates)
-    x = observed.x_b[:, cols]
-    pi = check_selection_floor(fit.pi_b(observed.x_b))
-    target = observed.y_b - fit.m(observed.x_b) if on_residuals else observed.y_b
-    if centered:
-        w = 1.0 / pi
-        target = target - np.sum(target * w) / np.sum(w)
-    n_pop = observed.n_population
-    gram = (x * (1.0 - pi)[:, None]).T @ x / n_pop
-    rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
-    return solve_spd(gram, rhs, "regression adjustment")
+    return _adjustment(Analysis(observed, fit), on_residuals, centered)
 
 
-def _adjustment_product(observed, fit, x_rows, adjustment) -> np.ndarray:
-    """pi_b(x) * adjustment'x over the given rows (selection columns)."""
-    cols = fit.spec.columns("selection", observed.n_covariates)
-    return fit.pi_b(x_rows) * (x_rows[:, cols] @ adjustment)
-
-
-def predictions_a(kind: EstimatorKind, observed: ObservedData, fit: NuisanceFit) -> np.ndarray:
-    """Outcome-model predictions on sample A; identically zero for IPW kinds."""
+def _outcome_model(kind: EstimatorKind, analysis: Analysis) -> tuple[np.ndarray, np.ndarray, float]:
+    """Outcome-model means on samples A and B and their HT mean; zero for IPW kinds."""
+    observed = analysis.observed
     if kind in IPW_KINDS:
-        return np.zeros(observed.n_a)
-    return fit.m(observed.x_a)
+        return np.zeros(observed.n_a), np.zeros(observed.n_b), 0.0
+    m_bar = analysis.memo("m_bar", lambda: ht_mean(analysis.m_a, observed.pi_a, observed.n_population))
+    return analysis.m_a, analysis.m_b, m_bar
 
 
-def centering_terms(kind: EstimatorKind, regime: Regime, observed: ObservedData,
-                    fit: NuisanceFit) -> CenteringTerms:
-    """Build the centering vectors for a supported (estimator, regime) pair.
-
-    Supported pairs: DR1 x {both_correct, selection_correct, kh_doubly_robust},
-    DR2 x {both_correct, selection_correct}, IPW1/IPW2 x selection_correct.
-    """
-    if regime is Regime.KH_DOUBLY_ROBUST:
-        if kind is not EstimatorKind.DR1:
-            raise ValidationError("the doubly robust variance regime applies to DR1 only")
-        if fit.spec.fit_method is not FitMethod.KIM_HAZIZA:
-            raise ValidationError("the doubly robust variance regime requires a Kim-Haziza fit")
-
-    n_a = observed.n_a
-    if kind in IPW_KINDS:
-        if regime is not Regime.SELECTION_CORRECT:
-            raise ValidationError(f"unsupported regime {regime.value} for {kind.value}")
-        centered = kind is EstimatorKind.IPW2
-        adj = regression_adjustment(observed, fit, on_residuals=False, centered=centered)
-        adj_a = _adjustment_product(observed, fit, observed.x_a, adj)
-        adj_b = _adjustment_product(observed, fit, observed.x_b, adj)
-        shift = point_estimate(EstimatorKind.IPW2, observed, fit) if centered else 0.0
-        return CenteringTerms(pred_center=-adj_a, outcome_center=shift + adj_b,
-                              adjustment=adj, pred_ht_mean=0.0)
-
-    if kind not in DR_KINDS:
-        raise ValidationError(f"no variance regime is defined for {kind.value}")
-    m_a = fit.m(observed.x_a)
-    m_b = fit.m(observed.x_b)
-    m_bar = ht_mean(m_a, observed.pi_a, observed.n_population)
-
-    if regime in (Regime.BOTH_CORRECT, Regime.KH_DOUBLY_ROBUST):
-        if kind is EstimatorKind.DR1:
-            pred_center = np.zeros(n_a)
+def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> CenteringTerms:
+    """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
+    def compute():
+        check_supported(kind, regime, analysis.fit.spec.fit_method)
+        self_normalized, adjusted = CENTERING[kind, regime]
+        observed = analysis.observed
+        _, m_b, m_bar = _outcome_model(kind, analysis)
+        if not adjusted:
+            pred_center = np.full(observed.n_a, m_bar) if self_normalized else np.zeros(observed.n_a)
+            return CenteringTerms(pred_center=pred_center, outcome_center=m_b)
+        adj = _adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
+        cols = analysis.fit.spec.columns("selection", observed.n_covariates)
+        adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
+        adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
+        if self_normalized:
+            pred_center = m_bar - adj_a
+            outcome_center = m_b + (analysis.point(kind) - m_bar) + adj_b
         else:
-            pred_center = np.full(n_a, m_bar)
-        return CenteringTerms(pred_center=pred_center, outcome_center=m_b,
-                              adjustment=None, pred_ht_mean=m_bar)
+            pred_center = -adj_a
+            outcome_center = m_b + adj_b
+        return CenteringTerms(pred_center=pred_center, outcome_center=outcome_center)
 
-    if regime is not Regime.SELECTION_CORRECT:
-        raise ValidationError(f"unsupported regime {regime.value} for {kind.value}")
-    centered = kind is EstimatorKind.DR2
-    adj = regression_adjustment(observed, fit, on_residuals=True, centered=centered)
-    adj_a = _adjustment_product(observed, fit, observed.x_a, adj)
-    adj_b = _adjustment_product(observed, fit, observed.x_b, adj)
-    if kind is EstimatorKind.DR1:
-        return CenteringTerms(pred_center=-adj_a, outcome_center=m_b + adj_b,
-                              adjustment=adj, pred_ht_mean=m_bar)
-    dr2 = point_estimate(EstimatorKind.DR2, observed, fit)
-    return CenteringTerms(pred_center=m_bar - adj_a, outcome_center=m_b + (dr2 - m_bar) + adj_b,
-                          adjustment=adj, pred_ht_mean=m_bar)
+    return analysis.memo(("centering", kind, regime), compute)
 
 
-def residual_variance(observed: ObservedData, fit: NuisanceFit,
-                      model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate the residual variance function on both samples.
+def _centered_predictions(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> np.ndarray:
+    """Outcome-model predictions on sample A minus their centering vector."""
+    def compute():
+        pred_center = centering_terms(kind, regime, analysis).pred_center
+        return _outcome_model(kind, analysis)[0] - pred_center
 
-    Returns per-unit values (on sample A, on sample B). The constant model
-    uses the mean squared sample-B residual; the linear model least-squares
-    fits squared residuals on the outcome covariates and truncates below
-    at zero.
-    """
-    r = observed.y_b - fit.m(observed.x_b)
+    return analysis.memo(("centered", kind, regime), compute)
+
+
+def _residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
+    observed, fit = analysis.observed, analysis.fit
+    r = observed.y_b - analysis.m_b
     if model is ResidualVarianceModel.CONSTANT:
         s2 = float(np.mean(r**2))
         return np.full(observed.n_a, s2), np.full(observed.n_b, s2)
@@ -213,73 +206,85 @@ def residual_variance(observed: ObservedData, fit: NuisanceFit,
     return s2_a, s2_b
 
 
+def residual_variance(observed: ObservedData, fit: NuisanceFit,
+                      model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the residual variance function on both samples.
+
+    Returns per-unit values (on sample A, on sample B). The constant model
+    uses the mean squared sample-B residual; the linear model least-squares
+    fits squared residuals on the outcome covariates and truncates below
+    at zero.
+    """
+    return _residual_variance(Analysis(observed, fit), model)
+
+
+def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
+             sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
+    """Closed-form variance estimate for a reweighted estimator under a regime."""
+    def compute():
+        observed = analysis.observed
+        term1 = ht_var_estimate(_centered_predictions(kind, regime, analysis), analysis.provider)
+        if term1 < 0.0:
+            # The ratio form is not guaranteed nonnegative under SRSWOR.
+            diagnostics["negative_first_term"] += 1
+            if observed.design.kind is DesignKind.POISSON:
+                raise AssertionError("negative first variance term under Poisson sampling")
+            warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
+        pi_b = analysis.pi_b_b
+        n_pop = observed.n_population
+        outcome_center = centering_terms(kind, regime, analysis).outcome_center
+        term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - outcome_center) ** 2) / n_pop**2)
+        correction = 0.0
+        if regime is Regime.KH_DOUBLY_ROBUST:
+            s2_a, s2_b = _residual_variance(analysis, sigma_model)
+            correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n_pop**2)
+        total = term1 + term2 + correction
+        if total < 0.0:
+            diagnostics["negative_total"] += 1
+            total = 0.0
+        return total
+
+    return analysis.memo(("variance", kind, regime, sigma_model), compute)
+
+
 def var_estimate(kind: EstimatorKind, regime: Regime, observed: ObservedData, fit: NuisanceFit,
                  provider: JointProbProvider, *,
                  sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
-    """Closed-form variance estimate for a reweighted estimator under a regime."""
-    terms = centering_terms(kind, regime, observed, fit)
-    u = predictions_a(kind, observed, fit) - terms.pred_center
-    term1 = ht_var_estimate(u, provider)
-    if term1 < 0.0:
-        # The ratio form is not guaranteed nonnegative under SRSWOR.
-        diagnostics["negative_first_term"] += 1
-        if observed.design.kind is DesignKind.POISSON:
-            raise AssertionError("negative first variance term under Poisson sampling")
-        warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
-    pi_b = check_selection_floor(fit.pi_b(observed.x_b))
-    n_pop = observed.n_population
-    term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - terms.outcome_center) ** 2) / n_pop**2)
-    correction = 0.0
-    if regime is Regime.KH_DOUBLY_ROBUST:
-        s2_a, s2_b = residual_variance(observed, fit, sigma_model)
-        correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n_pop**2)
-    total = term1 + term2 + correction
-    if total < 0.0:
-        diagnostics["negative_total"] += 1
-        total = 0.0
-    return total
+    """One-shot :func:`variance`; ``provider`` must describe ``observed``'s probability sample."""
+    if not (provider.design == observed.design and provider.n_population == observed.n_population
+            and np.array_equal(provider.pi, observed.pi_a)):
+        raise ValidationError("the provider does not describe the observed probability sample")
+    return variance(kind, regime, Analysis(observed, fit), sigma_model=sigma_model)
 
 
-def var_prob_estimate(kind: EstimatorKind, observed: ObservedData, provider: JointProbProvider) -> float:
+def _prob_residuals(prob_kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
+    """Sample-A outcomes centered at 0 (HT) or at the Hajek mean."""
+    def compute():
+        if prob_kind not in PROB_KINDS:
+            raise ValidationError(f"{prob_kind.value} is not a probability-sample estimator")
+        y_a = analysis.observed.y_a
+        if y_a is None:
+            raise ValidationError(f"{prob_kind.value} needs the outcome on sample A")
+        return y_a - (0.0 if prob_kind is EstimatorKind.HT else analysis.point(EstimatorKind.HAJEK))
+
+    return analysis.memo(("prob_residuals", prob_kind), compute)
+
+
+def var_prob_estimate(kind: EstimatorKind, analysis: Analysis) -> float:
     """Variance estimate for the probability-sample estimators (HT or Hajek)."""
-    if kind not in PROB_KINDS:
-        raise ValidationError(f"{kind.value} is not a probability-sample estimator")
-    if observed.y_a is None:
-        raise ValidationError("variance of a probability-sample estimator needs the outcome on sample A")
-    if kind is EstimatorKind.HT:
-        return ht_var_estimate(observed.y_a, provider)
-    center = hajek_mean(observed.y_a, observed.pi_a)
-    return ht_var_estimate(observed.y_a - center, provider)
+    return analysis.memo(("var_prob", kind),
+                         lambda: ht_var_estimate(_prob_residuals(kind, analysis), analysis.provider))
 
 
-def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind,
-                 observed: ObservedData, fit: NuisanceFit, provider: JointProbProvider) -> float:
+def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:
     """Covariance estimate between a reweighted estimator and HT or Hajek.
 
     Both estimators share sample A through the covariates, so their errors
     correlate; the estimate is the design covariance of the centered
     predictions against the (possibly Hajek-centered) outcomes on sample A.
     """
-    if prob_kind not in PROB_KINDS:
-        raise ValidationError(f"{prob_kind.value} is not a probability-sample estimator")
-    if observed.y_a is None:
-        raise ValidationError("covariance with a probability-sample estimator needs the outcome on sample A")
-    terms = centering_terms(kind, regime, observed, fit)
-    u = predictions_a(kind, observed, fit) - terms.pred_center
-    gamma = 0.0 if prob_kind is EstimatorKind.HT else hajek_mean(observed.y_a, observed.pi_a)
-    return ht_cov_estimate(u, observed.y_a - gamma, provider)
+    def compute():
+        u = _centered_predictions(kind, regime, analysis)
+        return ht_cov_estimate(u, _prob_residuals(prob_kind, analysis), analysis.provider)
 
-
-def estimate_report(kind: EstimatorKind, regime: Regime | None, observed: ObservedData,
-                    fit: NuisanceFit | None, provider: JointProbProvider, *,
-                    sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> EstimateReport:
-    """Point estimate plus matching variance estimate in one report."""
-    estimate = point_estimate(kind, observed, fit)
-    if kind in PROB_KINDS:
-        return EstimateReport(kind=kind, regime=None, estimate=estimate,
-                              variance=var_prob_estimate(kind, observed, provider), centering=None)
-    if regime is None:
-        raise ValidationError(f"{kind.value} needs a variance regime")
-    variance = var_estimate(kind, regime, observed, fit, provider, sigma_model=sigma_model)
-    return EstimateReport(kind=kind, regime=regime, estimate=estimate, variance=variance,
-                          centering=centering_terms(kind, regime, observed, fit))
+    return analysis.memo(("cov", kind, regime, prob_kind), compute)

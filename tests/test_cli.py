@@ -1,11 +1,17 @@
 """Command-line front end: config parsing, file formats, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from surveyblend import (
+    Analysis,
     EstimatorKind,
     ModelSpec,
     Regime,
@@ -155,12 +161,24 @@ class TestEstimateMode:
         var_rows = {(row["estimator"], row["regime"]): row for row in report["variances"]}
         assert var_rows[("DR1", "both_correct")]["variance"] == var_estimate(
             K.DR1, Regime.BOTH_CORRECT, observed, fit, provider)
-        assert var_rows[("HT", None)]["variance"] == var_prob_estimate(K.HT, observed, provider)
+        assert var_rows[("HT", None)]["variance"] == var_prob_estimate(K.HT, Analysis(observed))
         pooled = report["pooled"][0]
-        expected = pool(observed, fit, K.DR2, Regime.BOTH_CORRECT, K.HAJEK, 0.95)
+        expected = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK, 0.95)
         assert pooled["pooled_estimate"] == expected.pooled_estimate
         assert pooled["pooled_variance"] == expected.pooled_variance
         assert pooled["w"] == expected.w
+
+
+    def test_unsupported_pair_rejected_before_reading_csvs(self, tmp_path, capsys):
+        observed = make_observed(seed=86)
+        config_path = estimate_config(tmp_path, observed)
+        cfg = yaml.safe_load(config_path.read_text())
+        cfg["estimators"]["variances"] = [{"kind": "DR1", "regime": "kh_doubly_robust"}]
+        config_path.write_text(yaml.safe_dump(cfg))
+        (tmp_path / "sample_a.csv").unlink()
+        (tmp_path / "sample_b.csv").unlink()
+        assert main(["estimate", "--config", str(config_path)]) == 2
+        assert "Kim-Haziza" in capsys.readouterr().err
 
 
 class TestSimulateMode:
@@ -200,3 +218,37 @@ class TestSimulateMode:
     def test_mode_mismatch_is_validation_error(self, tmp_path, capsys):
         config = simulate_config(tmp_path)
         assert main(["estimate", "--config", str(config)]) == 2
+
+    def test_unsupported_pair_rejected_before_any_replicate(self, tmp_path, capsys):
+        path = simulate_config(tmp_path, replicates=50)
+        cfg = yaml.safe_load(path.read_text())
+        cfg["scenario"]["plan"] = {"var_pairs": [["DR1", "kh_doubly_robust"]]}
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "Kim-Haziza" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("mode, section, key, value", [
+    ("estimate", "analysis", "fit_method", "bogus"),
+    ("estimate", None, "level", "abc"),
+    ("simulate", "scenario", "design_kind", "bogus"),
+])
+def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
+    if mode == "estimate":
+        path = estimate_config(tmp_path, make_observed(seed=87))
+    else:
+        path = simulate_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    (cfg[section] if section else cfg)[key] = value
+    path.write_text(yaml.safe_dump(cfg))
+    assert main([mode, "--config", str(path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, surveyblend.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

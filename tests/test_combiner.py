@@ -6,22 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyblend import (
+    Analysis,
     EstimatorKind,
     Regime,
     ValidationError,
     cov_estimate,
-    optimal_weight,
     point_estimate,
     pool,
     pooled_variance,
     provider_for,
     var_estimate,
     var_prob_estimate,
+    z_score,
 )
 from surveyblend.combiner import combine
 from conftest import default_fit, make_observed
 
 K = EstimatorKind
+
+
+def optimal_weight(var_p, var_dr, cov):
+    """The pooling weight combine() chooses for these inputs."""
+    return combine(0.0, var_p, 0.0, var_dr, cov).w
 
 
 class TestOptimalWeight:
@@ -106,17 +112,23 @@ class TestCombine:
             combine(0.0, 1.0, 0.0, 1.0, 0.0, level=1.2)
 
 
+class TestZScore:
+    def test_known_quantiles(self):
+        assert z_score(0.95) == pytest.approx(1.959963984540054, rel=1e-15)
+        assert z_score(0.9) == pytest.approx(1.6448536269514722, rel=1e-15)
+
+
 class TestPoolPipeline:
     def test_pool_matches_component_calls(self):
         observed = make_observed(seed=70)
         fit = default_fit(observed)
         provider = provider_for(observed)
-        report = pool(observed, fit, K.DR2, Regime.BOTH_CORRECT, K.HAJEK)
+        report = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK)
         assert report.est_prob == point_estimate(K.HAJEK, observed)
-        assert report.var_prob == var_prob_estimate(K.HAJEK, observed, provider)
+        assert report.var_prob == var_prob_estimate(K.HAJEK, Analysis(observed))
         assert report.est_dr == point_estimate(K.DR2, observed, fit)
         assert report.var_dr == var_estimate(K.DR2, Regime.BOTH_CORRECT, observed, fit, provider)
-        assert report.cov == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, observed, fit, provider)
+        assert report.cov == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, Analysis(observed, fit))
         expected = (1 - report.w) * report.est_prob + report.w * report.est_dr
         assert report.pooled_estimate == pytest.approx(expected, rel=1e-14)
         assert report.pooled_variance == pytest.approx(
@@ -126,7 +138,7 @@ class TestPoolPipeline:
         observed = make_observed(seed=71, y_on_a=False)
         fit = default_fit(observed)
         with pytest.raises(ValidationError):
-            pool(observed, fit, K.DR1, Regime.BOTH_CORRECT, K.HT)
+            pool(Analysis(observed, fit), K.DR1, Regime.BOTH_CORRECT, K.HT)
 
     def test_pooled_mc_variance_beats_components(self, mc_both_correct):
         pooled = mc_both_correct.row("pooled(DR2/both_correct,Hajek)")

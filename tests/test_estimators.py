@@ -1,4 +1,8 @@
-"""Point-estimator identities, hand-checked values, and equivariance properties."""
+"""Point-estimator identities, hand-checked values, equivariance properties,
+and the one-analysis-per-dataset invariant."""
+
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,12 @@ from surveyblend import (
     ValidationError,
     hajek_mean,
     ht_mean,
+    generate_population,
     point_estimate,
 )
-from conftest import default_fit, make_observed
+from surveyblend.cli import build_estimate_report, load_config
+from surveyblend.simulate import _replicate_record
+from conftest import SCENARIO_BOTH_CORRECT, default_fit, make_observed
 
 K = EstimatorKind
 
@@ -102,6 +109,35 @@ class TestLocationEquivariance:
             base = point_estimate(kind, observed, fit)
             moved = point_estimate(kind, shifted, fit_shifted)
             assert moved - base == pytest.approx(c, rel=1e-9, abs=1e-9)
+
+
+@pytest.fixture
+def prediction_calls(monkeypatch):
+    """Counts of NuisanceFit.m and NuisanceFit.pi_b evaluations."""
+    calls = Counter()
+    for name in ("m", "pi_b"):
+        def counted(self, x, _name=name, _method=getattr(NuisanceFit, name)):
+            calls[_name] += 1
+            return _method(self, x)
+        monkeypatch.setattr(NuisanceFit, name, counted)
+    return calls
+
+
+class TestOneAnalysisPerDataset:
+    """Each sample's predictions are evaluated once; fit_nuisance's two floor checks add two pi_b calls."""
+
+    def test_default_replicate(self, prediction_calls):
+        population = generate_population(SCENARIO_BOTH_CORRECT)
+        assert _replicate_record(SCENARIO_BOTH_CORRECT, population, 0, raise_errors=True) is not None
+        assert prediction_calls["m"] == 2
+        assert prediction_calls["pi_b"] <= 4
+
+    def test_example_estimate_report(self, prediction_calls):
+        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "estimate_example.yaml", "estimate")
+        report = build_estimate_report(config, make_observed(seed=35))
+        assert len(report["pooled"]) == 1
+        assert prediction_calls["m"] == 2
+        assert prediction_calls["pi_b"] <= 4
 
 
 def test_dr2_unbiased_when_both_models_correct(mc_both_correct):

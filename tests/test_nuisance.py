@@ -21,11 +21,7 @@ from surveyblend import (
     ScenarioConfig,
     SolverError,
     draw_samples,
-    fit_kim_haziza,
     fit_nuisance,
-    fit_outcome_ml,
-    fit_selection_calibration,
-    fit_selection_pml,
     generate_population,
     predict_outcome,
     predict_selection,
@@ -56,6 +52,23 @@ def intercept_only_data(n_pop=50, n_b=20, *, census_a=True, seed=0):
         x_b=np.ones((n_b, 1)),
         y_b=rng.normal(size=n_b),
     )
+
+
+def fit_selection_pml(observed):
+    return fit_nuisance(observed, ModelSpec(fit_method=FitMethod.PSEUDO_ML)).alpha
+
+
+def fit_selection_calibration(observed):
+    return fit_nuisance(observed, ModelSpec(fit_method=FitMethod.CALIBRATION)).alpha
+
+
+def fit_outcome_ml(observed, family):
+    return fit_nuisance(observed, ModelSpec(outcome_family=family)).beta
+
+
+def fit_kim_haziza(observed, spec):
+    fit = fit_nuisance(observed, spec)
+    return fit.alpha, fit.beta
 
 
 def fd_jacobian(func, x, h=1e-6):

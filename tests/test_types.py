@@ -12,10 +12,10 @@ from surveyblend import (
     ModelSpec,
     ObservedData,
     OutcomeFamily,
-    UnitRecord,
     ValidationError,
     validate,
 )
+from surveyblend.cli import RunConfig, read_samples, write_sample_csvs
 from conftest import make_observed
 
 
@@ -101,15 +101,6 @@ def test_arrays_are_read_only():
         observed.x_a[0, 0] = 5.0
 
 
-def test_unit_record_invariants():
-    with pytest.raises(ValidationError):
-        UnitRecord(x=())
-    with pytest.raises(ValidationError):
-        UnitRecord(x=(2.0, 1.0))
-    rec = UnitRecord(x=(1.0, 3.5), z=(0.5,), y=2.0)
-    assert rec.x[0] == 1.0
-
-
 def test_design_descriptor_invariants():
     with pytest.raises(ValidationError):
         DesignDescriptor(DesignKind.SRSWOR, n=1)
@@ -126,10 +117,18 @@ def test_kim_haziza_requires_matching_masks():
     assert spec.outcome_cols == (0, 1)
 
 
+def csv_round_trip(observed, directory):
+    """Write an ObservedData to the CLI's sample CSVs and read it back."""
+    path_a, path_b = write_sample_csvs(observed, directory)
+    config = RunConfig(mode="estimate", output_dir=directory, sample_a_path=path_a, sample_b_path=path_b,
+                       n_population=observed.n_population, design=observed.design)
+    return read_samples(config)
+
+
 class TestRoundTrips:
-    def test_observed_data(self):
+    def test_observed_data(self, tmp_path):
         observed = make_observed(seed=9)
-        back = ObservedData.from_dict(observed.to_dict())
+        back = csv_round_trip(observed, tmp_path)
         assert back.n_population == observed.n_population
         assert back.design == observed.design
         np.testing.assert_array_equal(back.x_a, observed.x_a)
@@ -138,44 +137,27 @@ class TestRoundTrips:
         np.testing.assert_array_equal(back.x_b, observed.x_b)
         np.testing.assert_array_equal(back.y_b, observed.y_b)
 
-    def test_observed_data_without_y_a(self):
+    def test_observed_data_without_y_a(self, tmp_path):
         observed = make_observed(seed=10, y_on_a=False)
-        back = ObservedData.from_dict(observed.to_dict())
+        back = csv_round_trip(observed, tmp_path)
         assert back.y_a is None
 
-    def test_unit_record(self):
-        rec = UnitRecord(x=(1.0, -2.25), z=(3.0,), y=0.5)
-        assert UnitRecord.from_dict(rec.to_dict()) == rec
-
     def test_design_descriptor(self):
+        # report.json carries the design as this dict; it rebuilds the same design.
         for d in (DesignDescriptor(DesignKind.POISSON), DesignDescriptor(DesignKind.SRSWOR, n=7)):
-            assert DesignDescriptor.from_dict(d.to_dict()) == d
+            plain = d.to_dict()
+            assert plain == {"kind": d.kind.value, "n": d.n}
+            assert DesignDescriptor(DesignKind(plain["kind"]), plain["n"]) == d
 
     def test_model_spec(self):
         spec = ModelSpec(outcome_family=OutcomeFamily.LOGISTIC_BINARY,
                          fit_method=FitMethod.CALIBRATION,
                          outcome_cols=(0, 2), selection_cols=None)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
-
-    def test_finite_population(self):
-        from surveyblend import FinitePopulation
-
-        rng = np.random.default_rng(11)
-        n = 12
-        pop = FinitePopulation(
-            x=np.column_stack([np.ones(n), rng.normal(size=n)]),
-            y=rng.normal(size=n),
-            pi_a=rng.uniform(0.2, 0.9, n),
-            pi_b_true=rng.uniform(0.1, 0.8, n),
-            design=DesignDescriptor(DesignKind.POISSON),
-            z=rng.normal(size=(n, 1)),
-        )
-        back = FinitePopulation.from_dict(pop.to_dict())
-        for name in ("x", "y", "pi_a", "pi_b_true", "z"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(pop, name))
-        assert back.design == pop.design
-        unit = pop.unit(3)
-        assert unit.x == tuple(pop.x[3]) and unit.y == pop.y[3]
+        plain = spec.to_dict()
+        assert plain == {"outcome_family": "logistic_binary", "fit_method": "calibration",
+                         "outcome_cols": [0, 2], "selection_cols": None}
+        assert ModelSpec(OutcomeFamily(plain["outcome_family"]), FitMethod(plain["fit_method"]),
+                         tuple(plain["outcome_cols"]), plain["selection_cols"]) == spec
 
 
 @settings(max_examples=25, deadline=None)

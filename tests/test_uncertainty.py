@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from surveyblend import (
+    Analysis,
     Covariate,
     DesignDescriptor,
     DesignKind,
@@ -26,17 +27,18 @@ from surveyblend import (
     centering_terms,
     cov_estimate,
     draw_samples,
-    estimate_report,
     fit_nuisance,
     generate_population,
     hajek_mean,
     ht_mean,
     ht_var_estimate,
+    point_estimate,
     provider_for,
     regression_adjustment,
     residual_variance,
     var_estimate,
     var_prob_estimate,
+    variance,
 )
 from surveyblend.simulate import redraw_outcomes
 from surveyblend import uncertainty
@@ -103,17 +105,16 @@ class TestCenteringTerms:
     def test_dr1_both_correct_centers_predictions_at_zero(self):
         observed = make_observed(seed=42)
         fit = default_fit(observed)
-        terms = centering_terms(K.DR1, R.BOTH_CORRECT, observed, fit)
+        terms = centering_terms(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
         assert np.all(terms.pred_center == 0.0)
         np.testing.assert_allclose(terms.outcome_center, fit.m(observed.x_b))
 
     def test_dr2_both_correct_centers_predictions_at_ht_mean(self):
         observed = make_observed(seed=43)
         fit = default_fit(observed)
-        terms = centering_terms(K.DR2, R.BOTH_CORRECT, observed, fit)
+        terms = centering_terms(K.DR2, R.BOTH_CORRECT, Analysis(observed, fit))
         m_bar = ht_mean(fit.m(observed.x_a), observed.pi_a, observed.n_population)
         assert np.all(terms.pred_center == m_bar)
-        assert terms.pred_ht_mean == m_bar
 
     def test_ipw1_with_zero_coefficient_has_zero_centers(self):
         observed = make_observed(seed=44)
@@ -121,7 +122,7 @@ class TestCenteringTerms:
                                 x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
                                 x_b=observed.x_b, y_b=np.zeros(observed.n_b))
         fit = default_fit(observed)
-        terms = centering_terms(K.IPW1, R.SELECTION_CORRECT, observed, fit)
+        terms = centering_terms(K.IPW1, R.SELECTION_CORRECT, Analysis(observed, fit))
         assert np.max(np.abs(terms.pred_center)) < 1e-12
         assert np.max(np.abs(terms.outcome_center)) < 1e-12
 
@@ -129,17 +130,17 @@ class TestCenteringTerms:
         observed = make_observed(seed=45)
         fit = default_fit(observed)
         with pytest.raises(ValidationError):
-            centering_terms(K.IPW1, R.BOTH_CORRECT, observed, fit)
+            centering_terms(K.IPW1, R.BOTH_CORRECT, Analysis(observed, fit))
         with pytest.raises(ValidationError):
-            centering_terms(K.HT, R.BOTH_CORRECT, observed, fit)
+            centering_terms(K.HT, R.BOTH_CORRECT, Analysis(observed, fit))
         with pytest.raises(ValidationError):
-            centering_terms(K.DR2, R.KH_DOUBLY_ROBUST, observed, fit)
+            centering_terms(K.DR2, R.KH_DOUBLY_ROBUST, Analysis(observed, fit))
 
     def test_kh_regime_requires_kh_fit(self):
         observed = make_observed(seed=46)
         fit = default_fit(observed)  # pseudo-ML
         with pytest.raises(ValidationError, match="Kim-Haziza"):
-            centering_terms(K.DR1, R.KH_DOUBLY_ROBUST, observed, fit)
+            centering_terms(K.DR1, R.KH_DOUBLY_ROBUST, Analysis(observed, fit))
 
 
 class TestVarEstimate:
@@ -223,8 +224,7 @@ class TestVarProbEstimate:
                                 x_a=observed.x_a, pi_a=observed.pi_a,
                                 y_a=np.full(observed.n_a, 4.2),
                                 x_b=observed.x_b, y_b=observed.y_b)
-        provider = provider_for(observed)
-        assert var_prob_estimate(K.HAJEK, observed, provider) == pytest.approx(0.0, abs=1e-25)
+        assert var_prob_estimate(K.HAJEK, Analysis(observed)) == pytest.approx(0.0, abs=1e-25)
 
     def test_constant_outcome_ht_variance_is_positive(self):
         observed = make_observed(seed=52)
@@ -233,25 +233,23 @@ class TestVarProbEstimate:
                                 x_a=observed.x_a, pi_a=observed.pi_a,
                                 y_a=np.full(observed.n_a, c),
                                 x_b=observed.x_b, y_b=observed.y_b)
-        provider = provider_for(observed)
         pi = observed.pi_a
         expected = c * c * float(np.sum((1 - pi) / pi**2)) / observed.n_population**2
-        got = var_prob_estimate(K.HT, observed, provider)
+        got = var_prob_estimate(K.HT, Analysis(observed))
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_requires_outcome_on_sample_a(self):
         observed = make_observed(seed=53, y_on_a=False)
         with pytest.raises(ValidationError):
-            var_prob_estimate(K.HT, observed, provider_for(observed))
+            var_prob_estimate(K.HT, Analysis(observed))
 
 
 class TestCovEstimate:
     def test_zero_predictions_give_zero_covariance(self):
         observed = make_observed(seed=54)
         fit = zero_outcome_fit(default_fit(observed))
-        provider = provider_for(observed)
-        cov = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HT, observed, fit, provider)
+        cov = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HT, Analysis(observed, fit))
         assert cov == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_adjustment_gives_zero_ipw_covariance(self):
@@ -260,8 +258,7 @@ class TestCovEstimate:
                                 x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
                                 x_b=observed.x_b, y_b=np.zeros(observed.n_b))
         fit = default_fit(observed)
-        provider = provider_for(observed)
-        cov = cov_estimate(K.IPW1, R.SELECTION_CORRECT, K.HT, observed, fit, provider)
+        cov = cov_estimate(K.IPW1, R.SELECTION_CORRECT, K.HT, Analysis(observed, fit))
         assert cov == pytest.approx(0.0, abs=1e-18)
 
     def test_hajek_covariance_centers_outcomes(self):
@@ -273,7 +270,7 @@ class TestCovEstimate:
         u = fit.m(observed.x_a)
         gamma = hajek_mean(observed.y_a, observed.pi_a)
         expected = ht_cov_estimate(u, observed.y_a - gamma, provider)
-        got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, observed, fit, provider)
+        got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, Analysis(observed, fit))
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -339,8 +336,8 @@ class TestReductionIdentities:
             var_estimate(K.DR1, R.SELECTION_CORRECT, observed, zero, provider), rel=1e-12)
         assert var_estimate(K.IPW2, R.SELECTION_CORRECT, observed, fit, provider) == pytest.approx(
             var_estimate(K.DR2, R.SELECTION_CORRECT, observed, zero, provider), rel=1e-12)
-        assert cov_estimate(K.IPW1, R.SELECTION_CORRECT, K.HT, observed, fit, provider) == pytest.approx(
-            cov_estimate(K.DR1, R.SELECTION_CORRECT, K.HT, observed, zero, provider), rel=1e-12)
+        assert cov_estimate(K.IPW1, R.SELECTION_CORRECT, K.HT, Analysis(observed, fit)) == pytest.approx(
+            cov_estimate(K.DR1, R.SELECTION_CORRECT, K.HT, Analysis(observed, zero)), rel=1e-12)
 
     def test_adjustment_coefficients_reduce(self):
         observed = make_observed(seed=59)
@@ -352,19 +349,26 @@ class TestReductionIdentities:
             np.testing.assert_allclose(raw, reduced, rtol=1e-13)
 
 
-class TestEstimateReport:
+class TestAnalysis:
     def test_fields_cohere(self):
         observed = make_observed(seed=60)
         fit = default_fit(observed)
-        provider = provider_for(observed)
-        report = estimate_report(K.DR2, R.BOTH_CORRECT, observed, fit, provider)
-        assert report.estimate == pytest.approx(
-            __import__("surveyblend").point_estimate(K.DR2, observed, fit))
-        assert report.variance >= 0.0
-        assert report.centering is not None
+        analysis = Analysis(observed, fit)
+        assert analysis.point(K.DR2) == point_estimate(K.DR2, observed, fit)
+        assert variance(K.DR2, R.BOTH_CORRECT, analysis) == var_estimate(
+            K.DR2, R.BOTH_CORRECT, observed, fit, provider_for(observed))
+        assert centering_terms(K.DR2, R.BOTH_CORRECT, analysis) is centering_terms(K.DR2, R.BOTH_CORRECT, analysis)
 
     def test_prob_kind_has_no_regime(self):
         observed = make_observed(seed=61)
-        provider = provider_for(observed)
-        report = estimate_report(K.HAJEK, None, observed, None, provider)
-        assert report.regime is None and report.centering is None
+        analysis = Analysis(observed, default_fit(observed))
+        assert var_prob_estimate(K.HAJEK, analysis) >= 0.0
+        with pytest.raises(ValidationError, match="no variance regime"):
+            variance(K.HAJEK, R.BOTH_CORRECT, analysis)
+
+    def test_provider_must_describe_the_data(self):
+        observed = make_observed(seed=62)
+        other = make_observed(seed=63)
+        fit = default_fit(observed)
+        with pytest.raises(ValidationError, match="provider"):
+            var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider_for(other))
