@@ -1,20 +1,23 @@
 """Configuration-driven command line front end.
 
-Two subcommands, both driven by a single declarative YAML file:
+Two subcommands, each driven by one declarative YAML file and each
+evaluating one :class:`~surveyblend.simulate.EvalPlan` with
+:func:`~surveyblend.simulate.evaluate`:
 
 * ``estimate`` reads sample CSVs, validates them, fits the nuisance
-  models once, and writes every requested point estimate, variance,
-  covariance and pooled report (human-readable table plus JSON).
-* ``simulate`` runs a repeated-sampling study and writes the summary as
-  CSV plus a run manifest.
+  models once, and writes the plan its ``estimators`` section describes
+  (human-readable table plus JSON).
+* ``simulate`` runs a repeated-sampling study of the scenario's ``plan``
+  and writes the summary as CSV plus a run manifest.
 
 CSV schemas (intercept never stored; x_0 = 1 is added internally):
 
 * ``sample_a.csv``: id, x_1..x_p, pi_a[, y]
 * ``sample_b.csv``: id, x_1..x_p, y
 
-Exit codes: 0 success, 2 validation failure, 3 solver/simulation failure,
-4 I/O or parse failure. All numbers are serialized with 17 significant
+Exit codes: 0 success, 2 validation failure (a config key nothing reads, a
+null section and a worker count below 1 included), 3 solver/simulation
+failure, 4 I/O or parse failure. All numbers are serialized with 17 significant
 digits, so re-ingestion is lossless.
 """
 
@@ -27,17 +30,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .combiner import pool, z_score
 from .estimators import PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import SolverError, fit_nuisance
-from .simulate import MonteCarloSummary, ScenarioConfig, SimulationError, run_replications
+from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationError, SummaryRow, evaluate,
+                       run_replications)
 from .types import (
     DesignDescriptor,
     DesignKind,
@@ -46,22 +49,21 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
+    config_section,
+    field_names,
     validate,
 )
-from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
-                          var_prob_estimate, variance)
+from .uncertainty import ResidualVarianceModel
 
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
 
 LOCK_NAME = ".lock"
 
-SUMMARY_COLUMNS = (
-    "name", "row_type", "n_used", "mc_mean", "mc_bias", "mc_bias_se",
-    "emp_variance", "emp_variance_se", "mean_var_estimate", "mean_var_estimate_se",
-    "rel_var_bias", "coverage", "coverage_se", "emp_cov", "emp_cov_se",
-    "mean_cov_estimate", "mean_cov_estimate_se", "rel_cov_bias", "mean_w",
-)
+MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
+             "simulate": ("parallel", "max_workers", "scenario")}
+
+SUMMARY_COLUMNS = field_names(SummaryRow)
 
 
 class CsvParseError(Exception):
@@ -99,10 +101,7 @@ class RunConfig:
     design: DesignDescriptor | None = None
     model: ModelSpec | None = None
     sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
-    points: tuple[EstimatorKind, ...] = ()
-    variances: tuple[tuple[EstimatorKind, Regime], ...] = ()
-    covariances: tuple[tuple[EstimatorKind, Regime, EstimatorKind], ...] = ()
-    pooled: tuple[tuple[EstimatorKind, Regime, EstimatorKind], ...] = ()
+    plan: EvalPlan = field(default_factory=EvalPlan)
     # simulate mode
     scenario: ScenarioConfig | None = None
     parallel: bool = False
@@ -134,48 +133,57 @@ def _parse_config(raw, mode: str) -> RunConfig:
     cfg_mode = raw.get("mode", mode)
     if cfg_mode != mode:
         raise ValidationError(f"config is for mode {cfg_mode!r}, command expects {mode!r}")
+    if mode == "simulate" and "level" in raw:
+        raise ValidationError("a simulate config sets its level as scenario.level, not at the top level")
+    config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode])
     output_dir = Path(raw.get("output_dir", "out"))
-    level = float(raw.get("level", 0.95))
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level outside (0, 1)")
 
     if mode == "simulate":
         if "scenario" not in raw:
             raise ValidationError("simulate config needs a 'scenario' section")
-        scenario = ScenarioConfig.from_dict(raw["scenario"])
-        return RunConfig(mode=mode, output_dir=output_dir, level=level, scenario=scenario,
-                         parallel=bool(raw.get("parallel", False)),
-                         max_workers=raw.get("max_workers"))
+        max_workers = raw.get("max_workers")
+        if max_workers is not None and (type(max_workers) is not int or max_workers < 1):
+            raise ValidationError(f"max_workers must be a positive integer, not {max_workers!r}")
+        return RunConfig(mode=mode, output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
+                         parallel=bool(raw.get("parallel", False)), max_workers=max_workers)
 
-    inputs = raw.get("inputs", {})
+    level = float(raw.get("level", 0.95))
+    if not 0.0 < level < 1.0:
+        raise ValidationError("confidence level outside (0, 1)")
+    inputs = config_section(raw.get("inputs", {}), "inputs", ("sample_a", "sample_b", "n_population"))
     for key in ("sample_a", "sample_b", "n_population"):
         if key not in inputs:
             raise ValidationError(f"estimate config needs inputs.{key}")
-    design_raw = raw.get("design", {})
+    design_raw = config_section(raw.get("design", {}), "design", field_names(DesignDescriptor))
     design = DesignDescriptor(kind=DesignKind(design_raw.get("kind", "poisson")),
                               n=design_raw.get("n"))
-    analysis = raw.get("analysis", {})
+    analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
     model = ModelSpec(
         outcome_family=OutcomeFamily(analysis.get("outcome_family", "linear_gaussian")),
         fit_method=FitMethod(analysis.get("fit_method", "pseudo_ml")),
         outcome_cols=_mask_from_config(analysis.get("outcome_cols")),
         selection_cols=_mask_from_config(analysis.get("selection_cols")),
     )
-    est = raw.get("estimators", {})
+    est = config_section(raw.get("estimators", {}), "estimators", ("points", "variances", "covariances", "pooled"))
+
+    def entries(section: str, keys: tuple[str, ...]) -> tuple:
+        """The section's entries as tuples of their ``keys``' values."""
+        rows = [config_section(v, f"estimators.{section}", keys) for v in est.get(section, ())]
+        return tuple(tuple(v[k] if k == "regime" else _kind(v[k]) for k in keys) for v in rows)
+
+    # Every listed point is a point-only row, in the listed order; the
+    # probability-sample ones also get their design-variance interval.
     points = tuple(_kind(k) for k in est.get("points", ()))
-    variances = tuple((_kind(v["kind"]), Regime(v["regime"])) for v in est.get("variances", ()))
-    covariances = tuple((_kind(v["kind"]), Regime(v["regime"]), _kind(v["prob"]))
-                        for v in est.get("covariances", ()))
-    pooled = tuple((_kind(v["kind"]), Regime(v["regime"]), _kind(v["prob"]))
-                   for v in est.get("pooled", ()))
-    for kind, regime, *_ in variances + covariances + pooled:
-        check_supported(kind, regime, model.fit_method)
+    plan = EvalPlan(prob_points=tuple(k for k in points if k in PROB_KINDS), point_only=points,
+                    var_pairs=entries("variances", ("kind", "regime")),
+                    cov_pairs=entries("covariances", ("kind", "regime", "prob")),
+                    pooled=entries("pooled", ("kind", "regime", "prob")))
+    plan.check(model.fit_method)
     return RunConfig(
         mode=mode, output_dir=output_dir, level=level,
         sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
         n_population=int(inputs["n_population"]), design=design, model=model,
-        sigma_model=ResidualVarianceModel(analysis.get("sigma_model", "constant")),
-        points=points, variances=variances, covariances=covariances, pooled=pooled,
+        sigma_model=ResidualVarianceModel(analysis.get("sigma_model", "constant")), plan=plan,
     )
 
 
@@ -281,18 +289,11 @@ def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Pa
 
 
 def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
-    """Compute every requested quantity on validated data from one fitted analysis."""
-    needs_fit = any(k not in PROB_KINDS for k in config.points) or config.variances \
-        or config.covariances or config.pooled
+    """Evaluate the config's plan on validated data and arrange its rows into the report's sections."""
+    plan = config.plan
+    needs_fit = any(k not in PROB_KINDS for k in plan.point_only) or plan.var_pairs \
+        or plan.cov_pairs or plan.pooled
     analysis = Analysis(observed, fit_nuisance(observed, config.model) if needs_fit else None)
-    z = z_score(config.level)
-
-    def interval(kind: EstimatorKind, regime: str | None, var: float) -> dict:
-        est = analysis.point(kind)
-        half = z * float(np.sqrt(max(var, 0.0)))
-        return {"estimator": kind.value, "regime": regime, "estimate": est, "variance": var,
-                "ci_low": est - half, "ci_high": est + half}
-
     report: dict = {
         "mode": "estimate",
         "n_population": observed.n_population,
@@ -304,23 +305,20 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
         "covariances": [],
         "pooled": [],
     }
-    for kind in config.points:
-        report["points"].append({"estimator": kind.value, "estimate": analysis.point(kind)})
-    for kind, regime in config.variances:
-        var = variance(kind, regime, analysis, sigma_model=config.sigma_model)
-        report["variances"].append(interval(kind, regime.value, var))
-    for kind in config.points:
-        if kind in PROB_KINDS and observed.y_a is not None:
-            report["variances"].append(interval(kind, None, var_prob_estimate(kind, analysis)))
-    for kind, regime, prob in config.covariances:
-        report["covariances"].append({
-            "estimator": kind.value, "regime": regime.value, "prob_estimator": prob.value,
-            "covariance": cov_estimate(kind, regime, prob, analysis),
-        })
-    for kind, regime, prob in config.pooled:
-        entry = {"estimator": kind.value, "regime": regime.value, "prob_estimator": prob.value}
-        entry.update(pool(analysis, kind, regime, prob, config.level, sigma_model=config.sigma_model).to_dict())
-        report["pooled"].append(entry)
+    for row in evaluate(plan, analysis, config.level, config.sigma_model):
+        values = row.values
+        head = {"estimator": row.kind.value, "regime": row.regime.value if row.regime else None}
+        if row.pooled is not None:
+            report["pooled"].append({**head, "prob_estimator": row.prob.value, **row.pooled.to_dict()})
+        elif "cov" in values:
+            report["covariances"].append({**head, "prob_estimator": row.prob.value, "covariance": values["cov"]})
+        elif "var" in values:
+            report["variances"].append({**head, "estimate": values["est"], "variance": values["var"],
+                                        "ci_low": values["lo"], "ci_high": values["hi"]})
+        else:
+            report["points"].append({"estimator": row.kind.value, "estimate": values["est"]})
+    # The report lists the probability-sample variances after the regime ones.
+    report["variances"].sort(key=lambda entry: entry["regime"] is None)
     return report
 
 
@@ -434,6 +432,13 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
     return summary
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, not {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="surveyblend",
                                      description="Blend nonprobability and probability survey samples.")
@@ -445,7 +450,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--output-dir", default=None, help="override the configured output directory")
         if name == "simulate":
             cmd.add_argument("--parallel", action="store_true", help="run replicates in parallel")
-            cmd.add_argument("--workers", type=int, default=None, help="worker process count")
+            cmd.add_argument("--workers", type=_worker_count, default=None, help="worker process count")
     args = parser.parse_args(argv)
 
     try:

@@ -4,9 +4,12 @@ One population (the frame of covariates and design probabilities) is
 generated per scenario and held fixed; each replicate then redraws the
 outcomes from the superpopulation model (optionally held fixed for
 diagnostics), redraws both samples, refits the nuisance models, and
-evaluates every requested estimator, variance, covariance, and pooled
-report. Replicate RNG streams are indexed by (master seed, replicate),
-so serial and parallel execution produce bit-identical summaries.
+evaluates the scenario's :class:`EvalPlan` with :func:`evaluate`, the
+function the ``estimate`` command evaluates its plan with too. A replicate
+that fails with a domain error (invalid data, a failed solve, an unusable
+draw) counts as failed; any other exception stops the study. Replicate
+RNG streams are indexed by (master seed, replicate), so serial and
+parallel execution produce bit-identical summaries.
 
 Misspecification never touches the generating mechanism: toggling
 ``outcome_wrong``/``selection_wrong`` only drops a covariate column from
@@ -18,14 +21,16 @@ from __future__ import annotations
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 from scipy.special import expit
 
-from .combiner import pool, z_score
+from .combiner import PooledReport, pool, z_score
 from .estimators import PROB_KINDS, Analysis, EstimatorKind
-from .nuisance import fit_nuisance
+from .nuisance import SolverError, fit_nuisance
 from .types import (
     DesignDescriptor,
     DesignKind,
@@ -35,6 +40,8 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
+    config_section,
+    field_names,
     plain_data,
 )
 from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
@@ -79,14 +86,13 @@ class Covariate:
         if self.kind not in ("normal", "uniform", "bernoulli", "square_of"):
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Covariate":
-        return cls(kind=d["kind"], params=tuple(d.get("params", ())))
-
 
 @dataclass(frozen=True)
 class EvalPlan:
-    """Which estimators, variances, covariances and pooled rows to evaluate."""
+    """Which estimators, variances, covariances and pooled rows to evaluate.
+
+    Estimators and regimes may be given as enum members or as their values.
+    """
 
     prob_points: tuple[EstimatorKind, ...] = ()
     point_only: tuple[EstimatorKind, ...] = ()
@@ -95,29 +101,72 @@ class EvalPlan:
     pooled: tuple[tuple[EstimatorKind, Regime, EstimatorKind], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "prob_points", tuple(self.prob_points))
-        object.__setattr__(self, "point_only", tuple(self.point_only))
-        object.__setattr__(self, "var_pairs", tuple((k, r) for k, r in self.var_pairs))
-        object.__setattr__(self, "cov_pairs", tuple((k, r, p) for k, r, p in self.cov_pairs))
-        object.__setattr__(self, "pooled", tuple((k, r, p) for k, r, p in self.pooled))
-        for kind in self.prob_points:
+        K = EstimatorKind
+        object.__setattr__(self, "prob_points", tuple(K(k) for k in self.prob_points))
+        object.__setattr__(self, "point_only", tuple(K(k) for k in self.point_only))
+        object.__setattr__(self, "var_pairs", tuple((K(k), Regime(r)) for k, r in self.var_pairs))
+        object.__setattr__(self, "cov_pairs", tuple((K(k), Regime(r), K(p)) for k, r, p in self.cov_pairs))
+        object.__setattr__(self, "pooled", tuple((K(k), Regime(r), K(p)) for k, r, p in self.pooled))
+        for kind in self.prob_points + tuple(p for _, _, p in self.cov_pairs + self.pooled):
             if kind not in PROB_KINDS:
                 raise ValidationError(f"{kind.value} is not a probability-sample estimator")
-        for _, _, prob in tuple(self.cov_pairs) + tuple(self.pooled):
-            if prob not in PROB_KINDS:
-                raise ValidationError(f"{prob.value} is not a probability-sample estimator")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalPlan":
-        return cls(
-            prob_points=tuple(EstimatorKind(v) for v in d.get("prob_points", ())),
-            point_only=tuple(EstimatorKind(v) for v in d.get("point_only", ())),
-            var_pairs=tuple((EstimatorKind(k), Regime(r)) for k, r in d.get("var_pairs", ())),
-            cov_pairs=tuple((EstimatorKind(k), Regime(r), EstimatorKind(p))
-                            for k, r, p in d.get("cov_pairs", ())),
-            pooled=tuple((EstimatorKind(k), Regime(r), EstimatorKind(p))
-                         for k, r, p in d.get("pooled", ())),
-        )
+    def check(self, fit_method: FitMethod) -> None:
+        """Reject a variance, covariance or pooled entry that has no variance formula under ``fit_method``."""
+        for kind, regime, *_ in self.var_pairs + self.cov_pairs + self.pooled:
+            check_supported(kind, regime, fit_method)
+
+
+def _label(kind: EstimatorKind, regime: Regime | None = None) -> str:
+    return kind.value if regime is None else f"{kind.value}/{regime.value}"
+
+
+class EvalRow(NamedTuple):
+    """One evaluated plan entry on one dataset, under its summary name.
+
+    ``values`` holds the numbers a replicate record keeps: the estimate
+    ``est``; an interval's ``var``, ``lo`` and ``hi``; a covariance's ``cov``
+    and probability-sample estimate ``prob_est``; a pooled row's weight ``w``.
+    """
+
+    name: str
+    kind: EstimatorKind
+    regime: Regime | None
+    prob: EstimatorKind | None
+    values: dict[str, float]
+    pooled: PooledReport | None = None
+
+
+def evaluate(plan: EvalPlan, analysis: Analysis, level: float,
+             sigma_model: ResidualVarianceModel) -> list[EvalRow]:
+    """Every point, interval, covariance and pooled report of ``plan`` on one analysed dataset.
+
+    Rows come in plan order: probability-sample points with their
+    intervals, point-only estimators, variance pairs, covariances, pooled
+    rows. Each quantity is computed once and kept on ``analysis``.
+    """
+    z = z_score(level)
+
+    def interval(kind: EstimatorKind, regime: Regime | None, var: float) -> EvalRow:
+        est = analysis.point(kind)
+        half = z * float(np.sqrt(max(var, 0.0)))
+        return EvalRow(_label(kind, regime), kind, regime, None,
+                       {"est": est, "var": var, "lo": est - half, "hi": est + half})
+
+    rows = [interval(kind, None, var_prob_estimate(kind, analysis)) for kind in plan.prob_points]
+    rows += [EvalRow(_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
+    rows += [interval(kind, regime, variance(kind, regime, analysis, sigma_model=sigma_model))
+             for kind, regime in plan.var_pairs]
+    for kind, regime, prob in plan.cov_pairs:
+        rows.append(EvalRow(f"cov({_label(kind, regime)},{prob.value})", kind, regime, prob,
+                            {"est": analysis.point(kind), "prob_est": analysis.point(prob),
+                             "cov": cov_estimate(kind, regime, prob, analysis)}))
+    for kind, regime, prob in plan.pooled:
+        report = pool(analysis, kind, regime, prob, level, sigma_model=sigma_model)
+        rows.append(EvalRow(f"pooled({_label(kind, regime)},{prob.value})", kind, regime, prob,
+                            {"est": report.pooled_estimate, "var": report.pooled_variance,
+                             "lo": report.ci_low, "hi": report.ci_high, "w": report.w}, report))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -149,6 +198,18 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Config files give plain values: a field with an enum or number default
+        # takes its default's type, a flag must be a bool (bool("false") is True),
+        # and an optional sequence becomes a tuple.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, bool) and not isinstance(value, bool):
+                raise ValidationError(f"{f.name} must be true or false, not {value!r}")
+            if isinstance(f.default, (Enum, int, float)):
+                object.__setattr__(self, f.name, type(f.default)(value))
+            elif f.default is None and value is not None:
+                object.__setattr__(self, f.name, tuple(value))
+        object.__setattr__(self, "n_population", int(self.n_population))
         object.__setattr__(self, "covariates", tuple(self.covariates))
         object.__setattr__(self, "beta_true", tuple(float(v) for v in self.beta_true))
         object.__setattr__(self, "alpha_true", tuple(float(v) for v in self.alpha_true))
@@ -166,9 +227,7 @@ class ScenarioConfig:
                 src = int(cov.params[0]) if cov.params else 0
                 if not 1 <= src < j:
                     raise ValidationError("square_of must reference an earlier covariate column")
-        plan = self.plan
-        for kind, regime, *_ in plan.var_pairs + plan.cov_pairs + plan.pooled:
-            check_supported(kind, regime, self.fit_method)
+        self.plan.check(self.fit_method)
 
     @property
     def n_covariate_columns(self) -> int:
@@ -196,34 +255,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        def _tup(v):
-            return None if v is None else tuple(v)
-
-        return cls(
-            n_population=int(d["n_population"]),
-            covariates=tuple(Covariate.from_dict(c) for c in d["covariates"]),
-            beta_true=tuple(d["beta_true"]),
-            alpha_true=tuple(d["alpha_true"]),
-            outcome_family=OutcomeFamily(d.get("outcome_family", "linear_gaussian")),
-            noise_sd=float(d.get("noise_sd", 1.0)),
-            noise_sd_coef=_tup(d.get("noise_sd_coef")),
-            design_kind=DesignKind(d.get("design_kind", "poisson")),
-            sample_a_size=int(d.get("sample_a_size", 500)),
-            pi_a_coef=_tup(d.get("pi_a_coef")),
-            fit_method=FitMethod(d.get("fit_method", "pseudo_ml")),
-            outcome_wrong=bool(d.get("outcome_wrong", False)),
-            selection_wrong=bool(d.get("selection_wrong", False)),
-            misspec_drop_col=int(d.get("misspec_drop_col", -1)),
-            outcome_cols_override=_tup(d.get("outcome_cols_override")),
-            selection_cols_override=_tup(d.get("selection_cols_override")),
-            collect_y_on_a=bool(d.get("collect_y_on_a", True)),
-            redraw_y=bool(d.get("redraw_y", True)),
-            replicates=int(d.get("replicates", 1000)),
-            level=float(d.get("level", 0.95)),
-            sigma_model=ResidualVarianceModel(d.get("sigma_model", "constant")),
-            plan=EvalPlan.from_dict(d.get("plan", {})),
-            seed=int(d.get("seed", 0)),
-        )
+        d = dict(config_section(d, "scenario", field_names(cls)))
+        d["covariates"] = tuple(Covariate(**config_section(c, "scenario.covariates", field_names(Covariate)))
+                                for c in d["covariates"])
+        d["plan"] = EvalPlan(**config_section(d.get("plan", {}), "scenario.plan", field_names(EvalPlan)))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -328,64 +364,25 @@ def draw_samples(population: FinitePopulation, seed, *,
     raise SimulationError(f"could not draw usable samples after {_DRAW_ATTEMPTS} attempts")
 
 
-def _label(kind: EstimatorKind, regime: Regime | None = None) -> str:
-    return kind.value if regime is None else f"{kind.value}/{regime.value}"
-
-
 def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
-                      rep_index: int, raise_errors: bool = False) -> dict[str, float] | None:
-    """All requested metrics for one replicate; None when the replicate fails."""
+                      rep_index: int) -> dict[str, float] | str:
+    """One replicate's evaluated rows as ``name;value`` columns, plus the population mean ``_ybar``.
+
+    A replicate that fails with a domain error returns the error's type and
+    message instead; any other exception propagates.
+    """
     try:
         ss = SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
         y_ss, sample_ss = ss.spawn(2)
         pop = redraw_outcomes(population, config, y_ss) if config.redraw_y else population
         observed, truth = draw_samples(pop, sample_ss, collect_y_on_a=config.collect_y_on_a)
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec()))
-        z = z_score(config.level)
-        y_bar = truth.y_bar
-        rec: dict[str, float] = {"_ybar": y_bar}
-
-        def add_point(label: str, kind: EstimatorKind) -> float:
-            est = analysis.point(kind)
-            rec[f"{label};est"] = est
-            rec[f"{label};err"] = est - y_bar
-            return est
-
-        def add_cover(label: str, est: float, var: float) -> None:
-            rec[f"{label};var"] = var
-            half = z * np.sqrt(max(var, 0.0))
-            rec[f"{label};cover"] = 1.0 if est - half <= y_bar <= est + half else 0.0
-
-        for kind in config.plan.prob_points:
-            label = _label(kind)
-            est = add_point(label, kind)
-            add_cover(label, est, var_prob_estimate(kind, analysis))
-        for kind in config.plan.point_only:
-            add_point(_label(kind), kind)
-        for kind, regime in config.plan.var_pairs:
-            label = _label(kind, regime)
-            est = add_point(label, kind)
-            add_cover(label, est, variance(kind, regime, analysis, sigma_model=config.sigma_model))
-        for kind, regime, prob in config.plan.cov_pairs:
-            for member, member_regime in ((kind, regime), (prob, None)):
-                member_label = _label(member, member_regime)
-                if f"{member_label};est" not in rec:
-                    add_point(member_label, member)
-            label = f"cov({_label(kind, regime)},{prob.value})"
-            rec[f"{label};covest"] = cov_estimate(kind, regime, prob, analysis)
-        for kind, regime, prob in config.plan.pooled:
-            report = pool(analysis, kind, regime, prob, config.level, sigma_model=config.sigma_model)
-            label = f"pooled({_label(kind, regime)},{prob.value})"
-            rec[f"{label};w"] = report.w
-            rec[f"{label};est"] = report.pooled_estimate
-            rec[f"{label};err"] = report.pooled_estimate - y_bar
-            rec[f"{label};var"] = report.pooled_variance
-            rec[f"{label};cover"] = 1.0 if report.ci_low <= y_bar <= report.ci_high else 0.0
-        return rec
-    except Exception:
-        if raise_errors:
-            raise
-        return None
+        rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
+    except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    record = {"_ybar": truth.y_bar}
+    record.update((f"{row.name};{key}", value) for row in rows for key, value in row.values.items())
+    return record
 
 
 _WORKER_STATE: dict = {}
@@ -441,64 +438,63 @@ class MonteCarloSummary:
         raise KeyError(name)
 
 
-def _column(mat, col, key):
-    return mat[:, col[key]]
-
-
-def _point_row(label: str, mat, col, *, row_type: str = "point", has_var: bool) -> SummaryRow:
-    err = _column(mat, col, f"{label};err")
-    est = _column(mat, col, f"{label};est")
+def _summary_row(name: str, mat: np.ndarray, col: dict[str, int]) -> SummaryRow:
+    """Aggregate one evaluated row's columns; errors and coverage are taken against ``_ybar``."""
+    ybar = mat[:, col["_ybar"]]
+    err = mat[:, col[f"{name};est"]] - ybar
     ok = np.isfinite(err)
     n = int(np.sum(ok))
-    err, est = err[ok], est[ok]
-    bias = float(np.mean(err))
-    bias_se = float(np.std(err, ddof=1) / np.sqrt(n))
+    err, ybar = err[ok], ybar[ok]
+
+    def column(field: str) -> np.ndarray | None:
+        key = f"{name};{field}"
+        return mat[ok, col[key]] if key in col else None
+
+    def se(values: np.ndarray) -> float:
+        return float(np.std(values, ddof=1) / np.sqrt(n))
+
+    cov_est = column("cov")
+    if cov_est is not None:
+        prob_err = column("prob_est") - ybar
+        d = (err - np.mean(err)) * (prob_err - np.mean(prob_err))
+        emp_cov = float(np.sum(d) / (n - 1))
+        mean_cov = float(np.mean(cov_est))
+        return SummaryRow(
+            name=name, row_type="cov", n_used=n,
+            emp_cov=emp_cov, emp_cov_se=se(d),
+            mean_cov_estimate=mean_cov, mean_cov_estimate_se=se(cov_est),
+            rel_cov_bias=mean_cov / emp_cov - 1.0 if emp_cov != 0.0 else None,
+        )
     emp_var = float(np.var(err, ddof=1))
     m4 = float(np.mean((err - np.mean(err)) ** 4))
-    emp_var_se = float(np.sqrt(max(m4 - emp_var**2, 0.0) / n))
     extra: dict = {}
-    if has_var:
-        var = _column(mat, col, f"{label};var")[ok]
-        cover = _column(mat, col, f"{label};cover")[ok]
+    var = column("var")
+    if var is not None:
         mean_var = float(np.mean(var))
-        coverage = float(np.mean(cover))
+        coverage = float(np.mean(((column("lo") <= ybar) & (ybar <= column("hi"))).astype(float)))
         extra = {
             "mean_var_estimate": mean_var,
-            "mean_var_estimate_se": float(np.std(var, ddof=1) / np.sqrt(n)),
+            "mean_var_estimate_se": se(var),
             "rel_var_bias": mean_var / emp_var - 1.0 if emp_var > 0 else None,
             "coverage": coverage,
             "coverage_se": float(np.sqrt(coverage * (1.0 - coverage) / n)),
         }
-    if row_type == "pooled":
-        extra["mean_w"] = float(np.mean(_column(mat, col, f"{label};w")[ok]))
-    return SummaryRow(name=label, row_type=row_type, n_used=n, mc_mean=float(np.mean(est)),
-                      mc_bias=bias, mc_bias_se=bias_se, emp_variance=emp_var,
-                      emp_variance_se=emp_var_se, **extra)
-
-
-def _cov_row(name: str, dr_label: str, prob_label: str, mat, col) -> SummaryRow:
-    e1 = _column(mat, col, f"{dr_label};err")
-    e2 = _column(mat, col, f"{prob_label};err")
-    cov_est = _column(mat, col, f"{name};covest")
-    ok = np.isfinite(e1)
-    n = int(np.sum(ok))
-    e1, e2, cov_est = e1[ok], e2[ok], cov_est[ok]
-    d = (e1 - np.mean(e1)) * (e2 - np.mean(e2))
-    emp_cov = float(np.sum(d) / (n - 1))
-    emp_cov_se = float(np.std(d, ddof=1) / np.sqrt(n))
-    mean_cov = float(np.mean(cov_est))
-    return SummaryRow(
-        name=name, row_type="cov", n_used=n,
-        emp_cov=emp_cov, emp_cov_se=emp_cov_se,
-        mean_cov_estimate=mean_cov,
-        mean_cov_estimate_se=float(np.std(cov_est, ddof=1) / np.sqrt(n)),
-        rel_cov_bias=mean_cov / emp_cov - 1.0 if emp_cov != 0.0 else None,
-    )
+    w = column("w")
+    if w is not None:
+        extra["mean_w"] = float(np.mean(w))
+    return SummaryRow(name=name, row_type="point" if w is None else "pooled", n_used=n,
+                      mc_mean=float(np.mean(column("est"))), mc_bias=float(np.mean(err)),
+                      mc_bias_se=se(err), emp_variance=emp_var,
+                      emp_variance_se=float(np.sqrt(max(m4 - emp_var**2, 0.0) / n)), **extra)
 
 
 def run_replications(config: ScenarioConfig, *, parallel: bool = False,
                      max_workers: int | None = None) -> MonteCarloSummary:
-    """Run the full repeated-sampling study described by ``config``."""
+    """Run the full repeated-sampling study described by ``config``.
+
+    Raises :class:`SimulationError` when more than 1% of the replicates
+    fail, with the error of the failed replicate of lowest index.
+    """
     population = generate_population(config)
     n_rep = config.replicates
     if parallel:
@@ -508,37 +504,19 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
     else:
         records = [_replicate_record(config, population, r) for r in range(n_rep)]
 
-    n_failed = sum(r is None for r in records)
-    if n_failed > _MAX_FAILURE_FRACTION * n_rep:
-        # Surface the underlying error from the first failing replicate.
-        first_bad = next(i for i, r in enumerate(records) if r is None)
-        try:
-            _replicate_record(config, population, first_bad, raise_errors=True)
-        except Exception as exc:
-            raise SimulationError(f"{n_failed} of {n_rep} replicates failed; first error: {exc}") from exc
-        raise SimulationError(f"{n_failed} of {n_rep} replicates failed")
-    first = next(r for r in records if r is not None)
-    keys = list(first.keys())
+    failed = [(i, r) for i, r in enumerate(records) if isinstance(r, str)]
+    if len(failed) > _MAX_FAILURE_FRACTION * n_rep:
+        index, error = failed[0]
+        raise SimulationError(f"{len(failed)} of {n_rep} replicates failed; "
+                              f"first error (replicate {index}): {error}")
+    keys = list(next(r for r in records if isinstance(r, dict)))
     col = {k: i for i, k in enumerate(keys)}
     mat = np.full((n_rep, len(keys)), np.nan)
     for i, rec in enumerate(records):
-        if rec is not None:
+        if isinstance(rec, dict):
             mat[i] = [rec[k] for k in keys]
 
-    rows: list[SummaryRow] = []
-    for kind in config.plan.prob_points:
-        rows.append(_point_row(_label(kind), mat, col, has_var=True))
-    for kind in config.plan.point_only:
-        rows.append(_point_row(_label(kind), mat, col, has_var=False))
-    for kind, regime in config.plan.var_pairs:
-        rows.append(_point_row(_label(kind, regime), mat, col, has_var=True))
-    for kind, regime, prob in config.plan.cov_pairs:
-        name = f"cov({_label(kind, regime)},{prob.value})"
-        rows.append(_cov_row(name, _label(kind, regime), _label(prob), mat, col))
-    for kind, regime, prob in config.plan.pooled:
-        name = f"pooled({_label(kind, regime)},{prob.value})"
-        rows.append(_point_row(name, mat, col, row_type="pooled", has_var=True))
-
-    ybar = _column(mat, col, "_ybar")
-    return MonteCarloSummary(rows=tuple(rows), n_replicates=n_rep, n_failed=n_failed,
-                             y_bar_mean=float(np.nanmean(ybar)))
+    names = dict.fromkeys(key.split(";")[0] for key in keys if ";" in key)
+    return MonteCarloSummary(rows=tuple(_summary_row(name, mat, col) for name in names),
+                             n_replicates=n_rep, n_failed=len(failed),
+                             y_bar_mean=float(np.nanmean(mat[:, col["_ybar"]])))

@@ -69,6 +69,21 @@ def plain_data(value):
     return value
 
 
+def field_names(cls) -> tuple[str, ...]:
+    """The field names of a dataclass, in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def config_section(raw, section: str, allowed) -> dict:
+    """``raw``, checked to be a mapping (not null) whose keys are all in ``allowed``, so none goes unread."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config section {section}: must be a mapping, not {raw!r}")
+    for key in raw:
+        if key not in allowed:
+            raise ValidationError(f"config section {section}: unknown key {key!r}")
+    return raw
+
+
 @dataclass(frozen=True)
 class DesignDescriptor:
     """How the probability sample was drawn.

@@ -169,16 +169,32 @@ class TestEstimateMode:
         assert pooled["w"] == expected.w
 
 
-    def test_unsupported_pair_rejected_before_reading_csvs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, entry, message", [
+        ("variances", {"kind": "DR1", "regime": "kh_doubly_robust"}, "Kim-Haziza"),
+        ("covariances", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "not a probability-sample"),
+        ("pooled", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "not a probability-sample"),
+    ], ids=["variances", "covariances", "pooled"])
+    def test_unsupported_pair_rejected_before_reading_csvs(self, tmp_path, capsys, section, entry, message):
         observed = make_observed(seed=86)
         config_path = estimate_config(tmp_path, observed)
         cfg = yaml.safe_load(config_path.read_text())
-        cfg["estimators"]["variances"] = [{"kind": "DR1", "regime": "kh_doubly_robust"}]
+        cfg["estimators"][section] = [entry]
         config_path.write_text(yaml.safe_dump(cfg))
         (tmp_path / "sample_a.csv").unlink()
         (tmp_path / "sample_b.csv").unlink()
         assert main(["estimate", "--config", str(config_path)]) == 2
-        assert "Kim-Haziza" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_interleaved_points_keep_the_listed_order(self, tmp_path):
+        config_path = estimate_config(tmp_path, make_observed(seed=88))
+        cfg = yaml.safe_load(config_path.read_text())
+        cfg["estimators"]["points"] = ["DR1", "HT", "Hajek", "DR2"]
+        config_path.write_text(yaml.safe_dump(cfg))
+        assert main(["estimate", "--config", str(config_path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [row["estimator"] for row in report["points"]] == ["DR1", "HT", "Hajek", "DR2"]
+        assert [(row["estimator"], row["regime"]) for row in report["variances"]] == [
+            ("DR1", "both_correct"), ("DR2", "selection_correct"), ("HT", None), ("Hajek", None)]
 
 
 class TestSimulateMode:
@@ -233,6 +249,23 @@ class TestSimulateMode:
     ("estimate", "analysis", "fit_method", "bogus"),
     ("estimate", None, "level", "abc"),
     ("simulate", "scenario", "design_kind", "bogus"),
+    ("simulate", "scenario", "outcome_wrong", "false"),
+    # keys that nothing reads, in every section, and null sections
+    ("estimate", None, "estimator", {"points": ["HT"]}),
+    ("estimate", "inputs", "sample_c", "c.csv"),
+    ("estimate", "design", "size", 80),
+    ("estimate", "analysis", "fitmethod", "calibration"),
+    ("estimate", "estimators", "point", ["HT"]),
+    ("estimate", "estimators.variances.0", "prob", "HT"),
+    ("estimate", None, "estimators", None),
+    ("simulate", None, "level", 0.5),
+    ("simulate", "scenario", "replicatez", 3),
+    ("simulate", "scenario.plan", "var_pair", []),
+    ("simulate", "scenario.covariates.0", "mean", 1.0),
+    ("simulate", "scenario", "plan", None),
+    # worker counts below 1
+    ("simulate", None, "max_workers", 0),
+    ("simulate", None, "max_workers", "two"),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     if mode == "estimate":
@@ -240,10 +273,30 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     else:
         path = simulate_config(tmp_path)
     cfg = yaml.safe_load(path.read_text())
-    (cfg[section] if section else cfg)[key] = value
+    target = cfg
+    for part in section.split(".") if section else ():
+        target = target[int(part) if part.isdigit() else part]
+    target[key] = value
     path.write_text(yaml.safe_dump(cfg))
     assert main([mode, "--config", str(path)]) == 2
-    assert "validation error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("workers", ["0", "two"])
+def test_worker_option_must_be_a_positive_integer(tmp_path, workers):
+    config = simulate_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config), "--parallel", "--workers", workers])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name, mode", [("estimate_example.yaml", "estimate"),
+                                        ("simulate_example.yaml", "simulate")])
+def test_example_configs_load(name, mode):
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / name, mode)
+    assert config.mode == mode
 
 
 def test_import_leaves_scipy_stats_unloaded():

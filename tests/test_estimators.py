@@ -128,7 +128,7 @@ class TestOneAnalysisPerDataset:
 
     def test_default_replicate(self, prediction_calls):
         population = generate_population(SCENARIO_BOTH_CORRECT)
-        assert _replicate_record(SCENARIO_BOTH_CORRECT, population, 0, raise_errors=True) is not None
+        assert isinstance(_replicate_record(SCENARIO_BOTH_CORRECT, population, 0), dict)
         assert prediction_calls["m"] == 2
         assert prediction_calls["pi_b"] <= 4
 

@@ -16,8 +16,10 @@ from surveyblend import (
     ValidationError,
     draw_samples,
     generate_population,
+    fit_nuisance,
     run_replications,
 )
+from surveyblend import simulate
 
 K = EstimatorKind
 
@@ -150,8 +152,23 @@ class TestRunReplications:
 
     def test_failure_threshold_raises(self):
         config = small_config(alpha_true=(-14.0, 0.0), replicates=10)
-        with pytest.raises(SimulationError, match="failed"):
-            run_replications(config)
+        for parallel in (False, True):
+            with pytest.raises(SimulationError, match=r"10 of 10 replicates failed; first error "
+                                                      r"\(replicate 0\): SimulationError: could not draw"):
+                run_replications(config, parallel=parallel, max_workers=2)
+
+    def test_programming_error_in_a_replicate_propagates(self, monkeypatch):
+        calls = []
+
+        def fit_that_breaks_once(observed, spec):
+            calls.append(None)
+            if len(calls) == 3:
+                raise TypeError("injected")
+            return fit_nuisance(observed, spec)
+
+        monkeypatch.setattr(simulate, "fit_nuisance", fit_that_breaks_once)
+        with pytest.raises(TypeError, match="injected"):
+            run_replications(small_config(replicates=5))
 
     def test_rows_follow_the_plan(self):
         summary = run_replications(small_config(replicates=10))
