@@ -15,10 +15,11 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 * ``sample_a.csv``: id, x_1..x_p, pi_a[, y]
 * ``sample_b.csv``: id, x_1..x_p, y
 
-Exit codes: 0 success, 2 validation failure (a config key nothing reads, a
-null section and a worker count below 1 included), 3 solver/simulation
-failure, 4 I/O or parse failure. All numbers are serialized with 17 significant
-digits, so re-ingestion is lossless.
+Exit codes: 0 success, 2 validation failure (a config key missing or unread,
+a null section, a non-bool flag and a worker count below 1 included), 3
+solver/simulation failure, 4 I/O or parse failure (bytes that are not UTF-8
+included); any other exception is a bug and propagates. ``--workers N`` implies
+``--parallel``. All numbers carry 17 significant digits, so re-ingestion is lossless.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
+    config_flag,
     config_section,
     field_names,
     validate,
@@ -62,6 +64,7 @@ LOCK_NAME = ".lock"
 
 MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
              "simulate": ("parallel", "max_workers", "scenario")}
+INPUT_KEYS = ("sample_a", "sample_b", "n_population")
 
 SUMMARY_COLUMNS = field_names(SummaryRow)
 
@@ -117,7 +120,7 @@ def _mask_from_config(cols) -> tuple[int, ...] | None:
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
     """Read and check a YAML config; a malformed value raises :class:`ValidationError`."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # yaml decodes bytes itself, so invalid UTF-8 is a YAMLError naming the file
         raw = yaml.safe_load(fh)
     try:
         return _parse_config(raw, mode)
@@ -135,25 +138,21 @@ def _parse_config(raw, mode: str) -> RunConfig:
         raise ValidationError(f"config is for mode {cfg_mode!r}, command expects {mode!r}")
     if mode == "simulate" and "level" in raw:
         raise ValidationError("a simulate config sets its level as scenario.level, not at the top level")
-    config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode])
+    config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode],
+                   ("inputs",) if mode == "estimate" else ("scenario",))
     output_dir = Path(raw.get("output_dir", "out"))
 
     if mode == "simulate":
-        if "scenario" not in raw:
-            raise ValidationError("simulate config needs a 'scenario' section")
         max_workers = raw.get("max_workers")
         if max_workers is not None and (type(max_workers) is not int or max_workers < 1):
             raise ValidationError(f"max_workers must be a positive integer, not {max_workers!r}")
         return RunConfig(mode=mode, output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
-                         parallel=bool(raw.get("parallel", False)), max_workers=max_workers)
+                         parallel=config_flag("parallel", raw.get("parallel", False)), max_workers=max_workers)
 
     level = float(raw.get("level", 0.95))
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level outside (0, 1)")
-    inputs = config_section(raw.get("inputs", {}), "inputs", ("sample_a", "sample_b", "n_population"))
-    for key in ("sample_a", "sample_b", "n_population"):
-        if key not in inputs:
-            raise ValidationError(f"estimate config needs inputs.{key}")
+    inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
     design_raw = config_section(raw.get("design", {}), "design", field_names(DesignDescriptor))
     design = DesignDescriptor(kind=DesignKind(design_raw.get("kind", "poisson")),
                               n=design_raw.get("n"))
@@ -168,7 +167,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
 
     def entries(section: str, keys: tuple[str, ...]) -> tuple:
         """The section's entries as tuples of their ``keys``' values."""
-        rows = [config_section(v, f"estimators.{section}", keys) for v in est.get(section, ())]
+        rows = [config_section(v, f"estimators.{section}", keys, keys) for v in est.get(section, ())]
         return tuple(tuple(v[k] if k == "regime" else _kind(v[k]) for k in keys) for v in rows)
 
     # Every listed point is a point-only row, in the listed order; the
@@ -194,44 +193,40 @@ def _parse_config(raw, mode: str) -> RunConfig:
 def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
     """Parse a sample CSV; returns (x matrix without intercept, tail columns dict)."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise CsvParseError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path} line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "id":
-            raise CsvParseError(f"{path} line 1: first column must be 'id'")
-        n_x = 0
-        while 1 + n_x < len(header) and header[1 + n_x] == f"x_{n_x + 1}":
-            n_x += 1
-        if n_x == 0:
-            raise CsvParseError(f"{path} line 1: expected covariate columns x_1..x_p")
-        tail = header[1 + n_x:]
-        want = list(expected_tail)
-        if tuple(tail) != expected_tail and tuple(tail) != expected_tail + optional_tail:
-            raise CsvParseError(
-                f"{path} line 1: trailing columns {tail} do not match {want} (+ optional {list(optional_tail)})")
-        has_optional = tuple(tail) == expected_tail + optional_tail
-        x_rows, tails = [], {name: [] for name in tail}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise CsvParseError(f"{path} line {lineno}: {exc}") from None
-            x_rows.append(values[:n_x])
-            for name, v in zip(tail, values[n_x:]):
-                tails[name].append((lineno, v))
-        if not x_rows:
-            raise CsvParseError(f"{path}: no data rows")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise CsvParseError(f"{path} line 1: empty file")
+            if header[0] != "id":
+                raise CsvParseError(f"{path} line 1: first column must be 'id'")
+            n_x = 0
+            while 1 + n_x < len(header) and header[1 + n_x] == f"x_{n_x + 1}":
+                n_x += 1
+            if n_x == 0:
+                raise CsvParseError(f"{path} line 1: expected covariate columns x_1..x_p")
+            tail = tuple(header[1 + n_x:])
+            has_optional = tail == expected_tail + optional_tail
+            if tail != expected_tail and not has_optional:
+                raise CsvParseError(f"{path} line 1: trailing columns {list(tail)} do not match "
+                                    f"{list(expected_tail)} (+ optional {list(optional_tail)})")
+            x_rows, tails = [], {name: [] for name in tail}
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise CsvParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    values = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise CsvParseError(f"{path} line {lineno}: {exc}") from None
+                x_rows.append(values[:n_x])
+                for name, v in zip(tail, values[n_x:]):
+                    tails[name].append((lineno, v))
+            if not x_rows:
+                raise CsvParseError(f"{path}: no data rows")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
     return np.asarray(x_rows), tails, has_optional
 
 
@@ -416,6 +411,7 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
             "scenario": config.scenario.to_dict(),
             "seed": config.scenario.seed,
             "parallel": config.parallel,
+            "max_workers": config.max_workers,
             "n_replicates": summary.n_replicates,
             "n_failed": summary.n_failed,
             "y_bar_mean": summary.y_bar_mean,
@@ -450,7 +446,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--output-dir", default=None, help="override the configured output directory")
         if name == "simulate":
             cmd.add_argument("--parallel", action="store_true", help="run replicates in parallel")
-            cmd.add_argument("--workers", type=_worker_count, default=None, help="worker process count")
+            cmd.add_argument("--workers", type=_worker_count, help="worker process count; implies --parallel")
     args = parser.parse_args(argv)
 
     try:
@@ -460,11 +456,11 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             run_estimate(config)
         else:
-            if getattr(args, "parallel", False):
-                config = dataclasses.replace(config, parallel=True, max_workers=args.workers)
+            if args.parallel or args.workers:
+                config = dataclasses.replace(config, parallel=True, max_workers=args.workers or config.max_workers)
             run_simulate(config)
         return 0
-    except (ValidationError, KeyError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, SimulationError) as exc:

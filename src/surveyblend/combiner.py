@@ -75,14 +75,7 @@ def combine(est_prob: float, var_prob: float, est_dr: float, var_dr: float, cov:
         raise ValidationError("confidence level outside (0, 1)")
     w, fallback = _weight(var_prob, var_dr, cov)
     estimate = (1.0 - w) * est_prob + w * est_dr
-    variance = pooled_variance(w, var_prob, var_dr, cov)
-    if not fallback:
-        # Local optimality of the closed-form weight; a quadratic with
-        # positive curvature cannot dip below its stationary point.
-        scale = abs(variance) + var_prob + var_dr
-        for other in (0.0, 1.0, w - 0.01, w + 0.01):
-            assert variance <= pooled_variance(other, var_prob, var_dr, cov) + 1e-12 * scale
-    variance = max(variance, 0.0)
+    variance = max(pooled_variance(w, var_prob, var_dr, cov), 0.0)
     half = z_score(level) * float(np.sqrt(variance))
     return PooledReport(
         w=w, pooled_estimate=estimate, pooled_variance=variance,

@@ -266,8 +266,6 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
 
     try:
         return cho_solve(cho_factor(gram), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own type
-        raise SolverError(f"{context}: singular gram matrix") from exc
-    except Exception as exc:
+    except ValueError as exc:  # numpy's LinAlgError included
         raise SolverError(f"{context}: singular gram matrix ({exc})") from None
 

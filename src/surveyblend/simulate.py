@@ -40,8 +40,8 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
+    config_flag,
     config_section,
-    field_names,
     plain_data,
 )
 from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
@@ -64,6 +64,8 @@ _POP_STREAM = 0
 _REP_STREAM = 1
 _MAX_FAILURE_FRACTION = 0.01
 _DRAW_ATTEMPTS = 10
+# The parameter counts each covariate kind accepts.
+_PARAM_COUNTS = {"normal": (0, 2), "uniform": (0, 2), "bernoulli": (0, 1), "square_of": (1,)}
 
 
 class SimulationError(RuntimeError):
@@ -83,8 +85,14 @@ class Covariate:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
-        if self.kind not in ("normal", "uniform", "bernoulli", "square_of"):
+        params, counts = list(self.params), _PARAM_COUNTS.get(self.kind)
+        if counts is None:
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
+        if len(params) not in counts:
+            raise ValidationError(f"a {self.kind} covariate takes {' or '.join(map(str, counts))} params, "
+                                  f"not {params}")
+        if len(params) == 2 and params[1] < (params[0] if self.kind == "uniform" else 0.0):
+            raise ValidationError(f"{self.kind} covariate parameters {params} describe no distribution")
 
 
 @dataclass(frozen=True)
@@ -203,30 +211,35 @@ class ScenarioConfig:
         # and an optional sequence becomes a tuple.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if isinstance(f.default, bool) and not isinstance(value, bool):
-                raise ValidationError(f"{f.name} must be true or false, not {value!r}")
-            if isinstance(f.default, (Enum, int, float)):
+            if isinstance(f.default, bool):
+                config_flag(f.name, value)
+            elif isinstance(f.default, (Enum, int, float)):
                 object.__setattr__(self, f.name, type(f.default)(value))
             elif f.default is None and value is not None:
                 object.__setattr__(self, f.name, tuple(value))
         object.__setattr__(self, "n_population", int(self.n_population))
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        object.__setattr__(self, "beta_true", tuple(float(v) for v in self.beta_true))
-        object.__setattr__(self, "alpha_true", tuple(float(v) for v in self.alpha_true))
+        p = self.n_covariate_columns
+        for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
+            if getattr(self, name) is not None or name.endswith("_true"):  # the true vectors are required
+                coef = tuple(float(v) for v in getattr(self, name))
+                if len(coef) != p:
+                    raise ValidationError(f"{name} must have length {p} (intercept included)")
+                object.__setattr__(self, name, coef)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, not {self.seed}")
         if self.replicates < 2:
             raise ValidationError("at least two replicates are required")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level outside (0, 1)")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("target sample size must be below the population size")
-        p = self.n_covariate_columns
-        if len(self.beta_true) != p or len(self.alpha_true) != p:
-            raise ValidationError(f"true coefficient vectors must have length {p} (intercept included)")
         for j, cov in enumerate(self.covariates, start=1):
-            if cov.kind == "square_of":
-                src = int(cov.params[0]) if cov.params else 0
-                if not 1 <= src < j:
-                    raise ValidationError("square_of must reference an earlier covariate column")
+            if cov.kind == "square_of" and not 1 <= int(cov.params[0]) < j:
+                raise ValidationError("square_of must reference an earlier covariate column")
+        spec = self.model_spec()  # converts the column overrides to integers
+        for which in ("outcome", "selection"):
+            spec.columns(which, p)  # and checks their range
         self.plan.check(self.fit_method)
 
     @property
@@ -236,29 +249,24 @@ class ScenarioConfig:
     def model_spec(self) -> ModelSpec:
         p = self.n_covariate_columns
         drop = self.misspec_drop_col if self.misspec_drop_col >= 0 else p - 1
-        full = tuple(range(p))
-        wrong = tuple(c for c in full if c != drop)
+        wrong = tuple(c for c in range(p) if c != drop)
 
-        if self.outcome_cols_override is not None:
-            outcome_cols = tuple(self.outcome_cols_override)
-        else:
-            outcome_cols = wrong if self.outcome_wrong else None
-        if self.selection_cols_override is not None:
-            selection_cols = tuple(self.selection_cols_override)
-        else:
-            selection_cols = wrong if self.selection_wrong else None
+        def cols(override, misspecified):
+            return override if override is not None else wrong if misspecified else None
+
         return ModelSpec(outcome_family=self.outcome_family, fit_method=self.fit_method,
-                         outcome_cols=outcome_cols, selection_cols=selection_cols)
+                         outcome_cols=cols(self.outcome_cols_override, self.outcome_wrong),
+                         selection_cols=cols(self.selection_cols_override, self.selection_wrong))
 
     def to_dict(self) -> dict:
         return plain_data(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(config_section(d, "scenario", field_names(cls)))
-        d["covariates"] = tuple(Covariate(**config_section(c, "scenario.covariates", field_names(Covariate)))
+        d = dict(config_section(d, "scenario", cls))
+        d["covariates"] = tuple(Covariate(**config_section(c, "scenario.covariates", Covariate))
                                 for c in d["covariates"])
-        d["plan"] = EvalPlan(**config_section(d.get("plan", {}), "scenario.plan", field_names(EvalPlan)))
+        d["plan"] = EvalPlan(**config_section(d.get("plan", {}), "scenario.plan", EvalPlan))
         return cls(**d)
 
 
@@ -282,21 +290,20 @@ def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
     return eta + rng.normal(size=x.shape[0]) * sd
 
 
-def generate_population(config: ScenarioConfig, seed=None) -> FinitePopulation:
+def generate_population(config: ScenarioConfig) -> FinitePopulation:
     """Draw covariates, true selection probabilities, design probabilities and outcomes."""
-    entropy = config.seed if seed is None else seed
-    rng = default_rng(SeedSequence(entropy=entropy, spawn_key=(_POP_STREAM,)))
+    rng = default_rng(SeedSequence(entropy=config.seed, spawn_key=(_POP_STREAM,)))
     n = config.n_population
     columns: list[np.ndarray] = []
     for cov in config.covariates:
         if cov.kind == "normal":
-            mu, sd = (cov.params + (0.0, 1.0))[:2] if cov.params else (0.0, 1.0)
+            mu, sd = cov.params or (0.0, 1.0)
             columns.append(rng.normal(mu, sd, n))
         elif cov.kind == "uniform":
-            lo, hi = cov.params if cov.params else (0.0, 1.0)
+            lo, hi = cov.params or (0.0, 1.0)
             columns.append(rng.uniform(lo, hi, n))
         elif cov.kind == "bernoulli":
-            p = cov.params[0] if cov.params else 0.5
+            (p,) = cov.params or (0.5,)
             columns.append((rng.random(n) < p).astype(float))
         else:  # square_of
             columns.append(columns[int(cov.params[0]) - 1] ** 2)

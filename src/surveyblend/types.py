@@ -74,14 +74,31 @@ def field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
 
 
-def config_section(raw, section: str, allowed) -> dict:
-    """``raw``, checked to be a mapping (not null) whose keys are all in ``allowed``, so none goes unread."""
+def config_section(raw, section: str, keys, required=()) -> dict:
+    """``raw``, checked to be a mapping (not null) with every ``required`` key and no key outside ``keys``.
+
+    A dataclass as ``keys`` allows its field names and requires those without a default.
+    """
+    if dataclasses.is_dataclass(keys):
+        required = tuple(f.name for f in dataclasses.fields(keys)
+                         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        keys = field_names(keys)
     if not isinstance(raw, dict):
         raise ValidationError(f"config section {section}: must be a mapping, not {raw!r}")
     for key in raw:
-        if key not in allowed:
+        if key not in keys:
             raise ValidationError(f"config section {section}: unknown key {key!r}")
+    for key in required:
+        if key not in raw:
+            raise ValidationError(f"config section {section}: missing key {key!r}")
     return raw
+
+
+def config_flag(name: str, value) -> bool:
+    """``value``, checked to be a bool; ``bool("false")`` is True, so a flag takes no other type."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, not {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 from .designs import JointProbProvider, ht_cov_estimate, ht_mean, ht_var_estimate
 from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import NuisanceFit, solve_spd
-from .types import DesignKind, FitMethod, ObservedData, ValidationError
+from .types import FitMethod, ObservedData, ValidationError
 
 __all__ = [
     "CenteringTerms",
@@ -46,7 +46,6 @@ __all__ = [
     "centering_terms",
     "check_supported",
     "cov_estimate",
-    "diagnostics",
     "regression_adjustment",
     "residual_variance",
     "var_estimate",
@@ -67,10 +66,6 @@ class ResidualVarianceModel(Enum):
     CONSTANT = "constant"
     LINEAR_IN_X = "linear_in_x"
 
-
-# Counters for guard events; variance totals are floored at zero and
-# SRSWOR first terms may legitimately come out negative.
-diagnostics = {"negative_total": 0, "negative_first_term": 0}
 
 # The supported (estimator, regime) pairs -> (self-normalized, adjusted).
 # A self-normalized estimator (IPW2, DR2) centers its predictions at their
@@ -225,10 +220,7 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
         observed = analysis.observed
         term1 = ht_var_estimate(_centered_predictions(kind, regime, analysis), analysis.provider)
         if term1 < 0.0:
-            # The ratio form is not guaranteed nonnegative under SRSWOR.
-            diagnostics["negative_first_term"] += 1
-            if observed.design.kind is DesignKind.POISSON:
-                raise AssertionError("negative first variance term under Poisson sampling")
+            # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
             warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
         pi_b = analysis.pi_b_b
         n_pop = observed.n_population
@@ -238,11 +230,7 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
         if regime is Regime.KH_DOUBLY_ROBUST:
             s2_a, s2_b = _residual_variance(analysis, sigma_model)
             correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n_pop**2)
-        total = term1 + term2 + correction
-        if total < 0.0:
-            diagnostics["negative_total"] += 1
-            total = 0.0
-        return total
+        return max(term1 + term2 + correction, 0.0)
 
     return analysis.memo(("variance", kind, regime, sigma_model), compute)
 

@@ -1,6 +1,9 @@
 """Command-line front end: config parsing, file formats, exit codes, round trips."""
 
+import copy
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from surveyblend import (
     Analysis,
@@ -22,6 +27,7 @@ from surveyblend import (
     var_estimate,
     var_prob_estimate,
 )
+from surveyblend import cli
 from surveyblend.cli import main, read_samples, load_config, write_sample_csvs
 from conftest import make_observed
 
@@ -51,6 +57,18 @@ def estimate_config(tmp_path, observed, out="out", **analysis):
         },
     }
     path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
+def edited_config(tmp_path, mode, section, edit):
+    """A config file for ``mode`` after ``edit`` changed its ``section`` (a dotted path; None: the top level)."""
+    path = estimate_config(tmp_path, make_observed(seed=87)) if mode == "estimate" else simulate_config(tmp_path)
+    cfg = yaml.safe_load(path.read_text())
+    target = cfg
+    for part in section.split(".") if section else ():
+        target = target[int(part) if part.isdigit() else part]
+    edit(target)
     path.write_text(yaml.safe_dump(cfg))
     return path
 
@@ -266,22 +284,73 @@ class TestSimulateMode:
     # worker counts below 1
     ("simulate", None, "max_workers", 0),
     ("simulate", None, "max_workers", "two"),
+    # a top-level flag that is not a bool, like the scenario's flags
+    ("simulate", None, "parallel", "no"),
+    # values that used to fail only once the study ran, with a traceback
+    ("simulate", "scenario", "seed", -1),
+    ("simulate", "scenario", "pi_a_coef", [0.5]),
+    ("simulate", "scenario", "noise_sd_coef", [1.0]),
+    ("simulate", "scenario.covariates.0", "params", [1.0]),
+    ("simulate", "scenario.covariates.0", "params", [0.0, -1.0]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
-    if mode == "estimate":
-        path = estimate_config(tmp_path, make_observed(seed=87))
-    else:
-        path = simulate_config(tmp_path)
-    cfg = yaml.safe_load(path.read_text())
-    target = cfg
-    for part in section.split(".") if section else ():
-        target = target[int(part) if part.isdigit() else part]
-    target[key] = value
-    path.write_text(yaml.safe_dump(cfg))
+    path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
     assert main([mode, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("mode, section, key", [
+    ("estimate", "estimators.variances.0", "kind"),
+    ("estimate", "inputs", "n_population"),
+    ("simulate", "scenario", "covariates"),
+    ("simulate", "scenario.covariates.0", "kind"),
+    ("simulate", None, "scenario"),
+])
+def test_missing_config_key_names_section_and_key(tmp_path, capsys, mode, section, key):
+    path = edited_config(tmp_path, mode, section, lambda target: target.pop(key))
+    assert main([mode, "--config", str(path)]) == 2
+    name = "top level" if section is None else section.removesuffix(".0")
+    assert f"validation error: config section {name}: missing key '{key}'" in capsys.readouterr().err
+
+
+def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
+    def broken(config, observed):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "build_estimate_report", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))])
+
+
+@pytest.mark.parametrize("flags, config_workers, workers", [
+    (["--workers", "2"], None, 2),
+    (["--parallel"], 1, 1),
+])
+def test_worker_flags_start_a_pool(tmp_path, flags, config_workers, workers):
+    path = edited_config(tmp_path, "simulate", None, lambda cfg: cfg.update(max_workers=config_workers))
+    assert main(["simulate", "--config", str(path)] + flags) == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert (manifest["parallel"], manifest["max_workers"]) == (True, workers)
+
+
+def test_config_with_invalid_utf8_is_io_error(tmp_path, capsys):
+    path = simulate_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    assert main(["simulate", "--config", str(path)]) == 4
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("junk", [b"\xe9", b"1" * 200_000], ids=["invalid-utf8", "field-over-csv-limit"])
+def test_unreadable_csv_bytes_are_io_error(tmp_path, capsys, junk):
+    config = estimate_config(tmp_path, make_observed(seed=82))
+    path = tmp_path / "sample_b.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = lines[5][:4] + junk + lines[5][4:]
+    path.write_bytes(b"\n".join(lines))
+    assert main(["estimate", "--config", str(config)]) == 4
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "two"])
@@ -305,3 +374,101 @@ def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, surveyblend.cli; print('scipy.stats' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under malformed input
+
+WRONG_VALUES = ("text", 1.5, -1, True, [1], {"key": 1})
+CSV_JUNK = (b"\xff", b"\xc3(", b"\x00", b'"', b"1" * 140_000)
+FUZZ_POPULATION = 760
+
+
+def fuzz_configs(directory):
+    """A small estimate config reading the sample CSVs in ``directory``, and a small simulate config."""
+    estimate = {
+        "mode": "estimate", "output_dir": "out", "level": 0.9,
+        "inputs": {"sample_a": str(directory / "sample_a.csv"), "sample_b": str(directory / "sample_b.csv"),
+                   "n_population": FUZZ_POPULATION},
+        "design": {"kind": "poisson"},
+        "analysis": {"fit_method": "pseudo_ml", "outcome_family": "linear_gaussian", "outcome_cols": [1, 2],
+                     "sigma_model": "constant"},
+        "estimators": {"points": ["HT", "DR1"], "variances": [{"kind": "DR1", "regime": "both_correct"}],
+                       "covariances": [{"kind": "DR1", "regime": "both_correct", "prob": "HT"}],
+                       "pooled": [{"kind": "DR1", "regime": "both_correct", "prob": "Hajek"}]},
+    }
+    simulate = {
+        "mode": "simulate", "output_dir": "out", "parallel": False, "max_workers": 1,
+        "scenario": {"n_population": 300, "covariates": [{"kind": "normal", "params": [0.0, 1.0]},
+                                                          {"kind": "uniform", "params": [0.0, 1.0]}],
+                     "beta_true": [1.0, 1.0, 0.5], "alpha_true": [-1.0, 0.4, 0.2], "sample_a_size": 60,
+                     "pi_a_coef": [0.0, 0.3, 0.0], "noise_sd_coef": [1.0, 0.1, 0.0],
+                     "outcome_cols_override": [0, 1], "design_kind": "poisson", "fit_method": "pseudo_ml",
+                     "outcome_wrong": False, "replicates": 3, "level": 0.9, "seed": 5,
+                     "plan": {"prob_points": ["HT"], "var_pairs": [["DR1", "both_correct"]],
+                              "cov_pairs": [["DR1", "both_correct", "HT"]],
+                              "pooled": [["DR2", "both_correct", "Hajek"]]}},
+    }
+    return {"estimate": estimate, "simulate": simulate}
+
+
+def key_paths(node, prefix=()):
+    """The path of every dict entry and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A directory with the sample CSVs (about 400 rows in sample A)."""
+    directory = tmp_path_factory.mktemp("fuzz_inputs")
+    write_sample_csvs(make_observed(seed=89, n_population=FUZZ_POPULATION), directory)
+    return directory
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_malformed_input_maps_to_a_documented_exit_code(tmp_path_factory, fuzz_inputs, data):
+    directory = tmp_path_factory.mktemp("fuzz")
+    mode = data.draw(st.sampled_from(["estimate", "simulate"]))
+    cfg = fuzz_configs(directory)[mode]
+    for _ in range(data.draw(st.integers(1, 2))):
+        how = data.draw(st.sampled_from(["drop", "null", "wrong", "unknown"]))
+        # Without its replicate count a scenario runs the default 1000 replicates: valid, only slow.
+        paths = [p for p in key_paths(cfg) if how != "drop" or p[-1] != "replicates"]
+        if how == "unknown":
+            paths = [p for p in paths if isinstance(functools.reduce(operator.getitem, p, cfg), dict)] + [()]
+        path = data.draw(st.sampled_from(paths))
+        target = functools.reduce(operator.getitem, path[:-1], cfg)
+        if how == "drop":
+            del target[path[-1]]
+        elif how == "null":
+            target[path[-1]] = None
+        elif how == "wrong":
+            target[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(WRONG_VALUES)))
+        else:
+            functools.reduce(operator.getitem, path, cfg)["surplus"] = 1
+    files = {name: (fuzz_inputs / name).read_bytes() for name in ("sample_a.csv", "sample_b.csv")}
+    if mode == "estimate" and data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(sorted(files)))
+        lines = files[name].split(b"\n")
+        k = data.draw(st.integers(0, len(lines) - 1))
+        how = data.draw(st.sampled_from(["truncate", "non_numeric", "junk"]))
+        cut = data.draw(st.integers(0, len(lines[k])))
+        if how == "truncate":
+            lines[k] = lines[k][:cut]
+        elif how == "non_numeric":
+            fields = lines[k].split(b",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = b"abc"
+            lines[k] = b",".join(fields)
+        else:
+            lines[k] = lines[k][:cut] + data.draw(st.sampled_from(CSV_JUNK)) + lines[k][cut:]
+        files[name] = b"\n".join(lines)
+    for name, content in files.items():
+        (directory / name).write_bytes(content)
+    config = directory / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    # The override keeps a config whose output_dir was dropped from writing to the working directory.
+    assert main([mode, "--config", str(config), "--output-dir", str(directory / "out")]) in (0, 2, 3, 4)

@@ -41,7 +41,6 @@ from surveyblend import (
     variance,
 )
 from surveyblend.simulate import redraw_outcomes
-from surveyblend import uncertainty
 from conftest import default_fit, make_observed
 
 K = EstimatorKind
@@ -180,14 +179,11 @@ class TestVarEstimate:
             x_b=np.ones((4, 1)), y_b=np.full(4, 3.0))
         fit = default_fit(observed)
         provider = provider_for(observed)
-        before = dict(uncertainty.diagnostics)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             var = var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider)
         assert var == 0.0
         assert any("negative first variance term" in str(w.message) for w in caught)
-        assert uncertainty.diagnostics["negative_first_term"] == before["negative_first_term"] + 1
-        assert uncertainty.diagnostics["negative_total"] == before["negative_total"] + 1
 
     def test_scaling_outcomes_scales_variance_quadratically(self):
         observed = make_observed(seed=49)
