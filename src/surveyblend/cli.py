@@ -15,22 +15,32 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 * ``sample_a.csv``: id, x_1..x_p, pi_a[, y]
 * ``sample_b.csv``: id, x_1..x_p, y
 
+Each sample is read with one bulk ``np.loadtxt`` of every column. When
+that parse fails or could read the file differently from ``csv`` (text
+ids, quoted fields, a field over csv's size limit), the row scanner reads
+the file with ``csv`` instead; it is the reader that names the file and
+line of any failure. Both accept the same grammar and give the same
+values. Sample CSVs are written with CRLF line ends, as ``csv`` writes.
+
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
-a null section, a non-bool flag and a worker count below 1 included), 3
-solver/simulation failure, 4 I/O or parse failure (bytes that are not UTF-8
-included); any other exception is a bug and propagates. ``--workers N`` implies
-``--parallel``. All numbers carry 17 significant digits, so re-ingestion is lossless.
+a null section, a non-bool flag, a fractional or bool integer and a worker
+count below 1 included), 3 solver/simulation failure, 4 I/O or parse failure
+(bytes that are not UTF-8 included); any other exception is a bug and
+propagates. ``--workers N`` implies ``--parallel``. All numbers carry 17
+significant digits, so re-ingestion is lossless.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +61,7 @@ from .types import (
     OutcomeFamily,
     ValidationError,
     config_flag,
+    config_int,
     config_section,
     field_names,
     validate,
@@ -115,7 +126,7 @@ def _mask_from_config(cols) -> tuple[int, ...] | None:
     """Translate 1-based covariate numbers (x_1..x_p) to internal indices; intercept always kept."""
     if cols is None:
         return None
-    return (0,) + tuple(int(c) for c in cols)
+    return (0,) + tuple(cols)  # ModelSpec checks that each is an integer
 
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
@@ -181,7 +192,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
     return RunConfig(
         mode=mode, output_dir=output_dir, level=level,
         sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
-        n_population=int(inputs["n_population"]), design=design, model=model,
+        n_population=config_int("inputs.n_population", inputs["n_population"]), design=design, model=model,
         sigma_model=ResidualVarianceModel(analysis.get("sigma_model", "constant")), plan=plan,
     )
 
@@ -190,44 +201,97 @@ def _parse_config(raw, mode: str) -> RunConfig:
 # CSV input and output
 
 
-def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
-    """Parse a sample CSV; returns (x matrix without intercept, tail columns dict)."""
+@contextlib.contextmanager
+def _csv_reader(path: Path):
+    """A csv reader over ``path``; OS, decoding and csv errors become a CsvParseError naming the file."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader, [])]
-            if not header:
-                raise CsvParseError(f"{path} line 1: empty file")
-            if header[0] != "id":
-                raise CsvParseError(f"{path} line 1: first column must be 'id'")
-            n_x = 0
-            while 1 + n_x < len(header) and header[1 + n_x] == f"x_{n_x + 1}":
-                n_x += 1
-            if n_x == 0:
-                raise CsvParseError(f"{path} line 1: expected covariate columns x_1..x_p")
-            tail = tuple(header[1 + n_x:])
-            has_optional = tail == expected_tail + optional_tail
-            if tail != expected_tail and not has_optional:
-                raise CsvParseError(f"{path} line 1: trailing columns {list(tail)} do not match "
-                                    f"{list(expected_tail)} (+ optional {list(optional_tail)})")
-            x_rows, tails = [], {name: [] for name in tail}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise CsvParseError(f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}")
-                try:
-                    values = [float(v) for v in row[1:]]
-                except ValueError as exc:
-                    raise CsvParseError(f"{path} line {lineno}: {exc}") from None
-                x_rows.append(values[:n_x])
-                for name, v in zip(tail, values[n_x:]):
-                    tails[name].append((lineno, v))
-            if not x_rows:
-                raise CsvParseError(f"{path}: no data rows")
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvParseError(f"{path}: {exc}") from None
-    return np.asarray(x_rows), tails, has_optional
+
+
+def _header(path: Path, fields: list[str], expected_tail: tuple[str, ...],
+            optional_tail: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The covariate count and the trailing column names of a sample CSV's header row."""
+    header = [h.strip() for h in fields]
+    if not header:
+        raise CsvParseError(f"{path} line 1: empty file")
+    if header[0] != "id":
+        raise CsvParseError(f"{path} line 1: first column must be 'id'")
+    n_x = 0
+    while 1 + n_x < len(header) and header[1 + n_x] == f"x_{n_x + 1}":
+        n_x += 1
+    if n_x == 0:
+        raise CsvParseError(f"{path} line 1: expected covariate columns x_1..x_p")
+    tail = tuple(header[1 + n_x:])
+    if tail != expected_tail and tail != expected_tail + optional_tail:
+        raise CsvParseError(f"{path} line 1: trailing columns {list(tail)} do not match "
+                            f"{list(expected_tail)} (+ optional {list(optional_tail)})")
+    return n_x, tail
+
+
+def _scan_rows(path: Path, expected_tail: tuple[str, ...],
+               optional_tail: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
+    """The row scanner: the line number of each data row, and its values after ``id``.
+
+    csv reads the file one record at a time, so the scanner takes what the
+    bulk parse refuses (text ids, quoted fields) and is the one reader that
+    names the file and line of a failure.
+    """
+    with _csv_reader(path) as reader:
+        n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
+        width = 1 + n_x + len(tail)
+        linenos, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise CsvParseError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise CsvParseError(f"{path} line {lineno}: {exc}") from None
+            linenos.append(lineno)
+        if not rows:
+            raise CsvParseError(f"{path}: no data rows")
+    return linenos, np.asarray(rows)
+
+
+def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
+    """Every row after the header in one ``np.loadtxt``, or None where it could differ from the scanner.
+
+    That is: a line longer than csv's field limit (loadtxt has none), a byte
+    0x1c-0x1f (loadtxt strips them around a number, ``float`` refuses them),
+    a parse error, a file without data rows, or rows of another width.
+    """
+    data = np.fromfile(path, dtype=np.uint8)
+    controls = np.flatnonzero(data < 0x20)  # line ends, tabs and rarer control bytes: few per line
+    kinds, size = data[controls], data.size
+    del data
+    longest = np.diff(controls[kinds == ord("\n")], prepend=-1, append=size).max()
+    if longest > csv.field_size_limit() or ((kinds >= 0x1C) & (kinds <= 0x1F)).any():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns when the file has no data rows
+            values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except (ValueError, UserWarning):
+        return None
+    return values if values.shape[1] == width else None
+
+
+def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
+    """Parse a sample CSV: (covariates without intercept, {tail column: values}, whether the optional tail is there).
+
+    One ``np.loadtxt`` parses the body; the row scanner reads the file only
+    when that raises or one of its guards trips.
+    """
+    with _csv_reader(path) as reader:
+        n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
+        values = _bulk_rows(path, 1 + n_x + len(tail))
+    values = values[:, 1:] if values is not None else _scan_rows(path, expected_tail, optional_tail)[1]
+    return values[:, :n_x], dict(zip(tail, values[:, n_x:].T)), tail != expected_tail
 
 
 def read_samples(config: RunConfig) -> ObservedData:
@@ -237,45 +301,47 @@ def read_samples(config: RunConfig) -> ObservedData:
     if x_a_raw.shape[1] != x_b_raw.shape[1]:
         raise ValidationError(
             f"covariate dimension mismatch: sample A has {x_a_raw.shape[1]}, sample B has {x_b_raw.shape[1]}")
-    for lineno, v in tails_a["pi_a"]:
-        if not 0.0 < v <= 1.0:
-            raise ValidationError(
-                f"{config.sample_a_path} line {lineno}: inclusion probability {v:g} outside (0, 1]")
+    pi_a = tails_a["pi_a"]
+    outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
+    if outside.any():
+        row = int(np.argmax(outside))
+        lineno = _scan_rows(config.sample_a_path, ("pi_a",), ("y",))[0][row]
+        raise ValidationError(
+            f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} outside (0, 1]")
     intercept_a = np.ones((x_a_raw.shape[0], 1))
     intercept_b = np.ones((x_b_raw.shape[0], 1))
     observed = ObservedData(
         n_population=config.n_population,
         design=config.design,
         x_a=np.hstack([intercept_a, x_a_raw]),
-        pi_a=np.asarray([v for _, v in tails_a["pi_a"]]),
-        y_a=np.asarray([v for _, v in tails_a["y"]]) if has_y_a else None,
+        pi_a=pi_a,
+        y_a=tails_a["y"] if has_y_a else None,
         x_b=np.hstack([intercept_b, x_b_raw]),
-        y_b=np.asarray([v for _, v in tails_b["y"]]),
+        y_b=tails_b["y"],
     )
     return validate(observed)
 
 
+def _save_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
+    """Write an ``id`` column 1..n and ``columns`` under ``names``, as csv.writer with ``_fmt`` would."""
+    table = np.column_stack([np.arange(1, len(columns[0]) + 1), *columns])
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1), delimiter=",",
+                   header=",".join(["id"] + names), comments="", newline="\r\n")
+
+
 def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Path, Path]:
-    """Export an ObservedData to the CLI's CSV schemas (17 significant digits)."""
+    """Export an ObservedData to the CLI's CSV schemas (17 significant digits, CRLF line ends)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    p = observed.n_covariates - 1
+    x_names = [f"x_{j}" for j in range(1, observed.n_covariates)]
     path_a = directory / "sample_a.csv"
     path_b = directory / "sample_b.csv"
-    with open(path_a, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["id"] + [f"x_{j}" for j in range(1, p + 1)] + ["pi_a"] + (["y"] if observed.y_a is not None else [])
-        writer.writerow(header)
-        for i in range(observed.n_a):
-            row = [str(i + 1)] + [_fmt(v) for v in observed.x_a[i, 1:]] + [_fmt(observed.pi_a[i])]
-            if observed.y_a is not None:
-                row.append(_fmt(observed.y_a[i]))
-            writer.writerow(row)
-    with open(path_b, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x_{j}" for j in range(1, p + 1)] + ["y"])
-        for i in range(observed.n_b):
-            writer.writerow([str(i + 1)] + [_fmt(v) for v in observed.x_b[i, 1:]] + [_fmt(observed.y_b[i])])
+    if observed.y_a is None:
+        _save_csv(path_a, x_names + ["pi_a"], [observed.x_a[:, 1:], observed.pi_a])
+    else:
+        _save_csv(path_a, x_names + ["pi_a", "y"], [observed.x_a[:, 1:], observed.pi_a, observed.y_a])
+    _save_csv(path_b, x_names + ["y"], [observed.x_b[:, 1:], observed.y_b])
     return path_a, path_b
 
 

@@ -41,6 +41,7 @@ from .types import (
     OutcomeFamily,
     ValidationError,
     config_flag,
+    config_int,
     config_section,
     plain_data,
 )
@@ -213,12 +214,17 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, bool):
                 config_flag(f.name, value)
-            elif isinstance(f.default, (Enum, int, float)):
+            elif isinstance(f.default, int):
+                object.__setattr__(self, f.name, config_int(f.name, value))
+            elif isinstance(f.default, (Enum, float)):
                 object.__setattr__(self, f.name, type(f.default)(value))
             elif f.default is None and value is not None:
                 object.__setattr__(self, f.name, tuple(value))
-        object.__setattr__(self, "n_population", int(self.n_population))
+        object.__setattr__(self, "n_population", config_int("n_population", self.n_population))
         object.__setattr__(self, "covariates", tuple(self.covariates))
+        for name in ("outcome_cols_override", "selection_cols_override"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(config_int(name, c) for c in getattr(self, name)))
         p = self.n_covariate_columns
         for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
             if getattr(self, name) is not None or name.endswith("_true"):  # the true vectors are required
@@ -235,11 +241,11 @@ class ScenarioConfig:
         if self.sample_a_size >= self.n_population:
             raise ValidationError("target sample size must be below the population size")
         for j, cov in enumerate(self.covariates, start=1):
-            if cov.kind == "square_of" and not 1 <= int(cov.params[0]) < j:
+            if cov.kind == "square_of" and not 1 <= config_int("square_of params", cov.params[0]) < j:
                 raise ValidationError("square_of must reference an earlier covariate column")
-        spec = self.model_spec()  # converts the column overrides to integers
+        spec = self.model_spec()
         for which in ("outcome", "selection"):
-            spec.columns(which, p)  # and checks their range
+            spec.columns(which, p)  # checks the range of the column overrides
         self.plan.check(self.fit_method)
 
     @property

@@ -8,6 +8,7 @@ threads or worker processes.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -101,6 +102,14 @@ def config_flag(name: str, value) -> bool:
     return value
 
 
+def config_int(name: str, value) -> int:
+    """``value``, checked to be a whole number; ``int()`` truncates 2.9 to 2 and takes True as 1, so neither passes."""
+    whole = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DesignDescriptor:
     """How the probability sample was drawn.
@@ -113,10 +122,11 @@ class DesignDescriptor:
     n: int | None = None
 
     def __post_init__(self):
+        if self.n is not None:
+            _set(self, "n", config_int("design.n", self.n))
         if self.kind is DesignKind.SRSWOR:
-            if self.n is None or int(self.n) < 2:
+            if self.n is None or self.n < 2:
                 raise ValidationError("SRSWOR design requires a fixed sample size n > 1")
-            _set(self, "n", int(self.n))
         elif self.n is not None:
             raise ValidationError("Poisson design takes no fixed sample size")
 
@@ -183,7 +193,7 @@ class ObservedData:
     y_a: np.ndarray | None = None
 
     def __post_init__(self):
-        _set(self, "n_population", int(self.n_population))
+        _set(self, "n_population", config_int("n_population", self.n_population))
         x_a = _frozen(self.x_a)
         x_b = _frozen(self.x_b)
         if x_a.ndim != 2 or x_b.ndim != 2:
@@ -241,7 +251,7 @@ class ModelSpec:
         for name in ("outcome_cols", "selection_cols"):
             cols = getattr(self, name)
             if cols is not None:
-                _set(self, name, tuple(int(c) for c in cols))
+                _set(self, name, tuple(config_int(name, c) for c in cols))
         if self.fit_method is FitMethod.KIM_HAZIZA and self.outcome_cols != self.selection_cols:
             raise ValidationError("Kim-Haziza fitting requires identical covariate columns in both models")
 

@@ -1,6 +1,7 @@
 """Command-line front end: config parsing, file formats, exit codes, round trips."""
 
 import copy
+import csv
 import functools
 import json
 import operator
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +19,13 @@ from hypothesis import strategies as st
 
 from surveyblend import (
     Analysis,
+    DesignDescriptor,
+    DesignKind,
     EstimatorKind,
     ModelSpec,
+    ObservedData,
     Regime,
+    ValidationError,
     fit_nuisance,
     point_estimate,
     pool,
@@ -292,6 +298,14 @@ class TestSimulateMode:
     ("simulate", "scenario", "noise_sd_coef", [1.0]),
     ("simulate", "scenario.covariates.0", "params", [1.0]),
     ("simulate", "scenario.covariates.0", "params", [0.0, -1.0]),
+    # integers that int() would truncate
+    ("simulate", "scenario", "replicates", 2.9),
+    ("simulate", "scenario", "seed", 1.5),
+    ("estimate", "design", "n", 100.5),
+    ("estimate", "inputs", "n_population", 1000.5),
+    ("estimate", "analysis", "outcome_cols", [1.5]),
+    ("simulate", "scenario", "outcome_cols_override", [0, 1.5]),
+    ("simulate", "scenario", "replicates", float("inf")),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -380,7 +394,7 @@ def test_import_leaves_scipy_stats_unloaded():
 # Exit-code contract under malformed input
 
 WRONG_VALUES = ("text", 1.5, -1, True, [1], {"key": 1})
-CSV_JUNK = (b"\xff", b"\xc3(", b"\x00", b'"', b"1" * 140_000)
+CSV_JUNK = (b"\xff", b"\xc3(", b"\x00", b'"', b"\x1c", b"1" * 140_000)
 FUZZ_POPULATION = 760
 
 
@@ -420,6 +434,23 @@ def key_paths(node, prefix=()):
         yield from key_paths(child, prefix + (key,))
 
 
+def mutated_csv(data, content: bytes) -> bytes:
+    """``content`` with one line truncated, one field made non-numeric, or junk bytes inserted."""
+    lines = content.split(b"\n")
+    k = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["truncate", "non_numeric", "junk"]))
+    cut = data.draw(st.integers(0, len(lines[k])))
+    if how == "truncate":
+        lines[k] = lines[k][:cut]
+    elif how == "non_numeric":
+        fields = lines[k].split(b",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = b"abc"
+        lines[k] = b",".join(fields)
+    else:
+        lines[k] = lines[k][:cut] + data.draw(st.sampled_from(CSV_JUNK)) + lines[k][cut:]
+    return b"\n".join(lines)
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """A directory with the sample CSVs (about 400 rows in sample A)."""
@@ -453,22 +484,140 @@ def test_every_malformed_input_maps_to_a_documented_exit_code(tmp_path_factory, 
     files = {name: (fuzz_inputs / name).read_bytes() for name in ("sample_a.csv", "sample_b.csv")}
     if mode == "estimate" and data.draw(st.booleans()):
         name = data.draw(st.sampled_from(sorted(files)))
-        lines = files[name].split(b"\n")
-        k = data.draw(st.integers(0, len(lines) - 1))
-        how = data.draw(st.sampled_from(["truncate", "non_numeric", "junk"]))
-        cut = data.draw(st.integers(0, len(lines[k])))
-        if how == "truncate":
-            lines[k] = lines[k][:cut]
-        elif how == "non_numeric":
-            fields = lines[k].split(b",")
-            fields[data.draw(st.integers(0, len(fields) - 1))] = b"abc"
-            lines[k] = b",".join(fields)
-        else:
-            lines[k] = lines[k][:cut] + data.draw(st.sampled_from(CSV_JUNK)) + lines[k][cut:]
-        files[name] = b"\n".join(lines)
+        files[name] = mutated_csv(data, files[name])
     for name, content in files.items():
         (directory / name).write_bytes(content)
     config = directory / "config.yaml"
     config.write_text(yaml.safe_dump(cfg))
     # The override keeps a config whose output_dir was dropped from writing to the working directory.
     assert main([mode, "--config", str(config), "--output-dir", str(directory / "out")]) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Sample CSV ingestion and export
+
+SAMPLE_A = ["id,x_1,pi_a,y", "1,0.5,0.25,1.5", "2,-1.25,0.5,2", "3,2,0.125,-0.75", "4,0.75,1,3.5"]
+SAMPLE_B = ["id,x_1,y", "1,0.25,1", "2,-0.5,2.5", "3,1.5,-1", "4,3,0.5"]
+SAMPLE_B_ARRAYS = {"x_b": [0.25, -0.5, 1.5, 3.0], "y_b": [1.0, 2.5, -1.0, 0.5]}
+
+
+def samples_config(directory, n_population=FUZZ_POPULATION):
+    """A RunConfig reading ``sample_a.csv`` and ``sample_b.csv`` in ``directory``."""
+    return cli.RunConfig(mode="estimate", output_dir=directory / "out", sample_a_path=directory / "sample_a.csv",
+                         sample_b_path=directory / "sample_b.csv", n_population=n_population,
+                         design=DesignDescriptor(DesignKind.POISSON))
+
+
+def read_outcome(config):
+    """The arrays ``read_samples`` returns, or the type and message of the error it raises."""
+    try:
+        observed = read_samples(config)
+    except (cli.CsvParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return {name: getattr(observed, name) for name in ("x_a", "pi_a", "y_a", "x_b", "y_b")}
+
+
+# Inputs on which a bulk parse and the row scanner could part ways. The
+# expected arrays, or error and message, are what the row scanner alone gave.
+@pytest.mark.parametrize("name, edit, expected", [
+    ("sample_b.csv", lambda lines: [lines[0]] + [line + ",7" for line in lines[1:]],
+     (cli.CsvParseError, "{path} line 2: expected 3 fields, got 4")),
+    ("sample_b.csv", lambda lines: lines[:2] + ["2,-0.5,2.5,7"] + lines[3:],
+     (cli.CsvParseError, "{path} line 3: expected 3 fields, got 4")),
+    ("sample_b.csv", lambda lines: [lines[0], '"1,0.25,1', '2",-0.5,2.5'] + lines[3:],
+     {"x_b": [-0.5, 1.5, 3.0], "y_b": [2.5, -1.0, 0.5]}),
+    ("sample_b.csv", lambda lines: ['"id', '",x_1,y'] + lines[1:], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: lines[:2] + ["2," + "1" * 200_000 + ",2.5"] + lines[3:],
+     (cli.CsvParseError, "{path}: field larger than field limit (131072)")),
+    ("sample_b.csv", lambda lines: lines[:2] + ["   "] + lines[2:],
+     (cli.CsvParseError, "{path} line 3: expected 3 fields, got 1")),
+    ("sample_b.csv", lambda lines: lines[:2] + ["", ""] + lines[2:] + [""], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: ["\r".join(lines)], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: [lines[0]] + ["abcd"[i] + line[1:] for i, line in enumerate(lines[1:])],
+     SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: [lines[0], "1\x00" + lines[1][1:]] + lines[2:], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: lines[:2] + ["2,1_0,2.5"] + lines[3:],
+     {"x_b": [0.25, 10.0, 1.5, 3.0], "y_b": SAMPLE_B_ARRAYS["y_b"]}),
+    ("sample_b.csv", lambda lines: lines[:2] + ['2,"-0.5",2.5'] + lines[3:], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: lines[:2] + ["2,\x1c-0.5,2.5"] + lines[3:],
+     (cli.CsvParseError, "{path} line 3: could not convert string to float: '\\x1c-0.5'")),
+    ("sample_b.csv", lambda lines: [lines[0], "", ""],
+     (cli.CsvParseError, "{path}: no data rows")),
+    ("sample_a.csv", lambda lines: lines[:3] + ["", "3,2,1.5,-0.75"] + lines[4:],
+     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
+], ids=["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
+        "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
+        "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line"])
+def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, name, edit, expected):
+    files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
+    files[name] = edit(files[name])
+    for file_name, lines in files.items():
+        (tmp_path / file_name).write_text("\n".join(lines) + "\n", newline="")
+    got = read_outcome(samples_config(tmp_path, n_population=100))
+    if isinstance(expected, tuple):
+        assert got == (expected[0], expected[1].format(path=tmp_path / name))
+    else:
+        assert got["x_a"][:, 1].tolist() == [0.5, -1.25, 2.0, 0.75]
+        assert (got["x_b"][:, 1].tolist(), got["y_b"].tolist()) == (expected["x_b"], expected["y_b"])
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bulk_parse_matches_the_row_scanner(tmp_path_factory, fuzz_inputs, data):
+    directory = tmp_path_factory.mktemp("differential")
+    files = {name: (fuzz_inputs / name).read_bytes() for name in ("sample_a.csv", "sample_b.csv")}
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(sorted(files)))
+        files[name] = mutated_csv(data, files[name])
+    for name, content in files.items():
+        (directory / name).write_bytes(content)
+    config = samples_config(directory)
+    bulk = read_outcome(config)
+    with mock.patch.object(cli, "_bulk_rows", lambda path, width: None):
+        scanner = read_outcome(config)
+    if isinstance(scanner, tuple):
+        assert bulk == scanner
+    else:
+        assert {k: None if v is None else (v.shape, v.tobytes()) for k, v in bulk.items()} \
+            == {k: None if v is None else (v.shape, v.tobytes()) for k, v in scanner.items()}
+
+
+def reference_sample_csvs(observed, directory):
+    """The csv.writer export that ``write_sample_csvs`` replaced, kept as its byte reference."""
+    p = observed.n_covariates - 1
+    with open(directory / "sample_a.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"x_{j}" for j in range(1, p + 1)] + ["pi_a"]
+                        + (["y"] if observed.y_a is not None else []))
+        for i in range(observed.n_a):
+            row = [str(i + 1)] + [cli._fmt(v) for v in observed.x_a[i, 1:]] + [cli._fmt(observed.pi_a[i])]
+            if observed.y_a is not None:
+                row.append(cli._fmt(observed.y_a[i]))
+            writer.writerow(row)
+    with open(directory / "sample_b.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"x_{j}" for j in range(1, p + 1)] + ["y"])
+        for i in range(observed.n_b):
+            writer.writerow([str(i + 1)] + [cli._fmt(v) for v in observed.x_b[i, 1:]] + [cli._fmt(observed.y_b[i])])
+
+
+@pytest.mark.parametrize("y_on_a", [True, False])
+def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, y_on_a):
+    base = make_observed(seed=90, y_on_a=y_on_a)
+    # values that need all 17 digits, signed zeros, extremes and non-finite values
+    special = [-0.0, 0.1 + 0.2, 1 / 3, -2 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 2.0**53 + 2, 1e22,
+               123456789.12345679, np.inf, -np.inf, np.nan]
+    x_a, x_b, y_b = base.x_a.copy(), base.x_b.copy(), base.y_b.copy()
+    x_a[:len(special), 1] = special
+    x_b[:len(special), 2] = special[::-1]
+    y_b[:len(special)] = special
+    pi_a = base.pi_a.copy()
+    pi_a[:3] = [0.30000000000000004, 1.0, 5e-324]
+    observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=pi_a,
+                            y_a=None if base.y_a is None else -base.y_a, x_b=x_b, y_b=y_b)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "reference").mkdir()
+    write_sample_csvs(observed, tmp_path / "new")
+    reference_sample_csvs(observed, tmp_path / "reference")
+    for name in ("sample_a.csv", "sample_b.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
