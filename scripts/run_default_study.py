@@ -1,47 +1,30 @@
 #!/usr/bin/env python3
 """Run the default desk-scale repeated-sampling study and print the summary.
 
-Population 10^4, expected nonprobability sample around 1000, probability
-sample around 500 under Poisson sampling, 1000 replicates. Evaluates the
-doubly robust estimators with variances, the covariance with the Hajek
+The study is the scenario of configs/simulate_example.yaml: population
+10^4, expected nonprobability sample around 1000, probability sample
+around 500 under Poisson sampling, 1000 replicates. Evaluates the doubly
+robust estimators with variances, the covariance with the Hajek
 estimator, and the pooled estimator.
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from surveyblend import (
-    Covariate,
-    EstimatorKind,
-    EvalPlan,
-    Regime,
-    ScenarioConfig,
-    run_replications,
-)
+import yaml
 
-K = EstimatorKind
-R = Regime
+from surveyblend import ScenarioConfig, run_replications
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_example.yaml"
 
 
 def default_scenario(replicates: int, seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
-        n_population=10_000,
-        covariates=(Covariate("normal"), Covariate("normal")),
-        beta_true=(1.0, 1.0, 1.0),
-        alpha_true=(-2.35, 0.5, 0.5),
-        noise_sd=1.0,
-        sample_a_size=500,
-        pi_a_coef=(0.0, 0.4, 0.0),
-        replicates=replicates,
-        plan=EvalPlan(
-            prob_points=(K.HT, K.HAJEK),
-            var_pairs=((K.DR1, R.BOTH_CORRECT), (K.DR2, R.BOTH_CORRECT)),
-            cov_pairs=((K.DR2, R.BOTH_CORRECT, K.HAJEK),),
-            pooled=((K.DR2, R.BOTH_CORRECT, K.HAJEK),),
-        ),
-        seed=seed,
-    )
+    """The scenario of configs/simulate_example.yaml with ``replicates`` and ``seed`` replaced."""
+    with open(EXAMPLE_CONFIG, "rb") as fh:
+        scenario = yaml.safe_load(fh)["scenario"]
+    return ScenarioConfig.from_dict({**scenario, "replicates": replicates, "seed": seed})
 
 
 def main() -> int:

@@ -16,9 +16,8 @@ from .designs import (
     ht_cov_estimate,
     ht_mean,
     ht_var_estimate,
-    provider_for,
 )
-from .estimators import Analysis, EstimatorKind, point_estimate
+from .estimators import Analysis, EstimatorKind
 from .nuisance import NuisanceFit, SolverError, fit_nuisance, predict_outcome, predict_selection
 from .simulate import (
     Covariate,
@@ -50,7 +49,6 @@ from .uncertainty import (
     cov_estimate,
     regression_adjustment,
     residual_variance,
-    var_estimate,
     var_prob_estimate,
     variance,
 )

@@ -23,8 +23,8 @@ line of any failure. Both accept the same grammar and give the same
 values. Sample CSVs are written with CRLF line ends, as ``csv`` writes.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
-a null section, a non-bool flag, a fractional or bool integer and a worker
-count below 1 included), 3 solver/simulation failure, 4 I/O or parse failure
+a null section, a non-bool flag, a fractional or bool integer, a bool or
+string number and a worker count below 1 included), 3 solver/simulation failure, 4 I/O or parse failure
 (bytes that are not UTF-8 included); any other exception is a bug and
 propagates. ``--workers N`` implies ``--parallel``. All numbers carry 17
 significant digits, so re-ingestion is lossless.
@@ -61,6 +61,7 @@ from .types import (
     OutcomeFamily,
     ValidationError,
     config_flag,
+    config_float,
     config_int,
     config_section,
     field_names,
@@ -124,9 +125,7 @@ class RunConfig:
 
 def _mask_from_config(cols) -> tuple[int, ...] | None:
     """Translate 1-based covariate numbers (x_1..x_p) to internal indices; intercept always kept."""
-    if cols is None:
-        return None
-    return (0,) + tuple(cols)  # ModelSpec checks that each is an integer
+    return None if cols is None else (0,) + tuple(cols)  # ModelSpec checks that each is an integer
 
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
@@ -160,7 +159,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
         return RunConfig(mode=mode, output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
                          parallel=config_flag("parallel", raw.get("parallel", False)), max_workers=max_workers)
 
-    level = float(raw.get("level", 0.95))
+    level = config_float("level", raw.get("level", 0.95))
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level outside (0, 1)")
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
@@ -243,16 +242,16 @@ def _scan_rows(path: Path, expected_tail: tuple[str, ...],
         n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
         width = 1 + n_x + len(tail)
         linenos, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != width:
-                raise CsvParseError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+                raise CsvParseError(f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}")
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
-                raise CsvParseError(f"{path} line {lineno}: {exc}") from None
-            linenos.append(lineno)
+                raise CsvParseError(f"{path} line {reader.line_num}: {exc}") from None
+            linenos.append(reader.line_num)
         if not rows:
             raise CsvParseError(f"{path}: no data rows")
     return linenos, np.asarray(rows)
@@ -308,15 +307,13 @@ def read_samples(config: RunConfig) -> ObservedData:
         lineno = _scan_rows(config.sample_a_path, ("pi_a",), ("y",))[0][row]
         raise ValidationError(
             f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} outside (0, 1]")
-    intercept_a = np.ones((x_a_raw.shape[0], 1))
-    intercept_b = np.ones((x_b_raw.shape[0], 1))
     observed = ObservedData(
         n_population=config.n_population,
         design=config.design,
-        x_a=np.hstack([intercept_a, x_a_raw]),
+        x_a=np.hstack([np.ones((len(x_a_raw), 1)), x_a_raw]),
         pi_a=pi_a,
         y_a=tails_a["y"] if has_y_a else None,
-        x_b=np.hstack([intercept_b, x_b_raw]),
+        x_b=np.hstack([np.ones((len(x_b_raw), 1)), x_b_raw]),
         y_b=tails_b["y"],
     )
     return validate(observed)
@@ -429,20 +426,39 @@ def summary_to_csv(summary: MonteCarloSummary, path: Path) -> None:
 
 
 class _OutputLock:
-    """One run per output directory, enforced with an exclusive lock file."""
+    """One run per output directory, enforced with an exclusive lock file that holds the owner's pid.
+
+    A lock whose pid no longer runs was left by a killed run; it is removed, with a line on stderr.
+    """
 
     def __init__(self, directory: Path):
         self.path = directory / LOCK_NAME
         self.fd: int | None = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CsvParseError(
-                f"{self.path}: lock file exists; another run owns this output directory") from None
+        for retry in (False, True):
+            with contextlib.suppress(FileExistsError):
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            pid = None if retry else self._dead_owner()
+            if pid is None:
+                raise CsvParseError(f"{self.path}: lock file exists; another run owns this output directory")
+            self.path.unlink(missing_ok=True)
+            print(f"{self.path}: removed the stale lock of pid {pid}, which is not running", file=sys.stderr)
         os.write(self.fd, str(os.getpid()).encode())
         return self
+
+    def _dead_owner(self) -> int | None:
+        """The lock's pid if no process has it; None if one runs, may not be probed or the pid is unreadable."""
+        try:
+            pid = int(self.path.read_text())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return pid
+        except (OSError, ValueError, OverflowError):
+            pass
+        return None
 
     def __exit__(self, *exc):
         if self.fd is not None:

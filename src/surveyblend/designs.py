@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import DesignDescriptor, DesignKind, ObservedData, ValidationError
+from .types import DesignDescriptor, DesignKind, ValidationError, frozen_array
 
 __all__ = [
     "JointProbProvider",
@@ -25,17 +25,16 @@ __all__ = [
     "ht_mean",
     "hajek_mean",
     "ht_var_estimate",
-    "provider_for",
 ]
 
 
 @dataclass(frozen=True)
 class JointProbProvider:
-    """First- and second-order inclusion probabilities for the sampled units.
+    """The design of the probability sample and its units' inclusion probabilities.
 
     ``pi`` holds the first-order probabilities of the sampled units, in
-    sample order; indices passed to :meth:`joint_prob` refer to positions
-    in that array.
+    sample order. Both designs fix the pairwise probabilities in closed
+    form (see :func:`ht_cov_estimate`).
     """
 
     design: DesignDescriptor
@@ -43,28 +42,11 @@ class JointProbProvider:
     n_population: int
 
     def __post_init__(self):
-        pi = np.array(self.pi, dtype=float)
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "pi", frozen_array(self.pi))
         if np.any(self.pi <= 0.0) or np.any(self.pi > 1.0):
             raise ValidationError("nonpositive inclusion probability")
-        if self.design.kind is DesignKind.SRSWOR:
-            if self.design.n >= self.n_population:
-                raise ValidationError("SRSWOR sample size must be below the population size")
-
-    def joint_prob(self, i: int, j: int) -> float:
-        """P(both unit i and unit j are sampled); equals pi_i when i == j."""
-        if i == j:
-            return float(self.pi[i])
-        if self.design.kind is DesignKind.POISSON:
-            return float(self.pi[i] * self.pi[j])
-        n, big_n = self.design.n, self.n_population
-        return n * (n - 1) / (big_n * (big_n - 1))
-
-
-def provider_for(observed: ObservedData) -> JointProbProvider:
-    """Build the pairwise-probability provider implied by an observed dataset."""
-    return JointProbProvider(design=observed.design, pi=observed.pi_a, n_population=observed.n_population)
+        if self.design.kind is DesignKind.SRSWOR and self.design.n >= self.n_population:
+            raise ValidationError("SRSWOR sample size must be below the population size")
 
 
 def ht_mean(values, pi, n_population: int) -> float:

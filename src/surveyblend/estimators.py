@@ -14,11 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .designs import JointProbProvider, hajek_mean, ht_mean, provider_for
+from .designs import JointProbProvider, hajek_mean, ht_mean
 from .nuisance import NuisanceFit, check_selection_floor
 from .types import ObservedData, ValidationError
 
-__all__ = ["Analysis", "EstimatorKind", "point_estimate"]
+__all__ = ["Analysis", "EstimatorKind"]
 
 
 class EstimatorKind(Enum):
@@ -54,17 +54,20 @@ class Analysis:
     def memo(self, key, compute):
         """The value kept under ``key``; ``compute()`` makes it on the first request.
 
-        A kept array is made read-only, because every later request shares it.
+        A kept array, or an array inside a kept tuple, is made read-only,
+        because every later request shares it.
         """
         if key not in self._memo:
             value = self._memo[key] = compute()
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
         return self._memo[key]
 
     @property
     def provider(self) -> JointProbProvider:
-        return self.memo("provider", lambda: provider_for(self.observed))
+        observed = self.observed
+        return self.memo("provider", lambda: JointProbProvider(observed.design, observed.pi_a, observed.n_population))
 
     @property
     def pi_b_a(self) -> np.ndarray:
@@ -116,8 +119,3 @@ class Analysis:
             n_hat_b = float(np.sum(1.0 / pi_b))
             return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)
         raise ValidationError(f"unknown estimator kind {kind}")
-
-
-def point_estimate(kind: EstimatorKind, observed: ObservedData, fit: NuisanceFit | None = None) -> float:
-    """One point estimate of the population mean; see :meth:`Analysis.point`."""
-    return Analysis(observed, fit).point(kind)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, ValidationError
+from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, ValidationError, frozen_array
 
 __all__ = ["NuisanceFit", "SolverError", "fit_nuisance", "predict_outcome", "predict_selection"]
 
@@ -74,13 +74,9 @@ class NuisanceFit:
     max_abs_score: float
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)
-        alpha.setflags(write=False)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", frozen_array(self.alpha))
         if self.beta is not None:
-            beta = np.array(self.beta, dtype=float)
-            beta.setflags(write=False)
-            object.__setattr__(self, "beta", beta)
+            object.__setattr__(self, "beta", frozen_array(self.beta))
 
     def pi_b(self, x_full: np.ndarray) -> np.ndarray:
         cols = self.spec.columns("selection", x_full.shape[1])
@@ -212,10 +208,7 @@ def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray
     """Maximum-likelihood outcome coefficients on sample B (OLS for the linear family)."""
     x_b = observed.x_b[:, cols]
     if family is OutcomeFamily.LINEAR_GAUSSIAN:
-        gram = x_b.T @ x_b
-        rhs = x_b.T @ observed.y_b
-        beta = solve_spd(gram, rhs, "outcome least squares")
-        return beta, 0, 0.0
+        return solve_spd(x_b.T @ x_b, x_b.T @ observed.y_b, "outcome least squares"), 0, 0.0
     beta, iters, resid = _newton(
         lambda b: score_and_jacobian_outcome_logistic(observed, cols, b),
         np.zeros(cols.size), OUTCOME_TOL, "logistic outcome fit")

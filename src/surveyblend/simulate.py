@@ -12,8 +12,8 @@ RNG streams are indexed by (master seed, replicate), so serial and
 parallel execution produce bit-identical summaries.
 
 Misspecification never touches the generating mechanism: toggling
-``outcome_wrong``/``selection_wrong`` only drops a covariate column from
-the corresponding analysis model.
+``outcome_wrong``/``selection_wrong`` only drops the last covariate column
+from the corresponding analysis model.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .types import (
     OutcomeFamily,
     ValidationError,
     config_flag,
+    config_float,
     config_int,
     config_section,
     plain_data,
@@ -85,7 +86,7 @@ class Covariate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        object.__setattr__(self, "params", tuple(config_float("covariate params", v) for v in self.params))
         params, counts = list(self.params), _PARAM_COUNTS.get(self.kind)
         if counts is None:
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
@@ -195,7 +196,6 @@ class ScenarioConfig:
     fit_method: FitMethod = FitMethod.PSEUDO_ML
     outcome_wrong: bool = False
     selection_wrong: bool = False
-    misspec_drop_col: int = -1
     outcome_cols_override: tuple[int, ...] | None = None
     selection_cols_override: tuple[int, ...] | None = None
     collect_y_on_a: bool = True
@@ -208,15 +208,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # Config files give plain values: a field with an enum or number default
-        # takes its default's type, a flag must be a bool (bool("false") is True),
-        # and an optional sequence becomes a tuple.
+        # takes its default's type (no bool or string passes as a number), a flag
+        # must be a bool (bool("false") is True), and an optional sequence a tuple.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, bool):
                 config_flag(f.name, value)
             elif isinstance(f.default, int):
                 object.__setattr__(self, f.name, config_int(f.name, value))
-            elif isinstance(f.default, (Enum, float)):
+            elif isinstance(f.default, float):
+                object.__setattr__(self, f.name, config_float(f.name, value))
+            elif isinstance(f.default, Enum):
                 object.__setattr__(self, f.name, type(f.default)(value))
             elif f.default is None and value is not None:
                 object.__setattr__(self, f.name, tuple(value))
@@ -228,7 +230,7 @@ class ScenarioConfig:
         p = self.n_covariate_columns
         for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
             if getattr(self, name) is not None or name.endswith("_true"):  # the true vectors are required
-                coef = tuple(float(v) for v in getattr(self, name))
+                coef = tuple(config_float(name, v) for v in getattr(self, name))
                 if len(coef) != p:
                     raise ValidationError(f"{name} must have length {p} (intercept included)")
                 object.__setattr__(self, name, coef)
@@ -253,9 +255,7 @@ class ScenarioConfig:
         return 1 + len(self.covariates)
 
     def model_spec(self) -> ModelSpec:
-        p = self.n_covariate_columns
-        drop = self.misspec_drop_col if self.misspec_drop_col >= 0 else p - 1
-        wrong = tuple(c for c in range(p) if c != drop)
+        wrong = tuple(range(self.n_covariate_columns - 1))  # a wrong model lacks the last column
 
         def cols(override, misspecified):
             return override if override is not None else wrong if misspecified else None

@@ -49,8 +49,9 @@ class FitMethod(Enum):
     KIM_HAZIZA = "kim_haziza"
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def frozen_array(values) -> np.ndarray:
+    """A float64 copy of ``values`` marked read-only."""
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -110,6 +111,13 @@ def config_int(name: str, value) -> int:
     return int(value)
 
 
+def config_float(name: str, value) -> float:
+    """``value``, checked to be a real number; ``float()`` takes True as 1.0 and "0.9" as 0.9, so neither passes."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DesignDescriptor:
     """How the probability sample was drawn.
@@ -150,13 +158,13 @@ class FinitePopulation:
     design: DesignDescriptor
 
     def __post_init__(self):
-        x = _frozen(self.x)
+        x = frozen_array(self.x)
         if x.ndim != 2:
             raise ValidationError("population covariates must be a 2-d array")
         n = x.shape[0]
         _set(self, "x", x)
         for name in ("y", "pi_a", "pi_b_true"):
-            arr = _frozen(getattr(self, name))
+            arr = frozen_array(getattr(self, name))
             if arr.shape != (n,):
                 raise ValidationError(f"population field {name} has length {arr.shape}, expected ({n},)")
             _set(self, name, arr)
@@ -194,8 +202,8 @@ class ObservedData:
 
     def __post_init__(self):
         _set(self, "n_population", config_int("n_population", self.n_population))
-        x_a = _frozen(self.x_a)
-        x_b = _frozen(self.x_b)
+        x_a = frozen_array(self.x_a)
+        x_b = frozen_array(self.x_b)
         if x_a.ndim != 2 or x_b.ndim != 2:
             raise ValidationError("sample covariates must be 2-d arrays")
         if x_a.shape[1] != x_b.shape[1]:
@@ -204,16 +212,16 @@ class ObservedData:
             )
         _set(self, "x_a", x_a)
         _set(self, "x_b", x_b)
-        pi_a = _frozen(self.pi_a)
+        pi_a = frozen_array(self.pi_a)
         if pi_a.shape != (x_a.shape[0],):
             raise ValidationError("pi_a length does not match sample A")
         _set(self, "pi_a", pi_a)
-        y_b = _frozen(self.y_b)
+        y_b = frozen_array(self.y_b)
         if y_b.shape != (x_b.shape[0],):
             raise ValidationError("y length does not match sample B")
         _set(self, "y_b", y_b)
         if self.y_a is not None:
-            y_a = _frozen(self.y_a)
+            y_a = frozen_array(self.y_a)
             if y_a.shape != (x_a.shape[0],):
                 raise ValidationError("y length does not match sample A")
             _set(self, "y_a", y_a)

@@ -22,22 +22,21 @@ covariance of two Horvitz-Thompson means over sample A: the centered
 predictions against the outcomes centered at 0 (HT) or at the Hajek mean.
 
 Each function reads one :class:`~surveyblend.estimators.Analysis` and keeps
-its result there. ``var_estimate``, ``regression_adjustment`` and
-``residual_variance`` are one-shot entry points that build the analysis.
+its result there.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .designs import JointProbProvider, ht_cov_estimate, ht_mean, ht_var_estimate
+from .designs import ht_cov_estimate, ht_mean, ht_var_estimate
 from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
-from .nuisance import NuisanceFit, solve_spd
-from .types import FitMethod, ObservedData, ValidationError
+from .nuisance import solve_spd
+from .types import FitMethod, ValidationError
 
 __all__ = [
     "CenteringTerms",
@@ -48,7 +47,6 @@ __all__ = [
     "cov_estimate",
     "regression_adjustment",
     "residual_variance",
-    "var_estimate",
     "var_prob_estimate",
     "variance",
 ]
@@ -93,8 +91,7 @@ def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) 
         raise ValidationError("the doubly robust variance regime requires a Kim-Haziza fit")
 
 
-@dataclass(frozen=True)
-class CenteringTerms:
+class CenteringTerms(NamedTuple):
     """Per-unit centering vectors feeding the two-part variance form.
 
     ``pred_center`` is subtracted from the outcome-model predictions on
@@ -104,16 +101,16 @@ class CenteringTerms:
     pred_center: np.ndarray
     outcome_center: np.ndarray
 
-    def __post_init__(self):
-        for name in ("pred_center", "outcome_center"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not (np.all(np.isfinite(self.pred_center)) and np.all(np.isfinite(self.outcome_center))):
-            raise ValidationError("non-finite centering term")
 
+def regression_adjustment(analysis: Analysis, *, on_residuals: bool, centered: bool) -> np.ndarray:
+    """Weighted-least-squares coefficient that tracks selection-fit error.
 
-def _adjustment(analysis: Analysis, on_residuals: bool, centered: bool) -> np.ndarray:
+    Regresses the outcome (or the outcome-model residual when
+    ``on_residuals``) on the selection-model covariates, with weights
+    (1 - pi)/pi on the target side and gram weights (1 - pi). When
+    ``centered``, the target is first centered at its self-normalized
+    inverse-probability mean over sample B.
+    """
     def compute():
         observed, fit = analysis.observed, analysis.fit
         cols = fit.spec.columns("selection", observed.n_covariates)
@@ -129,19 +126,6 @@ def _adjustment(analysis: Analysis, on_residuals: bool, centered: bool) -> np.nd
         return solve_spd(gram, rhs, "regression adjustment")
 
     return analysis.memo(("adjustment", on_residuals, centered), compute)
-
-
-def regression_adjustment(observed: ObservedData, fit: NuisanceFit, *,
-                          on_residuals: bool, centered: bool) -> np.ndarray:
-    """Weighted-least-squares coefficient that tracks selection-fit error.
-
-    Regresses the outcome (or the outcome-model residual when
-    ``on_residuals``) on the selection-model covariates, with weights
-    (1 - pi)/pi on the target side and gram weights (1 - pi). When
-    ``centered``, the target is first centered at its self-normalized
-    inverse-probability mean over sample B.
-    """
-    return _adjustment(Analysis(observed, fit), on_residuals, centered)
 
 
 def _outcome_model(kind: EstimatorKind, analysis: Analysis) -> tuple[np.ndarray, np.ndarray, float]:
@@ -162,18 +146,21 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
         _, m_b, m_bar = _outcome_model(kind, analysis)
         if not adjusted:
             pred_center = np.full(observed.n_a, m_bar) if self_normalized else np.zeros(observed.n_a)
-            return CenteringTerms(pred_center=pred_center, outcome_center=m_b)
-        adj = _adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
-        cols = analysis.fit.spec.columns("selection", observed.n_covariates)
-        adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
-        adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
-        if self_normalized:
-            pred_center = m_bar - adj_a
-            outcome_center = m_b + (analysis.point(kind) - m_bar) + adj_b
+            outcome_center = m_b
         else:
-            pred_center = -adj_a
-            outcome_center = m_b + adj_b
-        return CenteringTerms(pred_center=pred_center, outcome_center=outcome_center)
+            adj = regression_adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
+            cols = analysis.fit.spec.columns("selection", observed.n_covariates)
+            adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
+            adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
+            if self_normalized:
+                pred_center = m_bar - adj_a
+                outcome_center = m_b + (analysis.point(kind) - m_bar) + adj_b
+            else:
+                pred_center = -adj_a
+                outcome_center = m_b + adj_b
+        if not (np.all(np.isfinite(pred_center)) and np.all(np.isfinite(outcome_center))):
+            raise ValidationError("non-finite centering term")
+        return CenteringTerms(pred_center, outcome_center)
 
     return analysis.memo(("centering", kind, regime), compute)
 
@@ -187,7 +174,14 @@ def _centered_predictions(kind: EstimatorKind, regime: Regime, analysis: Analysi
     return analysis.memo(("centered", kind, regime), compute)
 
 
-def _residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
+def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate the residual variance function on both samples.
+
+    Returns per-unit values (on sample A, on sample B). The constant model
+    uses the mean squared sample-B residual; the linear model least-squares
+    fits squared residuals on the outcome covariates and truncates below
+    at zero.
+    """
     observed, fit = analysis.observed, analysis.fit
     r = observed.y_b - analysis.m_b
     if model is ResidualVarianceModel.CONSTANT:
@@ -199,18 +193,6 @@ def _residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tupl
     s2_a = np.clip(observed.x_a[:, cols] @ coef, 0.0, None)
     s2_b = np.clip(x_b @ coef, 0.0, None)
     return s2_a, s2_b
-
-
-def residual_variance(observed: ObservedData, fit: NuisanceFit,
-                      model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate the residual variance function on both samples.
-
-    Returns per-unit values (on sample A, on sample B). The constant model
-    uses the mean squared sample-B residual; the linear model least-squares
-    fits squared residuals on the outcome covariates and truncates below
-    at zero.
-    """
-    return _residual_variance(Analysis(observed, fit), model)
 
 
 def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
@@ -228,21 +210,11 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
         term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - outcome_center) ** 2) / n_pop**2)
         correction = 0.0
         if regime is Regime.KH_DOUBLY_ROBUST:
-            s2_a, s2_b = _residual_variance(analysis, sigma_model)
+            s2_a, s2_b = residual_variance(analysis, sigma_model)
             correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n_pop**2)
         return max(term1 + term2 + correction, 0.0)
 
     return analysis.memo(("variance", kind, regime, sigma_model), compute)
-
-
-def var_estimate(kind: EstimatorKind, regime: Regime, observed: ObservedData, fit: NuisanceFit,
-                 provider: JointProbProvider, *,
-                 sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
-    """One-shot :func:`variance`; ``provider`` must describe ``observed``'s probability sample."""
-    if not (provider.design == observed.design and provider.n_population == observed.n_population
-            and np.array_equal(provider.pi, observed.pi_a)):
-        raise ValidationError("the provider does not describe the observed probability sample")
-    return variance(kind, regime, Analysis(observed, fit), sigma_model=sigma_model)
 
 
 def _prob_residuals(prob_kind: EstimatorKind, analysis: Analysis) -> np.ndarray:

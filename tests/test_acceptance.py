@@ -13,6 +13,7 @@ import numpy as np
 import yaml
 
 from surveyblend import (
+    Analysis,
     DesignDescriptor,
     DesignKind,
     EstimatorKind,
@@ -26,11 +27,9 @@ from surveyblend import (
     fit_nuisance,
     generate_population,
     ht_cov_estimate,
-    point_estimate,
-    provider_for,
     regression_adjustment,
     residual_variance,
-    var_estimate,
+    variance,
 )
 from surveyblend.cli import main
 from surveyblend.nuisance import (
@@ -136,7 +135,7 @@ def test_criterion_4_kh_doubly_robust_variance(mc_kim_haziza):
     population = generate_population(SCENARIO_KH)
     observed, _ = draw_samples(population, 424242)
     fit = fit_nuisance(observed, SCENARIO_KH.model_spec())
-    s2_a, s2_b = residual_variance(observed, fit, ResidualVarianceModel.CONSTANT)
+    s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)
     pi_b = fit.pi_b(observed.x_b)
     correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b))
                        / observed.n_population**2)
@@ -181,17 +180,16 @@ def test_criterion_7_reduction_identities():
         fit = default_fit(observed)
         zero = NuisanceFit(alpha=fit.alpha, beta=np.zeros_like(fit.beta), spec=fit.spec,
                            iterations=fit.iterations, max_abs_score=fit.max_abs_score)
-        provider = provider_for(observed)
         for ipw_kind, dr_kind in ((K.IPW1, K.DR1), (K.IPW2, K.DR2)):
-            a = point_estimate(ipw_kind, observed, fit)
-            b = point_estimate(dr_kind, observed, zero)
+            a = Analysis(observed, fit).point(ipw_kind)
+            b = Analysis(observed, zero).point(dr_kind)
             worst_point = max(worst_point, abs(a - b) / max(1.0, abs(a)))
-            va = var_estimate(ipw_kind, R.SELECTION_CORRECT, observed, fit, provider)
-            vb = var_estimate(dr_kind, R.SELECTION_CORRECT, observed, zero, provider)
+            va = variance(ipw_kind, R.SELECTION_CORRECT, Analysis(observed, fit))
+            vb = variance(dr_kind, R.SELECTION_CORRECT, Analysis(observed, zero))
             worst_var = max(worst_var, abs(va - vb) / max(abs(va), 1e-12))
         for centered in (False, True):
-            raw = regression_adjustment(observed, fit, on_residuals=False, centered=centered)
-            red = regression_adjustment(observed, zero, on_residuals=True, centered=centered)
+            raw = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=centered)
+            red = regression_adjustment(Analysis(observed, zero), on_residuals=True, centered=centered)
             scale = max(1.0, float(np.max(np.abs(raw))))
             worst_adj = max(worst_adj, float(np.max(np.abs(raw - red))) / scale)
     checks.append((worst_point <= 1e-12, f"IPW vs zero-model DR points: worst rel diff {worst_point:.2e}"))

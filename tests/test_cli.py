@@ -27,11 +27,9 @@ from surveyblend import (
     Regime,
     ValidationError,
     fit_nuisance,
-    point_estimate,
     pool,
-    provider_for,
-    var_estimate,
     var_prob_estimate,
+    variance,
 )
 from surveyblend import cli
 from surveyblend.cli import main, read_samples, load_config, write_sample_csvs
@@ -154,9 +152,28 @@ class TestEstimateMode:
         observed = make_observed(seed=84)
         config = estimate_config(tmp_path, observed)
         (tmp_path / "out").mkdir()
-        (tmp_path / "out" / ".lock").write_text("123")
+        (tmp_path / "out" / ".lock").write_text(str(os.getpid()))
         assert main(["estimate", "--config", str(config)]) == 4
         assert "lock" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["", "not a pid", "-1", str(2**80)])
+    def test_unreadable_lock_blocks_runs(self, tmp_path, capsys, content):
+        config = estimate_config(tmp_path, make_observed(seed=84))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / ".lock").write_text(content)
+        assert main(["estimate", "--config", str(config)]) == 4
+        assert "lock file exists" in capsys.readouterr().err
+
+    def test_stale_lock_of_an_exited_process_is_taken_over(self, tmp_path, capsys):
+        config = estimate_config(tmp_path, make_observed(seed=84))
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / ".lock").write_text(str(child.pid))
+        assert main(["estimate", "--config", str(config)]) == 0
+        assert f"removed the stale lock of pid {child.pid}" in capsys.readouterr().err
+        assert (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / ".lock").exists()
 
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
@@ -178,13 +195,12 @@ class TestEstimateMode:
 
         spec = ModelSpec()
         fit = fit_nuisance(observed, spec)
-        provider = provider_for(observed)
         by_kind = {row["estimator"]: row["estimate"] for row in report["points"]}
         for kind in (K.HT, K.HAJEK, K.IPW1, K.IPW2, K.DR1, K.DR2):
-            assert by_kind[kind.value] == point_estimate(kind, observed, fit)
+            assert by_kind[kind.value] == Analysis(observed, fit).point(kind)
         var_rows = {(row["estimator"], row["regime"]): row for row in report["variances"]}
-        assert var_rows[("DR1", "both_correct")]["variance"] == var_estimate(
-            K.DR1, Regime.BOTH_CORRECT, observed, fit, provider)
+        assert var_rows[("DR1", "both_correct")]["variance"] == variance(
+            K.DR1, Regime.BOTH_CORRECT, Analysis(observed, fit))
         assert var_rows[("HT", None)]["variance"] == var_prob_estimate(K.HT, Analysis(observed))
         pooled = report["pooled"][0]
         expected = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK, 0.95)
@@ -306,6 +322,12 @@ class TestSimulateMode:
     ("estimate", "analysis", "outcome_cols", [1.5]),
     ("simulate", "scenario", "outcome_cols_override", [0, 1.5]),
     ("simulate", "scenario", "replicates", float("inf")),
+    # numbers that float() would take from a bool or a string
+    ("simulate", "scenario", "noise_sd", True),
+    ("simulate", "scenario", "level", "0.9"),
+    ("estimate", None, "level", "0.9"),
+    ("simulate", "scenario", "beta_true", [True, 1.0]),
+    ("simulate", "scenario.covariates.0", "params", ["0", 1.0]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -393,7 +415,7 @@ def test_import_leaves_scipy_stats_unloaded():
 # ---------------------------------------------------------------------------
 # Exit-code contract under malformed input
 
-WRONG_VALUES = ("text", 1.5, -1, True, [1], {"key": 1})
+WRONG_VALUES = ("text", "0.9", 1.5, -1, True, [1], {"key": 1})
 CSV_JUNK = (b"\xff", b"\xc3(", b"\x00", b'"', b"\x1c", b"1" * 140_000)
 FUZZ_POPULATION = 760
 
@@ -545,9 +567,14 @@ def read_outcome(config):
      (cli.CsvParseError, "{path}: no data rows")),
     ("sample_a.csv", lambda lines: lines[:3] + ["", "3,2,1.5,-0.75"] + lines[4:],
      (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
+    ("sample_b.csv", lambda lines: [lines[0], '"1', '",0.5,1.0', "2,0.5,1.0", "3,0.5,1.0", "4,abc,1.0"],
+     (cli.CsvParseError, "{path} line 6: could not convert string to float: 'abc'")),
+    ("sample_a.csv", lambda lines: [lines[0], '"1', '",0.5,0.25,1.5', lines[2], "3,2,1.5,-0.75", lines[4]],
+     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
 ], ids=["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
         "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
-        "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line"])
+        "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
+        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes"])
 def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, name, edit, expected):
     files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
     files[name] = edit(files[name])

@@ -11,12 +11,10 @@ from surveyblend import (
     Regime,
     ValidationError,
     cov_estimate,
-    point_estimate,
     pool,
     pooled_variance,
-    provider_for,
-    var_estimate,
     var_prob_estimate,
+    variance,
     z_score,
 )
 from surveyblend.combiner import combine
@@ -122,12 +120,11 @@ class TestPoolPipeline:
     def test_pool_matches_component_calls(self):
         observed = make_observed(seed=70)
         fit = default_fit(observed)
-        provider = provider_for(observed)
         report = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK)
-        assert report.est_prob == point_estimate(K.HAJEK, observed)
+        assert report.est_prob == Analysis(observed).point(K.HAJEK)
         assert report.var_prob == var_prob_estimate(K.HAJEK, Analysis(observed))
-        assert report.est_dr == point_estimate(K.DR2, observed, fit)
-        assert report.var_dr == var_estimate(K.DR2, Regime.BOTH_CORRECT, observed, fit, provider)
+        assert report.est_dr == Analysis(observed, fit).point(K.DR2)
+        assert report.var_dr == variance(K.DR2, Regime.BOTH_CORRECT, Analysis(observed, fit))
         assert report.cov == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, Analysis(observed, fit))
         expected = (1 - report.w) * report.est_prob + report.w * report.est_dr
         assert report.pooled_estimate == pytest.approx(expected, rel=1e-14)

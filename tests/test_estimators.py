@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyblend import (
+    Analysis,
     DesignDescriptor,
     DesignKind,
     EstimatorKind,
@@ -20,7 +21,6 @@ from surveyblend import (
     hajek_mean,
     ht_mean,
     generate_population,
-    point_estimate,
 )
 from surveyblend.cli import build_estimate_report, load_config
 from surveyblend.simulate import _replicate_record
@@ -38,9 +38,9 @@ def zero_outcome_fit(fit: NuisanceFit) -> NuisanceFit:
 class TestDefinitions:
     def test_ht_and_hajek_delegate_to_designs(self):
         observed = make_observed(seed=30)
-        assert point_estimate(K.HT, observed) == ht_mean(observed.y_a, observed.pi_a,
+        assert Analysis(observed).point(K.HT) == ht_mean(observed.y_a, observed.pi_a,
                                                          observed.n_population)
-        assert point_estimate(K.HAJEK, observed) == hajek_mean(observed.y_a, observed.pi_a)
+        assert Analysis(observed).point(K.HAJEK) == hajek_mean(observed.y_a, observed.pi_a)
 
     def test_dr1_hand_checked_toy(self):
         # Three units, sample A = {unit 1} with pi = 1/3, sample B a census
@@ -57,16 +57,16 @@ class TestDefinitions:
         fit = NuisanceFit(alpha=np.array([40.0]), beta=np.array([1.0]), spec=ModelSpec(),
                           iterations=0, max_abs_score=0.0)
         assert fit.pi_b(observed.x_b)[0] == 1.0
-        assert point_estimate(K.DR1, observed, fit) == pytest.approx(2.0, rel=1e-12)
+        assert Analysis(observed, fit).point(K.DR1) == pytest.approx(2.0, rel=1e-12)
 
     def test_dr_with_zero_outcome_model_is_ipw(self):
         observed = make_observed(seed=31)
         fit = default_fit(observed)
         zero = zero_outcome_fit(fit)
-        assert point_estimate(K.DR1, observed, zero) == pytest.approx(
-            point_estimate(K.IPW1, observed, fit), rel=1e-14)
-        assert point_estimate(K.DR2, observed, zero) == pytest.approx(
-            point_estimate(K.IPW2, observed, fit), rel=1e-14)
+        assert Analysis(observed, zero).point(K.DR1) == pytest.approx(
+            Analysis(observed, fit).point(K.IPW1), rel=1e-14)
+        assert Analysis(observed, zero).point(K.DR2) == pytest.approx(
+            Analysis(observed, fit).point(K.IPW2), rel=1e-14)
 
     def test_dr1_rearrangement_identity(self):
         observed = make_observed(seed=32)
@@ -74,22 +74,22 @@ class TestDefinitions:
         m_a = fit.m(observed.x_a)
         m_b = fit.m(observed.x_b)
         pi_b = fit.pi_b(observed.x_b)
-        expected = (point_estimate(K.IPW1, observed, fit)
+        expected = (Analysis(observed, fit).point(K.IPW1)
                     + ht_mean(m_a, observed.pi_a, observed.n_population)
                     - float(np.sum(m_b / pi_b)) / observed.n_population)
-        assert point_estimate(K.DR1, observed, fit) == pytest.approx(expected, rel=1e-12)
+        assert Analysis(observed, fit).point(K.DR1) == pytest.approx(expected, rel=1e-12)
 
 
 class TestErrors:
     def test_ht_requires_outcome_on_sample_a(self):
         observed = make_observed(seed=33, y_on_a=False)
         with pytest.raises(ValidationError, match="outcome on sample A"):
-            point_estimate(K.HT, observed)
+            Analysis(observed).point(K.HT)
 
     def test_ipw_requires_fit(self):
         observed = make_observed(seed=34)
         with pytest.raises(ValidationError, match="nuisance fit"):
-            point_estimate(K.IPW1, observed, None)
+            Analysis(observed, None).point(K.IPW1)
 
 
 class TestLocationEquivariance:
@@ -106,8 +106,8 @@ class TestLocationEquivariance:
         fit = default_fit(observed)
         fit_shifted = default_fit(shifted)
         for kind in (K.HAJEK, K.IPW2, K.DR2):
-            base = point_estimate(kind, observed, fit)
-            moved = point_estimate(kind, shifted, fit_shifted)
+            base = Analysis(observed, fit).point(kind)
+            moved = Analysis(shifted, fit_shifted).point(kind)
             assert moved - base == pytest.approx(c, rel=1e-9, abs=1e-9)
 
 

@@ -32,11 +32,8 @@ from surveyblend import (
     hajek_mean,
     ht_mean,
     ht_var_estimate,
-    point_estimate,
-    provider_for,
     regression_adjustment,
     residual_variance,
-    var_estimate,
     var_prob_estimate,
     variance,
 )
@@ -56,7 +53,7 @@ class TestRegressionAdjustment:
     def test_zero_residuals_give_zero_coefficient(self):
         observed = make_observed(seed=40, noise_sd=0.0)
         fit = default_fit(observed)
-        adj = regression_adjustment(observed, fit, on_residuals=True, centered=False)
+        adj = regression_adjustment(Analysis(observed, fit), on_residuals=True, centered=False)
         assert np.max(np.abs(adj)) < 1e-10
 
     def test_constant_outcome_gives_zero_centered_coefficient(self):
@@ -65,7 +62,7 @@ class TestRegressionAdjustment:
                                 x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
                                 x_b=observed.x_b, y_b=np.full(observed.n_b, 2.5))
         fit = default_fit(observed)
-        adj = regression_adjustment(observed, fit, on_residuals=False, centered=True)
+        adj = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=True)
         assert np.max(np.abs(adj)) < 1e-10
 
     def test_population_oracle_recovers_target(self):
@@ -94,7 +91,7 @@ class TestRegressionAdjustment:
         for r in range(300):
             observed, _ = draw_samples(pop, 9_000 + r)
             fit = fit_nuisance(observed, spec)
-            draws.append(regression_adjustment(observed, fit, on_residuals=True, centered=False))
+            draws.append(regression_adjustment(Analysis(observed, fit), on_residuals=True, centered=False))
         draws = np.asarray(draws)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3.0 * se)
@@ -135,6 +132,14 @@ class TestCenteringTerms:
         with pytest.raises(ValidationError):
             centering_terms(K.DR2, R.KH_DOUBLY_ROBUST, Analysis(observed, fit))
 
+    def test_non_finite_outcome_model_is_rejected(self):
+        observed = make_observed(seed=45)
+        fit = default_fit(observed)
+        broken = NuisanceFit(alpha=fit.alpha, beta=np.full_like(fit.beta, np.nan), spec=fit.spec,
+                             iterations=fit.iterations, max_abs_score=fit.max_abs_score)
+        with pytest.raises(ValidationError, match="non-finite centering term"):
+            centering_terms(K.DR1, R.BOTH_CORRECT, Analysis(observed, broken))
+
     def test_kh_regime_requires_kh_fit(self):
         observed = make_observed(seed=46)
         fit = default_fit(observed)  # pseudo-ML
@@ -146,23 +151,22 @@ class TestVarEstimate:
     def test_zero_outcome_residuals_leave_only_design_term(self):
         observed = make_observed(seed=47, noise_sd=0.0)
         fit = default_fit(observed)
-        provider = provider_for(observed)
-        var = var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider)
-        term1 = ht_var_estimate(fit.m(observed.x_a), provider)
+        analysis = Analysis(observed, fit)
+        var = variance(K.DR1, R.BOTH_CORRECT, analysis)
+        term1 = ht_var_estimate(fit.m(observed.x_a), analysis.provider)
         assert var == pytest.approx(term1, rel=1e-12)
 
     def test_kh_correction_vanishes_for_linear_model_with_intercept(self):
         observed = make_observed(seed=48)
         fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)
-        s2_a, s2_b = residual_variance(observed, fit, ResidualVarianceModel.CONSTANT)
+        s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)
         pi_b = fit.pi_b(observed.x_b)
         n = observed.n_population
         correction = (np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n**2
         assert abs(correction) <= 1e-10
         # with C = 0 the doubly robust variance equals the both-correct form
-        provider = provider_for(observed)
-        v_kh = var_estimate(K.DR1, R.KH_DOUBLY_ROBUST, observed, fit, provider)
-        v_bc = var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider)
+        v_kh = variance(K.DR1, R.KH_DOUBLY_ROBUST, Analysis(observed, fit))
+        v_bc = variance(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
         assert v_kh == pytest.approx(v_bc, rel=1e-9)
 
     def test_negative_srswor_first_term_is_reported_and_floored(self):
@@ -178,16 +182,14 @@ class TestVarEstimate:
             x_a=np.ones((n_a, 1)), pi_a=np.full(n_a, 0.9),
             x_b=np.ones((4, 1)), y_b=np.full(4, 3.0))
         fit = default_fit(observed)
-        provider = provider_for(observed)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            var = var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider)
+            var = variance(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
         assert var == 0.0
         assert any("negative first variance term" in str(w.message) for w in caught)
 
     def test_scaling_outcomes_scales_variance_quadratically(self):
         observed = make_observed(seed=49)
-        provider = provider_for(observed)
         c = -2.5
         scaled = ObservedData(n_population=observed.n_population, design=observed.design,
                               x_a=observed.x_a, pi_a=observed.pi_a,
@@ -195,21 +197,20 @@ class TestVarEstimate:
         for kind, regime in ((K.DR1, R.BOTH_CORRECT), (K.DR2, R.BOTH_CORRECT),
                              (K.DR1, R.SELECTION_CORRECT), (K.DR2, R.SELECTION_CORRECT),
                              (K.IPW1, R.SELECTION_CORRECT), (K.IPW2, R.SELECTION_CORRECT)):
-            base = var_estimate(kind, regime, observed, default_fit(observed), provider)
-            moved = var_estimate(kind, regime, scaled, default_fit(scaled), provider)
+            base = variance(kind, regime, Analysis(observed, default_fit(observed)))
+            moved = variance(kind, regime, Analysis(scaled, default_fit(scaled)))
             assert moved == pytest.approx(c * c * base, rel=1e-9)
 
     def test_kh_scaling_with_constant_sigma_model(self):
         observed = make_observed(seed=50)
-        provider = provider_for(observed)
         c = 3.0
         scaled = ObservedData(n_population=observed.n_population, design=observed.design,
                               x_a=observed.x_a, pi_a=observed.pi_a,
                               y_a=None, x_b=observed.x_b, y_b=observed.y_b * c)
         base_fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)
         scaled_fit = default_fit(scaled, method=FitMethod.KIM_HAZIZA)
-        base = var_estimate(K.DR1, R.KH_DOUBLY_ROBUST, observed, base_fit, provider)
-        moved = var_estimate(K.DR1, R.KH_DOUBLY_ROBUST, scaled, scaled_fit, provider)
+        base = variance(K.DR1, R.KH_DOUBLY_ROBUST, Analysis(observed, base_fit))
+        moved = variance(K.DR1, R.KH_DOUBLY_ROBUST, Analysis(scaled, scaled_fit))
         assert moved == pytest.approx(c * c * base, rel=1e-6)
 
 
@@ -259,14 +260,13 @@ class TestCovEstimate:
 
     def test_hajek_covariance_centers_outcomes(self):
         observed = make_observed(seed=56)
-        fit = default_fit(observed)
-        provider = provider_for(observed)
+        analysis = Analysis(observed, default_fit(observed))
         from surveyblend import ht_cov_estimate
 
-        u = fit.m(observed.x_a)
+        u = analysis.fit.m(observed.x_a)
         gamma = hajek_mean(observed.y_a, observed.pi_a)
-        expected = ht_cov_estimate(u, observed.y_a - gamma, provider)
-        got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, Analysis(observed, fit))
+        expected = ht_cov_estimate(u, observed.y_a - gamma, analysis.provider)
+        got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, analysis)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -274,7 +274,7 @@ class TestResidualVariance:
     def test_zero_residuals(self):
         observed = make_observed(seed=57, noise_sd=0.0)
         fit = default_fit(observed)
-        s2_a, s2_b = residual_variance(observed, fit, ResidualVarianceModel.CONSTANT)
+        s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)
         assert np.max(s2_a) < 1e-20 and np.max(s2_b) < 1e-20
 
     def test_constant_model_is_mean_square(self):
@@ -285,14 +285,14 @@ class TestResidualVariance:
             x_a=np.ones((3, 1)), pi_a=np.full(3, 0.5),
             x_b=np.ones((2, 1)), y_b=np.array([3.0, 1.0]))
         fit = default_fit(observed)  # intercept-only OLS: prediction 2, residuals +/-1
-        s2_a, s2_b = residual_variance(observed, fit, ResidualVarianceModel.CONSTANT)
+        s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)
         assert s2_a[0] == pytest.approx(1.0, rel=1e-12)
         assert np.all(s2_a == s2_a[0]) and np.all(s2_b == s2_a[0])
 
     def test_linear_model_truncates_at_zero(self):
         observed = make_observed(seed=58)
         fit = default_fit(observed)
-        s2_a, s2_b = residual_variance(observed, fit, ResidualVarianceModel.LINEAR_IN_X)
+        s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.LINEAR_IN_X)
         assert np.min(s2_a) >= 0.0 and np.min(s2_b) >= 0.0
 
     def test_constant_model_recovers_noise_variance(self):
@@ -313,7 +313,7 @@ class TestResidualVariance:
             redrawn = redraw_outcomes(pop, config, 40_000 + r)
             observed, _ = draw_samples(redrawn, 30_000 + r)
             fit = fit_nuisance(observed, spec)
-            values.append(residual_variance(observed, fit, ResidualVarianceModel.CONSTANT)[1][0])
+            values.append(residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)[1][0])
         values = np.asarray(values)
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - 1.0) < 3.0 * se
@@ -327,11 +327,10 @@ class TestReductionIdentities:
         observed = make_observed(seed=1000 + seed)
         fit = default_fit(observed)
         zero = zero_outcome_fit(fit)
-        provider = provider_for(observed)
-        assert var_estimate(K.IPW1, R.SELECTION_CORRECT, observed, fit, provider) == pytest.approx(
-            var_estimate(K.DR1, R.SELECTION_CORRECT, observed, zero, provider), rel=1e-12)
-        assert var_estimate(K.IPW2, R.SELECTION_CORRECT, observed, fit, provider) == pytest.approx(
-            var_estimate(K.DR2, R.SELECTION_CORRECT, observed, zero, provider), rel=1e-12)
+        assert variance(K.IPW1, R.SELECTION_CORRECT, Analysis(observed, fit)) == pytest.approx(
+            variance(K.DR1, R.SELECTION_CORRECT, Analysis(observed, zero)), rel=1e-12)
+        assert variance(K.IPW2, R.SELECTION_CORRECT, Analysis(observed, fit)) == pytest.approx(
+            variance(K.DR2, R.SELECTION_CORRECT, Analysis(observed, zero)), rel=1e-12)
         assert cov_estimate(K.IPW1, R.SELECTION_CORRECT, K.HT, Analysis(observed, fit)) == pytest.approx(
             cov_estimate(K.DR1, R.SELECTION_CORRECT, K.HT, Analysis(observed, zero)), rel=1e-12)
 
@@ -340,8 +339,8 @@ class TestReductionIdentities:
         fit = default_fit(observed)
         zero = zero_outcome_fit(fit)
         for centered in (False, True):
-            raw = regression_adjustment(observed, fit, on_residuals=False, centered=centered)
-            reduced = regression_adjustment(observed, zero, on_residuals=True, centered=centered)
+            raw = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=centered)
+            reduced = regression_adjustment(Analysis(observed, zero), on_residuals=True, centered=centered)
             np.testing.assert_allclose(raw, reduced, rtol=1e-13)
 
 
@@ -350,10 +349,11 @@ class TestAnalysis:
         observed = make_observed(seed=60)
         fit = default_fit(observed)
         analysis = Analysis(observed, fit)
-        assert analysis.point(K.DR2) == point_estimate(K.DR2, observed, fit)
-        assert variance(K.DR2, R.BOTH_CORRECT, analysis) == var_estimate(
-            K.DR2, R.BOTH_CORRECT, observed, fit, provider_for(observed))
-        assert centering_terms(K.DR2, R.BOTH_CORRECT, analysis) is centering_terms(K.DR2, R.BOTH_CORRECT, analysis)
+        assert analysis.point(K.DR2) == Analysis(observed, fit).point(K.DR2)
+        assert variance(K.DR2, R.BOTH_CORRECT, analysis) == variance(K.DR2, R.BOTH_CORRECT, Analysis(observed, fit))
+        terms = centering_terms(K.DR2, R.SELECTION_CORRECT, analysis)
+        assert terms is centering_terms(K.DR2, R.SELECTION_CORRECT, analysis)
+        assert not terms.pred_center.flags.writeable and not terms.outcome_center.flags.writeable
 
     def test_prob_kind_has_no_regime(self):
         observed = make_observed(seed=61)
@@ -362,9 +362,3 @@ class TestAnalysis:
         with pytest.raises(ValidationError, match="no variance regime"):
             variance(K.HAJEK, R.BOTH_CORRECT, analysis)
 
-    def test_provider_must_describe_the_data(self):
-        observed = make_observed(seed=62)
-        other = make_observed(seed=63)
-        fit = default_fit(observed)
-        with pytest.raises(ValidationError, match="provider"):
-            var_estimate(K.DR1, R.BOTH_CORRECT, observed, fit, provider_for(other))
