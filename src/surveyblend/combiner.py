@@ -15,9 +15,9 @@ as known, which is first-order exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .estimators import Analysis, EstimatorKind
 from .types import ValidationError, plain_data
@@ -60,7 +60,7 @@ def _weight(var_p: float, var_dr: float, cov: float) -> tuple[float, bool]:
 
 def z_score(level: float) -> float:
     """Standard-normal quantile bounding a two-sided interval at confidence ``level``."""
-    return float(ndtri(0.5 * (1.0 + level)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + level))
 
 
 def pooled_variance(w: float, var_p: float, var_dr: float, cov: float) -> float:

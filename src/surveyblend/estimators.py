@@ -38,9 +38,11 @@ DR_KINDS = (EstimatorKind.DR1, EstimatorKind.DR2)
 class Analysis:
     """One dataset with its nuisance fit, and everything computed from the pair.
 
-    The pairwise-probability provider, the floor-checked fitted selection
-    probabilities and the outcome-model means on each sample are computed
-    on first use and kept. Point estimates here, and the centering terms,
+    The fitted selection probabilities of both samples are computed and
+    floor-checked when the analysis is made, so a fit that would need its
+    weights clamped fails before any estimator runs. The pairwise-probability
+    provider and the outcome-model means on each sample are computed on
+    first use and kept. Point estimates here, and the centering terms,
     variances and covariances of :mod:`surveyblend.uncertainty`, are kept
     per key through :meth:`memo`, so a quantity that several reports need
     is computed once.
@@ -50,6 +52,9 @@ class Analysis:
         self.observed = observed
         self.fit = fit
         self._memo: dict = {}
+        self.pi_b_a = self.pi_b_b = None
+        if fit is not None:
+            self.pi_b_a, self.pi_b_b = (check_selection_floor(fit.pi_b(x)) for x in (observed.x_a, observed.x_b))
 
     def memo(self, key, compute):
         """The value kept under ``key``; ``compute()`` makes it on the first request.
@@ -68,14 +73,6 @@ class Analysis:
     def provider(self) -> JointProbProvider:
         observed = self.observed
         return self.memo("provider", lambda: JointProbProvider(observed.design, observed.pi_a, observed.n_population))
-
-    @property
-    def pi_b_a(self) -> np.ndarray:
-        return self.memo("pi_b_a", lambda: check_selection_floor(self.fit.pi_b(self.observed.x_a)))
-
-    @property
-    def pi_b_b(self) -> np.ndarray:
-        return self.memo("pi_b_b", lambda: check_selection_floor(self.fit.pi_b(self.observed.x_b)))
 
     @property
     def m_a(self) -> np.ndarray:

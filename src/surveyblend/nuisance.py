@@ -14,10 +14,14 @@ Three fitting routes are supported:
   for (alpha, beta), where dm_i is the gradient of m in beta.
 
 All solvers are damped Newton iterations with step halving; convergence is
-declared on the max-abs value of the (1/N-scaled) estimating function.
-Fitted selection probabilities below ``PI_B_FLOOR`` raise instead of being
-clamped, since silently clamped weights would bias every estimator built
-on top of the fit.
+declared on the max-abs value of the (1/N-scaled) estimating function. The
+logistic function is :func:`expit`, numpy's ``1 / (1 + exp(-x))``, and the
+linear outcome model's normal equations are solved by :func:`solve_spd`, a
+Cholesky factorization of the gram matrix and two solves. Fitted selection
+probabilities below ``PI_B_FLOOR`` raise (:func:`check_selection_floor`,
+which :class:`~surveyblend.estimators.Analysis` applies to both samples)
+instead of being clamped, since silently clamped weights would bias every
+estimator built on top of the fit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, ValidationError, frozen_array
 
@@ -44,6 +47,12 @@ _SEPARATION_SCALE = 30.0
 
 class SolverError(RuntimeError):
     """An estimating-equation solve failed (non-convergence or singularity)."""
+
+
+def expit(x):
+    """The logistic function, elementwise; it is exactly 0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def predict_selection(alpha, x) -> np.ndarray:
@@ -241,24 +250,22 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
         alpha, it_a, r_a = _fit_selection(observed, sel_cols, spec.fit_method)
         beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, out_cols)
         iters, resid = it_a + it_b, max(r_a, r_b)
-    fit = NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
-    check_selection_floor(fit.pi_b(observed.x_b))
-    check_selection_floor(fit.pi_b(observed.x_a))
-    return fit
+    return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 
 def check_selection_floor(pi_b: np.ndarray) -> np.ndarray:
-    """Reject fitted selection probabilities small enough to explode the weights."""
+    """Reject fitted selection probabilities small enough to explode the weights; pass the rest on read-only."""
     if np.any(pi_b < PI_B_FLOOR):
         raise SolverError(f"fitted selection probability below {PI_B_FLOOR:g}; refusing to clamp")
+    pi_b.setflags(write=False)
     return pi_b
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    from scipy.linalg import cho_factor, cho_solve
-
+    """Solve ``gram @ b = rhs`` for a symmetric positive definite ``gram`` by its Cholesky factor."""
     try:
-        return cho_solve(cho_factor(gram), rhs)
+        lower = np.linalg.cholesky(np.asarray_chkfinite(gram))
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, np.asarray_chkfinite(rhs)))
     except ValueError as exc:  # numpy's LinAlgError included
         raise SolverError(f"{context}: singular gram matrix ({exc})") from None
 

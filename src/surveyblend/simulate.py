@@ -26,11 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
-from scipy.special import expit
 
 from .combiner import PooledReport, pool, z_score
 from .estimators import PROB_KINDS, Analysis, EstimatorKind
-from .nuisance import SolverError, fit_nuisance
+from .nuisance import SolverError, expit, fit_nuisance
 from .types import (
     DesignDescriptor,
     DesignKind,
@@ -281,8 +280,6 @@ class ReplicateTruth:
     """Ground-truth sidecar for one replicate (simulation only)."""
 
     y_bar: float
-    a_index: np.ndarray
-    b_index: np.ndarray
 
 
 def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
@@ -372,8 +369,7 @@ def draw_samples(population: FinitePopulation, seed, *,
                 x_b=population.x[b_idx],
                 y_b=population.y[b_idx],
             )
-            truth = ReplicateTruth(y_bar=float(np.mean(population.y)), a_index=a_idx, b_index=b_idx)
-            return observed, truth
+            return observed, ReplicateTruth(y_bar=float(np.mean(population.y)))
     raise SimulationError(f"could not draw usable samples after {_DRAW_ATTEMPTS} attempts")
 
 

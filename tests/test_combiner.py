@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from surveyblend import (
     Analysis,
@@ -114,6 +115,12 @@ class TestZScore:
     def test_known_quantiles(self):
         assert z_score(0.95) == pytest.approx(1.959963984540054, rel=1e-15)
         assert z_score(0.9) == pytest.approx(1.6448536269514722, rel=1e-15)
+
+    def test_matches_scipy_ndtri(self):
+        levels = np.linspace(0.001, 0.999999, 20_001)
+        got = np.array([z_score(level) for level in levels])
+        want = ndtri(0.5 * (1.0 + levels))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
 
 class TestPoolPipeline:

@@ -1,32 +1,40 @@
 """Point-estimator identities, hand-checked values, equivariance properties,
-and the one-analysis-per-dataset invariant."""
+the one-analysis-per-dataset invariant, and the selection-probability floor."""
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyblend import (
     Analysis,
+    Covariate,
     DesignDescriptor,
     DesignKind,
     EstimatorKind,
     ModelSpec,
     NuisanceFit,
     ObservedData,
+    ScenarioConfig,
+    SolverError,
     ValidationError,
+    draw_samples,
+    fit_nuisance,
     hajek_mean,
     ht_mean,
     generate_population,
 )
-from surveyblend.cli import build_estimate_report, load_config
+from surveyblend.cli import build_estimate_report, load_config, main, write_sample_csvs
 from surveyblend.simulate import _replicate_record
 from conftest import SCENARIO_BOTH_CORRECT, default_fit, make_observed
 
 K = EstimatorKind
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "estimate_example.yaml"
 
 
 def zero_outcome_fit(fit: NuisanceFit) -> NuisanceFit:
@@ -124,22 +132,78 @@ def prediction_calls(monkeypatch):
 
 
 class TestOneAnalysisPerDataset:
-    """Each sample's predictions are evaluated once; fit_nuisance's two floor checks add two pi_b calls."""
+    """Each sample's predictions are evaluated once."""
 
     def test_default_replicate(self, prediction_calls):
         population = generate_population(SCENARIO_BOTH_CORRECT)
         assert isinstance(_replicate_record(SCENARIO_BOTH_CORRECT, population, 0), dict)
         assert prediction_calls["m"] == 2
-        assert prediction_calls["pi_b"] <= 4
+        assert prediction_calls["pi_b"] == 2
 
     def test_example_estimate_report(self, prediction_calls):
-        config = load_config(Path(__file__).resolve().parents[1] / "configs" / "estimate_example.yaml", "estimate")
+        config = load_config(EXAMPLE_CONFIG, "estimate")
         report = build_estimate_report(config, make_observed(seed=35))
         assert len(report["pooled"]) == 1
         assert prediction_calls["m"] == 2
-        assert prediction_calls["pi_b"] <= 4
+        assert prediction_calls["pi_b"] == 2
 
 
 def test_dr2_unbiased_when_both_models_correct(mc_both_correct):
     row = mc_both_correct.row("DR2/both_correct")
     assert abs(row.mc_bias) < 3.0 * row.mc_bias_se
+
+
+FLOOR_SCENARIO = ScenarioConfig(n_population=2_000, covariates=(Covariate("normal"),), beta_true=(1.0, 1.0),
+                                alpha_true=(-1.5, 0.5), sample_a_size=200, replicates=2, seed=4242)
+
+
+def floored_population(sample: str):
+    """FLOOR_SCENARIO's frame with unit 0 moved to x_1 = -60, where pi_b(x; alpha_true) is about 1e-14.
+
+    Unit 0 is put in sample ``sample`` (always) and kept out of the other
+    one. In sample B, unit 1 at x_1 = +60 balances it, so the pseudo-ML
+    score, which reads sample B only through the column sums of x_b, keeps
+    its root near alpha_true.
+    """
+    pop = generate_population(FLOOR_SCENARIO)
+    x, pi_a, pi_b = pop.x.copy(), pop.pi_a.copy(), pop.pi_b_true.copy()
+    x[0, 1] = -60.0
+    if sample == "A":
+        pi_a[0], pi_b[0] = 1.0, 1e-12
+    else:
+        x[1, 1] = 60.0
+        pi_a[:2], pi_b[:2] = 1e-12, 1.0 - 1e-12
+    return dataclasses.replace(pop, x=x, pi_a=pi_a, pi_b_true=pi_b)
+
+
+@pytest.mark.parametrize("sample", ["A", "B"])
+class TestSelectionFloor:
+    """A fitted selection probability below PI_B_FLOOR on one sample's row stops the analysis."""
+
+    def test_analysis_refuses_to_clamp(self, sample):
+        observed, _ = draw_samples(floored_population(sample), 7)
+        x_in, x_out = (observed.x_a, observed.x_b) if sample == "A" else (observed.x_b, observed.x_a)
+        # The fit without the moved units shows that only sample `sample` falls below the floor.
+        in_a, in_b = np.abs(observed.x_a[:, 1]) < 50, np.abs(observed.x_b[:, 1]) < 50
+        clean = ObservedData(n_population=observed.n_population, design=observed.design,
+                             x_a=observed.x_a[in_a], pi_a=observed.pi_a[in_a],
+                             x_b=observed.x_b[in_b], y_b=observed.y_b[in_b])
+        reference = fit_nuisance(clean, FLOOR_SCENARIO.model_spec())
+        assert reference.pi_b(x_in).min() < 1e-8 < 1e-3 < reference.pi_b(x_out).min()
+        with pytest.raises(SolverError, match="refusing to clamp"):
+            Analysis(observed, fit_nuisance(observed, FLOOR_SCENARIO.model_spec())).point(K.DR1)
+
+    def test_replicate_fails_with_the_solver_error(self, sample):
+        record = _replicate_record(FLOOR_SCENARIO, floored_population(sample), 0)
+        assert record.startswith("SolverError:") and "refusing to clamp" in record
+
+    def test_estimate_exits_3(self, sample, tmp_path, capsys):
+        observed, _ = draw_samples(floored_population(sample), 7)
+        write_sample_csvs(observed, tmp_path)
+        config = yaml.safe_load(EXAMPLE_CONFIG.read_text())
+        config["output_dir"] = str(tmp_path / "out")
+        config["inputs"] = {"sample_a": str(tmp_path / "sample_a.csv"),
+                            "sample_b": str(tmp_path / "sample_b.csv"), "n_population": observed.n_population}
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(config))
+        assert main(["estimate", "--config", str(tmp_path / "config.yaml")]) == 3
+        assert "refusing to clamp" in capsys.readouterr().err

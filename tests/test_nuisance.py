@@ -29,11 +29,15 @@ from surveyblend import (
 from surveyblend.nuisance import (
     KH_TOL,
     SELECTION_TOL,
+    expit,
     score_and_jacobian_calibration,
     score_and_jacobian_kh,
     score_and_jacobian_outcome_logistic,
     score_and_jacobian_pml,
+    solve_spd,
 )
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit as scipy_expit
 from scipy.special import logit
 
 from conftest import make_observed, default_fit
@@ -234,6 +238,37 @@ class TestPredict:
         x = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         p = predict_selection(rng.normal(size=3), x)
         assert np.all((p > 0) & (p < 1))
+
+
+class TestScipyOracle:
+    """The numpy logistic and Cholesky solve agree with the scipy functions they replace."""
+
+    def test_logistic_matches_expit(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 3_000_001), [-np.inf, np.inf]])
+        got, want = expit(x), scipy_expit(x)
+        normal = want >= np.finfo(float).tiny
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 2e-15
+        exact = (want == 0.0) | (want == 1.0)
+        np.testing.assert_array_equal(got[exact], want[exact])
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_solve_spd_matches_cho_solve(self, k):
+        rng = default_rng(100 + k)
+        for _ in range(20):
+            m = rng.normal(size=(k, k))
+            gram = m @ m.T + 0.1 * np.eye(k)
+            for rhs in (rng.normal(size=k), rng.normal(size=(k, 3))):
+                want = cho_solve(cho_factor(gram), rhs)
+                np.testing.assert_allclose(solve_spd(gram, rhs, "test"), want,
+                                           rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("gram", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                                      [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]],
+                             ids=["singular", "indefinite", "nan", "inf"])
+    def test_solve_spd_rejects(self, gram):
+        with pytest.raises(SolverError, match="singular gram matrix"):
+            solve_spd(np.array(gram), np.ones(2), "test")
 
 
 class TestFitNuisance:

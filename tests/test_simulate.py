@@ -104,9 +104,9 @@ class TestDrawSamples:
         n_rep = 400
         hits = np.zeros(5)
         for r in range(n_rep):
-            _, truth = draw_samples(pop, 1_000 + r)
+            observed, _ = draw_samples(pop, 1_000 + r)
             for j in range(5):
-                hits[j] += j in set(truth.a_index[truth.a_index < 5].tolist())
+                hits[j] += bool(np.any(np.all(observed.x_a == pop.x[j], axis=1)))
         freq = hits / n_rep
         se = np.sqrt(pop.pi_a[:5] * (1 - pop.pi_a[:5]) / n_rep)
         assert np.all(np.abs(freq - pop.pi_a[:5]) < 3.0 * se + 1e-12)
