@@ -25,10 +25,10 @@ def main() -> int:
         seed=args.seed,
     )
     population = generate_population(config)
-    observed, truth = draw_samples(population, args.seed)
+    observed, y_bar = draw_samples(population, args.seed)
     path_a, path_b = write_sample_csvs(observed, args.outdir)
     print(f"wrote {path_a} ({observed.n_a} rows) and {path_b} ({observed.n_b} rows)")
-    print(f"population size {observed.n_population}, true mean {truth.y_bar:.6f}")
+    print(f"population size {observed.n_population}, true mean {y_bar:.6f}")
     return 0
 
 

@@ -1,15 +1,15 @@
 """Finite-population generator and repeated-sampling Monte Carlo harness.
 
 One population (the frame of covariates and design probabilities) is
-generated per scenario and held fixed; each replicate then redraws the
-outcomes from the superpopulation model (optionally held fixed for
-diagnostics), redraws both samples, refits the nuisance models, and
-evaluates the scenario's :class:`EvalPlan` with :func:`evaluate`, the
-function the ``estimate`` command evaluates its plan with too. A replicate
-that fails with a domain error (invalid data, a failed solve, an unusable
-draw) counts as failed; any other exception stops the study. Replicate
-RNG streams are indexed by (master seed, replicate), so serial and
-parallel execution produce bit-identical summaries.
+generated and checked once per scenario and held fixed; each replicate
+then draws new outcomes from the superpopulation model, redraws both
+samples, refits the nuisance models, and evaluates the scenario's
+:class:`EvalPlan` with :func:`evaluate`, the function the ``estimate``
+command evaluates its plan with too. A replicate that fails with a domain
+error (invalid data, a failed solve, an unusable draw) counts as failed;
+any other exception stops the study. Replicate RNG streams are indexed by
+(master seed, replicate), so serial and parallel execution produce
+bit-identical summaries.
 
 Misspecification never touches the generating mechanism: toggling
 ``outcome_wrong``/``selection_wrong`` only drops the last covariate column
@@ -52,7 +52,6 @@ __all__ = [
     "Covariate",
     "EvalPlan",
     "MonteCarloSummary",
-    "ReplicateTruth",
     "ScenarioConfig",
     "SimulationError",
     "SummaryRow",
@@ -92,7 +91,8 @@ class Covariate:
         if len(params) not in counts:
             raise ValidationError(f"a {self.kind} covariate takes {' or '.join(map(str, counts))} params, "
                                   f"not {params}")
-        if len(params) == 2 and params[1] < (params[0] if self.kind == "uniform" else 0.0):
+        if (self.kind == "bernoulli" and params and not 0.0 <= params[0] <= 1.0
+                or len(params) == 2 and params[1] < (params[0] if self.kind == "uniform" else 0.0)):
             raise ValidationError(f"{self.kind} covariate parameters {params} describe no distribution")
 
 
@@ -197,8 +197,6 @@ class ScenarioConfig:
     selection_wrong: bool = False
     outcome_cols_override: tuple[int, ...] | None = None
     selection_cols_override: tuple[int, ...] | None = None
-    collect_y_on_a: bool = True
-    redraw_y: bool = True
     replicates: int = 1000
     level: float = 0.95
     sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
@@ -275,13 +273,6 @@ class ScenarioConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class ReplicateTruth:
-    """Ground-truth sidecar for one replicate (simulation only)."""
-
-    y_bar: float
-
-
 def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
     eta = x @ np.asarray(config.beta_true)
     if config.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
@@ -333,16 +324,18 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
     return FinitePopulation(x=x, y=y, pi_a=pi_a, pi_b_true=pi_b, design=design)
 
 
-def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) -> FinitePopulation:
-    """New outcome vector from the superpopulation model, frame held fixed."""
+def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) -> np.ndarray:
+    """A new outcome vector ``y`` for the frame of ``population``, drawn from the superpopulation model."""
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    y = _draw_outcomes(population.x, config, default_rng(ss))
-    return dataclasses.replace(population, y=y)
+    return _draw_outcomes(population.x, config, default_rng(ss))
 
 
-def draw_samples(population: FinitePopulation, seed, *,
-                 collect_y_on_a: bool = True) -> tuple[ObservedData, ReplicateTruth]:
+def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None) -> tuple[ObservedData, float]:
     """Draw sample A by the design and sample B by independent Bernoulli selection.
+
+    Both samples observe the outcome vector ``y`` (by default
+    ``population.y``), which must hold one finite value per unit. Returns
+    the observed data and ``y_bar``, the population mean of ``y``.
 
     The two samples come from independent RNG streams. Degenerate draws
     (either sample smaller than the covariate dimension + 1) are redrawn,
@@ -350,6 +343,10 @@ def draw_samples(population: FinitePopulation, seed, *,
     """
     ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
     n = population.size
+    y = population.y if y is None else np.asarray(y, dtype=float)
+    y_bar = float(np.mean(y))
+    if y.shape != (n,) or not np.isfinite(y_bar):
+        raise ValidationError(f"the outcome vector must hold {n} finite values")
     need = population.x.shape[1] + 1
     for _ in range(_DRAW_ATTEMPTS):
         a_ss, b_ss = ss.spawn(2)
@@ -365,11 +362,11 @@ def draw_samples(population: FinitePopulation, seed, *,
                 design=population.design,
                 x_a=population.x[a_idx],
                 pi_a=population.pi_a[a_idx],
-                y_a=population.y[a_idx] if collect_y_on_a else None,
+                y_a=y[a_idx],
                 x_b=population.x[b_idx],
-                y_b=population.y[b_idx],
+                y_b=y[b_idx],
             )
-            return observed, ReplicateTruth(y_bar=float(np.mean(population.y)))
+            return observed, y_bar
     raise SimulationError(f"could not draw usable samples after {_DRAW_ATTEMPTS} attempts")
 
 
@@ -383,13 +380,12 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
     try:
         ss = SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
         y_ss, sample_ss = ss.spawn(2)
-        pop = redraw_outcomes(population, config, y_ss) if config.redraw_y else population
-        observed, truth = draw_samples(pop, sample_ss, collect_y_on_a=config.collect_y_on_a)
+        observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec()))
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
     except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    record = {"_ybar": truth.y_bar}
+    record = {"_ybar": y_bar}
     record.update((f"{row.name};{key}", value) for row in rows for key, value in row.values.items())
     return record
 

@@ -328,6 +328,9 @@ class TestSimulateMode:
     ("estimate", None, "level", "0.9"),
     ("simulate", "scenario", "beta_true", [True, 1.0]),
     ("simulate", "scenario.covariates.0", "params", ["0", 1.0]),
+    # outcome-mode keys that nothing reads
+    ("simulate", "scenario", "redraw_y", False),
+    ("simulate", "scenario", "collect_y_on_a", True),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -335,6 +338,15 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("p", [1.5, -0.2])
+def test_bernoulli_probability_outside_the_unit_interval_is_validation_error(tmp_path, capsys, p):
+    # such a p gives a constant column and a singular fit in every replicate: a config error, not exit 3
+    path = edited_config(tmp_path, "simulate", "scenario.covariates.0",
+                         lambda target: target.update(kind="bernoulli", params=[p]))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "describe no distribution" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, section, key", [

@@ -87,9 +87,9 @@ class TestDrawSamples:
         pop = generate_population(small_config())
         census = FinitePopulation(x=pop.x, y=pop.y, pi_a=np.ones(pop.size),
                                   pi_b_true=pop.pi_b_true, design=pop.design)
-        observed, truth = draw_samples(census, 5)
+        observed, y_bar = draw_samples(census, 5)
         assert observed.n_a == pop.size
-        assert truth.y_bar == pytest.approx(float(np.mean(pop.y)))
+        assert y_bar == pytest.approx(float(np.mean(pop.y)))
 
     def test_srswor_sample_size_is_fixed(self):
         config = small_config(design_kind=DesignKind.SRSWOR, sample_a_size=100, pi_a_coef=None)
@@ -119,6 +119,12 @@ class TestDrawSamples:
         sizes = [draw_samples(pop, 2_000 + r)[0].n_b for r in range(200)]
         assert abs(np.mean(sizes) - expected) < 3.0 * sd_single
 
+    def test_outcomes_must_give_one_finite_value_per_unit(self):
+        pop = generate_population(small_config())
+        for y in (pop.y[:-1], np.where(np.arange(pop.size) == 3, np.nan, pop.y)):
+            with pytest.raises(ValidationError, match="finite values"):
+                draw_samples(pop, 0, y)
+
     def test_degenerate_selection_errors_after_retries(self):
         config = small_config(alpha_true=(-14.0, 0.0))
         pop = generate_population(config)
@@ -145,10 +151,17 @@ class TestRunReplications:
         ratio = r_hi.mc_bias_se / r_lo.mc_bias_se
         assert 0.35 < ratio < 0.72  # target 1/2, allow sampling wobble
 
-    def test_fixed_outcomes_mode(self):
-        summary = run_replications(small_config(redraw_y=False, replicates=20))
-        pop = generate_population(small_config())
-        assert summary.y_bar_mean == pytest.approx(float(np.mean(pop.y)), rel=1e-14)
+    def test_a_serial_study_builds_and_checks_the_frame_once(self, monkeypatch):
+        calls = []
+        check = FinitePopulation.__post_init__
+
+        def counted_check(population):
+            calls.append(None)
+            check(population)
+
+        monkeypatch.setattr(FinitePopulation, "__post_init__", counted_check)
+        run_replications(small_config(replicates=5))
+        assert len(calls) == 1
 
     def test_failure_threshold_raises(self):
         config = small_config(alpha_true=(-14.0, 0.0), replicates=10)

@@ -310,8 +310,7 @@ class TestResidualVariance:
         spec = config.model_spec()
         values = []
         for r in range(200):
-            redrawn = redraw_outcomes(pop, config, 40_000 + r)
-            observed, _ = draw_samples(redrawn, 30_000 + r)
+            observed, _ = draw_samples(pop, 30_000 + r, redraw_outcomes(pop, config, 40_000 + r))
             fit = fit_nuisance(observed, spec)
             values.append(residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)[1][0])
         values = np.asarray(values)
