@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .combiner import PooledReport, combine, pool, pooled_variance, z_score
 from .designs import (
-    JointProbProvider,
     hajek_mean,
     ht_cov_estimate,
     ht_mean,

@@ -65,7 +65,6 @@ from .types import (
     config_int,
     config_section,
     field_names,
-    validate,
 )
 from .uncertainty import ResidualVarianceModel
 
@@ -294,12 +293,9 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
 
 
 def read_samples(config: RunConfig) -> ObservedData:
-    """Read and validate both sample CSVs into an ObservedData."""
+    """Read both sample CSVs into an ObservedData, which checks them as it is built."""
     x_a_raw, tails_a, has_y_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
     x_b_raw, tails_b, _ = _read_rows(config.sample_b_path, ("y",))
-    if x_a_raw.shape[1] != x_b_raw.shape[1]:
-        raise ValidationError(
-            f"covariate dimension mismatch: sample A has {x_a_raw.shape[1]}, sample B has {x_b_raw.shape[1]}")
     pi_a = tails_a["pi_a"]
     outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
     if outside.any():
@@ -307,7 +303,7 @@ def read_samples(config: RunConfig) -> ObservedData:
         lineno = _scan_rows(config.sample_a_path, ("pi_a",), ("y",))[0][row]
         raise ValidationError(
             f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} outside (0, 1]")
-    observed = ObservedData(
+    return ObservedData(
         n_population=config.n_population,
         design=config.design,
         x_a=np.hstack([np.ones((len(x_a_raw), 1)), x_a_raw]),
@@ -316,7 +312,6 @@ def read_samples(config: RunConfig) -> ObservedData:
         x_b=np.hstack([np.ones((len(x_b_raw), 1)), x_b_raw]),
         y_b=tails_b["y"],
     )
-    return validate(observed)
 
 
 def _save_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:

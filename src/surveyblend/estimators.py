@@ -14,9 +14,9 @@ from enum import Enum
 
 import numpy as np
 
-from .designs import JointProbProvider, hajek_mean, ht_mean
+from .designs import hajek_mean, ht_mean
 from .nuisance import NuisanceFit, check_selection_floor
-from .types import ObservedData, ValidationError
+from .types import ModelSpec, ObservedData, ValidationError
 
 __all__ = ["Analysis", "EstimatorKind"]
 
@@ -40,12 +40,12 @@ class Analysis:
 
     The fitted selection probabilities of both samples are computed and
     floor-checked when the analysis is made, so a fit that would need its
-    weights clamped fails before any estimator runs. The pairwise-probability
-    provider and the outcome-model means on each sample are computed on
-    first use and kept. Point estimates here, and the centering terms,
-    variances and covariances of :mod:`surveyblend.uncertainty`, are kept
-    per key through :meth:`memo`, so a quantity that several reports need
-    is computed once.
+    weights clamped fails before any estimator runs; without a fit, whatever
+    needs one raises a :class:`ValidationError`. The outcome-model means on
+    each sample are computed on first use and kept. Point estimates here,
+    and the centering terms, variances and covariances of
+    :mod:`surveyblend.uncertainty`, are kept per key through :meth:`memo`,
+    so a quantity that several reports need is computed once.
     """
 
     def __init__(self, observed: ObservedData, fit: NuisanceFit | None = None):
@@ -69,18 +69,23 @@ class Analysis:
                     item.setflags(write=False)
         return self._memo[key]
 
+    def _fitted(self, what: str) -> NuisanceFit:
+        """The nuisance fit, which ``what`` needs; a :class:`ValidationError` when there is none."""
+        if self.fit is None:
+            raise ValidationError(f"{what} needs a nuisance fit")
+        return self.fit
+
     @property
-    def provider(self) -> JointProbProvider:
-        observed = self.observed
-        return self.memo("provider", lambda: JointProbProvider(observed.design, observed.pi_a, observed.n_population))
+    def spec(self) -> ModelSpec:
+        return self._fitted("each variance formula").spec
 
     @property
     def m_a(self) -> np.ndarray:
-        return self.memo("m_a", lambda: self.fit.m(self.observed.x_a))
+        return self.memo("m_a", lambda: self._fitted("the outcome model").m(self.observed.x_a))
 
     @property
     def m_b(self) -> np.ndarray:
-        return self.memo("m_b", lambda: self.fit.m(self.observed.x_b))
+        return self.memo("m_b", lambda: self._fitted("the outcome model").m(self.observed.x_b))
 
     def point(self, kind: EstimatorKind) -> float:
         """Evaluate one point estimator of the population mean.
@@ -100,8 +105,7 @@ class Analysis:
                 return ht_mean(observed.y_a, observed.pi_a, n_pop)
             return hajek_mean(observed.y_a, observed.pi_a)
 
-        if self.fit is None:
-            raise ValidationError(f"{kind.value} needs a nuisance fit")
+        self._fitted(kind.value)
         pi_b = self.pi_b_b
         if kind is EstimatorKind.IPW1:
             return float(np.sum(observed.y_b / pi_b) / n_pop)

@@ -1,8 +1,8 @@
 """Shared data model: populations, observed samples, model specifications.
 
-All array fields are converted to float64 and marked read-only at
-construction, so every object here is immutable and safe to share across
-threads or worker processes.
+Every object here checks its invariants and converts its array fields to
+read-only float64 when it is constructed, so it is valid, immutable and
+safe to share across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -189,7 +189,8 @@ class ObservedData:
     Sample A rows carry covariates, known inclusion probabilities and,
     when the outcome was collected there, outcome values. Sample B rows
     always carry the outcome. Covariate matrices include the intercept
-    column; per-model column masks live in :class:`ModelSpec`.
+    column; per-model column masks live in :class:`ModelSpec`. Construction
+    checks the shapes, then the values through :func:`validate`.
     """
 
     n_population: int
@@ -202,29 +203,20 @@ class ObservedData:
 
     def __post_init__(self):
         _set(self, "n_population", config_int("n_population", self.n_population))
-        x_a = frozen_array(self.x_a)
-        x_b = frozen_array(self.x_b)
-        if x_a.ndim != 2 or x_b.ndim != 2:
+        for name in ("x_a", "x_b", "pi_a", "y_b", "y_a"):
+            if getattr(self, name) is not None:
+                _set(self, name, frozen_array(getattr(self, name)))
+        if self.x_a.ndim != 2 or self.x_b.ndim != 2:
             raise ValidationError("sample covariates must be 2-d arrays")
-        if x_a.shape[1] != x_b.shape[1]:
+        if self.x_a.shape[1] != self.x_b.shape[1]:
             raise ValidationError(
-                f"covariate dimension mismatch: sample A has {x_a.shape[1]}, sample B has {x_b.shape[1]}"
+                f"covariate dimension mismatch: sample A has {self.x_a.shape[1]}, sample B has {self.x_b.shape[1]}"
             )
-        _set(self, "x_a", x_a)
-        _set(self, "x_b", x_b)
-        pi_a = frozen_array(self.pi_a)
-        if pi_a.shape != (x_a.shape[0],):
-            raise ValidationError("pi_a length does not match sample A")
-        _set(self, "pi_a", pi_a)
-        y_b = frozen_array(self.y_b)
-        if y_b.shape != (x_b.shape[0],):
-            raise ValidationError("y length does not match sample B")
-        _set(self, "y_b", y_b)
-        if self.y_a is not None:
-            y_a = frozen_array(self.y_a)
-            if y_a.shape != (x_a.shape[0],):
-                raise ValidationError("y length does not match sample A")
-            _set(self, "y_a", y_a)
+        for name, label, sample in (("pi_a", "pi_a", "A"), ("y_b", "y", "B"), ("y_a", "y", "A")):
+            arr = getattr(self, name)
+            if arr is not None and arr.shape != (self.n_a if sample == "A" else self.n_b,):
+                raise ValidationError(f"{label} length does not match sample {sample}")
+        validate(self)
 
     @property
     def n_a(self) -> int:
@@ -279,7 +271,8 @@ class ModelSpec:
 def validate(observed: ObservedData) -> ObservedData:
     """Check every value-level invariant of :class:`ObservedData`.
 
-    Returns the input object unchanged when everything holds, so the
+    Construction runs these checks, so on an existing object this re-runs
+    them. Returns the input object unchanged when everything holds, so the
     operation is idempotent. Raises :class:`ValidationError` on the first
     violation found.
     """
@@ -289,7 +282,7 @@ def validate(observed: ObservedData) -> ObservedData:
         raise ValidationError("empty sample")
     if n_pop < max(observed.n_a, observed.n_b):
         raise ValidationError("population size smaller than a sample size")
-    if np.any(observed.pi_a <= 0.0):
+    if not np.all(observed.pi_a > 0.0):  # NaN too
         raise ValidationError("nonpositive inclusion probability in sample A")
     if np.any(observed.pi_a > 1.0):
         raise ValidationError("inclusion probability above 1 in sample A")

@@ -22,7 +22,7 @@ covariance of two Horvitz-Thompson means over sample A: the centered
 predictions against the outcomes centered at 0 (HT) or at the Hajek mean.
 
 Each function reads one :class:`~surveyblend.estimators.Analysis` and keeps
-its result there.
+its result there; all but :func:`var_prob_estimate` need its nuisance fit.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def regression_adjustment(analysis: Analysis, *, on_residuals: bool, centered: b
     inverse-probability mean over sample B.
     """
     def compute():
-        observed, fit = analysis.observed, analysis.fit
-        cols = fit.spec.columns("selection", observed.n_covariates)
+        observed = analysis.observed
+        cols = analysis.spec.columns("selection", observed.n_covariates)
         x = observed.x_b[:, cols]
         pi = analysis.pi_b_b
         target = observed.y_b - analysis.m_b if on_residuals else observed.y_b
@@ -140,7 +140,7 @@ def _outcome_model(kind: EstimatorKind, analysis: Analysis) -> tuple[np.ndarray,
 def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> CenteringTerms:
     """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
     def compute():
-        check_supported(kind, regime, analysis.fit.spec.fit_method)
+        check_supported(kind, regime, analysis.spec.fit_method)
         self_normalized, adjusted = CENTERING[kind, regime]
         observed = analysis.observed
         _, m_b, m_bar = _outcome_model(kind, analysis)
@@ -149,7 +149,7 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
             outcome_center = m_b
         else:
             adj = regression_adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
-            cols = analysis.fit.spec.columns("selection", observed.n_covariates)
+            cols = analysis.spec.columns("selection", observed.n_covariates)
             adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
             adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
             if self_normalized:
@@ -182,12 +182,12 @@ def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple
     fits squared residuals on the outcome covariates and truncates below
     at zero.
     """
-    observed, fit = analysis.observed, analysis.fit
+    observed = analysis.observed
     r = observed.y_b - analysis.m_b
     if model is ResidualVarianceModel.CONSTANT:
         s2 = float(np.mean(r**2))
         return np.full(observed.n_a, s2), np.full(observed.n_b, s2)
-    cols = fit.spec.columns("outcome", observed.n_covariates)
+    cols = analysis.spec.columns("outcome", observed.n_covariates)
     x_b = observed.x_b[:, cols]
     coef, *_ = np.linalg.lstsq(x_b, r**2, rcond=None)
     s2_a = np.clip(observed.x_a[:, cols] @ coef, 0.0, None)
@@ -200,12 +200,12 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
     """Closed-form variance estimate for a reweighted estimator under a regime."""
     def compute():
         observed = analysis.observed
-        term1 = ht_var_estimate(_centered_predictions(kind, regime, analysis), analysis.provider)
+        n_pop = observed.n_population
+        term1 = ht_var_estimate(_centered_predictions(kind, regime, analysis), observed.design, observed.pi_a, n_pop)
         if term1 < 0.0:
             # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
             warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
         pi_b = analysis.pi_b_b
-        n_pop = observed.n_population
         outcome_center = centering_terms(kind, regime, analysis).outcome_center
         term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - outcome_center) ** 2) / n_pop**2)
         correction = 0.0
@@ -232,8 +232,9 @@ def _prob_residuals(prob_kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
 
 def var_prob_estimate(kind: EstimatorKind, analysis: Analysis) -> float:
     """Variance estimate for the probability-sample estimators (HT or Hajek)."""
-    return analysis.memo(("var_prob", kind),
-                         lambda: ht_var_estimate(_prob_residuals(kind, analysis), analysis.provider))
+    observed = analysis.observed
+    return analysis.memo(("var_prob", kind), lambda: ht_var_estimate(
+        _prob_residuals(kind, analysis), observed.design, observed.pi_a, observed.n_population))
 
 
 def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:
@@ -244,7 +245,8 @@ def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, 
     predictions against the (possibly Hajek-centered) outcomes on sample A.
     """
     def compute():
-        u = _centered_predictions(kind, regime, analysis)
-        return ht_cov_estimate(u, _prob_residuals(prob_kind, analysis), analysis.provider)
+        observed = analysis.observed
+        u, v = _centered_predictions(kind, regime, analysis), _prob_residuals(prob_kind, analysis)
+        return ht_cov_estimate(u, v, observed.design, observed.pi_a, observed.n_population)
 
     return analysis.memo(("cov", kind, regime, prob_kind), compute)

@@ -18,7 +18,6 @@ from surveyblend import (
     DesignKind,
     EstimatorKind,
     FitMethod,
-    JointProbProvider,
     ModelSpec,
     NuisanceFit,
     Regime,
@@ -73,9 +72,9 @@ def test_criterion_1_exact_enumeration_oracle():
         t_v = [ht(v, s) for s in samples]
         exact = float(np.mean([(a - np.mean(t_u)) * (b - np.mean(t_v))
                                for a, b in zip(t_u, t_v)]))
-        provider = JointProbProvider(DesignDescriptor(DesignKind.SRSWOR, n=n),
-                                     np.full(n, pi), big_n)
-        mean_est = float(np.mean([ht_cov_estimate(u[list(s)], v[list(s)], provider)
+        design_args = (DesignDescriptor(DesignKind.SRSWOR, n=n),
+                       np.full(n, pi), big_n)
+        mean_est = float(np.mean([ht_cov_estimate(u[list(s)], v[list(s)], *design_args)
                                   for s in samples]))
         err = abs(mean_est - exact)
         checks.append((err <= 1e-15 + 1e-13 * abs(exact),

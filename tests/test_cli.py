@@ -643,9 +643,9 @@ def reference_sample_csvs(observed, directory):
 @pytest.mark.parametrize("y_on_a", [True, False])
 def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, y_on_a):
     base = make_observed(seed=90, y_on_a=y_on_a)
-    # values that need all 17 digits, signed zeros, extremes and non-finite values
+    # values that need all 17 digits, signed zeros and extremes; no valid ObservedData holds a non-finite one
     special = [-0.0, 0.1 + 0.2, 1 / 3, -2 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 2.0**53 + 2, 1e22,
-               123456789.12345679, np.inf, -np.inf, np.nan]
+               123456789.12345679]
     x_a, x_b, y_b = base.x_a.copy(), base.x_b.copy(), base.y_b.copy()
     x_a[:len(special), 1] = special
     x_b[:len(special), 2] = special[::-1]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from surveyblend import (
     DesignDescriptor,
     DesignKind,
-    JointProbProvider,
     ValidationError,
     hajek_mean,
     ht_cov_estimate,
@@ -26,22 +25,24 @@ from surveyblend import (
 
 
 def poisson_provider(pi, n_population):
-    return JointProbProvider(DesignDescriptor(DesignKind.POISSON), np.asarray(pi, float), n_population)
+    """The ``(design, pi, N)`` arguments of the HT variance functions for a Poisson sample."""
+    return DesignDescriptor(DesignKind.POISSON), np.asarray(pi, float), n_population
 
 
 def srswor_provider(n, n_population, n_sampled=None):
+    """The ``(design, pi, N)`` arguments of the HT variance functions for an SRSWOR sample."""
     size = n if n_sampled is None else n_sampled
-    return JointProbProvider(DesignDescriptor(DesignKind.SRSWOR, n=n),
-                             np.full(size, n / n_population), n_population)
+    return DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(size, n / n_population), n_population
 
 
 def joint_prob(provider, i, j):
     """Reference P(both unit i and unit j are sampled), by definition; pi_i when i == j."""
+    design, pi, big_n = provider
     if i == j:
-        return float(provider.pi[i])
-    if provider.design.kind is DesignKind.POISSON:
-        return float(provider.pi[i] * provider.pi[j])
-    n, big_n = provider.design.n, provider.n_population
+        return float(pi[i])
+    if design.kind is DesignKind.POISSON:
+        return float(pi[i] * pi[j])
+    n = design.n
     return n * (n - 1) / (big_n * (big_n - 1))
 
 
@@ -95,11 +96,11 @@ class TestHajekMean:
 class TestHtVarEstimate:
     def test_zero_residuals(self):
         p = poisson_provider([0.4, 0.6, 0.8], 20)
-        assert ht_var_estimate(np.zeros(3), p) == 0.0
+        assert ht_var_estimate(np.zeros(3), *p) == 0.0
 
     def test_single_unit_poisson(self):
         p = poisson_provider([0.5], 10)
-        assert ht_var_estimate(np.array([2.0]), p) == pytest.approx(0.08)
+        assert ht_var_estimate(np.array([2.0]), *p) == pytest.approx(0.08)
 
     def test_poisson_closed_form_matches_dense_double_sum(self):
         rng = np.random.default_rng(42)
@@ -113,7 +114,7 @@ class TestHtVarEstimate:
                 pij = joint_prob(p, i, j)
                 dense += (pij - pi[i] * pi[j]) / pij * (u[i] / pi[i]) * (v[j] / pi[j])
         dense /= 50**2
-        assert ht_cov_estimate(u, v, p) == pytest.approx(dense, rel=1e-12)
+        assert ht_cov_estimate(u, v, *p) == pytest.approx(dense, rel=1e-12)
 
     def test_srswor_closed_form_matches_dense_double_sum(self):
         rng = np.random.default_rng(7)
@@ -128,7 +129,7 @@ class TestHtVarEstimate:
                 pij = joint_prob(p, i, j)
                 dense += (pij - pi[i] * pi[j]) / pij * (u[i] / pi[i]) * (v[j] / pi[j])
         dense /= big_n**2
-        assert ht_cov_estimate(u, v, p) == pytest.approx(dense, rel=1e-12)
+        assert ht_cov_estimate(u, v, *p) == pytest.approx(dense, rel=1e-12)
 
 
 class TestEnumerationOracle:
@@ -144,7 +145,7 @@ class TestEnumerationOracle:
         est = []
         for s in samples:
             provider = srswor_provider(n, big_n)
-            est.append(ht_cov_estimate(z[list(s)], w[list(s)], provider))
+            est.append(ht_cov_estimate(z[list(s)], w[list(s)], *provider))
         return float(np.mean(est)), exact_cov
 
     def test_variance_unbiased_n6_choose_3(self):
@@ -172,13 +173,13 @@ class TestProperties:
         rng = np.random.default_rng(3)
         u = rng.normal(size=9)
         p = poisson_provider(rng.uniform(0.2, 0.8, 9), 40)
-        assert ht_cov_estimate(u, u, p) == ht_var_estimate(u, p)
+        assert ht_cov_estimate(u, u, *p) == ht_var_estimate(u, *p)
 
     def test_cov_with_zero_is_zero(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=9)
         p = poisson_provider(rng.uniform(0.2, 0.8, 9), 40)
-        assert ht_cov_estimate(u, np.zeros(9), p) == 0.0
+        assert ht_cov_estimate(u, np.zeros(9), *p) == 0.0
 
     def test_poisson_collapses_to_diagonal_sum(self):
         rng = np.random.default_rng(5)
@@ -187,7 +188,7 @@ class TestProperties:
         v = rng.normal(size=15)
         p = poisson_provider(pi, 60)
         expected = float(np.sum((1 - pi) * u * v / pi**2) / 60**2)
-        assert ht_cov_estimate(u, v, p) == pytest.approx(expected, rel=0, abs=0)
+        assert ht_cov_estimate(u, v, *p) == pytest.approx(expected, rel=0, abs=0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-4, 4))
@@ -196,8 +197,8 @@ class TestProperties:
         n = 8
         u = rng.normal(size=n)
         p = poisson_provider(rng.uniform(0.2, 0.9, n), 30)
-        base = ht_var_estimate(u, p)
-        assert ht_var_estimate(c * u, p) == pytest.approx(c * c * base, rel=1e-9, abs=1e-12)
+        base = ht_var_estimate(u, *p)
+        assert ht_var_estimate(c * u, *p) == pytest.approx(c * c * base, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -210,9 +211,9 @@ class TestProperties:
         kind = seed % 2
         p = (poisson_provider(rng.uniform(0.2, 0.9, n), 25) if kind == 0
              else srswor_provider(n, 25))
-        assert ht_cov_estimate(u, v, p) == pytest.approx(ht_cov_estimate(v, u, p), rel=1e-12, abs=1e-15)
-        lhs = ht_cov_estimate(u + w, v, p)
-        rhs = ht_cov_estimate(u, v, p) + ht_cov_estimate(w, v, p)
+        assert ht_cov_estimate(u, v, *p) == pytest.approx(ht_cov_estimate(v, u, *p), rel=1e-12, abs=1e-15)
+        lhs = ht_cov_estimate(u + w, v, *p)
+        rhs = ht_cov_estimate(u, v, *p) + ht_cov_estimate(w, v, *p)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-13)
 
     def test_permutation_invariance(self):
@@ -223,4 +224,4 @@ class TestProperties:
         p = poisson_provider(pi, 40)
         perm = rng.permutation(n)
         p_perm = poisson_provider(pi[perm], 40)
-        assert ht_var_estimate(u[perm], p_perm) == pytest.approx(ht_var_estimate(u, p), rel=1e-12)
+        assert ht_var_estimate(u[perm], *p_perm) == pytest.approx(ht_var_estimate(u, *p), rel=1e-12)

@@ -51,14 +51,14 @@ class TestDefinitions:
         assert Analysis(observed).point(K.HAJEK) == hajek_mean(observed.y_a, observed.pi_a)
 
     def test_dr1_hand_checked_toy(self):
-        # Three units, sample A = {unit 1} with pi = 1/3, sample B a census
-        # with fitted selection probability pinned at 1 (logit 40 rounds to
-        # exactly 1.0 in float64). Outcome model predicts 1 everywhere.
+        # Three units, sample A = two units with pi = 2/3 (weight sum 3), sample
+        # B a census with fitted selection probability pinned at 1 (logit 40
+        # rounds to exactly 1.0 in float64). Outcome model predicts 1 everywhere.
         observed = ObservedData(
             n_population=3,
             design=DesignDescriptor(DesignKind.POISSON),
-            x_a=np.array([[1.0]]),
-            pi_a=np.array([1 / 3]),
+            x_a=np.ones((2, 1)),
+            pi_a=np.array([2 / 3, 2 / 3]),
             x_b=np.ones((3, 1)),
             y_b=np.array([0.0, 2.0, 4.0]),
         )

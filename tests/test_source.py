@@ -1,6 +1,9 @@
 """Rules that hold for the package source and its documentation as a whole."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -42,3 +45,20 @@ def test_readme_quick_tour_runs(capsys):
     exec(compile(block, "README.md", "exec"), names)
     assert names["report"].ci_low <= names["report"].pooled_estimate <= names["report"].ci_high
     assert capsys.readouterr().out.strip()
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # benchmark/tracing.py wraps package functions by name; a renamed or moved one would silently drop its spans.
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {layer: importlib.import_module(f"surveyblend.{layer}") for layer in tracing.LAYERS}
+    for layer, names in tracing._EXTRA.items():
+        for name in names:
+            fn = getattr(modules[layer], name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == modules[layer].__name__, f"{layer}.{name}"
+    for layer, cls_name, method in tracing._METHODS:
+        assert method in vars(getattr(modules[layer], cls_name)), f"{layer}.{cls_name}.{method}"
+    # the tracer reads the replicate number from argument 2 (replicate_arg=2)
+    params = list(inspect.signature(modules["simulate"]._replicate_record).parameters)
+    assert params[2] == "rep_index", params

@@ -16,6 +16,7 @@ from surveyblend import (
     validate,
 )
 from surveyblend.cli import RunConfig, read_samples, write_sample_csvs
+from surveyblend.types import field_names
 from conftest import make_observed
 
 
@@ -26,59 +27,37 @@ def test_validate_returns_same_object_on_valid_input():
     assert validate(validate(observed)) is observed
 
 
-def test_validate_rejects_zero_inclusion_probability():
-    observed = make_observed(seed=1)
-    pi = np.array(observed.pi_a)
-    pi[0] = 0.0
-    bad = ObservedData(n_population=observed.n_population, design=observed.design,
-                       x_a=observed.x_a, pi_a=pi, y_a=observed.y_a,
-                       x_b=observed.x_b, y_b=observed.y_b)
-    with pytest.raises(ValidationError, match="nonpositive inclusion probability"):
-        validate(bad)
+def with_entry(fields, name, index, value):
+    """``fields[name]`` as a copy with ``value`` written at ``index``."""
+    arr = np.array(fields[name])
+    arr[index] = value
+    return {name: arr}
 
 
-def test_validate_rejects_probability_above_one():
-    observed = make_observed(seed=1)
-    pi = np.array(observed.pi_a)
-    pi[2] = 1.5
-    bad = ObservedData(n_population=observed.n_population, design=observed.design,
-                       x_a=observed.x_a, pi_a=pi, y_a=observed.y_a,
-                       x_b=observed.x_b, y_b=observed.y_b)
-    with pytest.raises(ValidationError, match="above 1"):
-        validate(bad)
-
-
-def test_validate_rejects_underdetermined_sample_b():
+# id -> (overrides of a valid dataset's fields, given those fields; message the rejection matches)
+CORRUPTIONS = {
+    "nan_y_a": (lambda f: with_entry(f, "y_a", 3, np.nan), "non-finite outcome on sample A"),
+    "zero_pi_a": (lambda f: with_entry(f, "pi_a", 0, 0.0), "nonpositive inclusion probability"),
+    "nan_pi_a": (lambda f: with_entry(f, "pi_a", 1, np.nan), "nonpositive inclusion probability"),
+    "pi_a_above_one": (lambda f: with_entry(f, "pi_a", 2, 1.5), "above 1"),
+    "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B"),
+    "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept"),
+    "population_below_n_b": (lambda f: {"n_population": len(f["y_b"]) - 1}, "population size smaller"),
+    "srswor_size_mismatch": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"]) + 1)},
+                             "SRSWOR design size does not match sample A size"),
     # 2 rows against 3 covariate columns (intercept + 2)
-    x_b = np.array([[1.0, 0.5, 1.0], [1.0, -0.5, 2.0]])
-    observed = make_observed(seed=2)
-    bad = ObservedData(n_population=observed.n_population, design=observed.design,
-                       x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
-                       x_b=x_b, y_b=np.array([1.0, 2.0]))
-    with pytest.raises(ValidationError, match="underdetermined fit"):
-        validate(bad)
+    "underdetermined_sample_b": (lambda f: {"x_b": np.array([[1.0, 0.5, 1.0], [1.0, -0.5, 2.0]]),
+                                            "y_b": np.array([1.0, 2.0])}, "underdetermined fit"),
+    "missing_outcome_on_sample_b": (lambda f: with_entry(f, "y_b", 1, np.nan), "sample B"),
+}
 
 
-def test_validate_rejects_missing_outcome_on_sample_b():
-    observed = make_observed(seed=4)
-    y_b = np.array(observed.y_b)
-    y_b[1] = np.nan
-    bad = ObservedData(n_population=observed.n_population, design=observed.design,
-                       x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
-                       x_b=observed.x_b, y_b=y_b)
-    with pytest.raises(ValidationError, match="sample B"):
-        validate(bad)
-
-
-def test_validate_rejects_non_intercept_first_column():
-    observed = make_observed(seed=5)
-    x_a = np.array(observed.x_a)
-    x_a[0, 0] = 2.0
-    bad = ObservedData(n_population=observed.n_population, design=observed.design,
-                       x_a=x_a, pi_a=observed.pi_a, y_a=observed.y_a,
-                       x_b=observed.x_b, y_b=observed.y_b)
-    with pytest.raises(ValidationError, match="intercept"):
-        validate(bad)
+@pytest.mark.parametrize("corrupt, match", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_observed_data_rejects_invalid_values_at_construction(corrupt, match):
+    observed = make_observed(seed=1)
+    fields = {name: getattr(observed, name) for name in field_names(ObservedData)}
+    with pytest.raises(ValidationError, match=match):
+        ObservedData(**{**fields, **corrupt(fields)})
 
 
 def test_dimension_mismatch_raises_at_construction():

@@ -153,7 +153,7 @@ class TestVarEstimate:
         fit = default_fit(observed)
         analysis = Analysis(observed, fit)
         var = variance(K.DR1, R.BOTH_CORRECT, analysis)
-        term1 = ht_var_estimate(fit.m(observed.x_a), analysis.provider)
+        term1 = ht_var_estimate(fit.m(observed.x_a), observed.design, observed.pi_a, observed.n_population)
         assert var == pytest.approx(term1, rel=1e-12)
 
     def test_kh_correction_vanishes_for_linear_model_with_intercept(self):
@@ -265,7 +265,7 @@ class TestCovEstimate:
 
         u = analysis.fit.m(observed.x_a)
         gamma = hajek_mean(observed.y_a, observed.pi_a)
-        expected = ht_cov_estimate(u, observed.y_a - gamma, analysis.provider)
+        expected = ht_cov_estimate(u, observed.y_a - gamma, observed.design, observed.pi_a, observed.n_population)
         got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, analysis)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -361,3 +361,17 @@ class TestAnalysis:
         with pytest.raises(ValidationError, match="no variance regime"):
             variance(K.HAJEK, R.BOTH_CORRECT, analysis)
 
+    @pytest.mark.parametrize("call", [
+        lambda a: variance(K.DR1, R.BOTH_CORRECT, a),
+        lambda a: cov_estimate(K.DR2, R.BOTH_CORRECT, K.HAJEK, a),
+        lambda a: centering_terms(K.IPW1, R.SELECTION_CORRECT, a),
+        lambda a: regression_adjustment(a, on_residuals=False, centered=False),
+        lambda a: residual_variance(a, ResidualVarianceModel.LINEAR_IN_X),
+        lambda a: a.m_a,
+        lambda a: a.m_b,
+    ], ids=["variance", "cov_estimate", "centering_terms", "regression_adjustment", "residual_variance", "m_a", "m_b"])
+    def test_without_a_fit_raises_a_validation_error(self, call):
+        analysis = Analysis(make_observed(seed=70))
+        with pytest.raises(ValidationError, match="needs a nuisance fit"):
+            call(analysis)
+        assert var_prob_estimate(K.HAJEK, analysis) > 0.0
