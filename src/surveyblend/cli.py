@@ -87,8 +87,6 @@ class CsvParseError(Exception):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
@@ -280,7 +278,7 @@ def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
 
 
 def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
-    """Parse a sample CSV: (covariates without intercept, {tail column: values}, whether the optional tail is there).
+    """Parse a sample CSV: (covariates without intercept, {tail column: values} for the columns present).
 
     One ``np.loadtxt`` parses the body; the row scanner reads the file only
     when that raises or one of its guards trips.
@@ -289,13 +287,13 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
         n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
         values = _bulk_rows(path, 1 + n_x + len(tail))
     values = values[:, 1:] if values is not None else _scan_rows(path, expected_tail, optional_tail)[1]
-    return values[:, :n_x], dict(zip(tail, values[:, n_x:].T)), tail != expected_tail
+    return values[:, :n_x], dict(zip(tail, values[:, n_x:].T))
 
 
 def read_samples(config: RunConfig) -> ObservedData:
     """Read both sample CSVs into an ObservedData, which checks them as it is built."""
-    x_a_raw, tails_a, has_y_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
-    x_b_raw, tails_b, _ = _read_rows(config.sample_b_path, ("y",))
+    x_a_raw, tails_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
+    x_b_raw, tails_b = _read_rows(config.sample_b_path, ("y",))
     pi_a = tails_a["pi_a"]
     outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
     if outside.any():
@@ -308,7 +306,7 @@ def read_samples(config: RunConfig) -> ObservedData:
         design=config.design,
         x_a=np.hstack([np.ones((len(x_a_raw), 1)), x_a_raw]),
         pi_a=pi_a,
-        y_a=tails_a["y"] if has_y_a else None,
+        y_a=tails_a.get("y"),
         x_b=np.hstack([np.ones((len(x_b_raw), 1)), x_b_raw]),
         y_b=tails_b["y"],
     )

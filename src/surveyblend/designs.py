@@ -25,14 +25,21 @@ __all__ = [
 ]
 
 
+def _check_probabilities(pi: np.ndarray) -> None:
+    """Reject inclusion probabilities outside (0, 1]; a NaN makes the min and max NaN, so it fails too."""
+    if not pi.min(initial=1.0) > 0.0:
+        raise ValidationError("nonpositive inclusion probability")
+    if not pi.max(initial=0.0) <= 1.0:
+        raise ValidationError("inclusion probability above 1")
+
+
 def ht_mean(values, pi, n_population: int) -> float:
     """Horvitz-Thompson mean (1/N) sum z_i / pi_i over the sampled units."""
     values = np.asarray(values, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if values.shape != pi.shape:
         raise ValidationError("values and probabilities have different lengths")
-    if np.any(pi <= 0.0):
-        raise ValidationError("nonpositive inclusion probability")
+    _check_probabilities(pi)
     return float(np.sum(values / pi) / n_population)
 
 
@@ -44,8 +51,7 @@ def hajek_mean(values, pi) -> float:
         raise ValidationError("empty sample")
     if values.shape != pi.shape:
         raise ValidationError("values and probabilities have different lengths")
-    if np.any(pi <= 0.0):
-        raise ValidationError("nonpositive inclusion probability")
+    _check_probabilities(pi)
     w = 1.0 / pi
     return float(np.sum(values * w) / np.sum(w))
 
@@ -64,6 +70,7 @@ def ht_cov_estimate(residuals_u, residuals_v, design: DesignDescriptor, pi, n_po
     pi = np.asarray(pi, dtype=float)
     if u.shape != pi.shape or v.shape != pi.shape:
         raise ValidationError("residual vectors must align with the sampled units")
+    _check_probabilities(pi)
     if design.kind is DesignKind.POISSON:
         return float(np.sum((1.0 - pi) * u * v / pi**2) / n_population**2)
     # SRSWOR: constant pi = n/N and constant off-diagonal pi_ij, positive because n >= 2.

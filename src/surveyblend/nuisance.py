@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, ValidationError, frozen_array
+from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, frozen_array
 
 __all__ = ["NuisanceFit", "SolverError", "fit_nuisance", "predict_outcome", "predict_selection"]
 
@@ -77,23 +77,20 @@ class NuisanceFit:
     """
 
     alpha: np.ndarray
-    beta: np.ndarray | None
+    beta: np.ndarray
     spec: ModelSpec
     iterations: int
     max_abs_score: float
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", frozen_array(self.alpha))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", frozen_array(self.beta))
+        object.__setattr__(self, "beta", frozen_array(self.beta))
 
     def pi_b(self, x_full: np.ndarray) -> np.ndarray:
         cols = self.spec.columns("selection", x_full.shape[1])
         return predict_selection(self.alpha, x_full[:, cols])
 
     def m(self, x_full: np.ndarray) -> np.ndarray:
-        if self.beta is None:
-            raise ValidationError("fit has no outcome model")
         cols = self.spec.columns("outcome", x_full.shape[1])
         return predict_outcome(self.beta, x_full[:, cols], self.spec.outcome_family)
 
@@ -255,7 +252,7 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
 
 def check_selection_floor(pi_b: np.ndarray) -> np.ndarray:
     """Reject fitted selection probabilities small enough to explode the weights; pass the rest on read-only."""
-    if np.any(pi_b < PI_B_FLOOR):
+    if not np.all(pi_b >= PI_B_FLOOR):  # NaN too
         raise SolverError(f"fitted selection probability below {PI_B_FLOOR:g}; refusing to clamp")
     pi_b.setflags(write=False)
     return pi_b

@@ -3,10 +3,10 @@
 One population (the frame of covariates and design probabilities) is
 generated and checked once per scenario and held fixed; each replicate
 then draws new outcomes from the superpopulation model, redraws both
-samples, refits the nuisance models, and evaluates the scenario's
-:class:`EvalPlan` with :func:`evaluate`, the function the ``estimate``
-command evaluates its plan with too. A replicate that fails with a domain
-error (invalid data, a failed solve, an unusable draw) counts as failed;
+samples, refits the nuisance models, and returns by row name the values
+of the scenario's :class:`EvalPlan` from :func:`evaluate`, which the
+``estimate`` command uses too. A failed replicate (a domain error such
+as invalid data, a failed solve or an unusable draw) stacks as NaN;
 any other exception stops the study. Replicate RNG streams are indexed by
 (master seed, replicate), so serial and parallel execution produce
 bit-identical summaries.
@@ -371,8 +371,8 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
 
 
 def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
-                      rep_index: int) -> dict[str, float] | str:
-    """One replicate's evaluated rows as ``name;value`` columns, plus the population mean ``_ybar``.
+                      rep_index: int) -> tuple[float, dict[str, dict[str, float]]] | str:
+    """One replicate's population mean ``y_bar`` and its evaluated rows' values by row name.
 
     A replicate that fails with a domain error returns the error's type and
     message instead; any other exception propagates.
@@ -385,9 +385,7 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
     except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    record = {"_ybar": y_bar}
-    record.update((f"{row.name};{key}", value) for row in rows for key, value in row.values.items())
-    return record
+    return y_bar, {row.name: row.values for row in rows}
 
 
 _WORKER_STATE: dict = {}
@@ -443,17 +441,15 @@ class MonteCarloSummary:
         raise KeyError(name)
 
 
-def _summary_row(name: str, mat: np.ndarray, col: dict[str, int]) -> SummaryRow:
-    """Aggregate one evaluated row's columns; errors and coverage are taken against ``_ybar``."""
-    ybar = mat[:, col["_ybar"]]
-    err = mat[:, col[f"{name};est"]] - ybar
+def _summary_row(name: str, columns: dict[str, np.ndarray], ybar: np.ndarray) -> SummaryRow:
+    """Aggregate one row's values over the replicates; errors and coverage are taken against ``ybar``."""
+    err = columns["est"] - ybar
     ok = np.isfinite(err)
     n = int(np.sum(ok))
     err, ybar = err[ok], ybar[ok]
 
     def column(field: str) -> np.ndarray | None:
-        key = f"{name};{field}"
-        return mat[ok, col[key]] if key in col else None
+        return columns[field][ok] if field in columns else None
 
     def se(values: np.ndarray) -> float:
         return float(np.std(values, ddof=1) / np.sqrt(n))
@@ -514,14 +510,12 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
         index, error = failed[0]
         raise SimulationError(f"{len(failed)} of {n_rep} replicates failed; "
                               f"first error (replicate {index}): {error}")
-    keys = list(next(r for r in records if isinstance(r, dict)))
-    col = {k: i for i, k in enumerate(keys)}
-    mat = np.full((n_rep, len(keys)), np.nan)
-    for i, rec in enumerate(records):
-        if isinstance(rec, dict):
-            mat[i] = [rec[k] for k in keys]
-
-    names = dict.fromkeys(key.split(";")[0] for key in keys if ";" in key)
-    return MonteCarloSummary(rows=tuple(_summary_row(name, mat, col) for name in names),
-                             n_replicates=n_rep, n_failed=len(failed),
-                             y_bar_mean=float(np.nanmean(mat[:, col["_ybar"]])))
+    # A failed replicate reads as NaN throughout, which _summary_row's isfinite filter and nanmean leave out.
+    fields = next(r for r in records if not isinstance(r, str))[1]
+    nan_record = (np.nan, {name: dict.fromkeys(values, np.nan) for name, values in fields.items()})
+    records = [nan_record if isinstance(r, str) else r for r in records]
+    ybar = np.array([y_bar for y_bar, _ in records])
+    rows = tuple(_summary_row(name, {f: np.array([r[1][name][f] for r in records]) for f in values}, ybar)
+                 for name, values in fields.items())
+    return MonteCarloSummary(rows=rows, n_replicates=n_rep, n_failed=len(failed),
+                             y_bar_mean=float(np.nanmean(ybar)))

@@ -2,10 +2,10 @@
 
 Every asymptotic variance here has the same two-part shape: a design
 variance of a Horvitz-Thompson mean over the probability sample, applied
-to centered outcome-model predictions, plus a selection term over the
+to centered outcome-model predictions u, plus a selection term over the
 nonprobability sample built from centered outcome residuals,
 
-    var = ht_var(pred_a - pred_center)
+    var = ht_var(u)
         + (1/N^2) sum_B (1 - pi_i) / pi_i^2 (y_i - outcome_center_i)^2
         + C,
 
@@ -18,8 +18,8 @@ of the (possibly centered) outcomes or residuals on the selection
 covariates.
 
 Covariances with the probability-sample estimators reduce to the design
-covariance of two Horvitz-Thompson means over sample A: the centered
-predictions against the outcomes centered at 0 (HT) or at the Hajek mean.
+covariance of two Horvitz-Thompson means over sample A: u against the
+outcomes centered at 0 (HT) or at the Hajek mean.
 
 Each function reads one :class:`~surveyblend.estimators.Analysis` and keeps
 its result there; all but :func:`var_prob_estimate` need its nuisance fit.
@@ -92,13 +92,13 @@ def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) 
 
 
 class CenteringTerms(NamedTuple):
-    """Per-unit centering vectors feeding the two-part variance form.
+    """Per-unit vectors feeding the two-part variance form.
 
-    ``pred_center`` is subtracted from the outcome-model predictions on
-    sample A, ``outcome_center`` from the observed outcomes on sample B.
+    ``u`` is the outcome-model predictions on sample A minus their center;
+    ``outcome_center`` is subtracted from the observed outcomes on sample B.
     """
 
-    pred_center: np.ndarray
+    u: np.ndarray
     outcome_center: np.ndarray
 
 
@@ -128,22 +128,17 @@ def regression_adjustment(analysis: Analysis, *, on_residuals: bool, centered: b
     return analysis.memo(("adjustment", on_residuals, centered), compute)
 
 
-def _outcome_model(kind: EstimatorKind, analysis: Analysis) -> tuple[np.ndarray, np.ndarray, float]:
-    """Outcome-model means on samples A and B and their HT mean; zero for IPW kinds."""
-    observed = analysis.observed
-    if kind in IPW_KINDS:
-        return np.zeros(observed.n_a), np.zeros(observed.n_b), 0.0
-    m_bar = analysis.memo("m_bar", lambda: ht_mean(analysis.m_a, observed.pi_a, observed.n_population))
-    return analysis.m_a, analysis.m_b, m_bar
-
-
 def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> CenteringTerms:
     """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
     def compute():
         check_supported(kind, regime, analysis.spec.fit_method)
         self_normalized, adjusted = CENTERING[kind, regime]
         observed = analysis.observed
-        _, m_b, m_bar = _outcome_model(kind, analysis)
+        if kind in IPW_KINDS:  # a zero outcome model
+            m_a, m_b, m_bar = np.zeros(observed.n_a), np.zeros(observed.n_b), 0.0
+        else:
+            m_a, m_b = analysis.m_a, analysis.m_b
+            m_bar = analysis.memo("m_bar", lambda: ht_mean(m_a, observed.pi_a, observed.n_population))
         if not adjusted:
             pred_center = np.full(observed.n_a, m_bar) if self_normalized else np.zeros(observed.n_a)
             outcome_center = m_b
@@ -158,20 +153,12 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
             else:
                 pred_center = -adj_a
                 outcome_center = m_b + adj_b
-        if not (np.all(np.isfinite(pred_center)) and np.all(np.isfinite(outcome_center))):
+        u = m_a - pred_center
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(outcome_center))):
             raise ValidationError("non-finite centering term")
-        return CenteringTerms(pred_center, outcome_center)
+        return CenteringTerms(u, outcome_center)
 
     return analysis.memo(("centering", kind, regime), compute)
-
-
-def _centered_predictions(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> np.ndarray:
-    """Outcome-model predictions on sample A minus their centering vector."""
-    def compute():
-        pred_center = centering_terms(kind, regime, analysis).pred_center
-        return _outcome_model(kind, analysis)[0] - pred_center
-
-    return analysis.memo(("centered", kind, regime), compute)
 
 
 def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
@@ -201,12 +188,12 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
     def compute():
         observed = analysis.observed
         n_pop = observed.n_population
-        term1 = ht_var_estimate(_centered_predictions(kind, regime, analysis), observed.design, observed.pi_a, n_pop)
+        u, outcome_center = centering_terms(kind, regime, analysis)
+        term1 = ht_var_estimate(u, observed.design, observed.pi_a, n_pop)
         if term1 < 0.0:
             # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
             warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
         pi_b = analysis.pi_b_b
-        outcome_center = centering_terms(kind, regime, analysis).outcome_center
         term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - outcome_center) ** 2) / n_pop**2)
         correction = 0.0
         if regime is Regime.KH_DOUBLY_ROBUST:
@@ -246,7 +233,7 @@ def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, 
     """
     def compute():
         observed = analysis.observed
-        u, v = _centered_predictions(kind, regime, analysis), _prob_residuals(prob_kind, analysis)
+        u, v = centering_terms(kind, regime, analysis).u, _prob_residuals(prob_kind, analysis)
         return ht_cov_estimate(u, v, observed.design, observed.pi_a, observed.n_population)
 
     return analysis.memo(("cov", kind, regime, prob_kind), compute)

@@ -93,6 +93,24 @@ class TestHajekMean:
             hajek_mean([], [])
 
 
+POISSON = DesignDescriptor(DesignKind.POISSON)
+
+
+@pytest.mark.parametrize("pi, message", [([0.0, 0.5], "nonpositive inclusion probability"),
+                                         ([-0.2, 0.5], "nonpositive inclusion probability"),
+                                         ([np.nan, 0.5], "nonpositive inclusion probability"),
+                                         ([1.5, 0.5], "inclusion probability above 1")],
+                         ids=["zero", "negative", "nan", "above_one"])
+@pytest.mark.parametrize("estimate", [lambda pi: ht_mean([1.0, 2.0], pi, 10),
+                                      lambda pi: hajek_mean([1.0, 2.0], pi),
+                                      lambda pi: ht_var_estimate([1.0, 2.0], POISSON, pi, 10),
+                                      lambda pi: ht_cov_estimate([1.0, 2.0], [0.5, -1.0], POISSON, pi, 10)],
+                         ids=["ht_mean", "hajek_mean", "ht_var_estimate", "ht_cov_estimate"])
+def test_inclusion_probability_outside_0_1_is_rejected(estimate, pi, message):
+    with pytest.raises(ValidationError, match=message):
+        estimate(np.array(pi))
+
+
 class TestHtVarEstimate:
     def test_zero_residuals(self):
         p = poisson_provider([0.4, 0.6, 0.8], 20)

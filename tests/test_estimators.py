@@ -30,6 +30,7 @@ from surveyblend import (
     generate_population,
 )
 from surveyblend.cli import build_estimate_report, load_config, main, write_sample_csvs
+from surveyblend.nuisance import check_selection_floor
 from surveyblend.simulate import _replicate_record
 from conftest import SCENARIO_BOTH_CORRECT, default_fit, make_observed
 
@@ -136,7 +137,7 @@ class TestOneAnalysisPerDataset:
 
     def test_default_replicate(self, prediction_calls):
         population = generate_population(SCENARIO_BOTH_CORRECT)
-        assert isinstance(_replicate_record(SCENARIO_BOTH_CORRECT, population, 0), dict)
+        assert isinstance(_replicate_record(SCENARIO_BOTH_CORRECT, population, 0), tuple)
         assert prediction_calls["m"] == 2
         assert prediction_calls["pi_b"] == 2
 
@@ -174,6 +175,22 @@ def floored_population(sample: str):
         x[1, 1] = 60.0
         pi_a[:2], pi_b[:2] = 1e-12, 1.0 - 1e-12
     return dataclasses.replace(pop, x=x, pi_a=pi_a, pi_b_true=pi_b)
+
+
+@pytest.mark.parametrize("pi_b", [[np.nan], [0.5, np.nan], [0.0, 0.5], [1e-9, 0.5]],
+                         ids=["nan", "nan_among_valid", "zero", "below_floor"])
+def test_selection_floor_rejects_nan_and_small_probabilities(pi_b):
+    with pytest.raises(SolverError, match="refusing to clamp"):
+        check_selection_floor(np.array(pi_b))
+
+
+def test_a_nan_selection_fit_stops_the_analysis():
+    observed = make_observed(seed=37)
+    fit = default_fit(observed)
+    broken = NuisanceFit(alpha=np.full_like(fit.alpha, np.nan), beta=fit.beta, spec=fit.spec,
+                         iterations=fit.iterations, max_abs_score=fit.max_abs_score)
+    with pytest.raises(SolverError, match="refusing to clamp"):
+        Analysis(observed, broken)
 
 
 @pytest.mark.parametrize("sample", ["A", "B"])

@@ -37,6 +37,7 @@ from surveyblend.nuisance import (
     solve_spd,
 )
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 from scipy.special import logit
 
@@ -155,6 +156,24 @@ class TestOutcomeMl:
             x_a=x_b, pi_a=np.full(30, 0.4), x_b=x_b, y_b=y_b)
         with pytest.raises(SolverError):
             fit_outcome_ml(observed, OutcomeFamily.LOGISTIC_BINARY)
+
+    def test_logistic_fit_maximises_the_likelihood(self):
+        rng = default_rng(18)
+        observed = make_observed(seed=18)
+        x_b = observed.x_b
+        y_b = (rng.random(observed.n_b) < scipy_expit(x_b @ [-0.3, 0.8, -0.5])).astype(float)
+        observed = ObservedData(n_population=observed.n_population, design=observed.design,
+                                x_a=observed.x_a, pi_a=observed.pi_a, x_b=x_b, y_b=y_b)
+
+        def neg_log_likelihood(beta):
+            eta = x_b @ beta
+            return np.sum(np.logaddexp(0.0, eta) - y_b * eta)
+
+        oracle = minimize(neg_log_likelihood, np.zeros(3), method="BFGS", options={"gtol": 1e-9},
+                          jac=lambda beta: x_b.T @ (scipy_expit(x_b @ beta) - y_b))
+        assert oracle.success
+        np.testing.assert_allclose(fit_outcome_ml(observed, OutcomeFamily.LOGISTIC_BINARY), oracle.x,
+                                   rtol=0, atol=1e-6)
 
     def test_logistic_score_jacobian_matches_fd(self):
         rng = default_rng(8)

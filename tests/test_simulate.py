@@ -10,9 +10,12 @@ from surveyblend import (
     EstimatorKind,
     EvalPlan,
     FinitePopulation,
+    FitMethod,
+    OutcomeFamily,
     Regime,
     ScenarioConfig,
     SimulationError,
+    SolverError,
     ValidationError,
     draw_samples,
     generate_population,
@@ -182,6 +185,48 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "fit_nuisance", fit_that_breaks_once)
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_config(replicates=5))
+
+    def test_a_failed_replicate_is_left_out_of_every_row(self, monkeypatch):
+        config = small_config(replicates=100)
+        population = generate_population(config)
+        kept = [simulate._replicate_record(config, population, r) for r in range(100) if r != 2]
+        calls = []
+
+        def fit_that_fails_once(observed, spec):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverError("injected")
+            return fit_nuisance(observed, spec)
+
+        monkeypatch.setattr(simulate, "fit_nuisance", fit_that_fails_once)
+        summary = run_replications(config)
+        assert summary.n_failed == 1 and all(row.n_used == 99 for row in summary.rows)
+        assert summary.y_bar_mean == float(np.mean([y_bar for y_bar, _ in kept]))
+        for row in summary.rows:
+            assert row.mc_mean == float(np.mean([values[row.name]["est"] for _, values in kept]))
+
+    def test_logistic_kim_haziza_study_runs_clean(self):
+        # The shape of the study-kh benchmark workload: SRSWOR sample A, logistic outcome, joint fit.
+        config = ScenarioConfig(
+            n_population=10_000,
+            covariates=(Covariate("normal"), Covariate("square_of", (1,))),
+            beta_true=(-0.5, 1.0, 0.7),
+            alpha_true=(-2.2, 0.5, 0.0),
+            outcome_family=OutcomeFamily.LOGISTIC_BINARY,
+            design_kind=DesignKind.SRSWOR,
+            sample_a_size=500,
+            fit_method=FitMethod.KIM_HAZIZA,
+            outcome_cols_override=(0, 1),
+            selection_cols_override=(0, 1),
+            replicates=60,
+            plan=EvalPlan(var_pairs=((K.DR1, Regime.KH_DOUBLY_ROBUST),)),
+            seed=7,
+        )
+        summary = run_replications(config)
+        row = summary.row("DR1/kh_doubly_robust")
+        assert summary.n_failed == 0 and row.n_used == 60
+        assert all(np.isfinite(v) for v in (row.mc_bias, row.emp_variance, row.mean_var_estimate, row.coverage))
+        assert abs(row.mc_bias) < 4.0 * row.mc_bias_se
 
     def test_rows_follow_the_plan(self):
         summary = run_replications(small_config(replicates=10))

@@ -102,7 +102,7 @@ class TestCenteringTerms:
         observed = make_observed(seed=42)
         fit = default_fit(observed)
         terms = centering_terms(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
-        assert np.all(terms.pred_center == 0.0)
+        assert np.all(terms.u == fit.m(observed.x_a))
         np.testing.assert_allclose(terms.outcome_center, fit.m(observed.x_b))
 
     def test_dr2_both_correct_centers_predictions_at_ht_mean(self):
@@ -110,7 +110,7 @@ class TestCenteringTerms:
         fit = default_fit(observed)
         terms = centering_terms(K.DR2, R.BOTH_CORRECT, Analysis(observed, fit))
         m_bar = ht_mean(fit.m(observed.x_a), observed.pi_a, observed.n_population)
-        assert np.all(terms.pred_center == m_bar)
+        assert np.all(terms.u == fit.m(observed.x_a) - m_bar)
 
     def test_ipw1_with_zero_coefficient_has_zero_centers(self):
         observed = make_observed(seed=44)
@@ -119,7 +119,7 @@ class TestCenteringTerms:
                                 x_b=observed.x_b, y_b=np.zeros(observed.n_b))
         fit = default_fit(observed)
         terms = centering_terms(K.IPW1, R.SELECTION_CORRECT, Analysis(observed, fit))
-        assert np.max(np.abs(terms.pred_center)) < 1e-12
+        assert np.max(np.abs(terms.u)) < 1e-12
         assert np.max(np.abs(terms.outcome_center)) < 1e-12
 
     def test_unsupported_pairs_error(self):
@@ -352,7 +352,7 @@ class TestAnalysis:
         assert variance(K.DR2, R.BOTH_CORRECT, analysis) == variance(K.DR2, R.BOTH_CORRECT, Analysis(observed, fit))
         terms = centering_terms(K.DR2, R.SELECTION_CORRECT, analysis)
         assert terms is centering_terms(K.DR2, R.SELECTION_CORRECT, analysis)
-        assert not terms.pred_center.flags.writeable and not terms.outcome_center.flags.writeable
+        assert not terms.u.flags.writeable and not terms.outcome_center.flags.writeable
 
     def test_prob_kind_has_no_regime(self):
         observed = make_observed(seed=61)
