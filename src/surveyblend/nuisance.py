@@ -14,14 +14,21 @@ Three fitting routes are supported:
   for (alpha, beta), where dm_i is the gradient of m in beta.
 
 All solvers are damped Newton iterations with step halving; convergence is
-declared on the max-abs value of the (1/N-scaled) estimating function. The
-logistic function is :func:`expit`, numpy's ``1 / (1 + exp(-x))``, and the
-linear outcome model's normal equations are solved by :func:`solve_spd`, a
-Cholesky factorization of the gram matrix and two solves. Fitted selection
-probabilities below ``PI_B_FLOOR`` raise (:func:`check_selection_floor`,
-which :class:`~surveyblend.estimators.Analysis` applies to both samples)
-instead of being clamped, since silently clamped weights would bias every
-estimator built on top of the fit.
+declared on the max-abs value of the (1/N-scaled) estimating function. Each
+``score_and_jacobian_*`` factory does a fit's coefficient-free work once and
+returns the ``system(theta) -> (score, jacobian)`` that :func:`_newton` solves.
+Selection fits start at the intercept log((n_B + 1/2) / (N - n_B + 1/2)),
+finite for a census sample B. Once the residual passes, the separable fits take
+one more, uncounted Newton step, which lands them on the root to rounding from
+any start; the Kim-Haziza solve is not landed, since at its looser tolerance
+that step moves its coefficients by up to 4e-6 relative. The logistic function
+is :func:`expit`, numpy's ``1 / (1 + exp(-x))``, and the linear outcome model's
+normal equations are solved by :func:`solve_spd`, a Cholesky factorization of
+the gram matrix and two solves. Fitted selection probabilities below
+``PI_B_FLOOR`` raise (:func:`check_selection_floor`, which
+:class:`~surveyblend.estimators.Analysis` applies to both samples) instead of
+being clamped, since silently clamped weights would bias every estimator built
+on top of the fit.
 """
 
 from __future__ import annotations
@@ -72,8 +79,9 @@ def predict_outcome(beta, x, family: OutcomeFamily) -> np.ndarray:
 class NuisanceFit:
     """Fitted nuisance coefficients plus solver diagnostics.
 
-    ``alpha`` is indexed by ``spec.selection_cols`` and ``beta`` by
-    ``spec.outcome_cols``; the prediction helpers apply the masks.
+    ``alpha`` is indexed by ``spec.selection_cols`` and ``beta`` by ``spec.outcome_cols``; the
+    prediction helpers apply the masks. ``max_abs_score`` is the residual that passed the solver's
+    tolerance, so it never exceeds it; a landed fit sits nearer the root than it says.
     """
 
     alpha: np.ndarray
@@ -100,114 +108,119 @@ class NuisanceFit:
 _MAX_STEP = 10.0
 
 
-def _newton(system, x0, tol: float, context: str):
-    """Damped Newton on a square system; returns (solution, iterations, residual)."""
+def _newton(system, x0, tol: float, context: str, *, land: bool = True):
+    """Damped Newton on ``system(x) -> (f, jac)``; returns (solution, iterations, residual).
+
+    The residual is max |f| at the iterate that passed ``tol``. With ``land``,
+    that iterate takes one more step, ``x - solve(jac, f)``, which is not counted.
+    """
     x = np.array(x0, dtype=float)
     f, jac = system(x)
-    norm = float(np.max(np.abs(f)))
-    for it in range(MAX_ITER):
-        if norm <= tol:
+    norm = float(np.abs(f).max())
+    for it in range(MAX_ITER + 1):
+        if norm <= tol and not land:
             return x, it, norm
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             raise SolverError(f"{context}: singular jacobian") from None
-        largest = float(np.max(np.abs(step)))
+        if norm <= tol:
+            return x - step, it, norm
+        if it == MAX_ITER:
+            break
+        largest = float(np.abs(step).max())
         if largest > _MAX_STEP:
             step *= _MAX_STEP / largest
         t = 1.0
         while True:
             cand = x - t * step
             f_c, jac_c = system(cand)
-            norm_c = float(np.max(np.abs(f_c)))
+            norm_c = float(np.abs(f_c).max())
             if np.isfinite(norm_c) and norm_c < norm:
                 break
             t *= 0.5
             if t < 2.0**-20:
                 raise SolverError(f"{context}: no descent direction (residual {norm:.3e})")
         x, f, jac, norm = cand, f_c, jac_c, norm_c
-    if norm <= tol:
-        return x, MAX_ITER, norm
     raise SolverError(f"{context}: no convergence after {MAX_ITER} iterations (residual {norm:.3e})")
 
 
-def score_and_jacobian_pml(observed: ObservedData, cols, alpha):
-    """Pseudo-ML estimating function for alpha and its jacobian."""
-    x_a = observed.x_a[:, cols]
-    x_b = observed.x_b[:, cols]
-    n_pop = observed.n_population
+def score_and_jacobian_pml(observed: ObservedData, cols):
+    """Pseudo-ML estimating function for alpha and its jacobian, as a function of alpha."""
+    xt_a = observed.x_a.T[cols]
     w_a = 1.0 / observed.pi_a
-    p = expit(x_a @ alpha)
-    score = (x_b.sum(axis=0) - x_a.T @ (w_a * p)) / n_pop
-    jac = -(x_a * (w_a * p * (1.0 - p))[:, None]).T @ x_a / n_pop
-    return score, jac
-
-
-def score_and_jacobian_calibration(observed: ObservedData, cols, alpha):
-    """Calibration estimating function for alpha and its jacobian."""
-    x_a = observed.x_a[:, cols]
-    x_b = observed.x_b[:, cols]
+    total_b = observed.x_b.T[cols].sum(axis=1)
     n_pop = observed.n_population
-    p = expit(x_b @ alpha)
-    score = (x_b.T @ (1.0 / p) - x_a.T @ (1.0 / observed.pi_a)) / n_pop
-    jac = -(x_b * ((1.0 - p) / p)[:, None]).T @ x_b / n_pop
-    return score, jac
+
+    def system(alpha):
+        p = expit(alpha @ xt_a)
+        wp = w_a * p
+        return (total_b - xt_a @ wp) / n_pop, (xt_a * (wp * (p - 1.0))) @ xt_a.T / n_pop
+    return system
 
 
-def score_and_jacobian_outcome_logistic(observed: ObservedData, cols, beta):
-    """Unweighted logistic-ML score on sample B and its jacobian."""
-    x_b = observed.x_b[:, cols]
-    n_b = observed.n_b
-    m = expit(x_b @ beta)
-    score = x_b.T @ (observed.y_b - m) / n_b
-    jac = -(x_b * (m * (1.0 - m))[:, None]).T @ x_b / n_b
-    return score, jac
+def score_and_jacobian_calibration(observed: ObservedData, cols):
+    """Calibration estimating function for alpha and its jacobian, as a function of alpha."""
+    xt_b = observed.x_b.T[cols]
+    total_a = observed.x_a.T[cols] @ (1.0 / observed.pi_a)
+    n_pop = observed.n_population
+
+    def system(alpha):
+        inv_p = 1.0 / expit(alpha @ xt_b)
+        return (xt_b @ inv_p - total_a) / n_pop, (xt_b * (1.0 - inv_p)) @ xt_b.T / n_pop
+    return system
 
 
-def _outcome_gradient(x, m, family: OutcomeFamily):
-    """Gradient of the outcome mean in beta, rowwise."""
-    if family is OutcomeFamily.LOGISTIC_BINARY:
-        return x * (m * (1.0 - m))[:, None]
-    return x
+def score_and_jacobian_outcome_logistic(observed: ObservedData, cols):
+    """Unweighted logistic-ML score on sample B and its jacobian, as a function of beta."""
+    xt_b = observed.x_b.T[cols]
+    y_b, n_b = observed.y_b, observed.n_b
+
+    def system(beta):
+        m = expit(beta @ xt_b)
+        return xt_b @ (y_b - m) / n_b, (xt_b * (m * (m - 1.0))) @ xt_b.T / n_b
+    return system
 
 
-def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec, theta):
-    """Stacked Kim-Haziza estimating function in theta = (alpha, beta) and its jacobian."""
+def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
+    """Stacked Kim-Haziza estimating function and its jacobian, as a function of theta = (alpha, beta)."""
     cols = spec.columns("selection", observed.n_covariates)
-    x_a = observed.x_a[:, cols]
-    x_b = observed.x_b[:, cols]
-    n_pop = observed.n_population
-    k = cols.size
-    alpha, beta = theta[:k], theta[k:]
-    pi = expit(x_b @ alpha)
-    m_b = predict_outcome(beta, x_b, spec.outcome_family)
-    m_a = predict_outcome(beta, x_a, spec.outcome_family)
-    r = observed.y_b - m_b
-    w = (1.0 - pi) / pi
-    dm_b = _outcome_gradient(x_b, m_b, spec.outcome_family)
-    dm_a = _outcome_gradient(x_a, m_a, spec.outcome_family)
-    f1 = x_b.T @ (w * r) / n_pop
-    f2 = (dm_a.T @ (1.0 / observed.pi_a) - dm_b.T @ (1.0 / pi)) / n_pop
-    j11 = -(x_b * (w * r)[:, None]).T @ x_b / n_pop
-    j12 = -(x_b * w[:, None]).T @ dm_b / n_pop
-    j21 = (dm_b * w[:, None]).T @ x_b / n_pop
-    if spec.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
-        h_a = m_a * (1.0 - m_a) * (1.0 - 2.0 * m_a)
-        h_b = m_b * (1.0 - m_b) * (1.0 - 2.0 * m_b)
-        j22 = ((x_a * (h_a / observed.pi_a)[:, None]).T @ x_a - (x_b * (h_b / pi)[:, None]).T @ x_b) / n_pop
-    else:
-        j22 = np.zeros((k, k))
-    score = np.concatenate([f1, f2])
-    jac = np.block([[j11, j12], [j21, j22]])
-    return score, jac
+    xt_a, xt_b = observed.x_a.T[cols], observed.x_b.T[cols]
+    w_a = 1.0 / observed.pi_a
+    total_a = xt_a @ w_a
+    y_b, n_pop, k = observed.y_b, observed.n_population, cols.size
+
+    def system(theta):
+        alpha, beta = theta[:k], theta[k:]
+        inv_pi = 1.0 / expit(alpha @ xt_b)
+        xw = xt_b * (inv_pi - 1.0)
+        jac = np.zeros((2 * k, 2 * k))
+        if spec.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
+            m_a, m_b = expit(beta @ xt_a), expit(beta @ xt_b)
+            v_a, v_b = m_a * (1.0 - m_a), m_b * (1.0 - m_b)
+            dm_b = xt_b * v_b
+            f2 = xt_a @ (v_a * w_a) - xt_b @ (v_b * inv_pi)
+            jac[k:, k:] = ((xt_a * (v_a * (1.0 - 2.0 * m_a) * w_a)) @ xt_a.T
+                           - (xt_b * (v_b * (1.0 - 2.0 * m_b) * inv_pi)) @ xt_b.T) / n_pop
+        else:
+            m_b, dm_b = beta @ xt_b, xt_b
+            f2 = total_a - xt_b @ inv_pi
+        r = y_b - m_b
+        jac[:k, :k] = (xw * -r) @ xt_b.T / n_pop
+        jac[:k, k:] = xw @ dm_b.T / -n_pop
+        jac[k:, :k] = -jac[:k, k:].T  # sum_B dm w x' / N
+        return np.concatenate([xw @ r, f2]) / n_pop, jac
+    return system
 
 
 def _fit_selection(observed: ObservedData, cols: np.ndarray, method: FitMethod):
     if method is FitMethod.CALIBRATION:
-        score, context = score_and_jacobian_calibration, "calibration selection fit"
+        system, context = score_and_jacobian_calibration, "calibration selection fit"
     else:
-        score, context = score_and_jacobian_pml, "pseudo-ML selection fit"
-    return _newton(lambda a: score(observed, cols, a), np.zeros(cols.size), SELECTION_TOL, context)
+        system, context = score_and_jacobian_pml, "pseudo-ML selection fit"
+    n_b, n_pop = observed.n_b, observed.n_population
+    start = np.where(cols == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
+    return _newton(system(observed, cols), start, SELECTION_TOL, context)
 
 
 def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray):
@@ -215,9 +228,8 @@ def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray
     x_b = observed.x_b[:, cols]
     if family is OutcomeFamily.LINEAR_GAUSSIAN:
         return solve_spd(x_b.T @ x_b, x_b.T @ observed.y_b, "outcome least squares"), 0, 0.0
-    beta, iters, resid = _newton(
-        lambda b: score_and_jacobian_outcome_logistic(observed, cols, b),
-        np.zeros(cols.size), OUTCOME_TOL, "logistic outcome fit")
+    beta, iters, resid = _newton(score_and_jacobian_outcome_logistic(observed, cols), np.zeros(cols.size),
+                                 OUTCOME_TOL, "logistic outcome fit")
     if float(np.max(np.abs(beta))) > _SEPARATION_SCALE:
         raise SolverError("logistic outcome fit: separation or non-convergence (diverging coefficients)")
     return beta, iters, resid
@@ -230,11 +242,9 @@ def _fit_kim_haziza(observed: ObservedData, spec: ModelSpec):
     # this is its natural basin.
     alpha0, it_a, _ = _fit_selection(observed, cols, FitMethod.PSEUDO_ML)
     beta0, it_b, _ = _fit_outcome(observed, spec.outcome_family, cols)
-    theta0 = np.concatenate([alpha0, beta0])
-    theta, iters, resid = _newton(lambda t: score_and_jacobian_kh(observed, spec, t),
-                                  theta0, KH_TOL, "Kim-Haziza joint fit")
-    k = cols.size
-    return theta[:k], theta[k:], it_a + it_b + iters, resid
+    theta, iters, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha0, beta0]),
+                                  KH_TOL, "Kim-Haziza joint fit", land=False)
+    return theta[:cols.size], theta[cols.size:], it_a + it_b + iters, resid
 
 
 def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:

@@ -236,10 +236,10 @@ def test_criterion_8_solver_contracts():
     cols = np.arange(observed.n_covariates)
     kh_spec = ModelSpec(fit_method=FitMethod.KIM_HAZIZA)
     systems = (
-        lambda a: score_and_jacobian_pml(observed, cols, a),
-        lambda a: score_and_jacobian_calibration(observed, cols, a),
-        lambda b: score_and_jacobian_outcome_logistic(observed_bin, cols, b),
-        lambda t: score_and_jacobian_kh(observed, kh_spec, t),
+        score_and_jacobian_pml(observed, cols),
+        score_and_jacobian_calibration(observed, cols),
+        score_and_jacobian_outcome_logistic(observed_bin, cols),
+        score_and_jacobian_kh(observed, kh_spec),
     )
     sizes = (cols.size, cols.size, cols.size, 2 * cols.size)
     for system, size in zip(systems, sizes):

@@ -38,6 +38,12 @@ from conftest import make_observed
 K = EstimatorKind
 
 
+def package_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``, for child interpreters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def estimate_config(tmp_path, observed, out="out", **analysis):
     write_sample_csvs(observed, tmp_path)
     cfg = {
@@ -147,6 +153,23 @@ class TestEstimateMode:
                                 x_b=observed.x_b, y_b=separated)
         config = estimate_config(tmp_path, observed, outcome_family="logistic_binary")
         assert main(["estimate", "--config", str(config)]) == 3
+
+    def test_singular_jacobian_exit_code(self, tmp_path, capsys):
+        base = make_observed(seed=83)  # then x_2 again as x_3
+        observed = ObservedData(n_population=base.n_population, design=base.design,
+                                x_a=base.x_a[:, [0, 1, 2, 2]], pi_a=base.pi_a, y_a=base.y_a,
+                                x_b=base.x_b[:, [0, 1, 2, 2]], y_b=base.y_b)
+        config = estimate_config(tmp_path, observed)
+        assert main(["estimate", "--config", str(config)]) == 3
+        assert "solver error: pseudo-ML selection fit: singular jacobian" in capsys.readouterr().err
+
+    def test_python_m_runs_estimate(self, tmp_path):
+        # The way the benchmark starts an estimate: a fresh interpreter running the package.
+        config = estimate_config(tmp_path, make_observed(seed=80))
+        done = subprocess.run([sys.executable, "-m", "surveyblend", "estimate", "--config", str(config)],
+                              capture_output=True, text=True, env=package_env())
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads((tmp_path / "out" / "report.json").read_text())["points"]) == 6
 
     def test_lock_file_blocks_concurrent_runs(self, tmp_path, capsys):
         observed = make_observed(seed=84)
@@ -331,6 +354,9 @@ class TestSimulateMode:
     # outcome-mode keys that nothing reads
     ("simulate", "scenario", "redraw_y", False),
     ("simulate", "scenario", "collect_y_on_a", True),
+    # confidence levels outside (0, 1)
+    ("estimate", None, "level", 0),
+    ("estimate", None, "level", 1.5),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -338,6 +364,14 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("mode", ["estimate", "simulate"])
+def test_config_that_is_not_a_mapping_is_validation_error(tmp_path, capsys, mode):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump([{"mode": mode}]))
+    assert main([mode, "--config", str(path)]) == 2
+    assert "validation error: config file must hold a mapping" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1.5, -0.2])
@@ -417,10 +451,8 @@ def test_example_configs_load(name, mode):
 
 
 def test_import_loads_no_scipy_module():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, surveyblend.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"
 
 

@@ -6,9 +6,11 @@ small repeated-sampling loop checks consistency of the selection fits
 under a correctly specified model.
 """
 
+import functools
+
 import numpy as np
 import pytest
-from numpy.random import default_rng
+from numpy.random import SeedSequence, default_rng
 
 from surveyblend import (
     Covariate,
@@ -28,7 +30,9 @@ from surveyblend import (
 )
 from surveyblend.nuisance import (
     KH_TOL,
+    OUTCOME_TOL,
     SELECTION_TOL,
+    _newton,
     expit,
     score_and_jacobian_calibration,
     score_and_jacobian_kh,
@@ -36,12 +40,13 @@ from surveyblend.nuisance import (
     score_and_jacobian_pml,
     solve_spd,
 )
+from surveyblend.simulate import redraw_outcomes
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 from scipy.special import logit
 
-from conftest import make_observed, default_fit
+from conftest import SCENARIO_BOTH_CORRECT, make_observed, default_fit
 
 
 def intercept_only_data(n_pop=50, n_b=20, *, census_a=True, seed=0):
@@ -98,7 +103,7 @@ class TestSelectionPml:
     def test_score_residual_below_tolerance(self):
         observed = make_observed(seed=11)
         alpha = fit_selection_pml(observed)
-        score, _ = score_and_jacobian_pml(observed, np.arange(observed.n_covariates), alpha)
+        score, _ = score_and_jacobian_pml(observed, np.arange(observed.n_covariates))(alpha)
         assert np.max(np.abs(score)) <= SELECTION_TOL
 
     def test_jacobian_matches_finite_differences(self):
@@ -107,8 +112,8 @@ class TestSelectionPml:
         rng = default_rng(5)
         for _ in range(5):
             alpha = rng.normal(scale=0.5, size=cols.size)
-            score, jac = score_and_jacobian_pml(observed, cols, alpha)
-            fd = fd_jacobian(lambda a: score_and_jacobian_pml(observed, cols, a)[0], alpha)
+            score, jac = score_and_jacobian_pml(observed, cols)(alpha)
+            fd = fd_jacobian(lambda a: score_and_jacobian_pml(observed, cols)(a)[0], alpha)
             assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
@@ -122,7 +127,7 @@ class TestSelectionCalibration:
     def test_residual_below_tolerance_per_component(self):
         observed = make_observed(seed=13)
         alpha = fit_selection_calibration(observed)
-        score, _ = score_and_jacobian_calibration(observed, np.arange(observed.n_covariates), alpha)
+        score, _ = score_and_jacobian_calibration(observed, np.arange(observed.n_covariates))(alpha)
         assert np.max(np.abs(score)) <= SELECTION_TOL
 
     def test_jacobian_matches_finite_differences(self):
@@ -131,8 +136,8 @@ class TestSelectionCalibration:
         rng = default_rng(6)
         for _ in range(5):
             alpha = rng.normal(scale=0.5, size=cols.size)
-            _, jac = score_and_jacobian_calibration(observed, cols, alpha)
-            fd = fd_jacobian(lambda a: score_and_jacobian_calibration(observed, cols, a)[0], alpha)
+            _, jac = score_and_jacobian_calibration(observed, cols)(alpha)
+            fd = fd_jacobian(lambda a: score_and_jacobian_calibration(observed, cols)(a)[0], alpha)
             assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
@@ -184,8 +189,8 @@ class TestOutcomeMl:
                                 x_b=observed.x_b, y_b=y_b)
         cols = np.arange(observed.n_covariates)
         beta = rng.normal(scale=0.4, size=cols.size)
-        _, jac = score_and_jacobian_outcome_logistic(observed, cols, beta)
-        fd = fd_jacobian(lambda b: score_and_jacobian_outcome_logistic(observed, cols, b)[0], beta)
+        _, jac = score_and_jacobian_outcome_logistic(observed, cols)(beta)
+        fd = fd_jacobian(lambda b: score_and_jacobian_outcome_logistic(observed, cols)(b)[0], beta)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
@@ -196,7 +201,7 @@ class TestKimHaziza:
     def test_stacked_residual_below_tolerance(self):
         observed = make_observed(seed=17)
         alpha, beta = fit_kim_haziza(observed, self.spec())
-        score, _ = score_and_jacobian_kh(observed, self.spec(), np.concatenate([alpha, beta]))
+        score, _ = score_and_jacobian_kh(observed, self.spec())(np.concatenate([alpha, beta]))
         assert np.max(np.abs(score)) <= KH_TOL
 
     def test_linear_intercept_forces_equal_weight_sums(self):
@@ -226,8 +231,8 @@ class TestKimHaziza:
         k = observed.n_covariates
         for _ in range(5):
             theta = rng.normal(scale=0.4, size=2 * k)
-            _, jac = score_and_jacobian_kh(observed, spec, theta)
-            fd = fd_jacobian(lambda t: score_and_jacobian_kh(observed, spec, t)[0], theta)
+            _, jac = score_and_jacobian_kh(observed, spec)(theta)
+            fd = fd_jacobian(lambda t: score_and_jacobian_kh(observed, spec)(t)[0], theta)
             assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
     def test_logistic_outcome_jacobian_matches_fd(self):
@@ -238,9 +243,26 @@ class TestKimHaziza:
                                 x_a=base.x_a, pi_a=base.pi_a, x_b=base.x_b, y_b=y_b)
         spec = ModelSpec(outcome_family=OutcomeFamily.LOGISTIC_BINARY, fit_method=FitMethod.KIM_HAZIZA)
         theta = rng.normal(scale=0.3, size=2 * observed.n_covariates)
-        _, jac = score_and_jacobian_kh(observed, spec, theta)
-        fd = fd_jacobian(lambda t: score_and_jacobian_kh(observed, spec, t)[0], theta)
+        _, jac = score_and_jacobian_kh(observed, spec)(theta)
+        fd = fd_jacobian(lambda t: score_and_jacobian_kh(observed, spec)(t)[0], theta)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
+
+
+class TestNewton:
+    """The three failure exits of the damped Newton loop, on tiny synthetic systems."""
+
+    def test_zero_jacobian_is_singular(self):
+        with pytest.raises(SolverError, match="toy: singular jacobian"):
+            _newton(lambda x: (x + 1.0, np.zeros((2, 2))), np.zeros(2), 1e-10, "toy")
+
+    def test_constant_residual_has_no_descent_direction(self):
+        with pytest.raises(SolverError, match=r"toy: no descent direction \(residual 1.000e\+00\)"):
+            _newton(lambda x: (np.ones(2), np.eye(2)), np.zeros(2), 1e-10, "toy")
+
+    def test_halving_steps_never_reach_a_zero_tolerance(self):
+        # f = x with jacobian 2I halves the residual at every step, so it never reaches 0.
+        with pytest.raises(SolverError, match="toy: no convergence after 100 iterations"):
+            _newton(lambda x: (x, 2.0 * np.eye(2)), np.ones(2), 0.0, "toy")
 
 
 class TestPredict:
@@ -305,6 +327,21 @@ class TestFitNuisance:
         assert fit.m(observed.x_a).shape == (observed.n_a,)
         assert fit.pi_b(observed.x_b).shape == (observed.n_b,)
 
+    @pytest.mark.parametrize("n_b", [200, 199])
+    @pytest.mark.parametrize("method", list(FitMethod))
+    def test_census_sample_b_fits(self, method, n_b):
+        # n_B = N is valid input, and a start at logit(n_B / (N - n_B)) would divide by zero there.
+        # Sample A takes every other unit at pi_a = 0.4, so its HT size estimate (250) exceeds N and
+        # the selection equations have a root with every fitted pi_b below 1.
+        rng = default_rng(2)
+        x = np.column_stack([np.ones(200), rng.normal(size=200)])
+        y = x @ [1.0, 0.8] + 0.5 * rng.normal(size=200)
+        observed = ObservedData(n_population=200, design=DesignDescriptor(DesignKind.POISSON),
+                                x_a=x[::2], pi_a=np.full(100, 0.4), y_a=y[::2], x_b=x[:n_b], y_b=y[:n_b])
+        fit = fit_nuisance(observed, ModelSpec(fit_method=method))
+        assert fit.max_abs_score <= (KH_TOL if method is FitMethod.KIM_HAZIZA else SELECTION_TOL)
+        assert np.all(np.isfinite(fit.alpha)) and np.all(fit.pi_b(observed.x_b) < 1.0)
+
     def test_calibration_method_dispatch(self):
         observed = make_observed(seed=23)
         fit = default_fit(observed, method=FitMethod.CALIBRATION)
@@ -326,6 +363,58 @@ def population():
         seed=404,
     )
     return config, generate_population(config)
+
+
+# study-kh's frame: SCENARIO_KH's covariates with SRSWOR sample A and a logistic-binary outcome.
+SCENARIO_KH_LOGISTIC = ScenarioConfig(
+    n_population=10_000,
+    covariates=(Covariate("normal"), Covariate("square_of", (1,))),
+    beta_true=(-0.5, 1.0, 0.7),
+    alpha_true=(-2.2, 0.5, 0.0),
+    outcome_family=OutcomeFamily.LOGISTIC_BINARY,
+    design_kind=DesignKind.SRSWOR,
+    fit_method=FitMethod.KIM_HAZIZA,
+    outcome_cols_override=(0, 1),
+    selection_cols_override=(0, 1),
+    seed=1,
+)
+
+
+@functools.cache
+def replicate_data(config):
+    """The observed data of 64 replicates of ``config``, each with its own outcome and sample draws."""
+    population = generate_population(config)
+    draws = []
+    for rep in range(64):
+        y_ss, sample_ss = SeedSequence([config.seed, rep]).spawn(2)
+        draws.append(draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))[0])
+    return draws
+
+
+def test_separable_fits_land_on_one_root_from_either_start():
+    # The landing step makes the separable solves start-independent to rounding (1.2e-15 here).
+    # Without it the solutions of the two starts differ by up to 5.8e-10 of their largest entry.
+    worst = 0.0
+    for observed in replicate_data(SCENARIO_KH_LOGISTIC):
+        cols = np.arange(observed.n_covariates)
+        intercept = np.log((observed.n_b + 0.5) / (observed.n_population - observed.n_b + 0.5))
+        start = np.where(cols == 0, intercept, 0.0)
+        for system, tol in ((score_and_jacobian_pml(observed, cols), SELECTION_TOL),
+                            (score_and_jacobian_calibration(observed, cols), SELECTION_TOL),
+                            (score_and_jacobian_outcome_logistic(observed, cols), OUTCOME_TOL)):
+            from_zero = _newton(system, np.zeros(cols.size), tol, "zero start")[0]
+            from_start = _newton(system, start, tol, "intercept start")[0]
+            worst = max(worst, float(np.max(np.abs(from_start - from_zero)) / np.max(np.abs(from_zero))))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("config, bound", [(SCENARIO_BOTH_CORRECT, 4.796875), (SCENARIO_KH_LOGISTIC, 13.03125)],
+                         ids=["both_correct", "kh_logistic"])
+def test_mean_newton_iterations_stay_at_their_measured_count(config, bound):
+    # Exact counts, so unlike a timing no host noise moves them: a slower solve fails here.
+    # Before the empirical-logit start and the warm-start landing they were 6.0 and 15.03125.
+    iterations = [fit_nuisance(observed, config.model_spec()).iterations for observed in replicate_data(config)]
+    assert np.mean(iterations) <= bound
 
 
 class TestMonteCarloConsistency:
