@@ -315,9 +315,11 @@ def read_samples(config: RunConfig) -> ObservedData:
 def _save_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
     """Write an ``id`` column 1..n and ``columns`` under ``names``, as csv.writer with ``_fmt`` would."""
     table = np.column_stack([np.arange(1, len(columns[0]) + 1), *columns])
+    row_fmt = ",".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=["%d"] + ["%.17g"] * (table.shape[1] - 1), delimiter=",",
-                   header=",".join(["id"] + names), comments="", newline="\r\n")
+        fh.write(",".join(["id"] + names) + "\r\n")
+        for block in np.split(table, range(8192, len(table), 8192)):  # one C-level % formats a block of rows
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Path, Path]:

@@ -115,8 +115,6 @@ class Analysis:
         m_a, m_b = self.m_a, self.m_b
         if kind is EstimatorKind.DR1:
             return float((np.sum(m_a / observed.pi_a) + np.sum((observed.y_b - m_b) / pi_b)) / n_pop)
-        if kind is EstimatorKind.DR2:
-            n_hat_a = float(np.sum(1.0 / observed.pi_a))
-            n_hat_b = float(np.sum(1.0 / pi_b))
-            return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)
-        raise ValidationError(f"unknown estimator kind {kind}")
+        n_hat_a = float(np.sum(1.0 / observed.pi_a))  # DR2
+        n_hat_b = float(np.sum(1.0 / pi_b))
+        return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)

@@ -17,6 +17,8 @@ All solvers are damped Newton iterations with step halving; convergence is
 declared on the max-abs value of the (1/N-scaled) estimating function. Each
 ``score_and_jacobian_*`` factory does a fit's coefficient-free work once and
 returns the ``system(theta) -> (score, jacobian)`` that :func:`_newton` solves.
+The Kim-Haziza one stacks both samples' columns into one block and writes
+(1 - pi)/pi as the odds exp(-alpha'x), free of cancellation as pi -> 1.
 Selection fits start at the intercept log((n_B + 1/2) / (N - n_B + 1/2)),
 finite for a census sample B. Once the residual passes, the separable fits take
 one more, uncounted Newton step, which lands them on the root to rounding from
@@ -136,7 +138,7 @@ def _newton(system, x0, tol: float, context: str, *, land: bool = True):
             cand = x - t * step
             f_c, jac_c = system(cand)
             norm_c = float(np.abs(f_c).max())
-            if np.isfinite(norm_c) and norm_c < norm:
+            if norm_c < norm:  # False for NaN, and for inf against inf
                 break
             t *= 0.5
             if t < 2.0**-20:
@@ -183,33 +185,44 @@ def score_and_jacobian_outcome_logistic(observed: ObservedData, cols):
 
 
 def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
-    """Stacked Kim-Haziza estimating function and its jacobian, as a function of theta = (alpha, beta)."""
+    """Stacked Kim-Haziza estimating function and its jacobian, as a function of theta = (alpha, beta).
+
+    ``xt`` holds the columns of sample A, then of B; on B, (1 - pi)/pi is the odds exp(-alpha'x).
+    """
     cols = spec.columns("selection", observed.n_covariates)
-    xt_a, xt_b = observed.x_a.T[cols], observed.x_b.T[cols]
+    n_a, k = observed.n_a, cols.size
+    xt = np.concatenate([observed.x_a.T[cols], observed.x_b.T[cols]], axis=1)
+    xt_b = xt[:, n_a:]
     w_a = 1.0 / observed.pi_a
-    total_a = xt_a @ w_a
-    y_b, n_pop, k = observed.y_b, observed.n_population, cols.size
+    total_a = xt[:, :n_a] @ w_a
+    y_b, n_pop = observed.y_b, observed.n_population
+    logistic = spec.outcome_family is OutcomeFamily.LOGISTIC_BINARY
 
     def system(theta):
         alpha, beta = theta[:k], theta[k:]
-        inv_pi = 1.0 / expit(alpha @ xt_b)
-        xw = xt_b * (inv_pi - 1.0)
-        jac = np.zeros((2 * k, 2 * k))
-        if spec.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
-            m_a, m_b = expit(beta @ xt_a), expit(beta @ xt_b)
-            v_a, v_b = m_a * (1.0 - m_a), m_b * (1.0 - m_b)
-            dm_b = xt_b * v_b
-            f2 = xt_a @ (v_a * w_a) - xt_b @ (v_b * inv_pi)
-            jac[k:, k:] = ((xt_a * (v_a * (1.0 - 2.0 * m_a) * w_a)) @ xt_a.T
-                           - (xt_b * (v_b * (1.0 - 2.0 * m_b) * inv_pi)) @ xt_b.T) / n_pop
+        jac = np.empty((2 * k, 2 * k))
+        with np.errstate(over="ignore"):
+            odds = np.exp(-alpha @ xt_b)
+            m = 1.0 / (1.0 + np.exp(-beta @ xt)) if logistic else None
+        if logistic:
+            v = m * (1.0 - m)
+            s = v * np.concatenate([w_a, -1.0 - odds])  # dm/pi_a on A, -dm/pi on B, per unit of x
+            f2 = xt @ s
+            jac[k:, k:] = (xt * (s * (1.0 - 2.0 * m))) @ xt.T
+            m_b, v_b = m[n_a:], v[n_a:]
         else:
-            m_b, dm_b = beta @ xt_b, xt_b
-            f2 = total_a - xt_b @ inv_pi
-        r = y_b - m_b
-        jac[:k, :k] = (xw * -r) @ xt_b.T / n_pop
-        jac[:k, k:] = xw @ dm_b.T / -n_pop
-        jac[k:, :k] = -jac[:k, k:].T  # sum_B dm w x' / N
-        return np.concatenate([xw @ r, f2]) / n_pop, jac
+            m_b, v_b = beta @ xt_b, 1.0
+            f2 = total_a - xt_b @ (1.0 + odds)
+            jac[k:, k:] = 0.0
+        ow = np.empty((2, odds.size))  # odds r and odds v on B
+        np.multiply(odds, y_b - m_b, out=ow[0])
+        np.multiply(odds, v_b, out=ow[1])
+        g = (xt_b * ow[:, None]) @ xt_b.T  # sum_B odds r x x' and sum_B odds v x x'
+        jac[:k, :k] = -g[0]
+        jac[k:, :k] = g[1]
+        jac[:k, k:] = -g[1]  # -sum_B odds v x x' is symmetric, so it needs no transpose
+        jac /= n_pop
+        return np.concatenate([xt_b @ ow[0], f2]) / n_pop, jac
     return system
 
 

@@ -378,8 +378,8 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
     message instead; any other exception propagates.
     """
     try:
-        ss = SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
-        y_ss, sample_ss = ss.spawn(2)
+        # the two children that spawn(2) gives SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
+        y_ss, sample_ss = (SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index, i)) for i in (0, 1))
         observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec()))
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
@@ -433,12 +433,6 @@ class MonteCarloSummary:
     n_replicates: int
     n_failed: int
     y_bar_mean: float
-
-    def row(self, name: str) -> SummaryRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def _summary_row(name: str, columns: dict[str, np.ndarray], ybar: np.ndarray) -> SummaryRow:

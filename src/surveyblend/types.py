@@ -259,10 +259,9 @@ class ModelSpec:
         cols = self.outcome_cols if which == "outcome" else self.selection_cols
         if cols is None:
             return np.arange(n_covariates)
-        idx = np.asarray(cols, dtype=int)
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n_covariates):
-            raise ValidationError(f"{which} column mask out of range for {n_covariates} covariates")
-        return idx
+        if not cols or min(cols) < 0 or max(cols) >= n_covariates:
+            raise ValidationError(f"{which} column mask {list(cols)} out of range for {n_covariates} covariates")
+        return np.array(cols)
 
     def to_dict(self) -> dict:
         return plain_data(self)

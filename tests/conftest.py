@@ -60,6 +60,11 @@ def make_observed(seed=0, n_x=2, n_population=400, *,
                         x_b=x[b_idx], y_b=y[b_idx])
 
 
+def summary_row(summary, name):
+    """The row of a Monte Carlo summary by its name."""
+    return {r.name: r for r in summary.rows}[name]
+
+
 def default_fit(observed, method=FitMethod.PSEUDO_ML, family=OutcomeFamily.LINEAR_GAUSSIAN,
                 outcome_cols=None, selection_cols=None):
     spec = ModelSpec(outcome_family=family, fit_method=method,

@@ -39,7 +39,7 @@ from surveyblend.nuisance import (
     score_and_jacobian_outcome_logistic,
     score_and_jacobian_pml,
 )
-from conftest import SCENARIO_KH, default_fit, make_observed
+from conftest import SCENARIO_KH, default_fit, make_observed, summary_row
 
 K = EstimatorKind
 R = Regime
@@ -92,11 +92,11 @@ def test_criterion_2_double_robustness(mc_both_correct, mc_outcome_wrong,
             (mc_outcome_wrong, "outcome wrong", ("DR1/selection_correct", "DR2/selection_correct")),
             (mc_selection_wrong, "selection wrong", ("DR1", "DR2"))):
         for name in rows:
-            row = summary.row(name)
+            row = summary_row(summary, name)
             t = abs(row.mc_bias) / row.mc_bias_se
             checks.append((t < 3.0, f"{scenario}: {name} |bias|/se = {t:.2f} < 3"))
     for name in ("DR1", "DR2"):
-        row = mc_both_wrong.row(name)
+        row = summary_row(mc_both_wrong, name)
         t = abs(row.mc_bias) / row.mc_bias_se
         checks.append((t > 5.0, f"both wrong: {name} |bias|/se = {t:.1f} > 5 (check has power)"))
     _report(2, "DR estimators unbiased when either model is correct", checks)
@@ -113,7 +113,7 @@ def test_criterion_3_variance_validity(mc_both_correct, mc_ipw, mc_outcome_wrong
     checks = []
     for summary, names in plan:
         for name in names:
-            row = summary.row(name)
+            row = summary_row(summary, name)
             checks.append((abs(row.rel_var_bias) <= 0.10,
                            f"{name}: relative variance bias {row.rel_var_bias:+.3f} within 10%"))
             checks.append((0.93 <= row.coverage <= 0.97,
@@ -122,7 +122,7 @@ def test_criterion_3_variance_validity(mc_both_correct, mc_ipw, mc_outcome_wrong
 
 
 def test_criterion_4_kh_doubly_robust_variance(mc_kim_haziza):
-    row = mc_kim_haziza.row("DR1/kh_doubly_robust")
+    row = summary_row(mc_kim_haziza, "DR1/kh_doubly_robust")
     checks = [
         (abs(row.rel_var_bias) <= 0.10,
          f"variance bias {row.rel_var_bias:+.3f} within 10% under a wrong outcome model"),
@@ -143,7 +143,7 @@ def test_criterion_4_kh_doubly_robust_variance(mc_kim_haziza):
 
 
 def test_criterion_5_covariance_non_independence(mc_both_correct):
-    row = mc_both_correct.row("cov(DR2/both_correct,Hajek)")
+    row = summary_row(mc_both_correct, "cov(DR2/both_correct,Hajek)")
     t = abs(row.emp_cov) / row.emp_cov_se
     rel = row.mean_cov_estimate / row.emp_cov - 1.0
     checks = [
@@ -154,9 +154,9 @@ def test_criterion_5_covariance_non_independence(mc_both_correct):
 
 
 def test_criterion_6_pooling_efficiency(mc_both_correct):
-    pooled = mc_both_correct.row("pooled(DR2/both_correct,Hajek)")
-    dr = mc_both_correct.row("DR2/both_correct")
-    prob = mc_both_correct.row("Hajek")
+    pooled = summary_row(mc_both_correct, "pooled(DR2/both_correct,Hajek)")
+    dr = summary_row(mc_both_correct, "DR2/both_correct")
+    prob = summary_row(mc_both_correct, "Hajek")
     floor = min(dr.emp_variance, prob.emp_variance)
     margin = 2.0 * (pooled.emp_variance_se / pooled.emp_variance
                     + min(dr.emp_variance_se / dr.emp_variance,

@@ -357,6 +357,8 @@ class TestSimulateMode:
     # confidence levels outside (0, 1)
     ("estimate", None, "level", 0),
     ("estimate", None, "level", 1.5),
+    # a column mask past the scenario's two columns
+    ("simulate", "scenario", "outcome_cols_override", [0, 2]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -686,6 +688,23 @@ def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, y_on_a):
     pi_a[:3] = [0.30000000000000004, 1.0, 5e-324]
     observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=pi_a,
                             y_a=None if base.y_a is None else -base.y_a, x_b=x_b, y_b=y_b)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "reference").mkdir()
+    write_sample_csvs(observed, tmp_path / "new")
+    reference_sample_csvs(observed, tmp_path / "reference")
+    for name in ("sample_a.csv", "sample_b.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def test_sample_csv_export_matches_the_csv_writer_across_a_block_of_rows(tmp_path):
+    # The export formats 8192 rows at a time; both samples here are longer, with odd values on the seam.
+    base = make_observed(seed=91, n_population=30_000)
+    assert base.n_a > 8192 and base.n_b > 8192
+    x_a, y_b = base.x_a.copy(), base.y_b.copy()
+    x_a[8190:8194, 1] = [-0.0, 5e-324, 0.1 + 0.2, 1e22]
+    y_b[8190:8194] = [1 / 3, -0.0, 2.0**53 + 2, -2 / 3]
+    observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=base.pi_a,
+                            y_a=base.y_a, x_b=base.x_b, y_b=y_b)
     (tmp_path / "new").mkdir()
     (tmp_path / "reference").mkdir()
     write_sample_csvs(observed, tmp_path / "new")

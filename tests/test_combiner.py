@@ -19,7 +19,7 @@ from surveyblend import (
     z_score,
 )
 from surveyblend.combiner import combine
-from conftest import default_fit, make_observed
+from conftest import default_fit, make_observed, summary_row
 
 K = EstimatorKind
 
@@ -145,9 +145,9 @@ class TestPoolPipeline:
             pool(Analysis(observed, fit), K.DR1, Regime.BOTH_CORRECT, K.HT)
 
     def test_pooled_mc_variance_beats_components(self, mc_both_correct):
-        pooled = mc_both_correct.row("pooled(DR2/both_correct,Hajek)")
-        dr = mc_both_correct.row("DR2/both_correct")
-        prob = mc_both_correct.row("Hajek")
+        pooled = summary_row(mc_both_correct, "pooled(DR2/both_correct,Hajek)")
+        dr = summary_row(mc_both_correct, "DR2/both_correct")
+        prob = summary_row(mc_both_correct, "Hajek")
         margin = 2.0 * (pooled.emp_variance_se / pooled.emp_variance
                         + min(dr.emp_variance_se / dr.emp_variance,
                               prob.emp_variance_se / prob.emp_variance))

@@ -32,7 +32,7 @@ from surveyblend import (
 from surveyblend.cli import build_estimate_report, load_config, main, write_sample_csvs
 from surveyblend.nuisance import check_selection_floor
 from surveyblend.simulate import _replicate_record
-from conftest import SCENARIO_BOTH_CORRECT, default_fit, make_observed
+from conftest import SCENARIO_BOTH_CORRECT, default_fit, make_observed, summary_row
 
 K = EstimatorKind
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "estimate_example.yaml"
@@ -150,7 +150,7 @@ class TestOneAnalysisPerDataset:
 
 
 def test_dr2_unbiased_when_both_models_correct(mc_both_correct):
-    row = mc_both_correct.row("DR2/both_correct")
+    row = summary_row(mc_both_correct, "DR2/both_correct")
     assert abs(row.mc_bias) < 3.0 * row.mc_bias_se
 
 

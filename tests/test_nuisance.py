@@ -46,7 +46,7 @@ from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 from scipy.special import logit
 
-from conftest import SCENARIO_BOTH_CORRECT, make_observed, default_fit
+from conftest import SCENARIO_BOTH_CORRECT, make_observed, default_fit, summary_row
 
 
 def intercept_only_data(n_pop=50, n_b=20, *, census_a=True, seed=0):
@@ -248,8 +248,46 @@ class TestKimHaziza:
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
+def kh_score_by_the_sums(observed, family, theta):
+    """The module docstring's two Kim-Haziza sums over all covariate columns, written out unit by unit."""
+    k = observed.n_covariates
+    alpha, beta = theta[:k], theta[k:]
+
+    def mean_and_gradient(x):
+        eta = float(x @ beta)
+        if family is OutcomeFamily.LINEAR_GAUSSIAN:
+            return eta, x
+        m = 1.0 / (1.0 + np.exp(-eta))
+        return m, m * (1.0 - m) * x
+
+    f1, f2 = np.zeros(k), np.zeros(k)
+    for x, y in zip(observed.x_b, observed.y_b):
+        pi = 1.0 / (1.0 + np.exp(-float(x @ alpha)))
+        m, dm = mean_and_gradient(x)
+        f1 += x * (1.0 - pi) / pi * (y - m)
+        f2 -= dm / pi
+    for x, pi_a in zip(observed.x_a, observed.pi_a):
+        f2 += mean_and_gradient(x)[1] / pi_a
+    return np.concatenate([f1, f2]) / observed.n_population
+
+
+@pytest.mark.parametrize("family", list(OutcomeFamily))
+def test_kh_score_matches_its_two_sums(family):
+    # The finite-difference tests check the jacobian against the score; this checks the score itself.
+    base = make_observed(seed=21)
+    rng = default_rng(11)
+    y_b = (rng.random(base.n_b) < 0.4).astype(float) if family is OutcomeFamily.LOGISTIC_BINARY else base.y_b
+    observed = ObservedData(n_population=base.n_population, design=base.design,
+                            x_a=base.x_a, pi_a=base.pi_a, x_b=base.x_b, y_b=y_b)
+    system = score_and_jacobian_kh(observed, ModelSpec(outcome_family=family, fit_method=FitMethod.KIM_HAZIZA))
+    for _ in range(20):
+        theta = rng.normal(scale=0.5, size=2 * observed.n_covariates)
+        want = kh_score_by_the_sums(observed, family, theta)
+        assert np.max(np.abs(system(theta)[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestNewton:
-    """The three failure exits of the damped Newton loop, on tiny synthetic systems."""
+    """The three failure exits of the damped Newton loop and its residual comparison, on tiny synthetic systems."""
 
     def test_zero_jacobian_is_singular(self):
         with pytest.raises(SolverError, match="toy: singular jacobian"):
@@ -258,6 +296,19 @@ class TestNewton:
     def test_constant_residual_has_no_descent_direction(self):
         with pytest.raises(SolverError, match=r"toy: no descent direction \(residual 1.000e\+00\)"):
             _newton(lambda x: (np.ones(2), np.eye(2)), np.zeros(2), 1e-10, "toy")
+
+    def test_nan_residual_off_the_start_has_no_descent_direction(self):
+        # NaN < residual is False, so every halved candidate is refused and the loop ends as for no descent.
+        def system(x):
+            return (np.ones(2) if not x.any() else np.full(2, np.nan)), np.eye(2)
+        with pytest.raises(SolverError, match=r"toy: no descent direction \(residual 1.000e\+00\)"):
+            _newton(system, np.zeros(2), 1e-10, "toy")
+
+    def test_infinite_start_takes_a_finite_candidate(self):
+        # Any finite residual is below an infinite one, so the first candidate is taken and then passes.
+        def system(x):
+            return (np.full(2, np.inf) if np.all(x == 0.0) else np.full(2, 1e-12)), np.eye(2)
+        assert _newton(system, np.zeros(2), 1e-10, "toy", land=False)[1:] == (1, 1e-12)
 
     def test_halving_steps_never_reach_a_zero_tolerance(self):
         # f = x with jacobian 2I halves the residual at every step, so it never reaches 0.
@@ -443,5 +494,5 @@ class TestMonteCarloConsistency:
 def test_kh_doubly_robust_point_estimate(mc_kim_haziza):
     # Wrong outcome model, correct selection model, joint fitting: the DR1
     # point estimate stays unbiased within Monte Carlo resolution.
-    row = mc_kim_haziza.row("DR1/kh_doubly_robust")
+    row = summary_row(mc_kim_haziza, "DR1/kh_doubly_robust")
     assert abs(row.mc_bias) < 3.0 * row.mc_bias_se

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 from scipy.special import logit
 
 from surveyblend import (
@@ -23,6 +24,8 @@ from surveyblend import (
     run_replications,
 )
 from surveyblend import simulate
+
+from conftest import summary_row
 
 K = EstimatorKind
 
@@ -149,8 +152,8 @@ class TestRunReplications:
     def test_mc_standard_errors_shrink_with_replicates(self):
         lo = run_replications(small_config(replicates=150))
         hi = run_replications(small_config(replicates=600))
-        r_lo = lo.row("DR1/both_correct")
-        r_hi = hi.row("DR1/both_correct")
+        r_lo = summary_row(lo, "DR1/both_correct")
+        r_hi = summary_row(hi, "DR1/both_correct")
         ratio = r_hi.mc_bias_se / r_lo.mc_bias_se
         assert 0.35 < ratio < 0.72  # target 1/2, allow sampling wobble
 
@@ -185,6 +188,23 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "fit_nuisance", fit_that_breaks_once)
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_config(replicates=5))
+
+    def test_replicate_streams_are_the_children_spawn_derives(self, monkeypatch):
+        # Each replicate seeds its outcome and sample streams directly; they must stay what spawn(2) gave.
+        config = small_config()
+        population = generate_population(config)
+        drawn = []
+
+        def recording_draw(population, seed, y):
+            drawn.append((seed, y))
+            return draw_samples(population, seed, y)
+
+        monkeypatch.setattr(simulate, "draw_samples", recording_draw)
+        simulate._replicate_record(config, population, 3)
+        y_ss, sample_ss = SeedSequence(entropy=config.seed, spawn_key=(simulate._REP_STREAM, 3)).spawn(2)
+        (seed, y), = drawn
+        assert y.tobytes() == simulate.redraw_outcomes(population, config, y_ss).tobytes()
+        assert np.array_equal(seed.generate_state(8), sample_ss.generate_state(8))
 
     def test_a_failed_replicate_is_left_out_of_every_row(self, monkeypatch):
         config = small_config(replicates=100)
@@ -223,7 +243,7 @@ class TestRunReplications:
             seed=7,
         )
         summary = run_replications(config)
-        row = summary.row("DR1/kh_doubly_robust")
+        row = summary_row(summary, "DR1/kh_doubly_robust")
         assert summary.n_failed == 0 and row.n_used == 60
         assert all(np.isfinite(v) for v in (row.mc_bias, row.emp_variance, row.mean_var_estimate, row.coverage))
         assert abs(row.mc_bias) < 4.0 * row.mc_bias_se
@@ -232,7 +252,7 @@ class TestRunReplications:
         summary = run_replications(small_config(replicates=10))
         names = [r.name for r in summary.rows]
         assert names == ["Hajek", "DR1/both_correct", "pooled(DR1/both_correct,Hajek)"]
-        assert summary.row("Hajek").coverage is not None
+        assert summary_row(summary, "Hajek").coverage is not None
 
     def test_config_round_trip(self):
         config = small_config()

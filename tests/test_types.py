@@ -96,6 +96,15 @@ def test_kim_haziza_requires_matching_masks():
     assert spec.outcome_cols == (0, 1)
 
 
+@pytest.mark.parametrize("cols", [(), (-1, 1), (0, 3)], ids=["empty", "negative", "too-large"])
+def test_column_mask_out_of_range_raises(cols):
+    spec = ModelSpec(outcome_cols=cols, selection_cols=cols)
+    for which in ("outcome", "selection"):
+        with pytest.raises(ValidationError, match=rf"{which} column mask \[.*\] out of range for 3 covariates"):
+            spec.columns(which, 3)
+    assert ModelSpec(outcome_cols=(0, 2)).columns("outcome", 3).tolist() == [0, 2]
+
+
 def csv_round_trip(observed, directory):
     """Write an ObservedData to the CLI's sample CSVs and read it back."""
     path_a, path_b = write_sample_csvs(observed, directory)
