@@ -17,7 +17,7 @@ from .designs import (
     ht_var_estimate,
 )
 from .estimators import Analysis, EstimatorKind
-from .nuisance import NuisanceFit, SolverError, fit_nuisance, predict_outcome, predict_selection
+from .nuisance import NuisanceFit, SolverError, fit_nuisance
 from .simulate import (
     Covariate,
     EvalPlan,

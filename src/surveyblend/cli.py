@@ -65,6 +65,7 @@ from .types import (
     config_int,
     config_section,
     field_names,
+    plain_data,
 )
 from .uncertainty import ResidualVarianceModel
 
@@ -350,8 +351,8 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
     report: dict = {
         "mode": "estimate",
         "n_population": observed.n_population,
-        "design": config.design.to_dict(),
-        "model": config.model.to_dict(),
+        "design": plain_data(config.design),
+        "model": plain_data(config.model),
         "level": config.level,
         "points": [],
         "variances": [],
@@ -362,7 +363,7 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
         values = row.values
         head = {"estimator": row.kind.value, "regime": row.regime.value if row.regime else None}
         if row.pooled is not None:
-            report["pooled"].append({**head, "prob_estimator": row.prob.value, **row.pooled.to_dict()})
+            report["pooled"].append({**head, "prob_estimator": row.prob.value, **plain_data(row.pooled)})
         elif "cov" in values:
             report["covariances"].append({**head, "prob_estimator": row.prob.value, "covariance": values["cov"]})
         elif "var" in values:
@@ -485,7 +486,7 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
         summary_to_csv(summary, config.output_dir / "summary.csv")
         manifest = {
             "mode": "simulate",
-            "scenario": config.scenario.to_dict(),
+            "scenario": plain_data(config.scenario),
             "seed": config.scenario.seed,
             "parallel": config.parallel,
             "max_workers": config.max_workers,

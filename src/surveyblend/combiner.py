@@ -20,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .estimators import Analysis, EstimatorKind
-from .types import ValidationError, plain_data
+from .types import ValidationError
 from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, var_prob_estimate, variance
 
 __all__ = ["PooledReport", "combine", "pool", "pooled_variance", "z_score"]
@@ -44,9 +44,6 @@ class PooledReport:
     cov: float
     level: float
     fallback_used: bool
-
-    def to_dict(self) -> dict:
-        return plain_data(self)
 
 
 def _weight(var_p: float, var_dr: float, cov: float) -> tuple[float, bool]:

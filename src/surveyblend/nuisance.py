@@ -41,7 +41,7 @@ import numpy as np
 
 from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, frozen_array
 
-__all__ = ["NuisanceFit", "SolverError", "fit_nuisance", "predict_outcome", "predict_selection"]
+__all__ = ["NuisanceFit", "SolverError", "fit_nuisance"]
 
 SELECTION_TOL = 1e-10
 KH_TOL = 1e-8
@@ -64,26 +64,13 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def predict_selection(alpha, x) -> np.ndarray:
-    """expit(alpha'x) rowwise; x must already hold the model's columns."""
-    return expit(np.asarray(x, dtype=float) @ np.asarray(alpha, dtype=float))
-
-
-def predict_outcome(beta, x, family: OutcomeFamily) -> np.ndarray:
-    """Model mean rowwise: beta'x for the linear family, expit(beta'x) for the logistic one."""
-    eta = np.asarray(x, dtype=float) @ np.asarray(beta, dtype=float)
-    if family is OutcomeFamily.LOGISTIC_BINARY:
-        return expit(eta)
-    return eta
-
-
 @dataclass(frozen=True)
 class NuisanceFit:
     """Fitted nuisance coefficients plus solver diagnostics.
 
     ``alpha`` is indexed by ``spec.selection_cols`` and ``beta`` by ``spec.outcome_cols``; the
-    prediction helpers apply the masks. ``max_abs_score`` is the residual that passed the solver's
-    tolerance, so it never exceeds it; a landed fit sits nearer the root than it says.
+    predictions ``pi_b`` and ``m`` apply the masks. ``max_abs_score`` is the residual that passed
+    the solver's tolerance, so it never exceeds it; a landed fit sits nearer the root than it says.
     """
 
     alpha: np.ndarray
@@ -98,11 +85,12 @@ class NuisanceFit:
 
     def pi_b(self, x_full: np.ndarray) -> np.ndarray:
         cols = self.spec.columns("selection", x_full.shape[1])
-        return predict_selection(self.alpha, x_full[:, cols])
+        return expit(x_full[:, cols] @ self.alpha)
 
     def m(self, x_full: np.ndarray) -> np.ndarray:
         cols = self.spec.columns("outcome", x_full.shape[1])
-        return predict_outcome(self.beta, x_full[:, cols], self.spec.outcome_family)
+        eta = x_full[:, cols] @ self.beta
+        return expit(eta) if self.spec.outcome_family is OutcomeFamily.LOGISTIC_BINARY else eta
 
 
 # Newton steps beyond this size (logit scale) are truncated; expit saturates

@@ -22,6 +22,7 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +44,6 @@ from .types import (
     config_float,
     config_int,
     config_section,
-    plain_data,
 )
 from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
                           var_prob_estimate, variance)
@@ -238,19 +238,19 @@ class ScenarioConfig:
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level outside (0, 1)")
         if self.sample_a_size >= self.n_population:
-            raise ValidationError("target sample size must be below the population size")
+            raise ValidationError("sample_a_size must be below n_population")
         for j, cov in enumerate(self.covariates, start=1):
             if cov.kind == "square_of" and not 1 <= config_int("square_of params", cov.params[0]) < j:
                 raise ValidationError("square_of must reference an earlier covariate column")
-        spec = self.model_spec()
         for which in ("outcome", "selection"):
-            spec.columns(which, p)  # checks the range of the column overrides
+            self.model_spec.columns(which, p)  # checks the range of the column overrides
         self.plan.check(self.fit_method)
 
     @property
     def n_covariate_columns(self) -> int:
         return 1 + len(self.covariates)
 
+    @cached_property  # a pickled config carries it to the workers, so a study builds it once
     def model_spec(self) -> ModelSpec:
         wrong = tuple(range(self.n_covariate_columns - 1))  # a wrong model lacks the last column
 
@@ -260,9 +260,6 @@ class ScenarioConfig:
         return ModelSpec(outcome_family=self.outcome_family, fit_method=self.fit_method,
                          outcome_cols=cols(self.outcome_cols_override, self.outcome_wrong),
                          selection_cols=cols(self.selection_cols_override, self.selection_wrong))
-
-    def to_dict(self) -> dict:
-        return plain_data(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -302,10 +299,13 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
         else:  # square_of
             columns.append(columns[int(cov.params[0]) - 1] ** 2)
     x = np.column_stack([np.ones(n)] + columns) if columns else np.ones((n, 1))
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("non-finite covariate value; change the covariates' params")
 
+    # written so that NaN fails: every comparison with NaN is False
     pi_b = expit(x @ np.asarray(config.alpha_true))
-    if np.any(pi_b <= 0.0) or np.any(pi_b >= 1.0):
-        raise ValidationError("true selection probabilities reach 0 or 1; rescale alpha_true")
+    if not np.all((pi_b > 0.0) & (pi_b < 1.0)):
+        raise ValidationError("true selection probabilities outside (0, 1); rescale alpha_true")
 
     if config.design_kind is DesignKind.SRSWOR:
         design = DesignDescriptor(DesignKind.SRSWOR, n=config.sample_a_size)
@@ -317,17 +317,18 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
         else:
             shape = np.ones(n)
         pi_a = shape * (config.sample_a_size / float(np.sum(shape)))
-        if np.any(pi_a > 1.0):
-            raise ValidationError("design probabilities exceed 1; lower the target size or flatten pi_a_coef")
+        if not np.all((pi_a > 0.0) & (pi_a <= 1.0)):
+            raise ValidationError("design probabilities outside (0, 1]; change sample_a_size or pi_a_coef")
 
     y = _draw_outcomes(x, config, rng)
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("non-finite outcome; change beta_true, noise_sd or noise_sd_coef")
     return FinitePopulation(x=x, y=y, pi_a=pi_a, pi_b_true=pi_b, design=design)
 
 
 def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) -> np.ndarray:
     """A new outcome vector ``y`` for the frame of ``population``, drawn from the superpopulation model."""
-    ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
-    return _draw_outcomes(population.x, config, default_rng(ss))
+    return _draw_outcomes(population.x, config, default_rng(seed))
 
 
 def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None) -> tuple[ObservedData, float]:
@@ -381,7 +382,7 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         # the two children that spawn(2) gives SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
         y_ss, sample_ss = (SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index, i)) for i in (0, 1))
         observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
-        analysis = Analysis(observed, fit_nuisance(observed, config.model_spec()))
+        analysis = Analysis(observed, fit_nuisance(observed, config.model_spec))
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
     except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"

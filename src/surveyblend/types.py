@@ -1,8 +1,9 @@
 """Shared data model: populations, observed samples, model specifications.
 
-Every object here checks its invariants and converts its array fields to
-read-only float64 when it is constructed, so it is valid, immutable and
-safe to share across threads or worker processes.
+Every object here converts its array fields to read-only float64 when it
+is constructed, so it is immutable and safe to share across threads or
+worker processes. All but :class:`FinitePopulation` check their invariants
+then; its one producer, ``simulate.generate_population``, checks the frame.
 """
 
 from __future__ import annotations
@@ -138,9 +139,6 @@ class DesignDescriptor:
         elif self.n is not None:
             raise ValidationError("Poisson design takes no fixed sample size")
 
-    def to_dict(self) -> dict:
-        return plain_data(self)
-
 
 @dataclass(frozen=True)
 class FinitePopulation:
@@ -148,34 +146,19 @@ class FinitePopulation:
 
     ``pi_a`` holds the first-order probability of entering the probability
     sample and ``pi_b_true`` the true (in practice unknown) probability of
-    opting into the nonprobability sample.
+    opting into the nonprobability sample. Construction only freezes the
+    arrays; :func:`~surveyblend.simulate.generate_population` checks them.
     """
 
     x: np.ndarray          # (N, p), x[:, 0] == 1
     y: np.ndarray          # (N,)
-    pi_a: np.ndarray       # (N,)
-    pi_b_true: np.ndarray  # (N,)
+    pi_a: np.ndarray       # (N,), in (0, 1]
+    pi_b_true: np.ndarray  # (N,), in (0, 1)
     design: DesignDescriptor
 
     def __post_init__(self):
-        x = frozen_array(self.x)
-        if x.ndim != 2:
-            raise ValidationError("population covariates must be a 2-d array")
-        n = x.shape[0]
-        _set(self, "x", x)
-        for name in ("y", "pi_a", "pi_b_true"):
-            arr = frozen_array(getattr(self, name))
-            if arr.shape != (n,):
-                raise ValidationError(f"population field {name} has length {arr.shape}, expected ({n},)")
-            _set(self, name, arr)
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)):
-            raise ValidationError("non-finite population entry")
-        if not np.all(self.x[:, 0] == 1.0):
-            raise ValidationError("first covariate column must be the intercept")
-        if np.any(self.pi_a <= 0.0) or np.any(self.pi_a > 1.0):
-            raise ValidationError("sampling probability outside (0, 1]")
-        if np.any(self.pi_b_true <= 0.0) or np.any(self.pi_b_true >= 1.0):
-            raise ValidationError("true selection probability outside (0, 1)")
+        for name in ("x", "y", "pi_a", "pi_b_true"):
+            _set(self, name, frozen_array(getattr(self, name)))
 
     @property
     def size(self) -> int:
@@ -262,9 +245,6 @@ class ModelSpec:
         if not cols or min(cols) < 0 or max(cols) >= n_covariates:
             raise ValidationError(f"{which} column mask {list(cols)} out of range for {n_covariates} covariates")
         return np.array(cols)
-
-    def to_dict(self) -> dict:
-        return plain_data(self)
 
 
 def validate(observed: ObservedData) -> ObservedData:

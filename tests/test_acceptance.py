@@ -133,7 +133,7 @@ def test_criterion_4_kh_doubly_robust_variance(mc_kim_haziza):
     # correction to vanish.
     population = generate_population(SCENARIO_KH)
     observed, _ = draw_samples(population, 424242)
-    fit = fit_nuisance(observed, SCENARIO_KH.model_spec())
+    fit = fit_nuisance(observed, SCENARIO_KH.model_spec)
     s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.CONSTANT)
     pi_b = fit.pi_b(observed.x_b)
     correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b))

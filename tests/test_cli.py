@@ -359,6 +359,16 @@ class TestSimulateMode:
     ("estimate", None, "level", 1.5),
     # a column mask past the scenario's two columns
     ("simulate", "scenario", "outcome_cols_override", [0, 2]),
+    # study settings out of range
+    ("simulate", "scenario", "replicates", 1),
+    ("simulate", "scenario", "level", 1.5),
+    ("simulate", "scenario", "sample_a_size", 1200),
+    # values that pass the scenario's checks but give a frame the study cannot use
+    ("simulate", "scenario.covariates.0", "params", [0.0, float("inf")]),
+    ("simulate", "scenario", "noise_sd", float("inf")),
+    ("simulate", "scenario", "sample_a_size", 0),
+    ("simulate", "scenario", "alpha_true", [float("nan"), 0.4]),
+    ("simulate", "scenario", "pi_a_coef", [float("nan"), 0.5]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))

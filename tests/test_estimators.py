@@ -205,10 +205,10 @@ class TestSelectionFloor:
         clean = ObservedData(n_population=observed.n_population, design=observed.design,
                              x_a=observed.x_a[in_a], pi_a=observed.pi_a[in_a],
                              x_b=observed.x_b[in_b], y_b=observed.y_b[in_b])
-        reference = fit_nuisance(clean, FLOOR_SCENARIO.model_spec())
+        reference = fit_nuisance(clean, FLOOR_SCENARIO.model_spec)
         assert reference.pi_b(x_in).min() < 1e-8 < 1e-3 < reference.pi_b(x_out).min()
         with pytest.raises(SolverError, match="refusing to clamp"):
-            Analysis(observed, fit_nuisance(observed, FLOOR_SCENARIO.model_spec())).point(K.DR1)
+            Analysis(observed, fit_nuisance(observed, FLOOR_SCENARIO.model_spec)).point(K.DR1)
 
     def test_replicate_fails_with_the_solver_error(self, sample):
         record = _replicate_record(FLOOR_SCENARIO, floored_population(sample), 0)

@@ -18,6 +18,7 @@ from surveyblend import (
     DesignKind,
     FitMethod,
     ModelSpec,
+    NuisanceFit,
     ObservedData,
     OutcomeFamily,
     ScenarioConfig,
@@ -25,8 +26,6 @@ from surveyblend import (
     draw_samples,
     fit_nuisance,
     generate_population,
-    predict_outcome,
-    predict_selection,
 )
 from surveyblend.nuisance import (
     KH_TOL,
@@ -316,19 +315,23 @@ class TestNewton:
             _newton(lambda x: (x, 2.0 * np.eye(2)), np.ones(2), 0.0, "toy")
 
 
+def fit_with(alpha, beta):
+    """A fit with the given coefficients over every column and the linear outcome family."""
+    return NuisanceFit(alpha=alpha, beta=beta, spec=ModelSpec(), iterations=0, max_abs_score=0.0)
+
+
 class TestPredict:
     def test_zero_coefficients_give_half(self):
-        assert predict_selection(np.zeros(2), np.array([[1.0, 3.0]]))[0] == 0.5
+        assert fit_with(np.zeros(2), np.zeros(2)).pi_b(np.array([[1.0, 3.0]]))[0] == 0.5
 
     def test_linear_prediction_is_dot_product(self):
-        out = predict_outcome(np.array([1.0, 2.0]), np.array([[1.0, 3.0]]),
-                              OutcomeFamily.LINEAR_GAUSSIAN)
+        out = fit_with(np.zeros(2), np.array([1.0, 2.0])).m(np.array([[1.0, 3.0]]))
         assert out[0] == pytest.approx(7.0)
 
     def test_selection_probability_in_open_interval(self):
         rng = default_rng(11)
         x = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
-        p = predict_selection(rng.normal(size=3), x)
+        p = fit_with(rng.normal(size=3), np.zeros(3)).pi_b(x)
         assert np.all((p > 0) & (p < 1))
 
 
@@ -464,7 +467,7 @@ def test_separable_fits_land_on_one_root_from_either_start():
 def test_mean_newton_iterations_stay_at_their_measured_count(config, bound):
     # Exact counts, so unlike a timing no host noise moves them: a slower solve fails here.
     # Before the empirical-logit start and the warm-start landing they were 6.0 and 15.03125.
-    iterations = [fit_nuisance(observed, config.model_spec()).iterations for observed in replicate_data(config)]
+    iterations = [fit_nuisance(observed, config.model_spec).iterations for observed in replicate_data(config)]
     assert np.mean(iterations) <= bound
 
 

@@ -24,6 +24,7 @@ from surveyblend import (
     run_replications,
 )
 from surveyblend import simulate
+from surveyblend.types import plain_data
 
 from conftest import summary_row
 
@@ -256,4 +257,4 @@ class TestRunReplications:
 
     def test_config_round_trip(self):
         config = small_config()
-        assert ScenarioConfig.from_dict(config.to_dict()) == config
+        assert ScenarioConfig.from_dict(plain_data(config)) == config

@@ -16,7 +16,7 @@ from surveyblend import (
     validate,
 )
 from surveyblend.cli import RunConfig, read_samples, write_sample_csvs
-from surveyblend.types import field_names
+from surveyblend.types import field_names, plain_data
 from conftest import make_observed
 
 
@@ -49,6 +49,13 @@ CORRUPTIONS = {
     "underdetermined_sample_b": (lambda f: {"x_b": np.array([[1.0, 0.5, 1.0], [1.0, -0.5, 2.0]]),
                                             "y_b": np.array([1.0, 2.0])}, "underdetermined fit"),
     "missing_outcome_on_sample_b": (lambda f: with_entry(f, "y_b", 1, np.nan), "sample B"),
+    "one_dimensional_x_b": (lambda f: {"x_b": f["x_b"][:, 1]}, "sample covariates must be 2-d arrays"),
+    "y_b_one_short": (lambda f: {"y_b": f["y_b"][:-1]}, "y length does not match sample B"),
+    "empty_sample_a": (lambda f: {"x_a": f["x_a"][:0], "pi_a": f["pi_a"][:0], "y_a": f["y_a"][:0]}, "empty sample"),
+    # sample A is the larger one here, so N = n_A leaves sample B inside the population
+    "srswor_size_equals_population": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"])),
+                                                 "n_population": len(f["pi_a"])},
+                                      "SRSWOR design size must be below the population size"),
 }
 
 
@@ -133,7 +140,7 @@ class TestRoundTrips:
     def test_design_descriptor(self):
         # report.json carries the design as this dict; it rebuilds the same design.
         for d in (DesignDescriptor(DesignKind.POISSON), DesignDescriptor(DesignKind.SRSWOR, n=7)):
-            plain = d.to_dict()
+            plain = plain_data(d)
             assert plain == {"kind": d.kind.value, "n": d.n}
             assert DesignDescriptor(DesignKind(plain["kind"]), plain["n"]) == d
 
@@ -141,7 +148,7 @@ class TestRoundTrips:
         spec = ModelSpec(outcome_family=OutcomeFamily.LOGISTIC_BINARY,
                          fit_method=FitMethod.CALIBRATION,
                          outcome_cols=(0, 2), selection_cols=None)
-        plain = spec.to_dict()
+        plain = plain_data(spec)
         assert plain == {"outcome_family": "logistic_binary", "fit_method": "calibration",
                          "outcome_cols": [0, 2], "selection_cols": None}
         assert ModelSpec(OutcomeFamily(plain["outcome_family"]), FitMethod(plain["fit_method"]),

@@ -86,7 +86,7 @@ class TestRegressionAdjustment:
         rhs = x.T @ ((1 - pi_b) * (y - x @ beta_w)) / n
         target = np.linalg.solve(gram, rhs)
 
-        spec = config.model_spec()
+        spec = config.model_spec
         draws = []
         for r in range(300):
             observed, _ = draw_samples(pop, 9_000 + r)
@@ -307,7 +307,7 @@ class TestResidualVariance:
             seed=66,
         )
         pop = generate_population(config)
-        spec = config.model_spec()
+        spec = config.model_spec
         values = []
         for r in range(200):
             observed, _ = draw_samples(pop, 30_000 + r, redraw_outcomes(pop, config, 40_000 + r))
@@ -360,6 +360,14 @@ class TestAnalysis:
         assert var_prob_estimate(K.HAJEK, analysis) >= 0.0
         with pytest.raises(ValidationError, match="no variance regime"):
             variance(K.HAJEK, R.BOTH_CORRECT, analysis)
+
+    @pytest.mark.parametrize("call", [lambda a: var_prob_estimate(K.IPW1, a),
+                                      lambda a: cov_estimate(K.DR1, R.BOTH_CORRECT, K.IPW1, a)],
+                             ids=["var_prob_estimate", "cov_estimate"])
+    def test_prob_kind_must_be_a_probability_sample_estimator(self, call):
+        observed = make_observed(seed=62)
+        with pytest.raises(ValidationError, match="IPW1 is not a probability-sample estimator"):
+            call(Analysis(observed, default_fit(observed)))
 
     @pytest.mark.parametrize("call", [
         lambda a: variance(K.DR1, R.BOTH_CORRECT, a),
