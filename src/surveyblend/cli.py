@@ -93,13 +93,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _kind(name: str) -> EstimatorKind:
-    for kind in EstimatorKind:
-        if kind.value.lower() == str(name).lower():
-            return kind
-    raise ValidationError(f"unknown estimator {name!r}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration for one CLI run."""
@@ -176,11 +169,11 @@ def _parse_config(raw, mode: str) -> RunConfig:
     def entries(section: str, keys: tuple[str, ...]) -> tuple:
         """The section's entries as tuples of their ``keys``' values."""
         rows = [config_section(v, f"estimators.{section}", keys, keys) for v in est.get(section, ())]
-        return tuple(tuple(v[k] if k == "regime" else _kind(v[k]) for k in keys) for v in rows)
+        return tuple(tuple(v[k] for k in keys) for v in rows)
 
     # Every listed point is a point-only row, in the listed order; the
     # probability-sample ones also get their design-variance interval.
-    points = tuple(_kind(k) for k in est.get("points", ()))
+    points = tuple(map(EstimatorKind, est.get("points", ())))
     plan = EvalPlan(prob_points=tuple(k for k in points if k in PROB_KINDS), point_only=points,
                     var_pairs=entries("variances", ("kind", "regime")),
                     cov_pairs=entries("covariances", ("kind", "regime", "prob")),
@@ -376,35 +369,27 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
     return report
 
 
+# Each section of report.txt: its report key, its heading and the line of one entry.
+_REPORT_SECTIONS = (
+    ("points", "point estimates", lambda r: f"{r['estimator']:<6} {_fmt(r['estimate'])}"),
+    ("variances", "variance estimates",
+     lambda r: f"{r['estimator']:<6} {r['regime'] or '-':<20} est {_fmt(r['estimate'])} "
+               f"var {_fmt(r['variance'])} ci [{_fmt(r['ci_low'])}, {_fmt(r['ci_high'])}]"),
+    ("covariances", "covariances with probability-sample estimators",
+     lambda r: f"{r['estimator']}/{r['regime']} ~ {r['prob_estimator']}: {_fmt(r['covariance'])}"),
+    ("pooled", "pooled estimates",
+     lambda r: f"{r['estimator']}/{r['regime']} + {r['prob_estimator']}: w {_fmt(r['w'])} "
+               f"est {_fmt(r['pooled_estimate'])} var {_fmt(r['pooled_variance'])} "
+               f"ci [{_fmt(r['ci_low'])}, {_fmt(r['ci_high'])}]"
+               + (" (fallback weight)" if r["fallback_used"] else "")),
+)
+
+
 def _report_text(report: dict) -> str:
     lines = [f"surveyblend estimate report (level {_fmt(report['level'])})", ""]
-    if report["points"]:
-        lines.append("point estimates")
-        for row in report["points"]:
-            lines.append(f"  {row['estimator']:<6} {_fmt(row['estimate'])}")
-        lines.append("")
-    if report["variances"]:
-        lines.append("variance estimates")
-        for row in report["variances"]:
-            regime = row["regime"] or "-"
-            lines.append(f"  {row['estimator']:<6} {regime:<20} est {_fmt(row['estimate'])} "
-                         f"var {_fmt(row['variance'])} ci [{_fmt(row['ci_low'])}, {_fmt(row['ci_high'])}]")
-        lines.append("")
-    if report["covariances"]:
-        lines.append("covariances with probability-sample estimators")
-        for row in report["covariances"]:
-            lines.append(f"  {row['estimator']}/{row['regime']} ~ {row['prob_estimator']}: "
-                         f"{_fmt(row['covariance'])}")
-        lines.append("")
-    if report["pooled"]:
-        lines.append("pooled estimates")
-        for row in report["pooled"]:
-            lines.append(f"  {row['estimator']}/{row['regime']} + {row['prob_estimator']}: "
-                         f"w {_fmt(row['w'])} est {_fmt(row['pooled_estimate'])} "
-                         f"var {_fmt(row['pooled_variance'])} "
-                         f"ci [{_fmt(row['ci_low'])}, {_fmt(row['ci_high'])}]"
-                         + (" (fallback weight)" if row["fallback_used"] else ""))
-        lines.append("")
+    for key, heading, entry in _REPORT_SECTIONS:
+        if report[key]:
+            lines += [heading, *(f"  {entry(row)}" for row in report[key]), ""]
     return "\n".join(lines)
 
 

@@ -8,7 +8,9 @@ sample, estimated with the pairwise-probability ratio form
 
 which is design-unbiased whenever all pi_ij > 0. Both supported designs
 admit closed forms: under Poisson sampling the off-diagonal terms vanish,
-and under SRSWOR pi_ij is constant over pairs.
+and under SRSWOR pi_ij is constant over pairs. Every function takes
+array-likes and checks in one place that they align with ``pi`` and that
+``pi`` lies in (0, 1].
 """
 
 from __future__ import annotations
@@ -25,33 +27,30 @@ __all__ = [
 ]
 
 
-def _check_probabilities(pi: np.ndarray) -> None:
-    """Reject inclusion probabilities outside (0, 1]; a NaN makes the min and max NaN, so it fails too."""
-    if not pi.min(initial=1.0) > 0.0:
+def _aligned(pi, *vectors) -> list[np.ndarray]:
+    """``pi``, then ``vectors``, as float arrays, checked to align and ``pi`` to lie in (0, 1]."""
+    pi = np.asarray(pi, dtype=float)
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != pi.shape for v in vectors):
+        raise ValidationError("values and probabilities have different lengths")
+    if not pi.min(initial=1.0) > 0.0:  # a NaN makes the min and max NaN
         raise ValidationError("nonpositive inclusion probability")
     if not pi.max(initial=0.0) <= 1.0:
         raise ValidationError("inclusion probability above 1")
+    return [pi, *vectors]
 
 
 def ht_mean(values, pi, n_population: int) -> float:
     """Horvitz-Thompson mean (1/N) sum z_i / pi_i over the sampled units."""
-    values = np.asarray(values, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if values.shape != pi.shape:
-        raise ValidationError("values and probabilities have different lengths")
-    _check_probabilities(pi)
+    pi, values = _aligned(pi, values)
     return float(np.sum(values / pi) / n_population)
 
 
 def hajek_mean(values, pi) -> float:
     """Self-normalized weighted mean (sum z_i/pi_i) / (sum 1/pi_i); reproduces constants."""
-    values = np.asarray(values, dtype=float)
-    pi = np.asarray(pi, dtype=float)
+    pi, values = _aligned(pi, values)
     if values.size == 0:
         raise ValidationError("empty sample")
-    if values.shape != pi.shape:
-        raise ValidationError("values and probabilities have different lengths")
-    _check_probabilities(pi)
     w = 1.0 / pi
     return float(np.sum(values * w) / np.sum(w))
 
@@ -65,12 +64,7 @@ def ht_cov_estimate(residuals_u, residuals_v, design: DesignDescriptor, pi, n_po
     pairs; it is bilinear and symmetric in (u, v), and under Poisson
     sampling collapses to (1/N^2) sum (1 - pi_i) u_i v_i / pi_i^2.
     """
-    u = np.asarray(residuals_u, dtype=float)
-    v = np.asarray(residuals_v, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if u.shape != pi.shape or v.shape != pi.shape:
-        raise ValidationError("residual vectors must align with the sampled units")
-    _check_probabilities(pi)
+    pi, u, v = _aligned(pi, residuals_u, residuals_v)
     if design.kind is DesignKind.POISSON:
         return float(np.sum((1.0 - pi) * u * v / pi**2) / n_population**2)
     # SRSWOR: constant pi = n/N and constant off-diagonal pi_ij, positive because n >= 2.

@@ -29,6 +29,11 @@ class EstimatorKind(Enum):
     DR1 = "DR1"
     DR2 = "DR2"
 
+    @classmethod
+    def _missing_(cls, value):
+        """A name in any case: ``EstimatorKind("hajek")`` is ``HAJEK``."""
+        return next((kind for kind in cls if kind.value.lower() == str(value).lower()), None)
+
 
 PROB_KINDS = (EstimatorKind.HT, EstimatorKind.HAJEK)
 IPW_KINDS = (EstimatorKind.IPW1, EstimatorKind.IPW2)

@@ -11,7 +11,7 @@ Three fitting routes are supported:
 * the Kim-Haziza route, which solves the joint system
   (1/N) sum_B x_i (1 - pi_i)/pi_i (y_i - m_i) = 0
   (1/N) [sum_A dm_i / pi_a_i - sum_B dm_i / pi_i] = 0
-  for (alpha, beta), where dm_i is the gradient of m in beta.
+  for (alpha, beta) from the separable fits, where dm_i is the gradient of m in beta.
 
 All solvers are damped Newton iterations with step halving; convergence is
 declared on the max-abs value of the (1/N-scaled) estimating function. Each
@@ -236,28 +236,21 @@ def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray
     return beta, iters, resid
 
 
-def _fit_kim_haziza(observed: ObservedData, spec: ModelSpec):
-    """Joint (alpha, beta) solve of the Kim-Haziza estimating equations."""
-    cols = spec.columns("selection", observed.n_covariates)
-    # Warm start at the separable fits: the joint system is nonconvex and
-    # this is its natural basin.
-    alpha0, it_a, _ = _fit_selection(observed, cols, FitMethod.PSEUDO_ML)
-    beta0, it_b, _ = _fit_outcome(observed, spec.outcome_family, cols)
-    theta, iters, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha0, beta0]),
-                                  KH_TOL, "Kim-Haziza joint fit", land=False)
-    return theta[:cols.size], theta[cols.size:], it_a + it_b + iters, resid
-
-
 def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
-    """Fit both nuisance models by the method named in ``spec``."""
+    """Fit both nuisance models by the method named in ``spec``.
+
+    Every method fits the two models separately, selection by pseudo-ML unless the method is calibration.
+    Kim-Haziza then solves its nonconvex joint system from there, the natural basin of its root.
+    """
+    sel_cols = spec.columns("selection", observed.n_covariates)
+    out_cols = spec.columns("outcome", observed.n_covariates)
+    alpha, it_a, r_a = _fit_selection(observed, sel_cols, spec.fit_method)
+    beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, out_cols)
+    iters, resid = it_a + it_b, max(r_a, r_b)
     if spec.fit_method is FitMethod.KIM_HAZIZA:
-        alpha, beta, iters, resid = _fit_kim_haziza(observed, spec)
-    else:
-        sel_cols = spec.columns("selection", observed.n_covariates)
-        out_cols = spec.columns("outcome", observed.n_covariates)
-        alpha, it_a, r_a = _fit_selection(observed, sel_cols, spec.fit_method)
-        beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, out_cols)
-        iters, resid = it_a + it_b, max(r_a, r_b)
+        theta, it_kh, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha, beta]),
+                                      KH_TOL, "Kim-Haziza joint fit", land=False)
+        alpha, beta, iters = theta[:sel_cols.size], theta[sel_cols.size:], iters + it_kh
     return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 

@@ -91,6 +91,9 @@ class Covariate:
         if len(params) not in counts:
             raise ValidationError(f"a {self.kind} covariate takes {' or '.join(map(str, counts))} params, "
                                   f"not {params}")
+        width = params[1] - params[0] if self.kind == "uniform" and params else 0.0  # inf past the float range
+        if not np.all(np.isfinite(params + [width])):
+            raise ValidationError(f"covariates take finite params, and a uniform one a finite width, not {params}")
         if (self.kind == "bernoulli" and params and not 0.0 <= params[0] <= 1.0
                 or len(params) == 2 and params[1] < (params[0] if self.kind == "uniform" else 0.0)):
             raise ValidationError(f"{self.kind} covariate parameters {params} describe no distribution")
@@ -100,7 +103,7 @@ class Covariate:
 class EvalPlan:
     """Which estimators, variances, covariances and pooled rows to evaluate.
 
-    Estimators and regimes may be given as enum members or as their values.
+    Estimators and regimes may be given as enum members or as their values, estimator names in any case.
     """
 
     prob_points: tuple[EstimatorKind, ...] = ()
@@ -206,7 +209,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # Config files give plain values: a field with an enum or number default
         # takes its default's type (no bool or string passes as a number), a flag
-        # must be a bool (bool("false") is True), and an optional sequence a tuple.
+        # must be a bool (bool("false") is True), and a sequence becomes a tuple below.
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(f.default, bool):
@@ -217,8 +220,6 @@ class ScenarioConfig:
                 object.__setattr__(self, f.name, config_float(f.name, value))
             elif isinstance(f.default, Enum):
                 object.__setattr__(self, f.name, type(f.default)(value))
-            elif f.default is None and value is not None:
-                object.__setattr__(self, f.name, tuple(value))
         object.__setattr__(self, "n_population", config_int("n_population", self.n_population))
         object.__setattr__(self, "covariates", tuple(self.covariates))
         for name in ("outcome_cols_override", "selection_cols_override"):
@@ -386,7 +387,10 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
     except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
         return f"{type(exc).__name__}: {exc}"
-    return y_bar, {row.name: row.values for row in rows}
+    record: dict[str, dict[str, float]] = {}
+    for row in rows:  # rows of one name (a point listed with and without its interval) pool their values
+        record.setdefault(row.name, {}).update(row.values)
+    return y_bar, record
 
 
 _WORKER_STATE: dict = {}

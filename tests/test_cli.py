@@ -259,6 +259,16 @@ class TestEstimateMode:
         assert [(row["estimator"], row["regime"]) for row in report["variances"]] == [
             ("DR1", "both_correct"), ("DR2", "selection_correct"), ("HT", None), ("Hajek", None)]
 
+    def test_probability_sample_points_alone_fit_no_model(self, tmp_path, monkeypatch):
+        config_path = estimate_config(tmp_path, make_observed(seed=88))
+        cfg = yaml.safe_load(config_path.read_text())
+        cfg["estimators"] = {"points": ["HT", "Hajek"]}
+        config_path.write_text(yaml.safe_dump(cfg))
+        monkeypatch.setattr(cli, "fit_nuisance", None)  # calling it would raise a TypeError
+        assert main(["estimate", "--config", str(config_path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(row["estimator"], row["regime"]) for row in report["variances"]] == [("HT", None), ("Hajek", None)]
+
 
 class TestSimulateMode:
     def test_smoke_run_emits_rows_and_manifest(self, tmp_path):
@@ -297,6 +307,18 @@ class TestSimulateMode:
     def test_mode_mismatch_is_validation_error(self, tmp_path, capsys):
         config = simulate_config(tmp_path)
         assert main(["estimate", "--config", str(config)]) == 2
+
+    def test_estimator_names_match_in_any_case(self, tmp_path):
+        exact = simulate_config(tmp_path, out="exact")
+        lower = simulate_config(tmp_path, out="lower")
+        cfg = yaml.safe_load(lower.read_text())
+        cfg["scenario"]["plan"] = {"prob_points": ["hajek"], "var_pairs": [["dr1", "both_correct"]],
+                                   "pooled": [["dr1", "both_correct", "HAJEK"]]}
+        lower.write_text(yaml.safe_dump(cfg))
+        assert main(["simulate", "--config", str(exact)]) == 0
+        assert main(["simulate", "--config", str(lower)]) == 0
+        assert ((tmp_path / "exact" / "summary.csv").read_bytes()
+                == (tmp_path / "lower" / "summary.csv").read_bytes())
 
     def test_unsupported_pair_rejected_before_any_replicate(self, tmp_path, capsys):
         path = simulate_config(tmp_path, replicates=50)
@@ -363,12 +385,19 @@ class TestSimulateMode:
     ("simulate", "scenario", "replicates", 1),
     ("simulate", "scenario", "level", 1.5),
     ("simulate", "scenario", "sample_a_size", 1200),
-    # values that pass the scenario's checks but give a frame the study cannot use
+    # values that give a frame the study cannot use: Covariate rejects the first, the frame checks the rest
     ("simulate", "scenario.covariates.0", "params", [0.0, float("inf")]),
     ("simulate", "scenario", "noise_sd", float("inf")),
     ("simulate", "scenario", "sample_a_size", 0),
     ("simulate", "scenario", "alpha_true", [float("nan"), 0.4]),
     ("simulate", "scenario", "pi_a_coef", [float("nan"), 0.5]),
+    # uniform params that crashed the generator inside numpy, and normal ones whose draws overflow to inf
+    ("simulate", "scenario", "covariates", [{"kind": "uniform", "params": [0.0, float("inf")]}]),
+    ("simulate", "scenario", "covariates", [{"kind": "uniform", "params": [float("nan"), 1.0]}]),
+    ("simulate", "scenario", "covariates", [{"kind": "uniform", "params": [-1e308, 1e308]}]),
+    ("simulate", "scenario.covariates.0", "params", [1e308, 1e308]),
+    # a covariate kind the generator does not know
+    ("simulate", "scenario.covariates.0", "kind", "gamma"),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -376,6 +405,18 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("mode, section, key, value", [
+    ("estimate", "estimators", "points", ["HT", "Bogus"]),
+    ("estimate", "estimators.variances.0", "kind", "Bogus"),
+    ("simulate", "scenario.plan", "prob_points", ["Bogus"]),
+    ("simulate", "scenario.plan", "var_pairs", [["Bogus", "both_correct"]]),
+])
+def test_unknown_estimator_name_is_validation_error(tmp_path, capsys, mode, section, key, value):
+    path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
+    assert main([mode, "--config", str(path)]) == 2
+    assert "malformed config value: 'Bogus' is not a valid EstimatorKind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["estimate", "simulate"])
@@ -627,10 +668,12 @@ def read_outcome(config):
      (cli.CsvParseError, "{path} line 6: could not convert string to float: 'abc'")),
     ("sample_a.csv", lambda lines: [lines[0], '"1', '",0.5,0.25,1.5', lines[2], "3,2,1.5,-0.75", lines[4]],
      (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
+    ("sample_b.csv", lambda lines: [lines[0] + ",w"] + [line + ",7" for line in lines[1:]],
+     (cli.CsvParseError, "{path} line 1: trailing columns ['y', 'w'] do not match ['y'] (+ optional [])")),
 ], ids=["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
         "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
         "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
-        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes"])
+        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column"])
 def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, name, edit, expected):
     files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
     files[name] = edit(files[name])

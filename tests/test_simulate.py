@@ -255,6 +255,13 @@ class TestRunReplications:
         assert names == ["Hajek", "DR1/both_correct", "pooled(DR1/both_correct,Hajek)"]
         assert summary_row(summary, "Hajek").coverage is not None
 
+    def test_a_point_listed_with_and_without_its_interval_keeps_the_interval(self):
+        # the two rows share the name "HT"; the point-only one must not replace the interval's values
+        both = run_replications(small_config(replicates=10, plan=EvalPlan(prob_points=("HT",), point_only=("HT",))))
+        alone = run_replications(small_config(replicates=10, plan=EvalPlan(prob_points=("HT",))))
+        assert both == alone
+        assert summary_row(both, "HT").coverage is not None
+
     def test_config_round_trip(self):
         config = small_config()
         assert ScenarioConfig.from_dict(plain_data(config)) == config
