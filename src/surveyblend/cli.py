@@ -15,12 +15,16 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 * ``sample_a.csv``: id, x_1..x_p, pi_a[, y]
 * ``sample_b.csv``: id, x_1..x_p, y
 
-Each sample is read with one bulk ``np.loadtxt`` of every column. When
-that parse fails or could read the file differently from ``csv`` (text
-ids, quoted fields, a field over csv's size limit), the row scanner reads
-the file with ``csv`` instead; it is the reader that names the file and
-line of any failure. Both accept the same grammar and give the same
-values. Sample CSVs are written with CRLF line ends, as ``csv`` writes.
+Each sample is read with one bulk ``np.loadtxt`` of every column, after a
+scan of the file in 1 MiB blocks through one buffer looks for what loadtxt
+would read differently. When that parse fails or could read the file
+differently from ``csv`` (text ids, quoted fields, a field over csv's size
+limit), the row scanner reads the file with ``csv`` instead; it is the
+reader that names the file and line of any failure. Both accept the same
+grammar and give the same values. Either reader's table holds the intercept
+in place of ``id``, so the covariates are a view of it, and a sample is held
+as that one parsed table plus the one copy ``ObservedData`` keeps. Sample
+CSVs are written with CRLF line ends, as ``csv`` writes.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
 a null section, a non-bool flag, a fractional or bool integer, a bool or
@@ -73,6 +77,7 @@ __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
 
 LOCK_NAME = ".lock"
+_SCAN_BLOCK = 1 << 20  # bytes per read of the CSV guard scan
 
 MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
              "simulate": ("parallel", "max_workers", "scenario")}
@@ -223,7 +228,7 @@ def _header(path: Path, fields: list[str], expected_tail: tuple[str, ...],
 
 def _scan_rows(path: Path, expected_tail: tuple[str, ...],
                optional_tail: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
-    """The row scanner: the line number of each data row, and its values after ``id``.
+    """The row scanner: the line number of each data row, and its values with the intercept 1 in place of ``id``.
 
     csv reads the file one record at a time, so the scanner takes what the
     bulk parse refuses (text ids, quoted fields) and is the one reader that
@@ -239,7 +244,7 @@ def _scan_rows(path: Path, expected_tail: tuple[str, ...],
             if len(row) != width:
                 raise CsvParseError(f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}")
             try:
-                rows.append([float(v) for v in row[1:]])
+                rows.append([1.0, *map(float, row[1:])])
             except ValueError as exc:
                 raise CsvParseError(f"{path} line {reader.line_num}: {exc}") from None
             linenos.append(reader.line_num)
@@ -253,14 +258,21 @@ def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
 
     That is: a line longer than csv's field limit (loadtxt has none), a byte
     0x1c-0x1f (loadtxt strips them around a number, ``float`` refuses them),
-    a parse error, a file without data rows, or rows of another width.
+    a parse error, a file without data rows, or rows of another width. The
+    guards scan the file in blocks of ``_SCAN_BLOCK`` bytes read into one
+    buffer, carrying the last newline's offset from block to block.
     """
-    data = np.fromfile(path, dtype=np.uint8)
-    controls = np.flatnonzero(data < 0x20)  # line ends, tabs and rarer control bytes: few per line
-    kinds, size = data[controls], data.size
-    del data
-    longest = np.diff(controls[kinds == ord("\n")], prepend=-1, append=size).max()
-    if longest > csv.field_size_limit() or ((kinds >= 0x1C) & (kinds <= 0x1F)).any():
+    block, size, newline, limit = bytearray(_SCAN_BLOCK), 0, -1, csv.field_size_limit()
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            data = np.frombuffer(block, np.uint8, n)
+            controls = np.flatnonzero(data < 0x20)  # line ends, tabs and rarer control bytes: few per line
+            kinds = data[controls]
+            newlines = np.append(newline, controls[kinds == ord("\n")] + size)  # the last one before, then these
+            if ((kinds >= 0x1C) & (kinds <= 0x1F)).any() or np.diff(newlines).max(initial=0) > limit:
+                return None
+            newline, size = newlines[-1], size + n
+    if size - newline > limit:
         return None
     try:
         with warnings.catch_warnings():
@@ -272,7 +284,7 @@ def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
 
 
 def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
-    """Parse a sample CSV: (covariates without intercept, {tail column: values} for the columns present).
+    """Parse a sample CSV: (covariates with the intercept, {tail column: values} for the columns present).
 
     One ``np.loadtxt`` parses the body; the row scanner reads the file only
     when that raises or one of its guards trips.
@@ -280,14 +292,16 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
     with _csv_reader(path) as reader:
         n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
         values = _bulk_rows(path, 1 + n_x + len(tail))
-    values = values[:, 1:] if values is not None else _scan_rows(path, expected_tail, optional_tail)[1]
-    return values[:, :n_x], dict(zip(tail, values[:, n_x:].T))
+    if values is None:
+        values = _scan_rows(path, expected_tail, optional_tail)[1]
+    values[:, 0] = 1.0  # the intercept in place of id
+    return values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T))
 
 
 def read_samples(config: RunConfig) -> ObservedData:
     """Read both sample CSVs into an ObservedData, which checks them as it is built."""
-    x_a_raw, tails_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
-    x_b_raw, tails_b = _read_rows(config.sample_b_path, ("y",))
+    x_a, tails_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
+    x_b, tails_b = _read_rows(config.sample_b_path, ("y",))
     pi_a = tails_a["pi_a"]
     outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
     if outside.any():
@@ -298,10 +312,10 @@ def read_samples(config: RunConfig) -> ObservedData:
     return ObservedData(
         n_population=config.n_population,
         design=config.design,
-        x_a=np.hstack([np.ones((len(x_a_raw), 1)), x_a_raw]),
+        x_a=x_a,
         pi_a=pi_a,
         y_a=tails_a.get("y"),
-        x_b=np.hstack([np.ones((len(x_b_raw), 1)), x_b_raw]),
+        x_b=x_b,
         y_b=tails_b["y"],
     )
 

@@ -10,29 +10,22 @@ population size instead of dividing by N.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .designs import hajek_mean, ht_mean
 from .nuisance import NuisanceFit, check_selection_floor
-from .types import ModelSpec, ObservedData, ValidationError
+from .types import ConfigEnum, ModelSpec, ObservedData, ValidationError
 
 __all__ = ["Analysis", "EstimatorKind"]
 
 
-class EstimatorKind(Enum):
+class EstimatorKind(ConfigEnum):
     HT = "HT"
     HAJEK = "Hajek"
     IPW1 = "IPW1"
     IPW2 = "IPW2"
     DR1 = "DR1"
     DR2 = "DR2"
-
-    @classmethod
-    def _missing_(cls, value):
-        """A name in any case: ``EstimatorKind("hajek")`` is ``HAJEK``."""
-        return next((kind for kind in cls if kind.value.lower() == str(value).lower()), None)
 
 
 PROB_KINDS = (EstimatorKind.HT, EstimatorKind.HAJEK)

@@ -15,7 +15,8 @@ Three fitting routes are supported:
 
 All solvers are damped Newton iterations with step halving; convergence is
 declared on the max-abs value of the (1/N-scaled) estimating function. Each
-``score_and_jacobian_*`` factory does a fit's coefficient-free work once and
+``score_and_jacobian_*`` factory does a fit's coefficient-free work once, its
+model's columns copied into contiguous rows that every weighted gram reads, and
 returns the ``system(theta) -> (score, jacobian)`` that :func:`_newton` solves.
 The Kim-Haziza one stacks both samples' columns into one block and writes
 (1 - pi)/pi as the odds exp(-alpha'x), free of cancellation as pi -> 1.
@@ -137,9 +138,9 @@ def _newton(system, x0, tol: float, context: str, *, land: bool = True):
 
 def score_and_jacobian_pml(observed: ObservedData, cols):
     """Pseudo-ML estimating function for alpha and its jacobian, as a function of alpha."""
-    xt_a = observed.x_a.T[cols]
+    xt_a = np.ascontiguousarray(observed.x_a.T[cols])
     w_a = 1.0 / observed.pi_a
-    total_b = observed.x_b.T[cols].sum(axis=1)
+    total_b = np.ascontiguousarray(observed.x_b.T[cols]).sum(axis=1)
     n_pop = observed.n_population
 
     def system(alpha):
@@ -151,8 +152,8 @@ def score_and_jacobian_pml(observed: ObservedData, cols):
 
 def score_and_jacobian_calibration(observed: ObservedData, cols):
     """Calibration estimating function for alpha and its jacobian, as a function of alpha."""
-    xt_b = observed.x_b.T[cols]
-    total_a = observed.x_a.T[cols] @ (1.0 / observed.pi_a)
+    xt_b = np.ascontiguousarray(observed.x_b.T[cols])
+    total_a = np.ascontiguousarray(observed.x_a.T[cols]) @ (1.0 / observed.pi_a)
     n_pop = observed.n_population
 
     def system(alpha):
@@ -163,7 +164,7 @@ def score_and_jacobian_calibration(observed: ObservedData, cols):
 
 def score_and_jacobian_outcome_logistic(observed: ObservedData, cols):
     """Unweighted logistic-ML score on sample B and its jacobian, as a function of beta."""
-    xt_b = observed.x_b.T[cols]
+    xt_b = np.ascontiguousarray(observed.x_b.T[cols])
     y_b, n_b = observed.y_b, observed.n_b
 
     def system(beta):
@@ -178,8 +179,8 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
     ``xt`` holds the columns of sample A, then of B; on B, (1 - pi)/pi is the odds exp(-alpha'x).
     """
     cols = spec.columns("selection", observed.n_covariates)
-    n_a, k = observed.n_a, cols.size
     xt = np.concatenate([observed.x_a.T[cols], observed.x_b.T[cols]], axis=1)
+    n_a, k = observed.n_a, len(xt)
     xt_b = xt[:, n_a:]
     w_a = 1.0 / observed.pi_a
     total_a = xt[:, :n_a] @ w_a
@@ -214,22 +215,22 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
     return system
 
 
-def _fit_selection(observed: ObservedData, cols: np.ndarray, method: FitMethod):
+def _fit_selection(observed: ObservedData, cols: slice | np.ndarray, method: FitMethod):
     if method is FitMethod.CALIBRATION:
         system, context = score_and_jacobian_calibration, "calibration selection fit"
     else:
         system, context = score_and_jacobian_pml, "pseudo-ML selection fit"
     n_b, n_pop = observed.n_b, observed.n_population
-    start = np.where(cols == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
+    start = np.where(np.arange(observed.n_covariates)[cols] == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
     return _newton(system(observed, cols), start, SELECTION_TOL, context)
 
 
-def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: np.ndarray):
+def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: slice | np.ndarray):
     """Maximum-likelihood outcome coefficients on sample B (OLS for the linear family)."""
     x_b = observed.x_b[:, cols]
     if family is OutcomeFamily.LINEAR_GAUSSIAN:
         return solve_spd(x_b.T @ x_b, x_b.T @ observed.y_b, "outcome least squares"), 0, 0.0
-    beta, iters, resid = _newton(score_and_jacobian_outcome_logistic(observed, cols), np.zeros(cols.size),
+    beta, iters, resid = _newton(score_and_jacobian_outcome_logistic(observed, cols), np.zeros(x_b.shape[1]),
                                  OUTCOME_TOL, "logistic outcome fit")
     if float(np.max(np.abs(beta))) > _SEPARATION_SCALE:
         raise SolverError("logistic outcome fit: separation or non-convergence (diverging coefficients)")
@@ -250,7 +251,7 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     if spec.fit_method is FitMethod.KIM_HAZIZA:
         theta, it_kh, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha, beta]),
                                       KH_TOL, "Kim-Haziza joint fit", land=False)
-        alpha, beta, iters = theta[:sel_cols.size], theta[sel_cols.size:], iters + it_kh
+        alpha, beta, iters = theta[:alpha.size], theta[alpha.size:], iters + it_kh
     return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 

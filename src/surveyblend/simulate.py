@@ -18,15 +18,14 @@ from the corresponding analysis model.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .combiner import PooledReport, pool, z_score
 from .estimators import PROB_KINDS, Analysis, EstimatorKind
@@ -103,7 +102,7 @@ class Covariate:
 class EvalPlan:
     """Which estimators, variances, covariances and pooled rows to evaluate.
 
-    Estimators and regimes may be given as enum members or as their values, estimator names in any case.
+    Estimators and regimes may be given as enum members or as their values, in any case.
     """
 
     prob_points: tuple[EstimatorKind, ...] = ()
@@ -284,7 +283,7 @@ def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
 
 def generate_population(config: ScenarioConfig) -> FinitePopulation:
     """Draw covariates, true selection probabilities, design probabilities and outcomes."""
-    rng = default_rng(SeedSequence(entropy=config.seed, spawn_key=(_POP_STREAM,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(_POP_STREAM,)))
     n = config.n_population
     columns: list[np.ndarray] = []
     for cov in config.covariates:
@@ -329,7 +328,7 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
 
 def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) -> np.ndarray:
     """A new outcome vector ``y`` for the frame of ``population``, drawn from the superpopulation model."""
-    return _draw_outcomes(population.x, config, default_rng(seed))
+    return _draw_outcomes(population.x, config, np.random.default_rng(seed))
 
 
 def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None) -> tuple[ObservedData, float]:
@@ -343,7 +342,7 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     (either sample smaller than the covariate dimension + 1) are redrawn,
     up to ten attempts in all.
     """
-    ss = seed if isinstance(seed, SeedSequence) else SeedSequence(seed)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n = population.size
     y = population.y if y is None else np.asarray(y, dtype=float)
     y_bar = float(np.mean(y))
@@ -352,7 +351,7 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     need = population.x.shape[1] + 1
     for _ in range(_DRAW_ATTEMPTS):
         a_ss, b_ss = ss.spawn(2)
-        rng_a, rng_b = default_rng(a_ss), default_rng(b_ss)
+        rng_a, rng_b = np.random.default_rng(a_ss), np.random.default_rng(b_ss)
         if population.design.kind is DesignKind.SRSWOR:
             a_idx = np.sort(rng_a.choice(n, population.design.n, replace=False))
         else:
@@ -381,7 +380,8 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
     """
     try:
         # the two children that spawn(2) gives SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))
-        y_ss, sample_ss = (SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index, i)) for i in (0, 1))
+        y_ss, sample_ss = (np.random.SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index, i))
+                           for i in (0, 1))
         observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec))
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
@@ -498,8 +498,8 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
     population = generate_population(config)
     n_rep = config.replicates
     if parallel:
-        with ProcessPoolExecutor(max_workers=max_workers, initializer=_worker_init,
-                                 initargs=(config, population)) as executor:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, initializer=_worker_init,
+                                                    initargs=(config, population)) as executor:
             records = list(executor.map(_worker_run, range(n_rep), chunksize=max(1, n_rep // 64)))
     else:
         records = [_replicate_record(config, population, r) for r in range(n_rep)]

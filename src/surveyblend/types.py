@@ -32,19 +32,27 @@ class ValidationError(ValueError):
     """Input data violates a structural or value invariant."""
 
 
-class DesignKind(Enum):
+class ConfigEnum(Enum):
+    """An enum whose values a config may spell in any case: ``FitMethod("Pseudo_ML")`` is ``PSEUDO_ML``."""
+
+    @classmethod
+    def _missing_(cls, value):
+        return next((member for member in cls if member.value.lower() == str(value).lower()), None)
+
+
+class DesignKind(ConfigEnum):
     """Probability-sample designs with closed-form pairwise inclusion probabilities."""
 
     POISSON = "poisson"
     SRSWOR = "srswor"
 
 
-class OutcomeFamily(Enum):
+class OutcomeFamily(ConfigEnum):
     LINEAR_GAUSSIAN = "linear_gaussian"
     LOGISTIC_BINARY = "logistic_binary"
 
 
-class FitMethod(Enum):
+class FitMethod(ConfigEnum):
     PSEUDO_ML = "pseudo_ml"
     CALIBRATION = "calibration"
     KIM_HAZIZA = "kim_haziza"
@@ -238,10 +246,15 @@ class ModelSpec:
         if self.fit_method is FitMethod.KIM_HAZIZA and self.outcome_cols != self.selection_cols:
             raise ValidationError("Kim-Haziza fitting requires identical covariate columns in both models")
 
-    def columns(self, which: str, n_covariates: int) -> np.ndarray:
+    def columns(self, which: str, n_covariates: int) -> slice | np.ndarray:
+        """The ``which`` model's columns as an index into a covariate matrix's last axis.
+
+        Without a mask it is the basic slice of every column, so ``x[:, cols]``
+        is a view of ``x``; a mask is an index array, through which numpy copies.
+        """
         cols = self.outcome_cols if which == "outcome" else self.selection_cols
         if cols is None:
-            return np.arange(n_covariates)
+            return slice(None)
         if not cols or min(cols) < 0 or max(cols) >= n_covariates:
             raise ValidationError(f"{which} column mask {list(cols)} out of range for {n_covariates} covariates")
         return np.array(cols)

@@ -28,7 +28,6 @@ its result there; all but :func:`var_prob_estimate` need its nuisance fit.
 from __future__ import annotations
 
 import warnings
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .designs import ht_cov_estimate, ht_mean, ht_var_estimate
 from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import solve_spd
-from .types import FitMethod, ValidationError
+from .types import ConfigEnum, FitMethod, ValidationError
 
 __all__ = [
     "CenteringTerms",
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 
-class Regime(Enum):
+class Regime(ConfigEnum):
     """Assumption set under which a variance formula is valid."""
 
     BOTH_CORRECT = "both_correct"
@@ -60,7 +59,7 @@ class Regime(Enum):
     KH_DOUBLY_ROBUST = "kh_doubly_robust"
 
 
-class ResidualVarianceModel(Enum):
+class ResidualVarianceModel(ConfigEnum):
     CONSTANT = "constant"
     LINEAR_IN_X = "linear_in_x"
 

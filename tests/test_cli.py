@@ -8,6 +8,8 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -259,6 +261,27 @@ class TestEstimateMode:
         assert [(row["estimator"], row["regime"]) for row in report["variances"]] == [
             ("DR1", "both_correct"), ("DR2", "selection_correct"), ("HT", None), ("Hajek", None)]
 
+    def test_config_names_match_in_any_case(self, tmp_path):
+        observed = make_observed(seed=95)
+        for name in ("exact", "mixed"):
+            (tmp_path / name).mkdir()
+            estimate_config(tmp_path / name, observed, sigma_model="constant")
+        path = tmp_path / "mixed" / "config.yaml"
+        cfg = yaml.safe_load(path.read_text())
+        cfg["design"]["kind"] = "Poisson"
+        cfg["analysis"] = {"fit_method": "Pseudo_ML", "outcome_family": "LINEAR_gaussian", "sigma_model": "Constant"}
+        cfg["estimators"] = {
+            "points": ["ht", "HAJEK", "ipw1", "Ipw2", "dr1", "Dr2"],
+            "variances": [{"kind": "dr1", "regime": "Both_Correct"}, {"kind": "DR2", "regime": "SELECTION_CORRECT"}],
+            "covariances": [{"kind": "dr2", "regime": "Both_correct", "prob": "hajek"}],
+            "pooled": [{"kind": "Dr2", "regime": "BOTH_CORRECT", "prob": "Hajek"}],
+        }
+        path.write_text(yaml.safe_dump(cfg))
+        for name in ("exact", "mixed"):
+            assert main(["estimate", "--config", str(tmp_path / name / "config.yaml")]) == 0
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "exact" / "out" / name).read_bytes() == (tmp_path / "mixed" / "out" / name).read_bytes()
+
     def test_probability_sample_points_alone_fit_no_model(self, tmp_path, monkeypatch):
         config_path = estimate_config(tmp_path, make_observed(seed=88))
         cfg = yaml.safe_load(config_path.read_text())
@@ -319,6 +342,20 @@ class TestSimulateMode:
         assert main(["simulate", "--config", str(lower)]) == 0
         assert ((tmp_path / "exact" / "summary.csv").read_bytes()
                 == (tmp_path / "lower" / "summary.csv").read_bytes())
+
+    def test_config_names_match_in_any_case(self, tmp_path):
+        exact = simulate_config(tmp_path, out="exact")
+        mixed = simulate_config(tmp_path, out="mixed")
+        cfg = yaml.safe_load(mixed.read_text())
+        cfg["scenario"].update(design_kind="POISSON", fit_method="Pseudo_ML", outcome_family="Linear_Gaussian",
+                               sigma_model="CONSTANT")
+        cfg["scenario"]["plan"]["var_pairs"] = [["DR1", "Both_Correct"]]
+        cfg["scenario"]["plan"]["pooled"] = [["DR1", "BOTH_CORRECT", "Hajek"]]
+        mixed.write_text(yaml.safe_dump(cfg))
+        assert main(["simulate", "--config", str(exact)]) == 0
+        assert main(["simulate", "--config", str(mixed)]) == 0
+        assert ((tmp_path / "exact" / "summary.csv").read_bytes()
+                == (tmp_path / "mixed" / "summary.csv").read_bytes())
 
     def test_unsupported_pair_rejected_before_any_replicate(self, tmp_path, capsys):
         path = simulate_config(tmp_path, replicates=50)
@@ -398,6 +435,11 @@ class TestSimulateMode:
     ("simulate", "scenario.covariates.0", "params", [1e308, 1e308]),
     # a covariate kind the generator does not know
     ("simulate", "scenario.covariates.0", "kind", "gamma"),
+    # names that no case of a member's value spells
+    ("estimate", "analysis", "fit_method", "Pseudo-ML"),
+    ("estimate", "analysis", "sigma_model", "Linear"),
+    ("estimate", "design", "kind", "SRS"),
+    ("simulate", "scenario", "outcome_family", "Logistic"),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -507,6 +549,19 @@ def test_import_loads_no_scipy_module():
     code = "import sys, surveyblend.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_estimate_loads_neither_the_random_module_nor_the_process_pool(tmp_path):
+    config = estimate_config(tmp_path, make_observed(seed=94))
+    code = ("import sys\n"
+            "from surveyblend.cli import main\n"
+            "code = main(['estimate', '--config', sys.argv[1]])\n"
+            "unused = ('numpy.random', 'concurrent.futures.process', 'multiprocessing')\n"
+            "print(code, [m for m in unused if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-c", code, str(config)], capture_output=True, text=True,
+                          env=package_env(), check=True)
+    assert done.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +761,79 @@ def test_bulk_parse_matches_the_row_scanner(tmp_path_factory, fuzz_inputs, data)
     else:
         assert {k: None if v is None else (v.shape, v.tobytes()) for k, v in bulk.items()} \
             == {k: None if v is None else (v.shape, v.tobytes()) for k, v in scanner.items()}
+
+
+def whole_file_bulk_rows(path, width):
+    """The bulk parse with its guards run over the whole file in one read: the oracle of the block scan."""
+    data = np.fromfile(path, dtype=np.uint8)
+    newlines = np.flatnonzero(data == ord("\n"))
+    if np.diff(newlines, prepend=-1, append=data.size).max() > csv.field_size_limit() \
+            or ((data >= 0x1C) & (data <= 0x1F)).any():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except (ValueError, UserWarning):
+        return None
+    return values if values.shape[1] == width else None
+
+
+@pytest.fixture
+def field_limit_24():
+    """csv's field size limit at 24 bytes for one test."""
+    old = csv.field_size_limit(24)
+    yield
+    csv.field_size_limit(old)
+
+
+# Files around the guards of the bulk parse. With the field limit at 24, a line of 23 bytes and its
+# newline passes and one byte more trips the guard.
+SCAN_HEAD = b"id,x_1,y\n1,0.25,1\n"
+
+
+@pytest.mark.parametrize("content, bulk", [
+    (SCAN_HEAD + b"2," + b"1" * 17 + b",2.5\n3,1.5,-1\n", True),
+    (SCAN_HEAD + b"2," + b"1" * 18 + b",2.5\n3,1.5,-1\n", False),
+    (SCAN_HEAD + b"2,\x1c0.5,2.5\n3,1.5,-1\n", False),
+    (SCAN_HEAD + b"2,0.5\x1f,2.5\n3,1.5,-1\n", False),
+    (SCAN_HEAD.replace(b"\n", b"\r\n") + b"2," + b"1" * 16 + b",2.5\r\n3,1.5,-1\r\n", True),
+    (SCAN_HEAD.replace(b"\n", b"\r\n") + b"2," + b"1" * 17 + b",2.5\r\n3,1.5,-1\r\n", False),
+    (SCAN_HEAD + b"2,0.5,2.5\n3," + b"1" * 17 + b",0.5", True),
+    (SCAN_HEAD + b"2,0.5,2.5\n3," + b"1" * 18 + b",0.5", False),
+    (b"id,x_1,y\n", False),
+    (b"id,x_1,y", False),
+], ids=["line-at-the-limit", "line-over-the-limit", "byte-0x1c", "byte-0x1f", "crlf-line-at-the-limit",
+        "crlf-line-over-the-limit", "no-trailing-newline-at-the-limit", "no-trailing-newline-over-the-limit",
+        "header-only", "header-only-without-newline"])
+def test_block_scan_chooses_the_reader_the_whole_file_scan_chooses(tmp_path, monkeypatch, field_limit_24,
+                                                                  content, bulk):
+    path = tmp_path / "sample_b.csv"
+    path.write_bytes(content)
+    want = whole_file_bulk_rows(path, 3)
+    assert (want is not None) == bulk
+    # Every block size up to the file's: each byte is the first and the last of some block, the long line
+    # spans blocks, and CRLF pairs split across two.
+    for block in range(1, len(content) + 2):
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        got = cli._bulk_rows(path, 3)
+        assert (got is None) == (want is None), block
+        if got is not None:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_read_samples_holds_each_sample_about_once(tmp_path):
+    observed = make_observed(seed=93, n_x=4, n_population=56_000)  # about 50k rows in the two samples
+    write_sample_csvs(observed, tmp_path)
+    config = samples_config(tmp_path, n_population=observed.n_population)
+    tracemalloc.start()
+    try:
+        got = read_samples(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(got, name).nbytes for name in ("x_a", "pi_a", "y_a", "x_b", "y_b"))
+    assert peak <= 2.5 * kept
 
 
 def reference_sample_csvs(observed, directory):

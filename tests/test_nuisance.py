@@ -7,6 +7,7 @@ under a correctly specified model.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,19 @@ class TestPredict:
         x = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         p = fit_with(rng.normal(size=3), np.zeros(3)).pi_b(x)
         assert np.all((p > 0) & (p < 1))
+
+    @pytest.mark.parametrize("prediction", ["pi_b", "m"])
+    def test_prediction_without_a_mask_does_not_copy_the_covariates(self, prediction):
+        # with eight columns one copy of x outweighs the three vectors of n values that pi_b needs at once
+        x = make_observed(seed=24, n_x=7, n_population=20_000).x_b
+        fit = fit_with(np.full(8, 0.1), np.ones(8))
+        tracemalloc.start()
+        try:
+            getattr(fit, prediction)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 2
 
 
 class TestScipyOracle:

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from surveyblend import (
     DesignDescriptor,
     DesignKind,
+    EstimatorKind,
+    EvalPlan,
     FitMethod,
     ModelSpec,
     ObservedData,
     OutcomeFamily,
+    Regime,
+    ResidualVarianceModel,
     ValidationError,
     validate,
 )
@@ -110,6 +114,31 @@ def test_column_mask_out_of_range_raises(cols):
         with pytest.raises(ValidationError, match=rf"{which} column mask \[.*\] out of range for 3 covariates"):
             spec.columns(which, 3)
     assert ModelSpec(outcome_cols=(0, 2)).columns("outcome", 3).tolist() == [0, 2]
+
+
+def test_columns_without_a_mask_select_a_view():
+    x = np.ones((4, 3))
+    assert np.shares_memory(x[:, ModelSpec().columns("selection", 3)], x)
+    assert not np.shares_memory(x[:, ModelSpec(selection_cols=(0, 1, 2)).columns("selection", 3)], x)
+
+
+@pytest.mark.parametrize("enum, text, member", [
+    (DesignKind, "SRSWOR", DesignKind.SRSWOR),
+    (FitMethod, "Kim_Haziza", FitMethod.KIM_HAZIZA),
+    (OutcomeFamily, "Logistic_Binary", OutcomeFamily.LOGISTIC_BINARY),
+    (ResidualVarianceModel, "LINEAR_in_x", ResidualVarianceModel.LINEAR_IN_X),
+    (Regime, "Both_Correct", Regime.BOTH_CORRECT),
+    (EstimatorKind, "hajek", EstimatorKind.HAJEK),
+])
+def test_config_enums_match_in_any_case(enum, text, member):
+    assert enum(text) is member
+    with pytest.raises(ValueError, match="is not a valid"):
+        enum(text + "_x")
+
+
+def test_eval_plan_takes_names_in_any_case():
+    plan = EvalPlan(var_pairs=[("dr1", "Both_Correct")])
+    assert plan.var_pairs == ((EstimatorKind.DR1, Regime.BOTH_CORRECT),)
 
 
 def csv_round_trip(observed, directory):
