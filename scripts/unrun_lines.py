@@ -9,6 +9,9 @@ writes the ones it saw when the interpreter exits. Forked pool workers
 leave through ``os._exit``, which skips that write, so lines that only a
 worker runs are reported as never run.
 
+Hypothesis draws from seed 0, so the listing is the same on every run;
+extra arguments come after it, so ``--hypothesis-seed=N`` overrides it.
+
 Usage: python scripts/unrun_lines.py [extra pytest arguments]
 Uses the standard library only; the exit status is that of the test run.
 """
@@ -68,8 +71,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tracer_dir, tempfile.TemporaryDirectory() as out:
         Path(tracer_dir, "sitecustomize.py").write_text(TRACER.format(src=str(SRC), out=out))
         path = os.pathsep.join(filter(None, (tracer_dir, str(SRC), os.environ.get("PYTHONPATH"))))
-        status = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                                 *sys.argv[1:]], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path)).returncode
+        command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--hypothesis-seed=0",
+                   *sys.argv[1:]]
+        status = subprocess.run(command, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path)).returncode
         ran: set[tuple[Path, int]] = set()
         for record in Path(out).glob("*.txt"):
             for entry in record.read_text().splitlines():

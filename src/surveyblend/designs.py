@@ -8,23 +8,30 @@ sample, estimated with the pairwise-probability ratio form
 
 which is design-unbiased whenever all pi_ij > 0. Both supported designs
 admit closed forms: under Poisson sampling the off-diagonal terms vanish,
-and under SRSWOR pi_ij is constant over pairs. Every function takes
-array-likes and checks in one place that they align with ``pi`` and that
-``pi`` lies in (0, 1].
+and under SRSWOR pi_ij is constant over pairs. :func:`design_weights`
+checks ``pi`` and builds a sample's weights once, per analysis; their methods
+are the dot products every estimate reads. Each function below checks its
+vectors against ``pi`` in one place, then delegates to them.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .types import DesignDescriptor, DesignKind, ValidationError
 
 __all__ = [
+    "DesignWeights",
+    "design_weights",
     "ht_cov_estimate",
     "ht_mean",
     "hajek_mean",
     "ht_var_estimate",
 ]
+
+POISSON_SAMPLING = DesignDescriptor(DesignKind.POISSON)  # sample B's opt-in is modelled so too
 
 
 def _aligned(pi, *vectors) -> list[np.ndarray]:
@@ -40,10 +47,49 @@ def _aligned(pi, *vectors) -> list[np.ndarray]:
     return [pi, *vectors]
 
 
+class DesignWeights(NamedTuple):
+    """One sample's weights ``w`` = 1/pi, their sum, and the coefficients of its covariance form.
+
+    The ratio-form covariance of two HT means is cross (u.w)(v.w) + sum_i c_i u_i v_i, with
+    c = ((1 - pi) - c_off) w^2 / N^2 and cross = c_off / N^2, where c_off = (pi_ij - pi_i pi_j) / pi_ij
+    off the diagonal: 0 under Poisson, -(1 - n/N) / (n - 1) under SRSWOR.
+    """
+
+    w: np.ndarray
+    total: float
+    n_population: int
+    cross: float
+    c: np.ndarray
+
+    def ht_mean(self, values: np.ndarray) -> float:
+        """Horvitz-Thompson mean (1/N) sum z_i / pi_i over the sampled units."""
+        return float(values @ self.w) / self.n_population
+
+    def hajek_mean(self, values: np.ndarray) -> float:
+        """Self-normalized weighted mean (sum z_i/pi_i) / (sum 1/pi_i); reproduces constants."""
+        return float(values @ self.w) / self.total
+
+    def cov(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The ratio-form estimate of the design covariance of the HT means of ``u`` and ``v``."""
+        diag = float((u * v) @ self.c)
+        return self.cross * float(u @ self.w) * float(v @ self.w) + diag if self.cross else diag
+
+
+def design_weights(design: DesignDescriptor, pi, n_population: int) -> DesignWeights:
+    """The read-only weights of a sample drawn under ``design`` with inclusion probabilities ``pi``."""
+    (pi,) = _aligned(pi)
+    c_off = 0.0 if design.kind is DesignKind.POISSON else -(1.0 - design.n / n_population) / (design.n - 1)
+    w = 1.0 / pi
+    c = (1.0 - pi - c_off) * w * w / n_population**2
+    w.setflags(write=False)
+    c.setflags(write=False)
+    return DesignWeights(w, float(w.sum()), n_population, c_off / n_population**2, c)
+
+
 def ht_mean(values, pi, n_population: int) -> float:
     """Horvitz-Thompson mean (1/N) sum z_i / pi_i over the sampled units."""
     pi, values = _aligned(pi, values)
-    return float(np.sum(values / pi) / n_population)
+    return design_weights(POISSON_SAMPLING, pi, n_population).ht_mean(values)
 
 
 def hajek_mean(values, pi) -> float:
@@ -51,8 +97,7 @@ def hajek_mean(values, pi) -> float:
     pi, values = _aligned(pi, values)
     if values.size == 0:
         raise ValidationError("empty sample")
-    w = 1.0 / pi
-    return float(np.sum(values * w) / np.sum(w))
+    return design_weights(POISSON_SAMPLING, pi, 1).hajek_mean(values)  # depends on neither design nor N
 
 
 def ht_cov_estimate(residuals_u, residuals_v, design: DesignDescriptor, pi, n_population: int) -> float:
@@ -65,18 +110,7 @@ def ht_cov_estimate(residuals_u, residuals_v, design: DesignDescriptor, pi, n_po
     sampling collapses to (1/N^2) sum (1 - pi_i) u_i v_i / pi_i^2.
     """
     pi, u, v = _aligned(pi, residuals_u, residuals_v)
-    if design.kind is DesignKind.POISSON:
-        return float(np.sum((1.0 - pi) * u * v / pi**2) / n_population**2)
-    # SRSWOR: constant pi = n/N and constant off-diagonal pi_ij, positive because n >= 2.
-    n = design.n
-    pi_ij = n * (n - 1) / (n_population * (n_population - 1))
-    uw = u / pi
-    vw = v / pi
-    cross = np.sum(uw) * np.sum(vw) - np.sum(uw * vw)
-    pi_first = n / n_population
-    c_off = (pi_ij - pi_first * pi_first) / pi_ij
-    diag = np.sum((1.0 - pi) * uw * vw)
-    return float((c_off * cross + diag) / n_population**2)
+    return design_weights(design, pi, n_population).cov(u, v)
 
 
 def ht_var_estimate(residuals, design: DesignDescriptor, pi, n_population: int) -> float:

@@ -5,14 +5,15 @@ probability sample alone. IPW1/IPW2 reweight the nonprobability sample by
 fitted inverse selection probabilities; DR1/DR2 add an outcome-model
 correction and stay consistent when either nuisance model is correct.
 The "2" variants self-normalize each weighted sum by its estimated
-population size instead of dividing by N.
+population size instead of dividing by N. Each is a dot product against the
+sample weights an :class:`Analysis` builds and checks once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .designs import hajek_mean, ht_mean
+from .designs import POISSON_SAMPLING, DesignWeights, design_weights
 from .nuisance import NuisanceFit, check_selection_floor
 from .types import ConfigEnum, ModelSpec, ObservedData, ValidationError
 
@@ -31,17 +32,19 @@ class EstimatorKind(ConfigEnum):
 PROB_KINDS = (EstimatorKind.HT, EstimatorKind.HAJEK)
 IPW_KINDS = (EstimatorKind.IPW1, EstimatorKind.IPW2)
 DR_KINDS = (EstimatorKind.DR1, EstimatorKind.DR2)
+SELF_NORMALIZED = (EstimatorKind.HAJEK, EstimatorKind.IPW2, EstimatorKind.DR2)
 
 
 class Analysis:
     """One dataset with its nuisance fit, and everything computed from the pair.
 
-    The fitted selection probabilities of both samples are computed and
-    floor-checked when the analysis is made, so a fit that would need its
-    weights clamped fails before any estimator runs; without a fit, whatever
-    needs one raises a :class:`ValidationError`. The outcome-model means on
-    each sample are computed on first use and kept. Point estimates here,
-    and the centering terms, variances and covariances of
+    Each sample's weights are built and checked once, when the analysis is
+    made: sample A's design weights and, with a fit, sample B's 1/pi_b, from
+    selection probabilities floor-checked on both samples, so a fit needing
+    clamped weights fails before any estimator runs. Without a fit,
+    whatever needs one raises a :class:`ValidationError`. The outcome-model
+    means on each sample are computed on first use and kept. Point estimates
+    here, and the centering terms, variances and covariances of
     :mod:`surveyblend.uncertainty`, are kept per key through :meth:`memo`,
     so a quantity that several reports need is computed once.
     """
@@ -50,9 +53,11 @@ class Analysis:
         self.observed = observed
         self.fit = fit
         self._memo: dict = {}
-        self.pi_b_a = self.pi_b_b = None
+        self.weights_a = design_weights(observed.design, observed.pi_a, observed.n_population)
+        self.pi_b_a = self.pi_b_b = self.weights_b = None
         if fit is not None:
             self.pi_b_a, self.pi_b_b = (check_selection_floor(fit.pi_b(x)) for x in (observed.x_a, observed.x_b))
+            self.weights_b = design_weights(POISSON_SAMPLING, self.pi_b_b, observed.n_population)
 
     def memo(self, key, compute):
         """The value kept under ``key``; ``compute()`` makes it on the first request.
@@ -95,24 +100,12 @@ class Analysis:
 
     def _point(self, kind: EstimatorKind) -> float:
         observed = self.observed
-        n_pop = observed.n_population
+        mean = DesignWeights.hajek_mean if kind in SELF_NORMALIZED else DesignWeights.ht_mean
         if kind in PROB_KINDS:
             if observed.y_a is None:
                 raise ValidationError(f"{kind.value} needs the outcome on sample A")
-            if kind is EstimatorKind.HT:
-                return ht_mean(observed.y_a, observed.pi_a, n_pop)
-            return hajek_mean(observed.y_a, observed.pi_a)
-
+            return mean(self.weights_a, observed.y_a)
         self._fitted(kind.value)
-        pi_b = self.pi_b_b
-        if kind is EstimatorKind.IPW1:
-            return float(np.sum(observed.y_b / pi_b) / n_pop)
-        if kind is EstimatorKind.IPW2:
-            return hajek_mean(observed.y_b, pi_b)
-
-        m_a, m_b = self.m_a, self.m_b
-        if kind is EstimatorKind.DR1:
-            return float((np.sum(m_a / observed.pi_a) + np.sum((observed.y_b - m_b) / pi_b)) / n_pop)
-        n_hat_a = float(np.sum(1.0 / observed.pi_a))  # DR2
-        n_hat_b = float(np.sum(1.0 / pi_b))
-        return float(np.sum(m_a / observed.pi_a) / n_hat_a + np.sum((observed.y_b - m_b) / pi_b) / n_hat_b)
+        if kind in IPW_KINDS:
+            return mean(self.weights_b, observed.y_b)
+        return mean(self.weights_a, self.m_a) + mean(self.weights_b, observed.y_b - self.m_b)

@@ -49,6 +49,7 @@ KH_TOL = 1e-8
 OUTCOME_TOL = 1e-10
 MAX_ITER = 100
 PI_B_FLOOR = 1e-8
+GRAM_BLOCK = 8192
 
 # Logistic coefficients beyond this scale pin fitted probabilities at 0/1,
 # which is the numerical signature of separation.
@@ -140,13 +141,13 @@ def score_and_jacobian_pml(observed: ObservedData, cols):
     """Pseudo-ML estimating function for alpha and its jacobian, as a function of alpha."""
     xt_a = np.ascontiguousarray(observed.x_a.T[cols])
     w_a = 1.0 / observed.pi_a
-    total_b = np.ascontiguousarray(observed.x_b.T[cols]).sum(axis=1)
+    total_b = observed.x_b[:, cols].sum(axis=0)
     n_pop = observed.n_population
 
     def system(alpha):
         p = expit(alpha @ xt_a)
         wp = w_a * p
-        return (total_b - xt_a @ wp) / n_pop, (xt_a * (wp * (p - 1.0))) @ xt_a.T / n_pop
+        return (total_b - xt_a @ wp) / n_pop, weighted_gram(xt_a.T, wp * (p - 1.0)) / n_pop
     return system
 
 
@@ -158,7 +159,7 @@ def score_and_jacobian_calibration(observed: ObservedData, cols):
 
     def system(alpha):
         inv_p = 1.0 / expit(alpha @ xt_b)
-        return (xt_b @ inv_p - total_a) / n_pop, (xt_b * (1.0 - inv_p)) @ xt_b.T / n_pop
+        return (xt_b @ inv_p - total_a) / n_pop, weighted_gram(xt_b.T, 1.0 - inv_p) / n_pop
     return system
 
 
@@ -169,7 +170,7 @@ def score_and_jacobian_outcome_logistic(observed: ObservedData, cols):
 
     def system(beta):
         m = expit(beta @ xt_b)
-        return xt_b @ (y_b - m) / n_b, (xt_b * (m * (m - 1.0))) @ xt_b.T / n_b
+        return xt_b @ (y_b - m) / n_b, weighted_gram(xt_b.T, m * (m - 1.0)) / n_b
     return system
 
 
@@ -197,7 +198,7 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
             v = m * (1.0 - m)
             s = v * np.concatenate([w_a, -1.0 - odds])  # dm/pi_a on A, -dm/pi on B, per unit of x
             f2 = xt @ s
-            jac[k:, k:] = (xt * (s * (1.0 - 2.0 * m))) @ xt.T
+            jac[k:, k:] = weighted_gram(xt.T, s * (1.0 - 2.0 * m))
             m_b, v_b = m[n_a:], v[n_a:]
         else:
             m_b, v_b = beta @ xt_b, 1.0
@@ -255,9 +256,18 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 
+def weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i x_i x_i' over the rows of ``x``, in blocks of ``GRAM_BLOCK`` rows, each weighted in turn."""
+    gram = 0.0
+    for i in range(0, len(x), GRAM_BLOCK):
+        rows = x[i:i + GRAM_BLOCK]
+        gram = gram + (rows * weights[i:i + GRAM_BLOCK, None]).T @ rows
+    return gram
+
+
 def check_selection_floor(pi_b: np.ndarray) -> np.ndarray:
     """Reject fitted selection probabilities small enough to explode the weights; pass the rest on read-only."""
-    if not np.all(pi_b >= PI_B_FLOOR):  # NaN too
+    if not (pi_b >= PI_B_FLOOR).all():  # NaN too
         raise SolverError(f"fitted selection probability below {PI_B_FLOOR:g}; refusing to clamp")
     pi_b.setflags(write=False)
     return pi_b

@@ -35,6 +35,8 @@ class ValidationError(ValueError):
 class ConfigEnum(Enum):
     """An enum whose values a config may spell in any case: ``FitMethod("Pseudo_ML")`` is ``PSEUDO_ML``."""
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash of the name is a Python call
+
     @classmethod
     def _missing_(cls, value):
         return next((member for member in cls if member.value.lower() == str(value).lower()), None)

@@ -21,7 +21,8 @@ Covariances with the probability-sample estimators reduce to the design
 covariance of two Horvitz-Thompson means over sample A: u against the
 outcomes centered at 0 (HT) or at the Hajek mean.
 
-Each function reads one :class:`~surveyblend.estimators.Analysis` and keeps
+Each function reads one :class:`~surveyblend.estimators.Analysis`, evaluates
+dot products against the sample weights it built and checked once, and keeps
 its result there; all but :func:`var_prob_estimate` need its nuisance fit.
 """
 
@@ -32,9 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .designs import ht_cov_estimate, ht_mean, ht_var_estimate
 from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
-from .nuisance import solve_spd
+from .nuisance import solve_spd, weighted_gram
 from .types import ConfigEnum, FitMethod, ValidationError
 
 __all__ = [
@@ -117,10 +117,9 @@ def regression_adjustment(analysis: Analysis, *, on_residuals: bool, centered: b
         pi = analysis.pi_b_b
         target = observed.y_b - analysis.m_b if on_residuals else observed.y_b
         if centered:
-            w = 1.0 / pi
-            target = target - np.sum(target * w) / np.sum(w)
+            target = target - analysis.weights_b.hajek_mean(target)
         n_pop = observed.n_population
-        gram = (x * (1.0 - pi)[:, None]).T @ x / n_pop
+        gram = weighted_gram(x, 1.0 - pi) / n_pop
         rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
         return solve_spd(gram, rhs, "regression adjustment")
 
@@ -134,12 +133,12 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
         self_normalized, adjusted = CENTERING[kind, regime]
         observed = analysis.observed
         if kind in IPW_KINDS:  # a zero outcome model
-            m_a, m_b, m_bar = np.zeros(observed.n_a), np.zeros(observed.n_b), 0.0
+            m_a = m_b = m_bar = 0.0
         else:
             m_a, m_b = analysis.m_a, analysis.m_b
-            m_bar = analysis.memo("m_bar", lambda: ht_mean(m_a, observed.pi_a, observed.n_population))
+            m_bar = analysis.memo("m_bar", lambda: analysis.weights_a.ht_mean(m_a))
         if not adjusted:
-            pred_center = np.full(observed.n_a, m_bar) if self_normalized else np.zeros(observed.n_a)
+            pred_center = m_bar if self_normalized else 0.0
             outcome_center = m_b
         else:
             adj = regression_adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
@@ -153,7 +152,7 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
                 pred_center = -adj_a
                 outcome_center = m_b + adj_b
         u = m_a - pred_center
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(outcome_center))):
+        if not (np.isfinite(u).all() and np.isfinite(outcome_center).all()):
             raise ValidationError("non-finite centering term")
         return CenteringTerms(u, outcome_center)
 
@@ -185,19 +184,18 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
              sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
     """Closed-form variance estimate for a reweighted estimator under a regime."""
     def compute():
-        observed = analysis.observed
-        n_pop = observed.n_population
         u, outcome_center = centering_terms(kind, regime, analysis)
-        term1 = ht_var_estimate(u, observed.design, observed.pi_a, n_pop)
+        weights_a, weights_b = analysis.weights_a, analysis.weights_b
+        term1 = weights_a.cov(u, u)
         if term1 < 0.0:
             # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
             warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
-        pi_b = analysis.pi_b_b
-        term2 = float(np.sum((1.0 - pi_b) / pi_b**2 * (observed.y_b - outcome_center) ** 2) / n_pop**2)
+        r = analysis.observed.y_b - outcome_center
+        term2 = weights_b.cov(r, r)  # sample B's opt-in is Poisson sampling with pi_b
         correction = 0.0
         if regime is Regime.KH_DOUBLY_ROBUST:
             s2_a, s2_b = residual_variance(analysis, sigma_model)
-            correction = float((np.sum(s2_a / observed.pi_a) - np.sum(s2_b / pi_b)) / n_pop**2)
+            correction = (weights_a.ht_mean(s2_a) - weights_b.ht_mean(s2_b)) / analysis.observed.n_population
         return max(term1 + term2 + correction, 0.0)
 
     return analysis.memo(("variance", kind, regime, sigma_model), compute)
@@ -218,9 +216,11 @@ def _prob_residuals(prob_kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
 
 def var_prob_estimate(kind: EstimatorKind, analysis: Analysis) -> float:
     """Variance estimate for the probability-sample estimators (HT or Hajek)."""
-    observed = analysis.observed
-    return analysis.memo(("var_prob", kind), lambda: ht_var_estimate(
-        _prob_residuals(kind, analysis), observed.design, observed.pi_a, observed.n_population))
+    def compute():
+        v = _prob_residuals(kind, analysis)
+        return analysis.weights_a.cov(v, v)
+
+    return analysis.memo(("var_prob", kind), compute)
 
 
 def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:
@@ -230,9 +230,5 @@ def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, 
     correlate; the estimate is the design covariance of the centered
     predictions against the (possibly Hajek-centered) outcomes on sample A.
     """
-    def compute():
-        observed = analysis.observed
-        u, v = centering_terms(kind, regime, analysis).u, _prob_residuals(prob_kind, analysis)
-        return ht_cov_estimate(u, v, observed.design, observed.pi_a, observed.n_population)
-
-    return analysis.memo(("cov", kind, regime, prob_kind), compute)
+    return analysis.memo(("cov", kind, regime, prob_kind), lambda: analysis.weights_a.cov(
+        centering_terms(kind, regime, analysis).u, _prob_residuals(prob_kind, analysis)))

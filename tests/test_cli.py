@@ -725,10 +725,13 @@ def read_outcome(config):
      (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
     ("sample_b.csv", lambda lines: [lines[0] + ",w"] + [line + ",7" for line in lines[1:]],
      (cli.CsvParseError, "{path} line 1: trailing columns ['y', 'w'] do not match ['y'] (+ optional [])")),
+    ("sample_b.csv", lambda lines: ["id,x_2,y"] + lines[1:],
+     (cli.CsvParseError, "{path} line 1: expected covariate columns x_1..x_p")),
 ], ids=["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
         "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
         "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
-        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column"])
+        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
+        "no-x_1-column"])
 def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, name, edit, expected):
     files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
     files[name] = edit(files[name])

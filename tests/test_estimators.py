@@ -20,15 +20,22 @@ from surveyblend import (
     ModelSpec,
     NuisanceFit,
     ObservedData,
+    Regime,
     ScenarioConfig,
     SolverError,
     ValidationError,
+    centering_terms,
+    cov_estimate,
     draw_samples,
     fit_nuisance,
     hajek_mean,
+    ht_cov_estimate,
     ht_mean,
+    ht_var_estimate,
     generate_population,
+    var_prob_estimate,
 )
+from surveyblend import designs, estimators
 from surveyblend.cli import build_estimate_report, load_config, main, write_sample_csvs
 from surveyblend.nuisance import check_selection_floor
 from surveyblend.simulate import _replicate_record
@@ -50,6 +57,22 @@ class TestDefinitions:
         assert Analysis(observed).point(K.HT) == ht_mean(observed.y_a, observed.pi_a,
                                                          observed.n_population)
         assert Analysis(observed).point(K.HAJEK) == hajek_mean(observed.y_a, observed.pi_a)
+
+    def test_the_designs_functions_return_exactly_the_analysis_values(self):
+        # both build the same weights and evaluate the same dot products, in the same order
+        for design_kind in (DesignKind.POISSON, DesignKind.SRSWOR):
+            observed = make_observed(seed=33, design_kind=design_kind)
+            analysis = Analysis(observed, default_fit(observed))
+            design, pi_a, n_pop = observed.design, observed.pi_a, observed.n_population
+            u = centering_terms(K.DR2, Regime.BOTH_CORRECT, analysis).u
+            v = observed.y_a - analysis.point(K.HAJEK)
+            assert ht_mean(observed.y_a, pi_a, n_pop) == analysis.point(K.HT)
+            assert hajek_mean(observed.y_a, pi_a) == analysis.point(K.HAJEK)
+            assert ht_mean(observed.y_b, analysis.pi_b_b, n_pop) == analysis.point(K.IPW1)
+            assert hajek_mean(observed.y_b, analysis.pi_b_b) == analysis.point(K.IPW2)
+            assert ht_var_estimate(v, design, pi_a, n_pop) == var_prob_estimate(K.HAJEK, analysis)
+            assert ht_cov_estimate(u, v, design, pi_a, n_pop) == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK,
+                                                                             analysis)
 
     def test_dr1_hand_checked_toy(self):
         # Three units, sample A = two units with pi = 2/3 (weight sum 3), sample
@@ -122,24 +145,31 @@ class TestLocationEquivariance:
 
 @pytest.fixture
 def prediction_calls(monkeypatch):
-    """Counts of NuisanceFit.m and NuisanceFit.pi_b evaluations."""
+    """Counts of NuisanceFit.m and NuisanceFit.pi_b evaluations, and of design-weight builds as "weights"."""
     calls = Counter()
     for name in ("m", "pi_b"):
         def counted(self, x, _name=name, _method=getattr(NuisanceFit, name)):
             calls[_name] += 1
             return _method(self, x)
         monkeypatch.setattr(NuisanceFit, name, counted)
+
+    def built(*args, _build=designs.design_weights):
+        calls["weights"] += 1
+        return _build(*args)
+    for module in (designs, estimators):
+        monkeypatch.setattr(module, "design_weights", built)
     return calls
 
 
 class TestOneAnalysisPerDataset:
-    """Each sample's predictions are evaluated once."""
+    """Each sample's predictions are evaluated, and its weights built, once."""
 
     def test_default_replicate(self, prediction_calls):
         population = generate_population(SCENARIO_BOTH_CORRECT)
         assert isinstance(_replicate_record(SCENARIO_BOTH_CORRECT, population, 0), tuple)
         assert prediction_calls["m"] == 2
         assert prediction_calls["pi_b"] == 2
+        assert prediction_calls["weights"] == 2
 
     def test_example_estimate_report(self, prediction_calls):
         config = load_config(EXAMPLE_CONFIG, "estimate")
@@ -147,6 +177,13 @@ class TestOneAnalysisPerDataset:
         assert len(report["pooled"]) == 1
         assert prediction_calls["m"] == 2
         assert prediction_calls["pi_b"] == 2
+        assert prediction_calls["weights"] == 2
+
+    def test_without_a_fit_only_sample_a_has_weights(self, prediction_calls):
+        analysis = Analysis(make_observed(seed=36))
+        assert var_prob_estimate(K.HT, analysis) > 0.0 and var_prob_estimate(K.HAJEK, analysis) > 0.0
+        assert prediction_calls["weights"] == 1
+        assert analysis.weights_b is None
 
 
 def test_dr2_unbiased_when_both_models_correct(mc_both_correct):
