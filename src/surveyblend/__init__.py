@@ -10,12 +10,6 @@ Monte Carlo harness that serves as the verification oracle.
 __version__ = "0.1.0"
 
 from .combiner import PooledReport, combine, pool, pooled_variance, z_score
-from .designs import (
-    hajek_mean,
-    ht_cov_estimate,
-    ht_mean,
-    ht_var_estimate,
-)
 from .estimators import Analysis, EstimatorKind
 from .nuisance import NuisanceFit, SolverError, fit_nuisance
 from .simulate import (

@@ -11,11 +11,12 @@ nonprobability sample built from centered outcome residuals,
 
 where C is a mean-zero correction used only under the Kim-Haziza doubly
 robust regime. The centering vectors depend on which estimator is being
-assessed and on which nuisance model is assumed correct (the table
-:data:`CENTERING`); those that adjust for selection-model estimation error
-involve a weighted-least-squares coefficient (:func:`regression_adjustment`)
-of the (possibly centered) outcomes or residuals on the selection
-covariates.
+assessed and on which nuisance model is assumed correct, over the
+supported pairs of :data:`CENTERING`: a self-normalized estimator centers at
+its own means, and the selection_correct regime adjusts for selection-model
+estimation error with a weighted-least-squares coefficient
+(:func:`regression_adjustment`) of the (possibly centered) outcomes or
+residuals on the selection covariates.
 
 Covariances with the probability-sample estimators reduce to the design
 covariance of two Horvitz-Thompson means over sample A: u against the
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, Analysis, EstimatorKind
+from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, SELF_NORMALIZED, Analysis, EstimatorKind
 from .nuisance import solve_spd, weighted_gram
 from .types import ConfigEnum, FitMethod, ValidationError
 
@@ -64,20 +65,20 @@ class ResidualVarianceModel(ConfigEnum):
     LINEAR_IN_X = "linear_in_x"
 
 
-# The supported (estimator, regime) pairs -> (self-normalized, adjusted).
-# A self-normalized estimator (IPW2, DR2) centers its predictions at their
-# HT mean, and under adjustment its outcomes at its own estimate. The
-# selection_correct regime adds the regression adjustment for selection-fit
-# error. IPW kinds are DR kinds with a zero outcome model.
-CENTERING = {
-    (EstimatorKind.DR1, Regime.BOTH_CORRECT): (False, False),
-    (EstimatorKind.DR1, Regime.KH_DOUBLY_ROBUST): (False, False),
-    (EstimatorKind.DR1, Regime.SELECTION_CORRECT): (False, True),
-    (EstimatorKind.DR2, Regime.BOTH_CORRECT): (True, False),
-    (EstimatorKind.DR2, Regime.SELECTION_CORRECT): (True, True),
-    (EstimatorKind.IPW1, Regime.SELECTION_CORRECT): (False, True),
-    (EstimatorKind.IPW2, Regime.SELECTION_CORRECT): (True, True),
-}
+# The (estimator, regime) pairs that have a variance formula. A
+# self-normalized estimator (IPW2, DR2) centers its predictions at their HT
+# mean, and under selection_correct its outcomes at its own estimate; that
+# regime adds the regression adjustment for selection-fit error. IPW kinds
+# are DR kinds with a zero outcome model.
+CENTERING = (
+    (EstimatorKind.DR1, Regime.BOTH_CORRECT),
+    (EstimatorKind.DR1, Regime.KH_DOUBLY_ROBUST),
+    (EstimatorKind.DR1, Regime.SELECTION_CORRECT),
+    (EstimatorKind.DR2, Regime.BOTH_CORRECT),
+    (EstimatorKind.DR2, Regime.SELECTION_CORRECT),
+    (EstimatorKind.IPW1, Regime.SELECTION_CORRECT),
+    (EstimatorKind.IPW2, Regime.SELECTION_CORRECT),
+)
 
 
 def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) -> None:
@@ -101,47 +102,44 @@ class CenteringTerms(NamedTuple):
     outcome_center: np.ndarray
 
 
-def regression_adjustment(analysis: Analysis, *, on_residuals: bool, centered: bool) -> np.ndarray:
-    """Weighted-least-squares coefficient that tracks selection-fit error.
+def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
+    """Weighted-least-squares coefficient that tracks the selection-fit error of ``kind``.
 
-    Regresses the outcome (or the outcome-model residual when
-    ``on_residuals``) on the selection-model covariates, with weights
-    (1 - pi)/pi on the target side and gram weights (1 - pi). When
-    ``centered``, the target is first centered at its self-normalized
-    inverse-probability mean over sample B.
+    Regresses the outcome (the outcome-model residual for a DR kind) on the
+    selection-model covariates, with weights (1 - pi)/pi on the target side
+    and gram weights (1 - pi). For a self-normalized kind the target is
+    first centered at its self-normalized inverse-probability mean over
+    sample B.
     """
     def compute():
         observed = analysis.observed
         cols = analysis.spec.columns("selection", observed.n_covariates)
         x = observed.x_b[:, cols]
         pi = analysis.pi_b_b
-        target = observed.y_b - analysis.m_b if on_residuals else observed.y_b
-        if centered:
+        target = observed.y_b - analysis.m_b if kind in DR_KINDS else observed.y_b
+        if kind in SELF_NORMALIZED:
             target = target - analysis.weights_b.hajek_mean(target)
         n_pop = observed.n_population
         gram = weighted_gram(x, 1.0 - pi) / n_pop
         rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
         return solve_spd(gram, rhs, "regression adjustment")
 
-    return analysis.memo(("adjustment", on_residuals, centered), compute)
+    return analysis.memo(("adjustment", kind), compute)
 
 
 def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> CenteringTerms:
     """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
     def compute():
         check_supported(kind, regime, analysis.spec.fit_method)
-        self_normalized, adjusted = CENTERING[kind, regime]
+        self_normalized = kind in SELF_NORMALIZED
         observed = analysis.observed
         if kind in IPW_KINDS:  # a zero outcome model
             m_a = m_b = m_bar = 0.0
         else:
             m_a, m_b = analysis.m_a, analysis.m_b
             m_bar = analysis.memo("m_bar", lambda: analysis.weights_a.ht_mean(m_a))
-        if not adjusted:
-            pred_center = m_bar if self_normalized else 0.0
-            outcome_center = m_b
-        else:
-            adj = regression_adjustment(analysis, on_residuals=kind in DR_KINDS, centered=self_normalized)
+        if regime is Regime.SELECTION_CORRECT:
+            adj = regression_adjustment(kind, analysis)
             cols = analysis.spec.columns("selection", observed.n_covariates)
             adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
             adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
@@ -151,6 +149,9 @@ def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> 
             else:
                 pred_center = -adj_a
                 outcome_center = m_b + adj_b
+        else:
+            pred_center = m_bar if self_normalized else 0.0
+            outcome_center = m_b
         u = m_a - pred_center
         if not (np.isfinite(u).all() and np.isfinite(outcome_center).all()):
             raise ValidationError("non-finite centering term")

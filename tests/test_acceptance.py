@@ -25,12 +25,12 @@ from surveyblend import (
     draw_samples,
     fit_nuisance,
     generate_population,
-    ht_cov_estimate,
     regression_adjustment,
     residual_variance,
     variance,
 )
 from surveyblend.cli import main
+from surveyblend.designs import design_weights
 from surveyblend.nuisance import (
     KH_TOL,
     SELECTION_TOL,
@@ -72,10 +72,8 @@ def test_criterion_1_exact_enumeration_oracle():
         t_v = [ht(v, s) for s in samples]
         exact = float(np.mean([(a - np.mean(t_u)) * (b - np.mean(t_v))
                                for a, b in zip(t_u, t_v)]))
-        design_args = (DesignDescriptor(DesignKind.SRSWOR, n=n),
-                       np.full(n, pi), big_n)
-        mean_est = float(np.mean([ht_cov_estimate(u[list(s)], v[list(s)], *design_args)
-                                  for s in samples]))
+        weights = design_weights(DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(n, pi), big_n)
+        mean_est = float(np.mean([weights.cov(u[list(s)], v[list(s)]) for s in samples]))
         err = abs(mean_est - exact)
         checks.append((err <= 1e-15 + 1e-13 * abs(exact),
                        f"{label}: |mean estimate - exact| = {err:.2e}"))
@@ -186,9 +184,9 @@ def test_criterion_7_reduction_identities():
             va = variance(ipw_kind, R.SELECTION_CORRECT, Analysis(observed, fit))
             vb = variance(dr_kind, R.SELECTION_CORRECT, Analysis(observed, zero))
             worst_var = max(worst_var, abs(va - vb) / max(abs(va), 1e-12))
-        for centered in (False, True):
-            raw = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=centered)
-            red = regression_adjustment(Analysis(observed, zero), on_residuals=True, centered=centered)
+        for ipw_kind, dr_kind in ((K.IPW1, K.DR1), (K.IPW2, K.DR2)):
+            raw = regression_adjustment(ipw_kind, Analysis(observed, fit))
+            red = regression_adjustment(dr_kind, Analysis(observed, zero))
             scale = max(1.0, float(np.max(np.abs(raw))))
             worst_adj = max(worst_adj, float(np.max(np.abs(raw - red))) / scale)
     checks.append((worst_point <= 1e-12, f"IPW vs zero-model DR points: worst rel diff {worst_point:.2e}"))

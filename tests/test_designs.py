@@ -13,31 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surveyblend import (
-    DesignDescriptor,
-    DesignKind,
-    ValidationError,
-    hajek_mean,
-    ht_cov_estimate,
-    ht_mean,
-    ht_var_estimate,
-)
+from surveyblend import DesignDescriptor, DesignKind, ValidationError
+from surveyblend.designs import design_weights
+
+POISSON = DesignDescriptor(DesignKind.POISSON)
 
 
-def poisson_provider(pi, n_population):
-    """The ``(design, pi, N)`` arguments of the HT variance functions for a Poisson sample."""
-    return DesignDescriptor(DesignKind.POISSON), np.asarray(pi, float), n_population
+def poisson_args(pi, n_population):
+    """The ``(design, pi, N)`` arguments of :func:`design_weights` for a Poisson sample."""
+    return POISSON, np.asarray(pi, float), n_population
 
 
-def srswor_provider(n, n_population, n_sampled=None):
-    """The ``(design, pi, N)`` arguments of the HT variance functions for an SRSWOR sample."""
-    size = n if n_sampled is None else n_sampled
-    return DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(size, n / n_population), n_population
+def srswor_args(n, n_population):
+    """The ``(design, pi, N)`` arguments of :func:`design_weights` for an SRSWOR sample of size ``n``."""
+    return DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(n, n / n_population), n_population
 
 
-def joint_prob(provider, i, j):
+def joint_prob(args, i, j):
     """Reference P(both unit i and unit j are sampled), by definition; pi_i when i == j."""
-    design, pi, big_n = provider
+    design, pi, big_n = args
     if i == j:
         return float(pi[i])
     if design.kind is DesignKind.POISSON:
@@ -48,60 +42,62 @@ def joint_prob(provider, i, j):
 
 class TestJointProb:
     def test_poisson_off_diagonal_is_product(self):
-        p = poisson_provider([0.2, 0.5], 10)
+        p = poisson_args([0.2, 0.5], 10)
         assert joint_prob(p, 0, 1) == pytest.approx(0.10, abs=0)
 
     def test_srswor_off_diagonal(self):
-        p = srswor_provider(4, 10)
+        p = srswor_args(4, 10)
         assert joint_prob(p, 0, 1) == pytest.approx(4 * 3 / (10 * 9), abs=0)
 
     def test_diagonal_is_first_order(self):
-        p = poisson_provider([0.3, 0.6], 10)
+        p = poisson_args([0.3, 0.6], 10)
         assert joint_prob(p, 0, 0) == 0.3
-        q = srswor_provider(3, 10)
+        q = srswor_args(3, 10)
         assert joint_prob(q, 1, 1) == pytest.approx(0.3)
 
     def test_symmetry(self):
-        p = poisson_provider([0.2, 0.5, 0.7], 10)
+        p = poisson_args([0.2, 0.5, 0.7], 10)
         assert joint_prob(p, 0, 2) == joint_prob(p, 2, 0)
 
 
 class TestHtMean:
     def test_direct_evaluation(self):
-        assert ht_mean([1.0, 3.0], [0.5, 0.5], 4) == pytest.approx(2.0)
+        assert design_weights(POISSON, [0.5, 0.5], 4).ht_mean(np.array([1.0, 3.0])) == pytest.approx(2.0)
 
     def test_census_identity(self):
         y = np.array([0.5, 1.5, -2.0, 4.0])
-        assert ht_mean(y, np.ones(4), 4) == pytest.approx(float(np.mean(y)))
+        assert design_weights(POISSON, np.ones(4), 4).ht_mean(y) == pytest.approx(float(np.mean(y)))
 
     def test_single_unit(self):
-        assert ht_mean([5.0], [0.25], 2) == pytest.approx(10.0)
+        assert design_weights(POISSON, [0.25], 2).ht_mean(np.array([5.0])) == pytest.approx(10.0)
 
 
 class TestHajekMean:
     def test_reproduces_constants(self):
-        assert hajek_mean([3.3, 3.3, 3.3], [0.9, 0.2, 0.5]) == pytest.approx(3.3)
+        weights = design_weights(POISSON, [0.9, 0.2, 0.5], 20)
+        assert weights.hajek_mean(np.full(3, 3.3)) == pytest.approx(3.3)
 
     def test_equal_weights_reduce_to_sample_mean(self):
-        assert hajek_mean([1.0, 3.0], [0.5, 0.5]) == pytest.approx(2.0)
+        assert design_weights(POISSON, [0.5, 0.5], 7).hajek_mean(np.array([1.0, 3.0])) == pytest.approx(2.0)
 
     def test_direct_evaluation(self):
-        assert hajek_mean([0.0, 4.0], [0.8, 0.2]) == pytest.approx(3.2)
+        # (0/0.8 + 4/0.2) / (1/0.8 + 1/0.2) = 20 / 6.25
+        assert design_weights(POISSON, [0.8, 0.2], 10).hajek_mean(np.array([0.0, 4.0])) == pytest.approx(3.2)
 
     def test_empty_sample_errors(self):
-        with pytest.raises(ValidationError, match="empty"):
-            hajek_mean([], [])
+        # an empty sample has no weights, so its Hajek mean would divide 0.0 by 0.0
+        with pytest.raises(ValidationError, match="empty sample"):
+            design_weights(POISSON, [], 10)
 
 
-POISSON = DesignDescriptor(DesignKind.POISSON)
+TWO_UNITS = np.array([1.0, 2.0])
 
-
-# Each estimate on two units' values, at the inclusion probabilities it is given.
+# Each estimate read from two units' weights, at the inclusion probabilities they are built from.
 ON_TWO_UNITS = pytest.mark.parametrize(
-    "estimate", [lambda pi: ht_mean([1.0, 2.0], pi, 10),
-                 lambda pi: hajek_mean([1.0, 2.0], pi),
-                 lambda pi: ht_var_estimate([1.0, 2.0], POISSON, pi, 10),
-                 lambda pi: ht_cov_estimate([1.0, 2.0], [0.5, -1.0], POISSON, pi, 10)],
+    "estimate", [lambda pi: design_weights(POISSON, pi, 10).ht_mean(TWO_UNITS),
+                 lambda pi: design_weights(POISSON, pi, 10).hajek_mean(TWO_UNITS),
+                 lambda pi: design_weights(POISSON, pi, 10).cov(TWO_UNITS, TWO_UNITS),
+                 lambda pi: design_weights(POISSON, pi, 10).cov(TWO_UNITS, np.array([0.5, -1.0]))],
     ids=["ht_mean", "hajek_mean", "ht_var_estimate", "ht_cov_estimate"])
 
 
@@ -116,41 +112,36 @@ def test_inclusion_probability_outside_0_1_is_rejected(estimate, pi, message):
         estimate(np.array(pi))
 
 
-@ON_TWO_UNITS
-def test_probabilities_of_another_length_are_rejected(estimate):
-    with pytest.raises(ValidationError, match="different lengths|must align with the sampled units"):
-        estimate(np.full(3, 0.5))
-
-
 class TestHtVarEstimate:
     def test_zero_residuals(self):
-        p = poisson_provider([0.4, 0.6, 0.8], 20)
-        assert ht_var_estimate(np.zeros(3), *p) == 0.0
+        weights = design_weights(*poisson_args([0.4, 0.6, 0.8], 20))
+        assert weights.cov(np.zeros(3), np.zeros(3)) == 0.0
 
     def test_single_unit_poisson(self):
-        p = poisson_provider([0.5], 10)
-        assert ht_var_estimate(np.array([2.0]), *p) == pytest.approx(0.08)
+        # (1 - 0.5) * (2 / 0.5)^2 / 10^2
+        weights = design_weights(*poisson_args([0.5], 10))
+        assert weights.cov(np.array([2.0]), np.array([2.0])) == pytest.approx(0.08)
 
     def test_poisson_closed_form_matches_dense_double_sum(self):
         rng = np.random.default_rng(42)
         pi = rng.uniform(0.2, 0.9, 12)
         u = rng.normal(size=12)
         v = rng.normal(size=12)
-        p = poisson_provider(pi, 50)
+        p = poisson_args(pi, 50)
         dense = 0.0
         for i in range(12):
             for j in range(12):
                 pij = joint_prob(p, i, j)
                 dense += (pij - pi[i] * pi[j]) / pij * (u[i] / pi[i]) * (v[j] / pi[j])
         dense /= 50**2
-        assert ht_cov_estimate(u, v, *p) == pytest.approx(dense, rel=1e-12)
+        assert design_weights(*p).cov(u, v) == pytest.approx(dense, rel=1e-12)
 
     def test_srswor_closed_form_matches_dense_double_sum(self):
         rng = np.random.default_rng(7)
         n, big_n = 5, 30
         u = rng.normal(size=n)
         v = rng.normal(size=n)
-        p = srswor_provider(n, big_n)
+        p = srswor_args(n, big_n)
         pi = np.full(n, n / big_n)
         dense = 0.0
         for i in range(n):
@@ -158,7 +149,7 @@ class TestHtVarEstimate:
                 pij = joint_prob(p, i, j)
                 dense += (pij - pi[i] * pi[j]) / pij * (u[i] / pi[i]) * (v[j] / pi[j])
         dense /= big_n**2
-        assert ht_cov_estimate(u, v, *p) == pytest.approx(dense, rel=1e-12)
+        assert design_weights(*p).cov(u, v) == pytest.approx(dense, rel=1e-12)
 
 
 class TestEnumerationOracle:
@@ -171,10 +162,8 @@ class TestEnumerationOracle:
         ht_w = [sum(w[i] for i in s) / pi / big_n for s in samples]
         exact_cov = float(np.mean([(a - np.mean(ht_z)) * (b - np.mean(ht_w))
                                    for a, b in zip(ht_z, ht_w)]))
-        est = []
-        for s in samples:
-            provider = srswor_provider(n, big_n)
-            est.append(ht_cov_estimate(z[list(s)], w[list(s)], *provider))
+        weights = design_weights(*srswor_args(n, big_n))  # every sample has the same probabilities
+        est = [weights.cov(z[list(s)], w[list(s)]) for s in samples]
         return float(np.mean(est)), exact_cov
 
     def test_variance_unbiased_n6_choose_3(self):
@@ -199,25 +188,26 @@ class TestEnumerationOracle:
 
 class TestProperties:
     def test_cov_of_u_with_u_is_var(self):
+        # under SRSWOR the HT mean is the sample mean, with textbook variance estimate (1 - n/N) s^2 / n
         rng = np.random.default_rng(3)
         u = rng.normal(size=9)
-        p = poisson_provider(rng.uniform(0.2, 0.8, 9), 40)
-        assert ht_cov_estimate(u, u, *p) == ht_var_estimate(u, *p)
+        var = design_weights(*srswor_args(9, 40)).cov(u, u)
+        assert var == pytest.approx((1 - 9 / 40) * float(np.var(u, ddof=1)) / 9, rel=1e-12)
 
     def test_cov_with_zero_is_zero(self):
         rng = np.random.default_rng(4)
         u = rng.normal(size=9)
-        p = poisson_provider(rng.uniform(0.2, 0.8, 9), 40)
-        assert ht_cov_estimate(u, np.zeros(9), *p) == 0.0
+        weights = design_weights(*poisson_args(rng.uniform(0.2, 0.8, 9), 40))
+        assert weights.cov(u, np.zeros(9)) == 0.0
 
     def test_poisson_collapses_to_diagonal_sum(self):
         rng = np.random.default_rng(5)
         pi = rng.uniform(0.1, 0.9, 15)
         u = rng.normal(size=15)
         v = rng.normal(size=15)
-        p = poisson_provider(pi, 60)
+        weights = design_weights(*poisson_args(pi, 60))
         expected = float(np.sum((1 - pi) * u * v / pi**2) / 60**2)
-        assert ht_cov_estimate(u, v, *p) == pytest.approx(expected, rel=0, abs=0)
+        assert weights.cov(u, v) == pytest.approx(expected, rel=0, abs=0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-4, 4))
@@ -225,9 +215,9 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         n = 8
         u = rng.normal(size=n)
-        p = poisson_provider(rng.uniform(0.2, 0.9, n), 30)
-        base = ht_var_estimate(u, *p)
-        assert ht_var_estimate(c * u, *p) == pytest.approx(c * c * base, rel=1e-9, abs=1e-12)
+        weights = design_weights(*poisson_args(rng.uniform(0.2, 0.9, n), 30))
+        base = weights.cov(u, u)
+        assert weights.cov(c * u, c * u) == pytest.approx(c * c * base, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -238,11 +228,11 @@ class TestProperties:
         v = rng.normal(size=n)
         w = rng.normal(size=n)
         kind = seed % 2
-        p = (poisson_provider(rng.uniform(0.2, 0.9, n), 25) if kind == 0
-             else srswor_provider(n, 25))
-        assert ht_cov_estimate(u, v, *p) == pytest.approx(ht_cov_estimate(v, u, *p), rel=1e-12, abs=1e-15)
-        lhs = ht_cov_estimate(u + w, v, *p)
-        rhs = ht_cov_estimate(u, v, *p) + ht_cov_estimate(w, v, *p)
+        weights = design_weights(*(poisson_args(rng.uniform(0.2, 0.9, n), 25) if kind == 0
+                                   else srswor_args(n, 25)))
+        assert weights.cov(u, v) == pytest.approx(weights.cov(v, u), rel=1e-12, abs=1e-15)
+        lhs = weights.cov(u + w, v)
+        rhs = weights.cov(u, v) + weights.cov(w, v)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-13)
 
     def test_permutation_invariance(self):
@@ -250,7 +240,6 @@ class TestProperties:
         n = 10
         u = rng.normal(size=n)
         pi = rng.uniform(0.2, 0.9, n)
-        p = poisson_provider(pi, 40)
         perm = rng.permutation(n)
-        p_perm = poisson_provider(pi[perm], 40)
-        assert ht_var_estimate(u[perm], *p_perm) == pytest.approx(ht_var_estimate(u, *p), rel=1e-12)
+        permuted = design_weights(*poisson_args(pi[perm], 40)).cov(u[perm], u[perm])
+        assert permuted == pytest.approx(design_weights(*poisson_args(pi, 40)).cov(u, u), rel=1e-12)

@@ -24,14 +24,9 @@ from surveyblend import (
     ScenarioConfig,
     SolverError,
     ValidationError,
-    centering_terms,
     cov_estimate,
     draw_samples,
     fit_nuisance,
-    hajek_mean,
-    ht_cov_estimate,
-    ht_mean,
-    ht_var_estimate,
     generate_population,
     var_prob_estimate,
 )
@@ -52,27 +47,41 @@ def zero_outcome_fit(fit: NuisanceFit) -> NuisanceFit:
 
 
 class TestDefinitions:
-    def test_ht_and_hajek_delegate_to_designs(self):
-        observed = make_observed(seed=30)
-        assert Analysis(observed).point(K.HT) == ht_mean(observed.y_a, observed.pi_a,
-                                                         observed.n_population)
-        assert Analysis(observed).point(K.HAJEK) == hajek_mean(observed.y_a, observed.pi_a)
+    @pytest.mark.parametrize("design_kind", list(DesignKind), ids=lambda k: k.value)
+    def test_points_are_the_weighted_sums(self, design_kind):
+        observed = make_observed(seed=30, design_kind=design_kind)
+        analysis = Analysis(observed, default_fit(observed))
+        y_a, pi_a, y_b, pi_b = observed.y_a, observed.pi_a, observed.y_b, analysis.fit.pi_b(observed.x_b)
+        expected = {K.HT: np.sum(y_a / pi_a) / observed.n_population,
+                    K.HAJEK: np.sum(y_a / pi_a) / np.sum(1 / pi_a),
+                    K.IPW1: np.sum(y_b / pi_b) / observed.n_population,
+                    K.IPW2: np.sum(y_b / pi_b) / np.sum(1 / pi_b)}
+        for kind, value in expected.items():
+            assert analysis.point(kind) == pytest.approx(value, rel=1e-12), kind
 
-    def test_the_designs_functions_return_exactly_the_analysis_values(self):
-        # both build the same weights and evaluate the same dot products, in the same order
-        for design_kind in (DesignKind.POISSON, DesignKind.SRSWOR):
-            observed = make_observed(seed=33, design_kind=design_kind)
-            analysis = Analysis(observed, default_fit(observed))
-            design, pi_a, n_pop = observed.design, observed.pi_a, observed.n_population
-            u = centering_terms(K.DR2, Regime.BOTH_CORRECT, analysis).u
-            v = observed.y_a - analysis.point(K.HAJEK)
-            assert ht_mean(observed.y_a, pi_a, n_pop) == analysis.point(K.HT)
-            assert hajek_mean(observed.y_a, pi_a) == analysis.point(K.HAJEK)
-            assert ht_mean(observed.y_b, analysis.pi_b_b, n_pop) == analysis.point(K.IPW1)
-            assert hajek_mean(observed.y_b, analysis.pi_b_b) == analysis.point(K.IPW2)
-            assert ht_var_estimate(v, design, pi_a, n_pop) == var_prob_estimate(K.HAJEK, analysis)
-            assert ht_cov_estimate(u, v, design, pi_a, n_pop) == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK,
-                                                                             analysis)
+    @pytest.mark.parametrize("design_kind", list(DesignKind), ids=lambda k: k.value)
+    def test_variance_and_covariance_are_the_pairwise_sum(self, design_kind):
+        # (1/N^2) sum_ij (pi_ij - pi_i pi_j) / pi_ij (u_i/pi_i) (v_j/pi_j) over sample A, written out densely
+        observed = make_observed(seed=33, design_kind=design_kind)
+        analysis = Analysis(observed, default_fit(observed))
+        pi, big_n = observed.pi_a, observed.n_population
+        if design_kind is DesignKind.POISSON:
+            pi_ij = np.outer(pi, pi)
+        else:
+            n = observed.design.n
+            pi_ij = np.full((n, n), n * (n - 1) / (big_n * (big_n - 1)))
+        np.fill_diagonal(pi_ij, pi)
+        delta = (pi_ij - np.outer(pi, pi)) / pi_ij
+
+        def dense(u, v):
+            return float((u / pi) @ delta @ (v / pi)) / big_n**2
+
+        m_a = analysis.fit.m(observed.x_a)
+        u = m_a - np.sum(m_a / pi) / big_n  # DR2's predictions centered at their HT mean
+        v = observed.y_a - np.sum(observed.y_a / pi) / np.sum(1 / pi)  # outcomes centered at the Hajek mean
+        assert var_prob_estimate(K.HAJEK, analysis) == pytest.approx(dense(v, v), rel=1e-12)
+        assert var_prob_estimate(K.HT, analysis) == pytest.approx(dense(observed.y_a, observed.y_a), rel=1e-12)
+        assert cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, analysis) == pytest.approx(dense(u, v), rel=1e-12)
 
     def test_dr1_hand_checked_toy(self):
         # Three units, sample A = two units with pi = 2/3 (weight sum 3), sample
@@ -107,7 +116,7 @@ class TestDefinitions:
         m_b = fit.m(observed.x_b)
         pi_b = fit.pi_b(observed.x_b)
         expected = (Analysis(observed, fit).point(K.IPW1)
-                    + ht_mean(m_a, observed.pi_a, observed.n_population)
+                    + float(np.sum(m_a / observed.pi_a)) / observed.n_population
                     - float(np.sum(m_b / pi_b)) / observed.n_population)
         assert Analysis(observed, fit).point(K.DR1) == pytest.approx(expected, rel=1e-12)
 

@@ -41,7 +41,7 @@ from surveyblend.nuisance import (
     solve_spd,
     weighted_gram,
 )
-from surveyblend import Analysis, nuisance, regression_adjustment
+from surveyblend import Analysis, EstimatorKind, nuisance, regression_adjustment
 from surveyblend.simulate import redraw_outcomes
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
@@ -408,8 +408,8 @@ class TestWeightedGram:
         many = Analysis(observed, default_fit(observed, method=method))
         np.testing.assert_allclose(np.concatenate([many.fit.alpha, many.fit.beta]),
                                    np.concatenate([one.fit.alpha, one.fit.beta]), rtol=1e-12)
-        np.testing.assert_allclose(regression_adjustment(many, on_residuals=True, centered=True),
-                                   regression_adjustment(one, on_residuals=True, centered=True), rtol=1e-12)
+        np.testing.assert_allclose(regression_adjustment(EstimatorKind.DR2, many),
+                                   regression_adjustment(EstimatorKind.DR2, one), rtol=1e-12)
 
 
 class TestFitNuisance:

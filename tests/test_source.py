@@ -38,6 +38,30 @@ def test_no_module_imports_scipy():
     assert not found, f"scipy imports in src/surveyblend: {found}"
 
 
+def imported_names(node) -> list[str]:
+    """The names a ``from ... import`` statement binds from its module; none for other nodes."""
+    return [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
+
+
+def test_every_package_export_has_a_caller_outside_the_tests():
+    # The package exposes no public code that only tests use: each name __init__.py re-exports is
+    # used by another package module, or read or imported by the benchmark or the scripts.
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {name for node in init.body for name in imported_names(node)}
+    used = set()
+    for name, node in package_nodes():
+        if name != "__init__.py":
+            used.update(imported_names(node))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+    for path in sorted([*(ROOT / "benchmark").rglob("*.py"), *(ROOT / "scripts").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            used.update(imported_names(node))
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert not exported - used, f"exported but used by tests only: {sorted(exported - used)}"
+
+
 def test_readme_quick_tour_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     observed = make_observed(seed=90, n_population=10_000)

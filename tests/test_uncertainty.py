@@ -29,9 +29,6 @@ from surveyblend import (
     draw_samples,
     fit_nuisance,
     generate_population,
-    hajek_mean,
-    ht_mean,
-    ht_var_estimate,
     regression_adjustment,
     residual_variance,
     var_prob_estimate,
@@ -53,7 +50,7 @@ class TestRegressionAdjustment:
     def test_zero_residuals_give_zero_coefficient(self):
         observed = make_observed(seed=40, noise_sd=0.0)
         fit = default_fit(observed)
-        adj = regression_adjustment(Analysis(observed, fit), on_residuals=True, centered=False)
+        adj = regression_adjustment(K.DR1, Analysis(observed, fit))
         assert np.max(np.abs(adj)) < 1e-10
 
     def test_constant_outcome_gives_zero_centered_coefficient(self):
@@ -62,7 +59,7 @@ class TestRegressionAdjustment:
                                 x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
                                 x_b=observed.x_b, y_b=np.full(observed.n_b, 2.5))
         fit = default_fit(observed)
-        adj = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=True)
+        adj = regression_adjustment(K.IPW2, Analysis(observed, fit))
         assert np.max(np.abs(adj)) < 1e-10
 
     def test_population_oracle_recovers_target(self):
@@ -91,7 +88,7 @@ class TestRegressionAdjustment:
         for r in range(300):
             observed, _ = draw_samples(pop, 9_000 + r)
             fit = fit_nuisance(observed, spec)
-            draws.append(regression_adjustment(Analysis(observed, fit), on_residuals=True, centered=False))
+            draws.append(regression_adjustment(K.DR1, Analysis(observed, fit)))
         draws = np.asarray(draws)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3.0 * se)
@@ -109,7 +106,7 @@ class TestCenteringTerms:
         observed = make_observed(seed=43)
         fit = default_fit(observed)
         terms = centering_terms(K.DR2, R.BOTH_CORRECT, Analysis(observed, fit))
-        m_bar = ht_mean(fit.m(observed.x_a), observed.pi_a, observed.n_population)
+        m_bar = fit.m(observed.x_a) @ (1.0 / observed.pi_a) / observed.n_population
         assert np.all(terms.u == fit.m(observed.x_a) - m_bar)
 
     def test_ipw1_with_zero_coefficient_has_zero_centers(self):
@@ -153,7 +150,8 @@ class TestVarEstimate:
         fit = default_fit(observed)
         analysis = Analysis(observed, fit)
         var = variance(K.DR1, R.BOTH_CORRECT, analysis)
-        term1 = ht_var_estimate(fit.m(observed.x_a), observed.design, observed.pi_a, observed.n_population)
+        m_a, pi_a = fit.m(observed.x_a), observed.pi_a  # sample A is a Poisson sample
+        term1 = np.sum((1.0 - pi_a) * m_a**2 / pi_a**2) / observed.n_population**2
         assert var == pytest.approx(term1, rel=1e-12)
 
     def test_kh_correction_vanishes_for_linear_model_with_intercept(self):
@@ -261,11 +259,9 @@ class TestCovEstimate:
     def test_hajek_covariance_centers_outcomes(self):
         observed = make_observed(seed=56)
         analysis = Analysis(observed, default_fit(observed))
-        from surveyblend import ht_cov_estimate
-
-        u = analysis.fit.m(observed.x_a)
-        gamma = hajek_mean(observed.y_a, observed.pi_a)
-        expected = ht_cov_estimate(u, observed.y_a - gamma, observed.design, observed.pi_a, observed.n_population)
+        u, y_a, pi_a = analysis.fit.m(observed.x_a), observed.y_a, observed.pi_a  # sample A is a Poisson sample
+        gamma = np.sum(y_a / pi_a) / np.sum(1.0 / pi_a)
+        expected = np.sum((1.0 - pi_a) * u * (y_a - gamma) / pi_a**2) / observed.n_population**2
         got = cov_estimate(K.DR1, R.BOTH_CORRECT, K.HAJEK, analysis)
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -337,9 +333,9 @@ class TestReductionIdentities:
         observed = make_observed(seed=59)
         fit = default_fit(observed)
         zero = zero_outcome_fit(fit)
-        for centered in (False, True):
-            raw = regression_adjustment(Analysis(observed, fit), on_residuals=False, centered=centered)
-            reduced = regression_adjustment(Analysis(observed, zero), on_residuals=True, centered=centered)
+        for ipw_kind, dr_kind in ((K.IPW1, K.DR1), (K.IPW2, K.DR2)):
+            raw = regression_adjustment(ipw_kind, Analysis(observed, fit))
+            reduced = regression_adjustment(dr_kind, Analysis(observed, zero))
             np.testing.assert_allclose(raw, reduced, rtol=1e-13)
 
 
@@ -373,7 +369,7 @@ class TestAnalysis:
         lambda a: variance(K.DR1, R.BOTH_CORRECT, a),
         lambda a: cov_estimate(K.DR2, R.BOTH_CORRECT, K.HAJEK, a),
         lambda a: centering_terms(K.IPW1, R.SELECTION_CORRECT, a),
-        lambda a: regression_adjustment(a, on_residuals=False, centered=False),
+        lambda a: regression_adjustment(K.IPW1, a),
         lambda a: residual_variance(a, ResidualVarianceModel.LINEAR_IN_X),
         lambda a: a.m_a,
         lambda a: a.m_b,
