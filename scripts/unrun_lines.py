@@ -5,9 +5,10 @@ The tests run in a child interpreter whose PYTHONPATH starts with a
 temporary directory holding a ``sitecustomize`` module. Every interpreter
 that starts with that path, the CLI subprocesses the tests start included,
 imports it at start-up: it traces the lines of the files under src/ and
-writes the ones it saw when the interpreter exits. Forked pool workers
-leave through ``os._exit``, which skips that write, so lines that only a
-worker runs are reported as never run.
+writes the ones it saw when the interpreter exits. Forked processes (pool
+workers, the CSV reader child) leave through ``os._exit``, which skips the
+exit handlers, so the tracer wraps ``os._exit`` to write the lines first:
+lines that only a forked process runs count as run.
 
 Hypothesis draws from seed 0, so the listing is the same on every run;
 extra arguments come after it, so ``--hypothesis-seed=N`` overrides it.
@@ -50,9 +51,15 @@ def _write():
         fh.writelines(f"{{name}}\\t{{line}}\\n" for name, line in _seen)
 
 
+def _exit_after_writing(code, _exit=os._exit):
+    _write()
+    _exit(code)
+
+
 sys.settrace(_global)
 threading.settrace(_global)
 atexit.register(_write)
+os._exit = _exit_after_writing
 """
 
 

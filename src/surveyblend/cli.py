@@ -23,7 +23,11 @@ limit), the row scanner reads the file with ``csv`` instead; it is the
 reader that names the file and line of any failure. Both accept the same
 grammar and give the same values. Either reader's table holds the intercept
 in place of ``id``, so the covariates are a view of it, and a sample is held
-as that one parsed table plus the one copy ``ObservedData`` keeps. Sample
+as that one parsed table plus the one copy ``ObservedData`` keeps. When the
+platform forks and both files are at least ``_FORK_FLOOR`` (1 MiB), a forked
+child reads sample A and pickles the result, or the error, back through a
+pipe while the process reads sample B; below that size the fork costs more
+than the overlap saves, and the two are read one after the other. Sample
 CSVs are written with CRLF line ends, as ``csv`` writes.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
@@ -42,6 +46,8 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
+import signal
 import sys
 import time
 import warnings
@@ -78,6 +84,7 @@ __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
 
 LOCK_NAME = ".lock"
 _SCAN_BLOCK = 1 << 20  # bytes per read of the CSV guard scan
+_FORK_FLOOR = 1 << 20  # bytes: below this in either sample, a forked reader costs more than the overlap saves
 
 MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
              "simulate": ("parallel", "max_workers", "scenario")}
@@ -298,10 +305,81 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
     return values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T))
 
 
+def _reader_child(sink, path: Path):
+    """The forked reader: parse sample A, pickle (True, rows) or (False, exception) into ``sink``, ``os._exit``.
+
+    It runs only the CSV reader, so it starts no thread and makes no BLAS call.
+    """
+    code = 1
+    try:
+        try:
+            outcome = True, _read_rows(path, ("pi_a",), ("y",))
+        except Exception as exc:
+            outcome = False, exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # the parent gets the repr of what it could not be sent
+                outcome = False, RuntimeError(repr(exc))
+        with sink:
+            pickle.dump(outcome, sink, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_both_forked(path_a: Path, path_b: Path):
+    """``_read_rows`` of sample A in a forked child while this process reads sample B.
+
+    Errors are raised in the in-process order: A's, else B's. A child that
+    ends without a result raises a CsvParseError naming sample A's file. The
+    child is reaped on every path, and killed first if it may still run.
+    """
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe:
+        with open(write_end, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:
+                pipe.close()  # so that the child's writes fail, not block, if the parent is gone
+                _reader_child(sink, path_a)
+        status = None
+        try:
+            try:
+                got_b = True, _read_rows(path_b, ("y",))
+            except Exception as exc:  # raised below, unless sample A failed too
+                got_b = False, exc
+            try:
+                got_a = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                got_a = None
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if got_a is None:
+        raise CsvParseError(f"{path_a}: the reader process ended without a result "
+                            f"(exit code {os.waitstatus_to_exitcode(status)})")
+    for ok, value in (got_a, got_b):
+        if not ok:
+            raise value
+    return got_a[1], got_b[1]
+
+
 def read_samples(config: RunConfig) -> ObservedData:
-    """Read both sample CSVs into an ObservedData, which checks them as it is built."""
-    x_a, tails_a = _read_rows(config.sample_a_path, ("pi_a",), ("y",))
-    x_b, tails_b = _read_rows(config.sample_b_path, ("y",))
+    """Read both sample CSVs into an ObservedData, which checks them as it is built.
+
+    When the platform forks and both files are at least ``_FORK_FLOOR``
+    bytes, a forked child reads sample A while this process reads sample B.
+    """
+    path_a, path_b = config.sample_a_path, config.sample_b_path
+    forked = False
+    with contextlib.suppress(OSError):  # a file that cannot be read fails in _read_rows, with its message
+        forked = hasattr(os, "fork") and min(os.path.getsize(path_a), os.path.getsize(path_b)) >= _FORK_FLOOR
+    if forked:
+        (x_a, tails_a), (x_b, tails_b) = _read_both_forked(path_a, path_b)
+    else:
+        x_a, tails_a = _read_rows(path_a, ("pi_a",), ("y",))
+        x_b, tails_b = _read_rows(path_b, ("y",))
     pi_a = tails_a["pi_a"]
     outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
     if outside.any():

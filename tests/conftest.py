@@ -2,7 +2,9 @@
 
 The heavy repeated-sampling studies are expensive (around 1000 replicates
 at population size 10^4), so each scenario runs once per session and its
-summary feeds every test that needs it.
+summary feeds every test that needs it. They run on a process pool: a
+pooled summary is bit-identical to the serial one, which criterion 9 and
+``test_parallel_matches_serial`` check.
 """
 
 from __future__ import annotations
@@ -164,29 +166,29 @@ SCENARIO_KH = ScenarioConfig(
 
 @pytest.fixture(scope="session")
 def mc_both_correct():
-    return run_replications(SCENARIO_BOTH_CORRECT)
+    return run_replications(SCENARIO_BOTH_CORRECT, parallel=True)
 
 
 @pytest.fixture(scope="session")
 def mc_ipw():
-    return run_replications(SCENARIO_IPW)
+    return run_replications(SCENARIO_IPW, parallel=True)
 
 
 @pytest.fixture(scope="session")
 def mc_outcome_wrong():
-    return run_replications(SCENARIO_OUTCOME_WRONG)
+    return run_replications(SCENARIO_OUTCOME_WRONG, parallel=True)
 
 
 @pytest.fixture(scope="session")
 def mc_selection_wrong():
-    return run_replications(SCENARIO_SELECTION_WRONG)
+    return run_replications(SCENARIO_SELECTION_WRONG, parallel=True)
 
 
 @pytest.fixture(scope="session")
 def mc_both_wrong():
-    return run_replications(SCENARIO_BOTH_WRONG)
+    return run_replications(SCENARIO_BOTH_WRONG, parallel=True)
 
 
 @pytest.fixture(scope="session")
 def mc_kim_haziza():
-    return run_replications(SCENARIO_KH)
+    return run_replications(SCENARIO_KH, parallel=True)

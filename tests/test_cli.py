@@ -4,6 +4,7 @@ import copy
 import csv
 import functools
 import json
+import math
 import operator
 import os
 import subprocess
@@ -693,7 +694,7 @@ def read_outcome(config):
 
 # Inputs on which a bulk parse and the row scanner could part ways. The
 # expected arrays, or error and message, are what the row scanner alone gave.
-@pytest.mark.parametrize("name, edit, expected", [
+CSV_CASES = [
     ("sample_b.csv", lambda lines: [lines[0]] + [line + ",7" for line in lines[1:]],
      (cli.CsvParseError, "{path} line 2: expected 3 fields, got 4")),
     ("sample_b.csv", lambda lines: lines[:2] + ["2,-0.5,2.5,7"] + lines[3:],
@@ -727,12 +728,22 @@ def read_outcome(config):
      (cli.CsvParseError, "{path} line 1: trailing columns ['y', 'w'] do not match ['y'] (+ optional [])")),
     ("sample_b.csv", lambda lines: ["id,x_2,y"] + lines[1:],
      (cli.CsvParseError, "{path} line 1: expected covariate columns x_1..x_p")),
-], ids=["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
-        "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
-        "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
-        "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
-        "no-x_1-column"])
-def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, name, edit, expected):
+]
+CSV_CASE_IDS = ["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
+                "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
+                "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
+                "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
+                "no-x_1-column"]
+SAMPLE_A_CASES = [(case, case_id) for case, case_id in zip(CSV_CASES, CSV_CASE_IDS) if case[0] == "sample_a.csv"]
+
+
+# Sample A's cases also run through the forked reader, with the size floor at 0.
+@pytest.mark.parametrize("name, edit, expected, forked",
+                         [(*case, False) for case in CSV_CASES] + [(*case, True) for case, _ in SAMPLE_A_CASES],
+                         ids=CSV_CASE_IDS + [f"{case_id}-forked" for _, case_id in SAMPLE_A_CASES])
+def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, monkeypatch, name, edit, expected, forked):
+    if forked:
+        monkeypatch.setattr(cli, "_FORK_FLOOR", 0)
     files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
     files[name] = edit(files[name])
     for file_name, lines in files.items():
@@ -756,7 +767,11 @@ def test_bulk_parse_matches_the_row_scanner(tmp_path_factory, fuzz_inputs, data)
     for name, content in files.items():
         (directory / name).write_bytes(content)
     config = samples_config(directory)
-    bulk = read_outcome(config)
+    # One bulk read in eight goes through the forked reader (size floor 0): a fork of the test process
+    # costs about 20 ms, ten times a read of these files in process.
+    forked = data.draw(st.sampled_from((False,) * 7 + (True,)))
+    with mock.patch.object(cli, "_FORK_FLOOR", 0 if forked else cli._FORK_FLOOR):
+        bulk = read_outcome(config)
     with mock.patch.object(cli, "_bulk_rows", lambda path, width: None):
         scanner = read_outcome(config)
     if isinstance(scanner, tuple):
@@ -825,18 +840,101 @@ def test_block_scan_chooses_the_reader_the_whole_file_scan_chooses(tmp_path, mon
             assert got.tobytes() == want.tobytes()
 
 
-def test_read_samples_holds_each_sample_about_once(tmp_path):
+def test_read_samples_holds_each_sample_about_once(tmp_path, monkeypatch):
     observed = make_observed(seed=93, n_x=4, n_population=56_000)  # about 50k rows in the two samples
     write_sample_csvs(observed, tmp_path)
     config = samples_config(tmp_path, n_population=observed.n_population)
-    tracemalloc.start()
-    try:
-        got = read_samples(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    kept = sum(getattr(got, name).nbytes for name in ("x_a", "pi_a", "y_a", "x_b", "y_b"))
-    assert peak <= 2.5 * kept
+    # Both files are over the default size floor: an infinite floor reads them in process, 0 forks.
+    for floor in (math.inf, 0):
+        monkeypatch.setattr(cli, "_FORK_FLOOR", floor)
+        tracemalloc.start()
+        try:
+            got = read_samples(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(got, name).nbytes for name in ("x_a", "pi_a", "y_a", "x_b", "y_b"))
+        assert peak <= 2.5 * kept, floor
+
+
+@pytest.fixture
+def forked_reads(monkeypatch):
+    """The size floor at 0, so that every read forks; afterwards no child, running or unreaped, may be left."""
+    monkeypatch.setattr(cli, "_FORK_FLOOR", 0)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+BAD_FLOAT = "could not convert string to float: 'abc'"
+BAD_LINE_3 = {"sample_a.csv": "2,abc,0.5,2", "sample_b.csv": "2,abc,2.5"}
+
+
+@pytest.mark.parametrize("bad, expected", [
+    (("sample_a.csv",), (cli.CsvParseError, "{dir}/sample_a.csv line 3: " + BAD_FLOAT)),
+    (("sample_b.csv",), (cli.CsvParseError, "{dir}/sample_b.csv line 3: " + BAD_FLOAT)),
+    (("sample_a.csv", "sample_b.csv"), (cli.CsvParseError, "{dir}/sample_a.csv line 3: " + BAD_FLOAT)),
+], ids=["a", "b", "both"])
+def test_forked_read_raises_the_error_the_in_process_read_raises(tmp_path, forked_reads, bad, expected):
+    for name, lines in (("sample_a.csv", SAMPLE_A), ("sample_b.csv", SAMPLE_B)):
+        lines = lines[:2] + [BAD_LINE_3[name]] + lines[3:] if name in bad else lines
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    assert read_outcome(samples_config(tmp_path)) == (expected[0], expected[1].format(dir=tmp_path))
+
+
+def test_forked_read_matches_the_read_without_fork(tmp_path, monkeypatch, forked_reads):
+    write_sample_csvs(make_observed(seed=95), tmp_path)
+    config = samples_config(tmp_path)
+    forked = read_outcome(config)
+    monkeypatch.delattr(os, "fork")
+    alone = read_outcome(config)
+    assert {k: v.tobytes() for k, v in forked.items()} == {k: v.tobytes() for k, v in alone.items()}
+
+
+def replace_read(monkeypatch, name, act):
+    """Make the reader call ``act()`` in place of parsing the sample file ``name``; the other reads as before."""
+    read_rows = cli._read_rows
+
+    def reader(path, *tails):
+        return act() if path.name == name else read_rows(path, *tails)
+
+    monkeypatch.setattr(cli, "_read_rows", reader)
+
+
+def raise_(exc):
+    raise exc
+
+
+def test_key_error_in_the_forked_reader_propagates(tmp_path, monkeypatch, forked_reads):
+    replace_read(monkeypatch, "sample_a.csv", lambda: raise_(KeyError("bug")))
+    with pytest.raises(KeyError, match="bug"):
+        main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))])
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+def test_an_error_the_reader_cannot_send_arrives_as_its_repr(tmp_path, monkeypatch, forked_reads):
+    replace_read(monkeypatch, "sample_a.csv", lambda: raise_(Unpicklable("lost")))
+    write_sample_csvs(make_observed(seed=96), tmp_path)
+    with pytest.raises(RuntimeError, match=r"^Unpicklable\('lost'\)$"):
+        read_samples(samples_config(tmp_path))
+
+
+def test_a_reader_that_dies_is_an_io_error_naming_sample_a(tmp_path, monkeypatch, capsys, forked_reads):
+    replace_read(monkeypatch, "sample_a.csv", lambda: os._exit(3))
+    assert main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))]) == 4
+    assert capsys.readouterr().err == (f"input/output error: {tmp_path / 'sample_a.csv'}: the reader process "
+                                       "ended without a result (exit code 3)\n")
+
+
+def test_an_interrupt_while_reading_sample_b_kills_the_reader(tmp_path, monkeypatch, forked_reads):
+    replace_read(monkeypatch, "sample_b.csv", lambda: raise_(KeyboardInterrupt()))
+    write_sample_csvs(make_observed(seed=96), tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        read_samples(samples_config(tmp_path))
 
 
 def reference_sample_csvs(observed, directory):
