@@ -6,9 +6,10 @@ temporary directory holding a ``sitecustomize`` module. Every interpreter
 that starts with that path, the CLI subprocesses the tests start included,
 imports it at start-up: it traces the lines of the files under src/ and
 writes the ones it saw when the interpreter exits. Forked processes (pool
-workers, the CSV reader child) leave through ``os._exit``, which skips the
-exit handlers, so the tracer wraps ``os._exit`` to write the lines first:
-lines that only a forked process runs count as run.
+workers, the children of the CSV reader and of the CSV export) leave
+through ``os._exit``, which skips the exit handlers, so the tracer wraps
+``os._exit`` to write the lines first: lines that only a forked process
+runs count as run.
 
 Hypothesis draws from seed 0, so the listing is the same on every run;
 extra arguments come after it, so ``--hypothesis-seed=N`` overrides it.

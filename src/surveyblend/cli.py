@@ -25,10 +25,15 @@ grammar and give the same values. Either reader's table holds the intercept
 in place of ``id``, so the covariates are a view of it, and a sample is held
 as that one parsed table plus the one copy ``ObservedData`` keeps. When the
 platform forks and both files are at least ``_FORK_FLOOR`` (1 MiB), a forked
-child reads sample A and pickles the result, or the error, back through a
+child reads sample A and pickles its table, or the error, back through a
 pipe while the process reads sample B; below that size the fork costs more
-than the overlap saves, and the two are read one after the other. Sample
-CSVs are written with CRLF line ends, as ``csv`` writes.
+than the overlap saves, and the two are read one after the other.
+
+Sample CSVs are written with CRLF line ends, as ``csv`` writes. When the
+platform forks and the two samples hold at least ``_FORK_FLOOR`` bytes of
+values, a forked child formats the rows after the midpoint of the value count
+while the process formats and writes those before it; the bytes are those of
+the in-process export. The reader and the export fork through one helper.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
 a null section, a non-bool flag, a fractional or bool integer, a bool or
@@ -84,7 +89,8 @@ __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
 
 LOCK_NAME = ".lock"
 _SCAN_BLOCK = 1 << 20  # bytes per read of the CSV guard scan
-_FORK_FLOOR = 1 << 20  # bytes: below this in either sample, a forked reader costs more than the overlap saves
+_FORK_FLOOR = 1 << 20  # bytes in each sample file, or of the export's values, from which a fork pays
+_EXPORT_BLOCK = 8192  # rows the export formats in one C-level %
 
 MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
              "simulate": ("parallel", "max_workers", "scenario")}
@@ -291,10 +297,11 @@ def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
 
 
 def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[str, ...] = ()):
-    """Parse a sample CSV: (covariates with the intercept, {tail column: values} for the columns present).
+    """Parse a sample CSV: (its table, with the intercept in place of ``id``; covariate count; tail column names).
 
     One ``np.loadtxt`` parses the body; the row scanner reads the file only
-    when that raises or one of its guards trips.
+    when that raises or one of its guards trips. The table is one contiguous
+    array, which a forked reader sends without a copy.
     """
     with _csv_reader(path) as reader:
         n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
@@ -302,18 +309,18 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
     if values is None:
         values = _scan_rows(path, expected_tail, optional_tail)[1]
     values[:, 0] = 1.0  # the intercept in place of id
-    return values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T))
+    return values, n_x, tail
 
 
-def _reader_child(sink, path: Path):
-    """The forked reader: parse sample A, pickle (True, rows) or (False, exception) into ``sink``, ``os._exit``.
+def _child_main(sink, work):
+    """A forked child: pickle (True, ``work()``) or (False, its exception) into ``sink``, then ``os._exit``.
 
-    It runs only the CSV reader, so it starts no thread and makes no BLAS call.
+    Each ``work`` parses or formats only, so the child starts no thread and makes no BLAS call.
     """
     code = 1
     try:
         try:
-            outcome = True, _read_rows(path, ("pi_a",), ("y",))
+            outcome = True, work()
         except Exception as exc:
             outcome = False, exc
             try:
@@ -327,12 +334,14 @@ def _reader_child(sink, path: Path):
         os._exit(code)
 
 
-def _read_both_forked(path_a: Path, path_b: Path):
-    """``_read_rows`` of sample A in a forked child while this process reads sample B.
+@contextlib.contextmanager
+def _forked(work, path: Path, role: str):
+    """Run ``work()`` in a forked child while the with-block runs; the block calls the yielded ``result()``.
 
-    Errors are raised in the in-process order: A's, else B's. A child that
-    ends without a result raises a CsvParseError naming sample A's file. The
-    child is reaped on every path, and killed first if it may still run.
+    ``result()`` returns what ``work`` returned or raises what it raised. A
+    child that ends without a result raises a ChildProcessError naming
+    ``path``, the file its work was for. The child is reaped on every path,
+    and killed first if the block ends before the result is in.
     """
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe:
@@ -340,29 +349,29 @@ def _read_both_forked(path_a: Path, path_b: Path):
             pid = os.fork()
             if pid == 0:
                 pipe.close()  # so that the child's writes fail, not block, if the parent is gone
-                _reader_child(sink, path_a)
+                _child_main(sink, work)
         status = None
-        try:
+
+        def result():
+            nonlocal status
             try:
-                got_b = True, _read_rows(path_b, ("y",))
-            except Exception as exc:  # raised below, unless sample A failed too
-                got_b = False, exc
-            try:
-                got_a = pickle.load(pipe)
+                outcome = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):
-                got_a = None
+                outcome = None
             status = os.waitpid(pid, 0)[1]
+            if outcome is None:
+                raise ChildProcessError(f"{path}: the {role} process ended without a result "
+                                        f"(exit code {os.waitstatus_to_exitcode(status)})")
+            if not outcome[0]:
+                raise outcome[1]
+            return outcome[1]
+
+        try:
+            yield result
         finally:
             if status is None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    if got_a is None:
-        raise CsvParseError(f"{path_a}: the reader process ended without a result "
-                            f"(exit code {os.waitstatus_to_exitcode(status)})")
-    for ok, value in (got_a, got_b):
-        if not ok:
-            raise value
-    return got_a[1], got_b[1]
 
 
 def read_samples(config: RunConfig) -> ObservedData:
@@ -370,16 +379,25 @@ def read_samples(config: RunConfig) -> ObservedData:
 
     When the platform forks and both files are at least ``_FORK_FLOOR``
     bytes, a forked child reads sample A while this process reads sample B.
+    Errors are raised in the order of reading one after the other: A's first.
     """
     path_a, path_b = config.sample_a_path, config.sample_b_path
     forked = False
     with contextlib.suppress(OSError):  # a file that cannot be read fails in _read_rows, with its message
         forked = hasattr(os, "fork") and min(os.path.getsize(path_a), os.path.getsize(path_b)) >= _FORK_FLOOR
     if forked:
-        (x_a, tails_a), (x_b, tails_b) = _read_both_forked(path_a, path_b)
+        with _forked(lambda: _read_rows(path_a, ("pi_a",), ("y",)), path_a, "reader") as sample_a:
+            try:
+                table_b = _read_rows(path_b, ("y",))
+            except Exception:
+                sample_a()  # raises sample A's error, if it has one, in place of B's
+                raise
+            table_a = sample_a()
     else:
-        x_a, tails_a = _read_rows(path_a, ("pi_a",), ("y",))
-        x_b, tails_b = _read_rows(path_b, ("y",))
+        table_a = _read_rows(path_a, ("pi_a",), ("y",))
+        table_b = _read_rows(path_b, ("y",))
+    (x_a, tails_a), (x_b, tails_b) = ((values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T)))
+                                      for values, n_x, tail in (table_a, table_b))
     pi_a = tails_a["pi_a"]
     outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
     if outside.any():
@@ -398,29 +416,64 @@ def read_samples(config: RunConfig) -> ObservedData:
     )
 
 
-def _save_csv(path: Path, names: list[str], columns: list[np.ndarray]) -> None:
-    """Write an ``id`` column 1..n and ``columns`` under ``names``, as csv.writer with ``_fmt`` would."""
-    table = np.column_stack([np.arange(1, len(columns[0]) + 1), *columns])
-    row_fmt = ",".join(["%d"] + ["%.17g"] * (table.shape[1] - 1)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["id"] + names) + "\r\n")
-        for block in np.split(table, range(8192, len(table), 8192)):  # one C-level % formats a block of rows
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+def _format_block(block: np.ndarray) -> str:
+    """Rows of an export table as CSV text, in one C-level %: the id with %d, each value with %.17g, CRLF ends."""
+    row_fmt = ",".join(["%d"] + ["%.17g"] * (block.shape[1] - 1)) + "\r\n"
+    return row_fmt * len(block) % tuple(block.ravel().tolist())
 
 
 def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Path, Path]:
-    """Export an ObservedData to the CLI's CSV schemas (17 significant digits, CRLF line ends)."""
+    """Export an ObservedData to the CLI's CSV schemas (17 significant digits, CRLF line ends).
+
+    When the platform forks and the two tables hold at least ``_FORK_FLOOR``
+    (1 MiB) of values, a forked child formats the blocks after the midpoint
+    of the value count (A's blocks, then B's) while this process formats and
+    writes those before it, then writes the child's text in its place. The
+    bytes are those of the in-process export; only this process opens or
+    writes a file, and the file of a child that ends without its text is
+    removed rather than left short of rows.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     x_names = [f"x_{j}" for j in range(1, observed.n_covariates)]
-    path_a = directory / "sample_a.csv"
-    path_b = directory / "sample_b.csv"
-    if observed.y_a is None:
-        _save_csv(path_a, x_names + ["pi_a"], [observed.x_a[:, 1:], observed.pi_a])
+    tails_a = [observed.pi_a] + ([] if observed.y_a is None else [observed.y_a])
+    files = [(directory / "sample_a.csv", x_names + ["pi_a", "y"][:len(tails_a)]),
+             (directory / "sample_b.csv", x_names + ["y"])]
+    tables = [np.column_stack([np.arange(1, observed.n_a + 1), observed.x_a[:, 1:], *tails_a]),
+              np.column_stack([np.arange(1, observed.n_b + 1), observed.x_b[:, 1:], observed.y_b])]
+    blocks = [(i, table[start:start + _EXPORT_BLOCK])
+              for i, table in enumerate(tables) for start in range(0, len(table), _EXPORT_BLOCK)]
+    if hasattr(os, "fork") and sum(table.nbytes for table in tables) >= _FORK_FLOOR:
+        ends = np.cumsum([block.size for _, block in blocks])
+        cut = 1 + int(np.argmin(abs(ends[:-1] - ends[-1] / 2)))  # the block boundary nearest the middle value
+        with _forked(lambda: [_format_block(block) for _, block in blocks[cut:]],
+                     files[blocks[cut][0]][0], "writer") as rest:
+            _write_blocks(files, blocks, cut, rest)
     else:
-        _save_csv(path_a, x_names + ["pi_a", "y"], [observed.x_a[:, 1:], observed.pi_a, observed.y_a])
-    _save_csv(path_b, x_names + ["y"], [observed.x_b[:, 1:], observed.y_b])
-    return path_a, path_b
+        _write_blocks(files, blocks, len(blocks), None)
+    return files[0][0], files[1][0]
+
+
+def _write_blocks(files, blocks, cut: int, rest) -> None:
+    """Write each file's header and its blocks: those before ``cut`` formatted here, the others from ``rest()``."""
+    later = None
+    for i, (path, names) in enumerate(files):
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(["id"] + names) + "\r\n")
+            for k, (j, block) in enumerate(blocks):
+                if j != i:
+                    continue
+                if k < cut:
+                    fh.write(_format_block(block))
+                    continue
+                if later is None:
+                    try:
+                        later = rest()
+                    except Exception:
+                        fh.close()
+                        path.unlink()  # a file short of the child's rows would still parse
+                        raise
+                fh.write(later[k - cut])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import errno
 import functools
 import json
 import math
@@ -9,6 +10,7 @@ import operator
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -857,13 +859,18 @@ def test_read_samples_holds_each_sample_about_once(tmp_path, monkeypatch):
         assert peak <= 2.5 * kept, floor
 
 
-@pytest.fixture
-def forked_reads(monkeypatch):
-    """The size floor at 0, so that every read forks; afterwards no child, running or unreaped, may be left."""
-    monkeypatch.setattr(cli, "_FORK_FLOOR", 0)
-    yield
+def assert_no_child():
+    """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked_io(monkeypatch):
+    """The size floor at 0, so that every read and every export forks; afterwards no child may be left."""
+    monkeypatch.setattr(cli, "_FORK_FLOOR", 0)
+    yield
+    assert_no_child()
 
 
 BAD_FLOAT = "could not convert string to float: 'abc'"
@@ -875,14 +882,14 @@ BAD_LINE_3 = {"sample_a.csv": "2,abc,0.5,2", "sample_b.csv": "2,abc,2.5"}
     (("sample_b.csv",), (cli.CsvParseError, "{dir}/sample_b.csv line 3: " + BAD_FLOAT)),
     (("sample_a.csv", "sample_b.csv"), (cli.CsvParseError, "{dir}/sample_a.csv line 3: " + BAD_FLOAT)),
 ], ids=["a", "b", "both"])
-def test_forked_read_raises_the_error_the_in_process_read_raises(tmp_path, forked_reads, bad, expected):
+def test_forked_read_raises_the_error_the_in_process_read_raises(tmp_path, forked_io, bad, expected):
     for name, lines in (("sample_a.csv", SAMPLE_A), ("sample_b.csv", SAMPLE_B)):
         lines = lines[:2] + [BAD_LINE_3[name]] + lines[3:] if name in bad else lines
         (tmp_path / name).write_text("\n".join(lines) + "\n")
     assert read_outcome(samples_config(tmp_path)) == (expected[0], expected[1].format(dir=tmp_path))
 
 
-def test_forked_read_matches_the_read_without_fork(tmp_path, monkeypatch, forked_reads):
+def test_forked_read_matches_the_read_without_fork(tmp_path, monkeypatch, forked_io):
     write_sample_csvs(make_observed(seed=95), tmp_path)
     config = samples_config(tmp_path)
     forked = read_outcome(config)
@@ -905,7 +912,7 @@ def raise_(exc):
     raise exc
 
 
-def test_key_error_in_the_forked_reader_propagates(tmp_path, monkeypatch, forked_reads):
+def test_key_error_in_the_forked_reader_propagates(tmp_path, monkeypatch, forked_io):
     replace_read(monkeypatch, "sample_a.csv", lambda: raise_(KeyError("bug")))
     with pytest.raises(KeyError, match="bug"):
         main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))])
@@ -916,21 +923,21 @@ class Unpicklable(Exception):
         raise TypeError("cannot pickle")
 
 
-def test_an_error_the_reader_cannot_send_arrives_as_its_repr(tmp_path, monkeypatch, forked_reads):
+def test_an_error_the_reader_cannot_send_arrives_as_its_repr(tmp_path, monkeypatch, forked_io):
     replace_read(monkeypatch, "sample_a.csv", lambda: raise_(Unpicklable("lost")))
     write_sample_csvs(make_observed(seed=96), tmp_path)
     with pytest.raises(RuntimeError, match=r"^Unpicklable\('lost'\)$"):
         read_samples(samples_config(tmp_path))
 
 
-def test_a_reader_that_dies_is_an_io_error_naming_sample_a(tmp_path, monkeypatch, capsys, forked_reads):
+def test_a_reader_that_dies_is_an_io_error_naming_sample_a(tmp_path, monkeypatch, capsys, forked_io):
     replace_read(monkeypatch, "sample_a.csv", lambda: os._exit(3))
     assert main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))]) == 4
     assert capsys.readouterr().err == (f"input/output error: {tmp_path / 'sample_a.csv'}: the reader process "
                                        "ended without a result (exit code 3)\n")
 
 
-def test_an_interrupt_while_reading_sample_b_kills_the_reader(tmp_path, monkeypatch, forked_reads):
+def test_an_interrupt_while_reading_sample_b_kills_the_reader(tmp_path, monkeypatch, forked_io):
     replace_read(monkeypatch, "sample_b.csv", lambda: raise_(KeyboardInterrupt()))
     write_sample_csvs(make_observed(seed=96), tmp_path)
     with pytest.raises(KeyboardInterrupt):
@@ -956,8 +963,21 @@ def reference_sample_csvs(observed, directory):
             writer.writerow([str(i + 1)] + [cli._fmt(v) for v in observed.x_b[i, 1:]] + [cli._fmt(observed.y_b[i])])
 
 
+def assert_export_matches_the_csv_writer(monkeypatch, observed, directory):
+    """``write_sample_csvs`` writes the reference bytes both in process and with every export forked."""
+    (directory / "reference").mkdir()
+    reference_sample_csvs(observed, directory / "reference")
+    for floor in (math.inf, 0):
+        monkeypatch.setattr(cli, "_FORK_FLOOR", floor)
+        write_sample_csvs(observed, directory / f"floor-{floor}")
+        for name in ("sample_a.csv", "sample_b.csv"):
+            assert (directory / f"floor-{floor}" / name).read_bytes() \
+                == (directory / "reference" / name).read_bytes(), (floor, name)
+    assert_no_child()
+
+
 @pytest.mark.parametrize("y_on_a", [True, False])
-def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, y_on_a):
+def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, y_on_a):
     base = make_observed(seed=90, y_on_a=y_on_a)
     # values that need all 17 digits, signed zeros and extremes; no valid ObservedData holds a non-finite one
     special = [-0.0, 0.1 + 0.2, 1 / 3, -2 / 3, 1e-300, 5e-324, 1.7976931348623157e308, 2.0**53 + 2, 1e22,
@@ -970,15 +990,10 @@ def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, y_on_a):
     pi_a[:3] = [0.30000000000000004, 1.0, 5e-324]
     observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=pi_a,
                             y_a=None if base.y_a is None else -base.y_a, x_b=x_b, y_b=y_b)
-    (tmp_path / "new").mkdir()
-    (tmp_path / "reference").mkdir()
-    write_sample_csvs(observed, tmp_path / "new")
-    reference_sample_csvs(observed, tmp_path / "reference")
-    for name in ("sample_a.csv", "sample_b.csv"):
-        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+    assert_export_matches_the_csv_writer(monkeypatch, observed, tmp_path)
 
 
-def test_sample_csv_export_matches_the_csv_writer_across_a_block_of_rows(tmp_path):
+def test_sample_csv_export_matches_the_csv_writer_across_a_block_of_rows(tmp_path, monkeypatch):
     # The export formats 8192 rows at a time; both samples here are longer, with odd values on the seam.
     base = make_observed(seed=91, n_population=30_000)
     assert base.n_a > 8192 and base.n_b > 8192
@@ -987,9 +1002,90 @@ def test_sample_csv_export_matches_the_csv_writer_across_a_block_of_rows(tmp_pat
     y_b[8190:8194] = [1 / 3, -0.0, 2.0**53 + 2, -2 / 3]
     observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=base.pi_a,
                             y_a=base.y_a, x_b=base.x_b, y_b=y_b)
-    (tmp_path / "new").mkdir()
-    (tmp_path / "reference").mkdir()
-    write_sample_csvs(observed, tmp_path / "new")
-    reference_sample_csvs(observed, tmp_path / "reference")
-    for name in ("sample_a.csv", "sample_b.csv"):
-        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+    assert_export_matches_the_csv_writer(monkeypatch, observed, tmp_path)
+
+
+# With blocks of 4 rows and one covariate, sample A's rows hold 4 values (id, x_1, pi_a, y) and B's 3. The
+# forked export cuts at the block boundary nearest the middle value: (sample, 0-based row) on either side.
+@pytest.mark.parametrize("n_a, n_b, before, after", [
+    (12, 4, ("a", 7), ("a", 8)),  # blocks of 16, 16, 16 | 12 values: the cut after 32 of 60
+    (4, 4, ("a", 3), ("b", 0)),  # 16 | 12: the only boundary
+    (4, 12, ("b", 3), ("b", 4)),  # 16 | 12, 12, 12: the cut after 28 of 52
+], ids=["inside-a", "between-a-and-b", "inside-b"])
+def test_forked_export_cut_keeps_the_bytes(tmp_path, monkeypatch, n_a, n_b, before, after):
+    rng = np.random.default_rng(97)
+    columns = {side: {"x": np.column_stack([np.ones(n), rng.normal(size=n)]), "y": rng.normal(size=n)}
+               for side, n in (("a", n_a), ("b", n_b))}
+    pi_a = rng.uniform(0.15, 0.9, n_a)
+    for (side, row), (x_1, y) in ((before, (-0.0, 1e22)), (after, (5e-324, -0.0))):
+        columns[side]["x"][row, 1], columns[side]["y"][row] = x_1, y
+        if side == "a":
+            pi_a[row] = 5e-324
+    observed = ObservedData(n_population=100, design=DesignDescriptor(DesignKind.POISSON), x_a=columns["a"]["x"],
+                            pi_a=pi_a, y_a=columns["a"]["y"], x_b=columns["b"]["x"], y_b=columns["b"]["y"])
+    monkeypatch.setattr(cli, "_EXPORT_BLOCK", 4)
+    cuts = []
+    write_blocks = cli._write_blocks
+
+    def spy(files, blocks, cut, rest):
+        if rest is not None:
+            cuts.append((blocks[cut - 1][0], blocks[cut - 1][1][-1, 0], blocks[cut][0], blocks[cut][1][0, 0]))
+        return write_blocks(files, blocks, cut, rest)
+
+    monkeypatch.setattr(cli, "_write_blocks", spy)
+    assert_export_matches_the_csv_writer(monkeypatch, observed, tmp_path)
+    # (file, id) of the last row formatted here and of the first row the child formats; ids count from 1
+    files = {"a": 0, "b": 1}
+    assert cuts == [(files[before[0]], before[1] + 1, files[after[0]], after[1] + 1)]
+
+
+def test_a_sample_b_that_is_a_directory_fails_the_forked_export_as_it_fails_in_process(tmp_path, monkeypatch):
+    observed = make_observed(seed=96)
+    raised = {}
+    for floor in (math.inf, 0):
+        monkeypatch.setattr(cli, "_FORK_FLOOR", floor)
+        directory = tmp_path / f"floor-{floor}"
+        (directory / "sample_b.csv").mkdir(parents=True)
+        with pytest.raises(OSError) as info:
+            write_sample_csvs(observed, directory)
+        raised[floor] = (type(info.value), info.value.errno, info.value.filename,
+                         (directory / "sample_a.csv").read_bytes())
+    assert raised[0][:2] == raised[math.inf][:2] == (IsADirectoryError, errno.EISDIR)
+    assert raised[0][2:] == (str(tmp_path / "floor-0" / "sample_b.csv"), raised[math.inf][3])
+    assert_no_child()
+
+
+def format_in_child(monkeypatch, act):
+    """Make the export's forked child call ``act()`` in place of formatting; this process formats as before."""
+    format_block, parent = cli._format_block, os.getpid()
+
+    def formatter(block):
+        return format_block(block) if os.getpid() == parent else act()
+
+    monkeypatch.setattr(cli, "_format_block", formatter)
+
+
+def test_an_export_child_that_dies_fails_the_export_and_leaves_no_short_file(tmp_path, monkeypatch, forked_io):
+    observed = make_observed(seed=96)
+    format_in_child(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match=r"^.*/sample_b\.csv: the writer process ended without a result "
+                                                r"\(exit code 3\)$"):
+        write_sample_csvs(observed, tmp_path)
+    # The child had sample B's rows: sample A is whole, and no sample B short of its rows is left.
+    assert len((tmp_path / "sample_a.csv").read_text().splitlines()) == 1 + observed.n_a
+    assert not (tmp_path / "sample_b.csv").exists()
+
+
+def test_an_interrupt_in_the_export_kills_the_formatting_child(tmp_path, monkeypatch, forked_io):
+    parent = os.getpid()
+
+    def formatter(block):  # the child sleeps for 60 s; this process is interrupted in its first block
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_format_block", formatter)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        write_sample_csvs(make_observed(seed=96), tmp_path)
+    assert time.monotonic() - started < 30  # the child was killed rather than waited for

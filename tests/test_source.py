@@ -38,6 +38,14 @@ def test_no_module_imports_scipy():
     assert not found, f"scipy imports in src/surveyblend: {found}"
 
 
+def test_one_call_of_os_fork_in_the_package():
+    # The fork plumbing (pipe, pickled result, reaping, the kill on an interrupt) has one copy, which the CSV
+    # reader and the CSV export share; a second call of os.fork would be a second copy of it.
+    calls = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("os.fork", "fork")]
+    assert len(calls) == 1, f"os.fork calls in src/surveyblend: {calls}"
+
+
 def imported_names(node) -> list[str]:
     """The names a ``from ... import`` statement binds from its module; none for other nodes."""
     return [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
