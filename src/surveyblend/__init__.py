@@ -42,6 +42,5 @@ from .uncertainty import (
     cov_estimate,
     regression_adjustment,
     residual_variance,
-    var_prob_estimate,
     variance,
 )

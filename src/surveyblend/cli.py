@@ -115,7 +115,6 @@ def _fmt(value) -> str:
 class RunConfig:
     """Parsed configuration for one CLI run."""
 
-    mode: str
     output_dir: Path
     level: float = 0.95
     # estimate mode
@@ -165,7 +164,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
         max_workers = raw.get("max_workers")
         if max_workers is not None and (type(max_workers) is not int or max_workers < 1):
             raise ValidationError(f"max_workers must be a positive integer, not {max_workers!r}")
-        return RunConfig(mode=mode, output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
+        return RunConfig(output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
                          parallel=config_flag("parallel", raw.get("parallel", False)), max_workers=max_workers)
 
     level = config_float("level", raw.get("level", 0.95))
@@ -198,7 +197,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
                     pooled=entries("pooled", ("kind", "regime", "prob")))
     plan.check(model.fit_method)
     return RunConfig(
-        mode=mode, output_dir=output_dir, level=level,
+        output_dir=output_dir, level=level,
         sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
         n_population=config_int("inputs.n_population", inputs["n_population"]), design=design, model=model,
         sigma_model=ResidualVarianceModel(analysis.get("sigma_model", "constant")), plan=plan,
@@ -568,7 +567,7 @@ class _OutputLock:
                 break
             pid = None if retry else self._dead_owner()
             if pid is None:
-                raise CsvParseError(f"{self.path}: lock file exists; another run owns this output directory")
+                raise FileExistsError(f"{self.path}: lock file exists; another run owns this output directory")
             self.path.unlink(missing_ok=True)
             print(f"{self.path}: removed the stale lock of pid {pid}, which is not running", file=sys.stderr)
         os.write(self.fd, str(os.getpid()).encode())

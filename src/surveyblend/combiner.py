@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import Analysis, EstimatorKind
 from .types import ValidationError
-from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, var_prob_estimate, variance
+from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, variance
 
 __all__ = ["PooledReport", "combine", "pool", "pooled_variance", "z_score"]
 
@@ -86,6 +86,6 @@ def pool(analysis: Analysis, kind_dr: EstimatorKind, regime: Regime, prob_kind: 
          level: float = 0.95, *,
          sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> PooledReport:
     """Pool a reweighted estimate with a probability-sample one, reading the analysis's results."""
-    return combine(analysis.point(prob_kind), var_prob_estimate(prob_kind, analysis),
+    return combine(analysis.point(prob_kind), variance(prob_kind, None, analysis),
                    analysis.point(kind_dr), variance(kind_dr, regime, analysis, sigma_model=sigma_model),
                    cov_estimate(kind_dr, regime, prob_kind, analysis), level)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combiner import PooledReport, pool, z_score
-from .estimators import PROB_KINDS, Analysis, EstimatorKind
+from .estimators import Analysis, EstimatorKind
 from .nuisance import SolverError, expit, fit_nuisance
 from .types import (
     DesignDescriptor,
@@ -44,8 +44,7 @@ from .types import (
     config_int,
     config_section,
 )
-from .uncertainty import (Regime, ResidualVarianceModel, check_supported, cov_estimate,
-                          var_prob_estimate, variance)
+from .uncertainty import Regime, ResidualVarianceModel, check_supported, cov_estimate, variance
 
 __all__ = [
     "Covariate",
@@ -118,13 +117,12 @@ class EvalPlan:
         object.__setattr__(self, "var_pairs", tuple((K(k), Regime(r)) for k, r in self.var_pairs))
         object.__setattr__(self, "cov_pairs", tuple((K(k), Regime(r), K(p)) for k, r, p in self.cov_pairs))
         object.__setattr__(self, "pooled", tuple((K(k), Regime(r), K(p)) for k, r, p in self.pooled))
-        for kind in self.prob_points + tuple(p for _, _, p in self.cov_pairs + self.pooled):
-            if kind not in PROB_KINDS:
-                raise ValidationError(f"{kind.value} is not a probability-sample estimator")
 
     def check(self, fit_method: FitMethod) -> None:
-        """Reject a variance, covariance or pooled entry that has no variance formula under ``fit_method``."""
-        for kind, regime, *_ in self.var_pairs + self.cov_pairs + self.pooled:
+        """Reject an interval, covariance or pooled entry that has no variance formula under ``fit_method``."""
+        pairs = [(kind, None) for kind in self.prob_points + tuple(p for *_, p in self.cov_pairs + self.pooled)]
+        pairs += [(kind, regime) for kind, regime, *_ in self.var_pairs + self.cov_pairs + self.pooled]
+        for kind, regime in pairs:
             check_supported(kind, regime, fit_method)
 
 
@@ -160,11 +158,11 @@ def evaluate(plan: EvalPlan, analysis: Analysis, level: float,
 
     def interval(kind: EstimatorKind, regime: Regime | None, var: float) -> EvalRow:
         est = analysis.point(kind)
-        half = z * float(np.sqrt(max(var, 0.0)))
+        half = z * float(np.sqrt(var))
         return EvalRow(_label(kind, regime), kind, regime, None,
                        {"est": est, "var": var, "lo": est - half, "hi": est + half})
 
-    rows = [interval(kind, None, var_prob_estimate(kind, analysis)) for kind in plan.prob_points]
+    rows = [interval(kind, None, variance(kind, None, analysis)) for kind in plan.prob_points]
     rows += [EvalRow(_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
     rows += [interval(kind, regime, variance(kind, regime, analysis, sigma_model=sigma_model))
              for kind, regime in plan.var_pairs]

@@ -1,8 +1,8 @@
-"""Variance and covariance estimation for the reweighted estimators.
+"""Variance and covariance estimation for every estimator.
 
-Every asymptotic variance here has the same two-part shape: a design
-variance of a Horvitz-Thompson mean over the probability sample, applied
-to centered outcome-model predictions u, plus a selection term over the
+Every variance here has the same two-part shape: a design variance of a
+Horvitz-Thompson mean over the probability sample, applied to per-unit
+terms u, plus, for a reweighted estimator, a selection term over the
 nonprobability sample built from centered outcome residuals,
 
     var = ht_var(u)
@@ -16,15 +16,17 @@ supported pairs of :data:`CENTERING`: a self-normalized estimator centers at
 its own means, and the selection_correct regime adjusts for selection-model
 estimation error with a weighted-least-squares coefficient
 (:func:`regression_adjustment`) of the (possibly centered) outcomes or
-residuals on the selection covariates.
+residuals on the selection covariates. A probability-sample estimator (HT,
+Hajek) takes no regime: its u is the sample-A outcomes centered at 0 or at
+the Hajek mean, and it has no sample-B term.
 
-Covariances with the probability-sample estimators reduce to the design
-covariance of two Horvitz-Thompson means over sample A: u against the
-outcomes centered at 0 (HT) or at the Hajek mean.
+The covariance of a reweighted estimator with HT or Hajek is the design
+covariance of the two estimators' u over sample A.
 
 Each function reads one :class:`~surveyblend.estimators.Analysis`, evaluates
 dot products against the sample weights it built and checked once, and keeps
-its result there; all but :func:`var_prob_estimate` need its nuisance fit.
+its result there. Every quantity of a reweighted estimator needs the
+analysis's nuisance fit; those of HT and Hajek do not.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "cov_estimate",
     "regression_adjustment",
     "residual_variance",
-    "var_prob_estimate",
     "variance",
 ]
 
@@ -81,8 +82,15 @@ CENTERING = (
 )
 
 
-def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) -> None:
-    """Reject an (estimator, regime) pair that has no variance formula under ``fit_method``."""
+def check_supported(kind: EstimatorKind, regime: Regime | None, fit_method: FitMethod | None) -> None:
+    """Reject an (estimator, regime) pair that has no variance formula under ``fit_method``.
+
+    A probability-sample estimator (HT, Hajek) takes the regime None and needs no fit.
+    """
+    if regime is None:
+        if kind not in PROB_KINDS:
+            raise ValidationError(f"{kind.value} is not a probability-sample estimator")
+        return
     if (kind, regime) not in CENTERING:
         if kind in PROB_KINDS:
             raise ValidationError(f"no variance regime is defined for {kind.value}")
@@ -94,12 +102,14 @@ def check_supported(kind: EstimatorKind, regime: Regime, fit_method: FitMethod) 
 class CenteringTerms(NamedTuple):
     """Per-unit vectors feeding the two-part variance form.
 
-    ``u`` is the outcome-model predictions on sample A minus their center;
-    ``outcome_center`` is subtracted from the observed outcomes on sample B.
+    ``u`` is the outcome-model predictions on sample A minus their center,
+    or for HT and Hajek the sample-A outcomes minus theirs;
+    ``outcome_center`` is subtracted from the observed outcomes on sample B,
+    and is None for HT and Hajek, which have no sample-B term.
     """
 
     u: np.ndarray
-    outcome_center: np.ndarray
+    outcome_center: np.ndarray | None
 
 
 def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
@@ -127,9 +137,13 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
     return analysis.memo(("adjustment", kind), compute)
 
 
-def centering_terms(kind: EstimatorKind, regime: Regime, analysis: Analysis) -> CenteringTerms:
+def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analysis) -> CenteringTerms:
     """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
     def compute():
+        if regime is None:  # HT or Hajek: sample A's outcomes, centered at 0 or at the Hajek mean
+            check_supported(kind, None, None)
+            est = analysis.point(kind)
+            return CenteringTerms(analysis.observed.y_a - (est if kind in SELF_NORMALIZED else 0.0), None)
         check_supported(kind, regime, analysis.spec.fit_method)
         self_normalized = kind in SELF_NORMALIZED
         observed = analysis.observed
@@ -181,9 +195,9 @@ def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple
     return s2_a, s2_b
 
 
-def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
+def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis, *,
              sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
-    """Closed-form variance estimate for a reweighted estimator under a regime."""
+    """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek), floored at 0."""
     def compute():
         u, outcome_center = centering_terms(kind, regime, analysis)
         weights_a, weights_b = analysis.weights_a, analysis.weights_b
@@ -191,9 +205,10 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
         if term1 < 0.0:
             # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
             warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
-        r = analysis.observed.y_b - outcome_center
-        term2 = weights_b.cov(r, r)  # sample B's opt-in is Poisson sampling with pi_b
-        correction = 0.0
+        term2 = correction = 0.0
+        if outcome_center is not None:
+            r = analysis.observed.y_b - outcome_center
+            term2 = weights_b.cov(r, r)  # sample B's opt-in is Poisson sampling with pi_b
         if regime is Regime.KH_DOUBLY_ROBUST:
             s2_a, s2_b = residual_variance(analysis, sigma_model)
             correction = (weights_a.ht_mean(s2_a) - weights_b.ht_mean(s2_b)) / analysis.observed.n_population
@@ -202,34 +217,13 @@ def variance(kind: EstimatorKind, regime: Regime, analysis: Analysis, *,
     return analysis.memo(("variance", kind, regime, sigma_model), compute)
 
 
-def _prob_residuals(prob_kind: EstimatorKind, analysis: Analysis) -> np.ndarray:
-    """Sample-A outcomes centered at 0 (HT) or at the Hajek mean."""
-    def compute():
-        if prob_kind not in PROB_KINDS:
-            raise ValidationError(f"{prob_kind.value} is not a probability-sample estimator")
-        y_a = analysis.observed.y_a
-        if y_a is None:
-            raise ValidationError(f"{prob_kind.value} needs the outcome on sample A")
-        return y_a - (0.0 if prob_kind is EstimatorKind.HT else analysis.point(EstimatorKind.HAJEK))
-
-    return analysis.memo(("prob_residuals", prob_kind), compute)
-
-
-def var_prob_estimate(kind: EstimatorKind, analysis: Analysis) -> float:
-    """Variance estimate for the probability-sample estimators (HT or Hajek)."""
-    def compute():
-        v = _prob_residuals(kind, analysis)
-        return analysis.weights_a.cov(v, v)
-
-    return analysis.memo(("var_prob", kind), compute)
-
-
 def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:
     """Covariance estimate between a reweighted estimator and HT or Hajek.
 
     Both estimators share sample A through the covariates, so their errors
-    correlate; the estimate is the design covariance of the centered
-    predictions against the (possibly Hajek-centered) outcomes on sample A.
+    correlate; the estimate is the design covariance over sample A of the
+    two estimators' :func:`centering_terms` ``u``: the centered predictions
+    against the outcomes centered at 0 (HT) or at the Hajek mean.
     """
     return analysis.memo(("cov", kind, regime, prob_kind), lambda: analysis.weights_a.cov(
-        centering_terms(kind, regime, analysis).u, _prob_residuals(prob_kind, analysis)))
+        centering_terms(kind, regime, analysis).u, centering_terms(prob_kind, None, analysis).u))

@@ -33,7 +33,6 @@ from surveyblend import (
     ValidationError,
     fit_nuisance,
     pool,
-    var_prob_estimate,
     variance,
 )
 from surveyblend import cli
@@ -176,6 +175,23 @@ class TestEstimateMode:
         assert done.returncode == 0, done.stderr
         assert len(json.loads((tmp_path / "out" / "report.json").read_text())["points"]) == 6
 
+    def test_pooling_ht_of_a_constant_srswor_outcome_succeeds(self, tmp_path):
+        # The HT variance of a constant outcome under SRSWOR rounds below 0; it is floored, not rejected.
+        base = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
+        observed = ObservedData(n_population=200, design=base.design, x_a=base.x_a, pi_a=base.pi_a,
+                                y_a=np.ones(base.n_a), x_b=base.x_b, y_b=base.y_b)
+        config = estimate_config(tmp_path, observed)
+        cfg = yaml.safe_load(config.read_text())
+        cfg["estimators"]["pooled"] = [{"kind": "DR1", "regime": "both_correct", "prob": "HT"}]
+        config.write_text(yaml.safe_dump(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert main(["estimate", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert {(row["estimator"], row["variance"]) for row in report["variances"] if row["regime"] is None} == {
+            ("HT", 0.0), ("Hajek", 0.0)}
+        assert report["pooled"][0]["var_prob"] == 0.0
+
     def test_lock_file_blocks_concurrent_runs(self, tmp_path, capsys):
         observed = make_observed(seed=84)
         config = estimate_config(tmp_path, observed)
@@ -183,6 +199,12 @@ class TestEstimateMode:
         (tmp_path / "out" / ".lock").write_text(str(os.getpid()))
         assert main(["estimate", "--config", str(config)]) == 4
         assert "lock" in capsys.readouterr().err
+
+    def test_held_lock_is_a_file_exists_error(self, tmp_path):
+        # an OSError, so exit 4, but not a CsvParseError: no CSV was parsed
+        (tmp_path / ".lock").write_text(str(os.getpid()))
+        with pytest.raises(FileExistsError, match="lock file exists"), cli._OutputLock(tmp_path):
+            pass
 
     @pytest.mark.parametrize("content", ["", "not a pid", "-1", str(2**80)])
     def test_unreadable_lock_blocks_runs(self, tmp_path, capsys, content):
@@ -229,7 +251,7 @@ class TestEstimateMode:
         var_rows = {(row["estimator"], row["regime"]): row for row in report["variances"]}
         assert var_rows[("DR1", "both_correct")]["variance"] == variance(
             K.DR1, Regime.BOTH_CORRECT, Analysis(observed, fit))
-        assert var_rows[("HT", None)]["variance"] == var_prob_estimate(K.HT, Analysis(observed))
+        assert var_rows[("HT", None)]["variance"] == variance(K.HT, None, Analysis(observed))
         pooled = report["pooled"][0]
         expected = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK, 0.95)
         assert pooled["pooled_estimate"] == expected.pooled_estimate
@@ -545,7 +567,10 @@ def test_worker_option_must_be_a_positive_integer(tmp_path, workers):
                                         ("simulate_example.yaml", "simulate")])
 def test_example_configs_load(name, mode):
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / name, mode)
-    assert config.mode == mode
+    # an estimate config carries its plan at the top, a simulate config inside its scenario
+    plan = config.plan if mode == "estimate" else config.scenario.plan
+    assert (config.scenario is None) == (mode == "estimate")
+    assert plan.var_pairs and plan.cov_pairs and plan.pooled
 
 
 def test_import_loads_no_scipy_module():
@@ -680,7 +705,7 @@ SAMPLE_B_ARRAYS = {"x_b": [0.25, -0.5, 1.5, 3.0], "y_b": [1.0, 2.5, -1.0, 0.5]}
 
 def samples_config(directory, n_population=FUZZ_POPULATION):
     """A RunConfig reading ``sample_a.csv`` and ``sample_b.csv`` in ``directory``."""
-    return cli.RunConfig(mode="estimate", output_dir=directory / "out", sample_a_path=directory / "sample_a.csv",
+    return cli.RunConfig(output_dir=directory / "out", sample_a_path=directory / "sample_a.csv",
                          sample_b_path=directory / "sample_b.csv", n_population=n_population,
                          design=DesignDescriptor(DesignKind.POISSON))
 

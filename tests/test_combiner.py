@@ -14,7 +14,6 @@ from surveyblend import (
     cov_estimate,
     pool,
     pooled_variance,
-    var_prob_estimate,
     variance,
     z_score,
 )
@@ -129,7 +128,7 @@ class TestPoolPipeline:
         fit = default_fit(observed)
         report = pool(Analysis(observed, fit), K.DR2, Regime.BOTH_CORRECT, K.HAJEK)
         assert report.est_prob == Analysis(observed).point(K.HAJEK)
-        assert report.var_prob == var_prob_estimate(K.HAJEK, Analysis(observed))
+        assert report.var_prob == variance(K.HAJEK, None, Analysis(observed))
         assert report.est_dr == Analysis(observed, fit).point(K.DR2)
         assert report.var_dr == variance(K.DR2, Regime.BOTH_CORRECT, Analysis(observed, fit))
         assert report.cov == cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, Analysis(observed, fit))

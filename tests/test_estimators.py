@@ -28,7 +28,7 @@ from surveyblend import (
     draw_samples,
     fit_nuisance,
     generate_population,
-    var_prob_estimate,
+    variance,
 )
 from surveyblend import designs, estimators
 from surveyblend.cli import build_estimate_report, load_config, main, write_sample_csvs
@@ -79,8 +79,8 @@ class TestDefinitions:
         m_a = analysis.fit.m(observed.x_a)
         u = m_a - np.sum(m_a / pi) / big_n  # DR2's predictions centered at their HT mean
         v = observed.y_a - np.sum(observed.y_a / pi) / np.sum(1 / pi)  # outcomes centered at the Hajek mean
-        assert var_prob_estimate(K.HAJEK, analysis) == pytest.approx(dense(v, v), rel=1e-12)
-        assert var_prob_estimate(K.HT, analysis) == pytest.approx(dense(observed.y_a, observed.y_a), rel=1e-12)
+        assert variance(K.HAJEK, None, analysis) == pytest.approx(dense(v, v), rel=1e-12)
+        assert variance(K.HT, None, analysis) == pytest.approx(dense(observed.y_a, observed.y_a), rel=1e-12)
         assert cov_estimate(K.DR2, Regime.BOTH_CORRECT, K.HAJEK, analysis) == pytest.approx(dense(u, v), rel=1e-12)
 
     def test_dr1_hand_checked_toy(self):
@@ -190,7 +190,7 @@ class TestOneAnalysisPerDataset:
 
     def test_without_a_fit_only_sample_a_has_weights(self, prediction_calls):
         analysis = Analysis(make_observed(seed=36))
-        assert var_prob_estimate(K.HT, analysis) > 0.0 and var_prob_estimate(K.HAJEK, analysis) > 0.0
+        assert variance(K.HT, None, analysis) > 0.0 and variance(K.HAJEK, None, analysis) > 0.0
         assert prediction_calls["weights"] == 1
         assert analysis.weights_b is None
 

@@ -144,7 +144,7 @@ def test_eval_plan_takes_names_in_any_case():
 def csv_round_trip(observed, directory):
     """Write an ObservedData to the CLI's sample CSVs and read it back."""
     path_a, path_b = write_sample_csvs(observed, directory)
-    config = RunConfig(mode="estimate", output_dir=directory, sample_a_path=path_a, sample_b_path=path_b,
+    config = RunConfig(output_dir=directory, sample_a_path=path_a, sample_b_path=path_b,
                        n_population=observed.n_population, design=observed.design)
     return read_samples(config)
 

@@ -29,9 +29,9 @@ from surveyblend import (
     draw_samples,
     fit_nuisance,
     generate_population,
+    pool,
     regression_adjustment,
     residual_variance,
-    var_prob_estimate,
     variance,
 )
 from surveyblend.simulate import redraw_outcomes
@@ -219,7 +219,7 @@ class TestVarProbEstimate:
                                 x_a=observed.x_a, pi_a=observed.pi_a,
                                 y_a=np.full(observed.n_a, 4.2),
                                 x_b=observed.x_b, y_b=observed.y_b)
-        assert var_prob_estimate(K.HAJEK, Analysis(observed)) == pytest.approx(0.0, abs=1e-25)
+        assert variance(K.HAJEK, None, Analysis(observed)) == pytest.approx(0.0, abs=1e-25)
 
     def test_constant_outcome_ht_variance_is_positive(self):
         observed = make_observed(seed=52)
@@ -230,14 +230,29 @@ class TestVarProbEstimate:
                                 x_b=observed.x_b, y_b=observed.y_b)
         pi = observed.pi_a
         expected = c * c * float(np.sum((1 - pi) / pi**2)) / observed.n_population**2
-        got = var_prob_estimate(K.HT, Analysis(observed))
+        got = variance(K.HT, None, Analysis(observed))
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_constant_outcome_srswor_ht_variance_is_floored_and_pools(self):
+        # With pi = n/N the SRSWOR ratio form of a constant outcome cancels to
+        # about -1.7e-17, which the pooling weight would reject as negative.
+        base = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
+        observed = ObservedData(n_population=200, design=base.design, x_a=base.x_a, pi_a=base.pi_a,
+                                y_a=np.ones(base.n_a), x_b=base.x_b, y_b=base.y_b)
+        analysis = Analysis(observed, default_fit(observed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a negative first term, floored
+            assert variance(K.HT, None, analysis) == 0.0
+            report = pool(analysis, K.DR1, R.BOTH_CORRECT, K.HT)
+        assert report.var_prob == 0.0
+        assert report.w == pytest.approx(0.0, abs=1e-12)
+        assert report.pooled_estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_requires_outcome_on_sample_a(self):
         observed = make_observed(seed=53, y_on_a=False)
         with pytest.raises(ValidationError):
-            var_prob_estimate(K.HT, Analysis(observed))
+            variance(K.HT, None, Analysis(observed))
 
 
 class TestCovEstimate:
@@ -353,11 +368,11 @@ class TestAnalysis:
     def test_prob_kind_has_no_regime(self):
         observed = make_observed(seed=61)
         analysis = Analysis(observed, default_fit(observed))
-        assert var_prob_estimate(K.HAJEK, analysis) >= 0.0
+        assert variance(K.HAJEK, None, analysis) >= 0.0
         with pytest.raises(ValidationError, match="no variance regime"):
             variance(K.HAJEK, R.BOTH_CORRECT, analysis)
 
-    @pytest.mark.parametrize("call", [lambda a: var_prob_estimate(K.IPW1, a),
+    @pytest.mark.parametrize("call", [lambda a: variance(K.IPW1, None, a),
                                       lambda a: cov_estimate(K.DR1, R.BOTH_CORRECT, K.IPW1, a)],
                              ids=["var_prob_estimate", "cov_estimate"])
     def test_prob_kind_must_be_a_probability_sample_estimator(self, call):
@@ -378,4 +393,4 @@ class TestAnalysis:
         analysis = Analysis(make_observed(seed=70))
         with pytest.raises(ValidationError, match="needs a nuisance fit"):
             call(analysis)
-        assert var_prob_estimate(K.HAJEK, analysis) > 0.0
+        assert variance(K.HAJEK, None, analysis) > 0.0
