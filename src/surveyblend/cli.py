@@ -23,17 +23,20 @@ limit), the row scanner reads the file with ``csv`` instead; it is the
 reader that names the file and line of any failure. Both accept the same
 grammar and give the same values. Either reader's table holds the intercept
 in place of ``id``, so the covariates are a view of it, and a sample is held
-as that one parsed table plus the one copy ``ObservedData`` keeps. When the
-platform forks and both files are at least ``_FORK_FLOOR`` (1 MiB), a forked
-child reads sample A and pickles its table, or the error, back through a
-pipe while the process reads sample B; below that size the fork costs more
-than the overlap saves, and the two are read one after the other.
+as that one parsed table plus the one copy ``ObservedData`` keeps. Sample B
+is read first, then sample A. When the platform forks and both files are at
+least ``_FORK_FLOOR`` (1 MiB), a forked child reads sample A and pickles its
+table, or the error, back through a pipe while the process reads sample B;
+below that size the fork costs more than the overlap saves, and sample A is
+read in process after B.
 
-Sample CSVs are written with CRLF line ends, as ``csv`` writes. When the
-platform forks and the two samples hold at least ``_FORK_FLOOR`` bytes of
-values, a forked child formats the rows after the midpoint of the value count
-while the process formats and writes those before it; the bytes are those of
-the in-process export. The reader and the export fork through one helper.
+Sample CSVs are written with CRLF line ends, as ``csv`` writes. The export
+formats every row before it opens a file. When the platform forks and the
+two samples hold at least ``_FORK_FLOOR`` bytes of values, a forked child
+formats the rows after the midpoint of the value count while the process
+formats those before it; the bytes are those of the in-process export. The
+reader and the export fork through one helper, which runs the work in
+process when it does not fork.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
 a null section, a non-bool flag, a fractional or bool integer, a bool or
@@ -334,14 +337,19 @@ def _child_main(sink, work):
 
 
 @contextlib.contextmanager
-def _forked(work, path: Path, role: str):
+def _forked(work, path: Path, role: str, fork: bool):
     """Run ``work()`` in a forked child while the with-block runs; the block calls the yielded ``result()``.
 
-    ``result()`` returns what ``work`` returned or raises what it raised. A
-    child that ends without a result raises a ChildProcessError naming
-    ``path``, the file its work was for. The child is reaped on every path,
-    and killed first if the block ends before the result is in.
+    ``result()`` returns what ``work`` returned or raises what it raised.
+    Without ``fork``, or on a platform that does not fork, ``result()`` runs
+    ``work`` in this process. A child that ends without a result raises a
+    ChildProcessError naming ``path``, the file its work was for. The child
+    is reaped on every path, and killed first if the block ends before the
+    result is in.
     """
+    if not (fork and hasattr(os, "fork")):
+        yield work
+        return
     read_end, write_end = os.pipe()
     with open(read_end, "rb") as pipe:
         with open(write_end, "wb") as sink:
@@ -376,25 +384,21 @@ def _forked(work, path: Path, role: str):
 def read_samples(config: RunConfig) -> ObservedData:
     """Read both sample CSVs into an ObservedData, which checks them as it is built.
 
-    When the platform forks and both files are at least ``_FORK_FLOOR``
-    bytes, a forked child reads sample A while this process reads sample B.
-    Errors are raised in the order of reading one after the other: A's first.
+    Sample B is read first, then sample A. When both files are at least
+    ``_FORK_FLOOR`` bytes, a forked child reads sample A while this process
+    reads sample B. Either way, when both fail, sample A's error is raised.
     """
     path_a, path_b = config.sample_a_path, config.sample_b_path
-    forked = False
+    fork = False
     with contextlib.suppress(OSError):  # a file that cannot be read fails in _read_rows, with its message
-        forked = hasattr(os, "fork") and min(os.path.getsize(path_a), os.path.getsize(path_b)) >= _FORK_FLOOR
-    if forked:
-        with _forked(lambda: _read_rows(path_a, ("pi_a",), ("y",)), path_a, "reader") as sample_a:
-            try:
-                table_b = _read_rows(path_b, ("y",))
-            except Exception:
-                sample_a()  # raises sample A's error, if it has one, in place of B's
-                raise
-            table_a = sample_a()
-    else:
-        table_a = _read_rows(path_a, ("pi_a",), ("y",))
-        table_b = _read_rows(path_b, ("y",))
+        fork = min(os.path.getsize(path_a), os.path.getsize(path_b)) >= _FORK_FLOOR
+    with _forked(lambda: _read_rows(path_a, ("pi_a",), ("y",)), path_a, "reader", fork) as sample_a:
+        try:
+            table_b = _read_rows(path_b, ("y",))
+        except Exception:
+            sample_a()  # raises sample A's error, if it has one, in place of B's
+            raise
+        table_a = sample_a()
     (x_a, tails_a), (x_b, tails_b) = ((values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T)))
                                       for values, n_x, tail in (table_a, table_b))
     pi_a = tails_a["pi_a"]
@@ -424,13 +428,13 @@ def _format_block(block: np.ndarray) -> str:
 def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Path, Path]:
     """Export an ObservedData to the CLI's CSV schemas (17 significant digits, CRLF line ends).
 
-    When the platform forks and the two tables hold at least ``_FORK_FLOOR``
-    (1 MiB) of values, a forked child formats the blocks after the midpoint
-    of the value count (A's blocks, then B's) while this process formats and
-    writes those before it, then writes the child's text in its place. The
-    bytes are those of the in-process export; only this process opens or
-    writes a file, and the file of a child that ends without its text is
-    removed rather than left short of rows.
+    The rows are formatted in blocks, A's then B's, and nothing is written
+    until all of their text is in hand. When the two tables hold at least
+    ``_FORK_FLOOR`` (1 MiB) of values, a forked child formats the blocks
+    after the midpoint of the value count while this process formats those
+    before it; the bytes are those of the in-process export. Only this
+    process opens or writes a file, so a child that ends without its text
+    leaves no file.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -442,37 +446,16 @@ def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Pa
               np.column_stack([np.arange(1, observed.n_b + 1), observed.x_b[:, 1:], observed.y_b])]
     blocks = [(i, table[start:start + _EXPORT_BLOCK])
               for i, table in enumerate(tables) for start in range(0, len(table), _EXPORT_BLOCK)]
-    if hasattr(os, "fork") and sum(table.nbytes for table in tables) >= _FORK_FLOOR:
-        ends = np.cumsum([block.size for _, block in blocks])
-        cut = 1 + int(np.argmin(abs(ends[:-1] - ends[-1] / 2)))  # the block boundary nearest the middle value
-        with _forked(lambda: [_format_block(block) for _, block in blocks[cut:]],
-                     files[blocks[cut][0]][0], "writer") as rest:
-            _write_blocks(files, blocks, cut, rest)
-    else:
-        _write_blocks(files, blocks, len(blocks), None)
-    return files[0][0], files[1][0]
-
-
-def _write_blocks(files, blocks, cut: int, rest) -> None:
-    """Write each file's header and its blocks: those before ``cut`` formatted here, the others from ``rest()``."""
-    later = None
+    ends = np.cumsum([block.size for _, block in blocks])
+    cut = 1 + int(np.argmin(abs(ends[:-1] - ends[-1] / 2)))  # the block boundary nearest the middle value
+    with _forked(lambda: [_format_block(block) for _, block in blocks[cut:]], files[blocks[cut][0]][0], "writer",
+                 sum(table.nbytes for table in tables) >= _FORK_FLOOR) as rest:
+        text = [_format_block(block) for _, block in blocks[:cut]] + rest()
     for i, (path, names) in enumerate(files):
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["id"] + names) + "\r\n")
-            for k, (j, block) in enumerate(blocks):
-                if j != i:
-                    continue
-                if k < cut:
-                    fh.write(_format_block(block))
-                    continue
-                if later is None:
-                    try:
-                        later = rest()
-                    except Exception:
-                        fh.close()
-                        path.unlink()  # a file short of the child's rows would still parse
-                        raise
-                fh.write(later[k - cut])
+            fh.writelines(t for (j, _), t in zip(blocks, text) if j == i)
+    return files[0][0], files[1][0]
 
 
 # ---------------------------------------------------------------------------

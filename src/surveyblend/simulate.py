@@ -314,7 +314,8 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
             shape = expit(x @ np.asarray(config.pi_a_coef))
         else:
             shape = np.ones(n)
-        pi_a = shape * (config.sample_a_size / float(np.sum(shape)))
+        total = float(np.sum(shape))  # 0 when pi_a_coef sends every rate to 0: pi_a = shape fails the check below
+        pi_a = shape * (config.sample_a_size / total) if total > 0.0 else shape
         if not np.all((pi_a > 0.0) & (pi_a <= 1.0)):
             raise ValidationError("design probabilities outside (0, 1]; change sample_a_size or pi_a_coef")
 

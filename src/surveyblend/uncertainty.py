@@ -117,9 +117,10 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
 
     Regresses the outcome (the outcome-model residual for a DR kind) on the
     selection-model covariates, with weights (1 - pi)/pi on the target side
-    and gram weights (1 - pi). For a self-normalized kind the target is
-    first centered at its self-normalized inverse-probability mean over
-    sample B.
+    and the gram weights of the selection fit's linearization: (1 - pi)/pi
+    for a calibration fit, (1 - pi) otherwise. For a self-normalized kind
+    the target is first centered at its self-normalized inverse-probability
+    mean over sample B.
     """
     def compute():
         observed = analysis.observed
@@ -130,7 +131,8 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
         if kind in SELF_NORMALIZED:
             target = target - analysis.weights_b.hajek_mean(target)
         n_pop = observed.n_population
-        gram = weighted_gram(x, 1.0 - pi) / n_pop
+        calibration = analysis.spec.fit_method is FitMethod.CALIBRATION
+        gram = weighted_gram(x, (1.0 - pi) / pi if calibration else 1.0 - pi) / n_pop
         rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
         return solve_spd(gram, rhs, "regression adjustment")
 
@@ -155,8 +157,9 @@ def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analys
         if regime is Regime.SELECTION_CORRECT:
             adj = regression_adjustment(kind, analysis)
             cols = analysis.spec.columns("selection", observed.n_covariates)
-            adj_a = analysis.pi_b_a * (observed.x_a[:, cols] @ adj)
-            adj_b = analysis.pi_b_b * (observed.x_b[:, cols] @ adj)
+            calibration = analysis.spec.fit_method is FitMethod.CALIBRATION  # it centers at x'b, not pi_b x'b
+            adj_a = (1.0 if calibration else analysis.pi_b_a) * (observed.x_a[:, cols] @ adj)
+            adj_b = (1.0 if calibration else analysis.pi_b_b) * (observed.x_b[:, cols] @ adj)
             if self_normalized:
                 pred_center = m_bar - adj_a
                 outcome_center = m_b + (analysis.point(kind) - m_bar) + adj_b
@@ -204,7 +207,7 @@ def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis, *,
         term1 = weights_a.cov(u, u)
         if term1 < 0.0:
             # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
-            warnings.warn("negative first variance term under SRSWOR", stacklevel=2)
+            warnings.warn("negative first variance term under SRSWOR", stacklevel=4)  # the caller of variance
         term2 = correction = 0.0
         if outcome_center is not None:
             r = analysis.observed.y_b - outcome_center

@@ -465,6 +465,8 @@ class TestSimulateMode:
     ("estimate", "analysis", "sigma_model", "Linear"),
     ("estimate", "design", "kind", "SRS"),
     ("simulate", "scenario", "outcome_family", "Logistic"),
+    # a design whose every rate is 0, so that no sample_a_size can scale it
+    ("simulate", "scenario", "pi_a_coef", [-800.0, 0.0]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -1031,7 +1033,7 @@ def test_sample_csv_export_matches_the_csv_writer_across_a_block_of_rows(tmp_pat
 
 
 # With blocks of 4 rows and one covariate, sample A's rows hold 4 values (id, x_1, pi_a, y) and B's 3. The
-# forked export cuts at the block boundary nearest the middle value: (sample, 0-based row) on either side.
+# export cuts at the block boundary nearest the middle value, forked or not: (sample, 0-based row) on either side.
 @pytest.mark.parametrize("n_a, n_b, before, after", [
     (12, 4, ("a", 7), ("a", 8)),  # blocks of 16, 16, 16 | 12 values: the cut after 32 of 60
     (4, 4, ("a", 3), ("b", 0)),  # 16 | 12: the only boundary
@@ -1049,19 +1051,21 @@ def test_forked_export_cut_keeps_the_bytes(tmp_path, monkeypatch, n_a, n_b, befo
     observed = ObservedData(n_population=100, design=DesignDescriptor(DesignKind.POISSON), x_a=columns["a"]["x"],
                             pi_a=pi_a, y_a=columns["a"]["y"], x_b=columns["b"]["x"], y_b=columns["b"]["y"])
     monkeypatch.setattr(cli, "_EXPORT_BLOCK", 4)
-    cuts = []
-    write_blocks = cli._write_blocks
+    rests = {}
+    forked = cli._forked
 
-    def spy(files, blocks, cut, rest):
-        if rest is not None:
-            cuts.append((blocks[cut - 1][0], blocks[cut - 1][1][-1, 0], blocks[cut][0], blocks[cut][1][0, 0]))
-        return write_blocks(files, blocks, cut, rest)
+    def spy(work, path, role, fork):
+        rows = "".join(work()).splitlines()  # the rows after the cut, which the yielded result() returns
+        rests[fork] = (path.name, rows[0].split(",")[0], len(rows))
+        return forked(work, path, role, fork)
 
-    monkeypatch.setattr(cli, "_write_blocks", spy)
+    monkeypatch.setattr(cli, "_forked", spy)
     assert_export_matches_the_csv_writer(monkeypatch, observed, tmp_path)
-    # (file, id) of the last row formatted here and of the first row the child formats; ids count from 1
-    files = {"a": 0, "b": 1}
-    assert cuts == [(files[before[0]], before[1] + 1, files[after[0]], after[1] + 1)]
+    # (file, id of its first row, row count) of the rows after the cut: every row after `before`, from `after`
+    # on, in process and forked alike; ids count from 1
+    order = {"a": 0, "b": n_a}
+    rest = (f"sample_{after[0]}.csv", str(after[1] + 1), n_a + n_b - 1 - order[before[0]] - before[1])
+    assert rests == {False: rest, True: rest}
 
 
 def test_a_sample_b_that_is_a_directory_fails_the_forked_export_as_it_fails_in_process(tmp_path, monkeypatch):
@@ -1096,8 +1100,8 @@ def test_an_export_child_that_dies_fails_the_export_and_leaves_no_short_file(tmp
     with pytest.raises(ChildProcessError, match=r"^.*/sample_b\.csv: the writer process ended without a result "
                                                 r"\(exit code 3\)$"):
         write_sample_csvs(observed, tmp_path)
-    # The child had sample B's rows: sample A is whole, and no sample B short of its rows is left.
-    assert len((tmp_path / "sample_a.csv").read_text().splitlines()) == 1 + observed.n_a
+    # The export writes no file until it holds all of its text: neither sample file is left.
+    assert not (tmp_path / "sample_a.csv").exists()
     assert not (tmp_path / "sample_b.csv").exists()
 
 

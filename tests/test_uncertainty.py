@@ -6,6 +6,7 @@ precision; the population-formula oracle for the adjustment coefficient
 and the residual-variance model are checked by repeated sampling.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from surveyblend import (
     variance,
 )
 from surveyblend.simulate import redraw_outcomes
-from conftest import default_fit, make_observed
+from conftest import SCENARIO_BOTH_CORRECT, SCENARIO_OUTCOME_WRONG, default_fit, make_observed
 
 K = EstimatorKind
 R = Regime
@@ -184,7 +185,8 @@ class TestVarEstimate:
             warnings.simplefilter("always")
             var = variance(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
         assert var == 0.0
-        assert any("negative first variance term" in str(w.message) for w in caught)
+        negative = [w for w in caught if "negative first variance term" in str(w.message)]
+        assert [w.filename for w in negative] == [__file__]  # the warning names the caller of variance
 
     def test_scaling_outcomes_scales_variance_quadratically(self):
         observed = make_observed(seed=49)
@@ -352,6 +354,18 @@ class TestReductionIdentities:
             raw = regression_adjustment(ipw_kind, Analysis(observed, fit))
             reduced = regression_adjustment(dr_kind, Analysis(observed, zero))
             np.testing.assert_allclose(raw, reduced, rtol=1e-13)
+
+    @pytest.mark.parametrize("scenario", [SCENARIO_BOTH_CORRECT, SCENARIO_OUTCOME_WRONG],
+                             ids=["both-correct", "outcome-wrong"])
+    def test_calibration_dr1_and_ipw1_variances_agree(self, scenario):
+        # A calibration fit makes sum_B x/pi_b = sum_A x/pi_a, so with a linear outcome model in the
+        # selection columns DR1 is IPW1 as a point; their selection_correct variances must agree too.
+        config = dataclasses.replace(scenario, fit_method=FitMethod.CALIBRATION)
+        observed, _ = draw_samples(generate_population(config), 7)
+        analysis = Analysis(observed, fit_nuisance(observed, config.model_spec))
+        assert analysis.point(K.DR1) == pytest.approx(analysis.point(K.IPW1), rel=1e-12)
+        assert variance(K.DR1, R.SELECTION_CORRECT, analysis) == pytest.approx(
+            variance(K.IPW1, R.SELECTION_CORRECT, analysis), rel=1e-12)
 
 
 class TestAnalysis:
