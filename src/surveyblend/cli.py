@@ -36,7 +36,9 @@ two samples hold at least ``_FORK_FLOOR`` bytes of values, a forked child
 formats the rows after the midpoint of the value count while the process
 formats those before it; the bytes are those of the in-process export. The
 reader and the export fork through one helper, which runs the work in
-process when it does not fork.
+process when it does not fork. Every output file is written under a
+temporary name in its directory and renamed when whole, so a failed or
+interrupted write never leaves a short file at an output's name.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
 a null section, a non-bool flag, a fractional or bool integer, a bool or
@@ -381,6 +383,25 @@ def _forked(work, path: Path, role: str, fork: bool):
                 os.waitpid(pid, 0)
 
 
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Open ``path`` for text under a temporary name in its directory; rename it to ``path`` once written whole.
+
+    On a failure or an interrupt the temporary file is removed, and a file already at ``path`` stays as it was.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline=newline) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            temporary.unlink()
+        if isinstance(exc, OSError) and str(exc.filename) == str(temporary):  # name the output, not its stand-in
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def read_samples(config: RunConfig) -> ObservedData:
     """Read both sample CSVs into an ObservedData, which checks them as it is built.
 
@@ -452,7 +473,7 @@ def write_sample_csvs(observed: ObservedData, directory: str | Path) -> tuple[Pa
                  sum(table.nbytes for table in tables) >= _FORK_FLOOR) as rest:
         text = [_format_block(block) for _, block in blocks[:cut]] + rest()
     for i, (path, names) in enumerate(files):
-        with open(path, "w", newline="") as fh:
+        with _replacing(path, newline="") as fh:
             fh.write(",".join(["id"] + names) + "\r\n")
             fh.writelines(t for (j, _), t in zip(blocks, text) if j == i)
     return files[0][0], files[1][0]
@@ -521,7 +542,7 @@ def _report_text(report: dict) -> str:
 
 
 def summary_to_csv(summary: MonteCarloSummary, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for row in summary.rows:
@@ -581,10 +602,11 @@ def run_estimate(config: RunConfig) -> dict:
     with _OutputLock(config.output_dir):
         observed = read_samples(config)
         report = build_estimate_report(config, observed)
-        with open(config.output_dir / "report.json", "w") as fh:
+        with _replacing(config.output_dir / "report.json") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        (config.output_dir / "report.txt").write_text(_report_text(report))
+        with _replacing(config.output_dir / "report.txt") as fh:
+            fh.write(_report_text(report))
     return report
 
 
@@ -612,7 +634,7 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
             },
             "wall_time_seconds": time.time() - started,
         }
-        with open(config.output_dir / "manifest.json", "w") as fh:
+        with _replacing(config.output_dir / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     return summary

@@ -1,6 +1,6 @@
 """Fitting the selection model pi_B(x; alpha) and the outcome model m(x; beta).
 
-Three fitting routes are supported:
+Three fitting routes are supported, one row of :data:`SELECTION_FITS` each:
 
 * pseudo maximum likelihood for alpha, solving
   (1/N) [sum_B x_i - sum_A expit(alpha'x_i) x_i / pi_a_i] = 0,
@@ -36,7 +36,9 @@ on top of the fit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,6 +165,22 @@ def score_and_jacobian_calibration(observed: ObservedData, cols):
     return system
 
 
+class SelectionFit(NamedTuple):
+    """A selection-fit method: its score factory, its solver-error context, and the linearization of its score
+    that the selection_correct variance reads, as gram weights on sample B and the factor of x'b in each center."""
+
+    score: Callable
+    context: str
+    gram_weights: Callable[[np.ndarray], np.ndarray]
+    center_factor: Callable[[np.ndarray], np.ndarray | float]
+
+
+_PSEUDO_ML = SelectionFit(score_and_jacobian_pml, "pseudo-ML selection fit", lambda pi: 1.0 - pi, lambda pi: pi)
+SELECTION_FITS = {FitMethod.PSEUDO_ML: _PSEUDO_ML, FitMethod.KIM_HAZIZA: _PSEUDO_ML,  # KH starts from pseudo-ML
+                  FitMethod.CALIBRATION: SelectionFit(score_and_jacobian_calibration, "calibration selection fit",
+                                                      lambda pi: (1.0 - pi) / pi, lambda pi: 1.0)}
+
+
 def score_and_jacobian_outcome_logistic(observed: ObservedData, cols):
     """Unweighted logistic-ML score on sample B and its jacobian, as a function of beta."""
     xt_b = np.ascontiguousarray(observed.x_b.T[cols])
@@ -216,16 +234,6 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
     return system
 
 
-def _fit_selection(observed: ObservedData, cols: slice | np.ndarray, method: FitMethod):
-    if method is FitMethod.CALIBRATION:
-        system, context = score_and_jacobian_calibration, "calibration selection fit"
-    else:
-        system, context = score_and_jacobian_pml, "pseudo-ML selection fit"
-    n_b, n_pop = observed.n_b, observed.n_population
-    start = np.where(np.arange(observed.n_covariates)[cols] == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
-    return _newton(system(observed, cols), start, SELECTION_TOL, context)
-
-
 def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: slice | np.ndarray):
     """Maximum-likelihood outcome coefficients on sample B (OLS for the linear family)."""
     x_b = observed.x_b[:, cols]
@@ -241,13 +249,14 @@ def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: slice | np
 def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     """Fit both nuisance models by the method named in ``spec``.
 
-    Every method fits the two models separately, selection by pseudo-ML unless the method is calibration.
-    Kim-Haziza then solves its nonconvex joint system from there, the natural basin of its root.
+    Each fits the two models apart, selection by its row of :data:`SELECTION_FITS`; Kim-Haziza then solves its
+    nonconvex joint system from there, the natural basin of its root.
     """
     sel_cols = spec.columns("selection", observed.n_covariates)
-    out_cols = spec.columns("outcome", observed.n_covariates)
-    alpha, it_a, r_a = _fit_selection(observed, sel_cols, spec.fit_method)
-    beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, out_cols)
+    selection, n_b, n_pop = SELECTION_FITS[spec.fit_method], observed.n_b, observed.n_population
+    start = np.where(np.arange(observed.n_covariates)[sel_cols] == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
+    alpha, it_a, r_a = _newton(selection.score(observed, sel_cols), start, SELECTION_TOL, selection.context)
+    beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, spec.columns("outcome", observed.n_covariates))
     iters, resid = it_a + it_b, max(r_a, r_b)
     if spec.fit_method is FitMethod.KIM_HAZIZA:
         theta, it_kh, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha, beta]),

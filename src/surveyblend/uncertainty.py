@@ -16,9 +16,11 @@ supported pairs of :data:`CENTERING`: a self-normalized estimator centers at
 its own means, and the selection_correct regime adjusts for selection-model
 estimation error with a weighted-least-squares coefficient
 (:func:`regression_adjustment`) of the (possibly centered) outcomes or
-residuals on the selection covariates. A probability-sample estimator (HT,
-Hajek) takes no regime: its u is the sample-A outcomes centered at 0 or at
-the Hajek mean, and it has no sample-B term.
+residuals on the selection covariates. That adjustment linearizes the
+selection fit's score; each fit method's linearization lives in its row of
+:data:`~surveyblend.nuisance.SELECTION_FITS`. A probability-sample estimator
+(HT, Hajek) takes no regime: its u is the sample-A outcomes centered at 0 or
+at the Hajek mean, and it has no sample-B term.
 
 The covariance of a reweighted estimator with HT or Hajek is the design
 covariance of the two estimators' u over sample A.
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, SELF_NORMALIZED, Analysis, EstimatorKind
-from .nuisance import solve_spd, weighted_gram
+from .nuisance import SELECTION_FITS, solve_spd, weighted_gram
 from .types import ConfigEnum, FitMethod, ValidationError
 
 __all__ = [
@@ -117,10 +119,9 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
 
     Regresses the outcome (the outcome-model residual for a DR kind) on the
     selection-model covariates, with weights (1 - pi)/pi on the target side
-    and the gram weights of the selection fit's linearization: (1 - pi)/pi
-    for a calibration fit, (1 - pi) otherwise. For a self-normalized kind
-    the target is first centered at its self-normalized inverse-probability
-    mean over sample B.
+    and the gram weights of the fit method's linearization, which lives in its
+    row of :data:`~surveyblend.nuisance.SELECTION_FITS`. A self-normalized
+    kind's target is first centered at its Hajek mean over sample B.
     """
     def compute():
         observed = analysis.observed
@@ -130,10 +131,8 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
         target = observed.y_b - analysis.m_b if kind in DR_KINDS else observed.y_b
         if kind in SELF_NORMALIZED:
             target = target - analysis.weights_b.hajek_mean(target)
-        n_pop = observed.n_population
-        calibration = analysis.spec.fit_method is FitMethod.CALIBRATION
-        gram = weighted_gram(x, (1.0 - pi) / pi if calibration else 1.0 - pi) / n_pop
-        rhs = x.T @ ((1.0 - pi) / pi * target) / n_pop
+        gram = weighted_gram(x, SELECTION_FITS[analysis.spec.fit_method].gram_weights(pi)) / observed.n_population
+        rhs = x.T @ ((1.0 - pi) / pi * target) / observed.n_population
         return solve_spd(gram, rhs, "regression adjustment")
 
     return analysis.memo(("adjustment", kind), compute)
@@ -147,28 +146,20 @@ def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analys
             est = analysis.point(kind)
             return CenteringTerms(analysis.observed.y_a - (est if kind in SELF_NORMALIZED else 0.0), None)
         check_supported(kind, regime, analysis.spec.fit_method)
-        self_normalized = kind in SELF_NORMALIZED
         observed = analysis.observed
         if kind in IPW_KINDS:  # a zero outcome model
             m_a = m_b = m_bar = 0.0
         else:
             m_a, m_b = analysis.m_a, analysis.m_b
             m_bar = analysis.memo("m_bar", lambda: analysis.weights_a.ht_mean(m_a))
-        if regime is Regime.SELECTION_CORRECT:
+        pred_center, outcome_center = m_bar if kind in SELF_NORMALIZED else 0.0, m_b
+        if regime is Regime.SELECTION_CORRECT:  # the fit method's linearization moves both centers
             adj = regression_adjustment(kind, analysis)
             cols = analysis.spec.columns("selection", observed.n_covariates)
-            calibration = analysis.spec.fit_method is FitMethod.CALIBRATION  # it centers at x'b, not pi_b x'b
-            adj_a = (1.0 if calibration else analysis.pi_b_a) * (observed.x_a[:, cols] @ adj)
-            adj_b = (1.0 if calibration else analysis.pi_b_b) * (observed.x_b[:, cols] @ adj)
-            if self_normalized:
-                pred_center = m_bar - adj_a
-                outcome_center = m_b + (analysis.point(kind) - m_bar) + adj_b
-            else:
-                pred_center = -adj_a
-                outcome_center = m_b + adj_b
-        else:
-            pred_center = m_bar if self_normalized else 0.0
-            outcome_center = m_b
+            factor = SELECTION_FITS[analysis.spec.fit_method].center_factor
+            shift = analysis.point(kind) - m_bar if kind in SELF_NORMALIZED else 0.0
+            pred_center = pred_center - factor(analysis.pi_b_a) * (observed.x_a[:, cols] @ adj)
+            outcome_center = outcome_center + shift + factor(analysis.pi_b_b) * (observed.x_b[:, cols] @ adj)
         u = m_a - pred_center
         if not (np.isfinite(u).all() and np.isfinite(outcome_center).all()):
             raise ValidationError("non-finite centering term")

@@ -9,6 +9,8 @@ pooled summary is bit-identical to the serial one, which criterion 9 and
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -172,6 +174,11 @@ def mc_both_correct():
 @pytest.fixture(scope="session")
 def mc_ipw():
     return run_replications(SCENARIO_IPW, parallel=True)
+
+
+@pytest.fixture(scope="session")
+def mc_ipw_calibration():
+    return run_replications(dataclasses.replace(SCENARIO_IPW, fit_method=FitMethod.CALIBRATION), parallel=True)
 
 
 @pytest.fixture(scope="session")

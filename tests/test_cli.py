@@ -1118,3 +1118,64 @@ def test_an_interrupt_in_the_export_kills_the_formatting_child(tmp_path, monkeyp
     with pytest.raises(KeyboardInterrupt):
         write_sample_csvs(make_observed(seed=96), tmp_path)
     assert time.monotonic() - started < 30  # the child was killed rather than waited for
+
+
+class FullDisk:
+    """A text file that takes its first write and fails every later one, as a file on a disk that fills up does."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error, self.writes = fh, error, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise self.error
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def output_run(tmp_path, kind, seed):
+    """A run that writes the outputs of ``kind`` from data drawn with ``seed``, and their directory.
+
+    The run's inputs, the sample CSVs an estimate reads included, are written before it is returned.
+    """
+    if kind == "sample-csvs":
+        observed = make_observed(seed=seed)
+        return lambda: write_sample_csvs(observed, tmp_path / "samples"), tmp_path / "samples"
+    if kind == "estimate":
+        config = load_config(estimate_config(tmp_path, make_observed(seed=seed)), "estimate")
+        return lambda: cli.run_estimate(config), tmp_path / "out"
+    config = load_config(simulate_config(tmp_path, replicates=3, seed=seed), "simulate")
+    return lambda: cli.run_simulate(config), tmp_path / "sim"
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+                         ids=["disk-full", "interrupt"])
+@pytest.mark.parametrize("kind", ["sample-csvs", "estimate", "simulate"])
+def test_a_write_that_fails_partway_leaves_the_earlier_files_whole(tmp_path, monkeypatch, kind, error):
+    run, directory = output_run(tmp_path, kind, seed=97)
+    run()
+    before = {path.name: path.read_bytes() for path in directory.iterdir()}
+    assert sorted(before) == {"sample-csvs": ["sample_a.csv", "sample_b.csv"],
+                              "estimate": ["report.json", "report.txt"],
+                              "simulate": ["manifest.json", "summary.csv"]}[kind]
+
+    def full_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        return FullDisk(fh, error) if "w" in mode else fh
+
+    run, _ = output_run(tmp_path, kind, seed=98)
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    with pytest.raises(type(error)):
+        run()
+    # No short file at an output's name, no temporary file left: each output is the earlier run's, byte for byte.
+    assert {path.name: path.read_bytes() for path in directory.iterdir()} == before

@@ -176,6 +176,38 @@ class TestEnumerationOracle:
         assert mean_est == pytest.approx(exact, rel=1e-13, abs=1e-15)
 
 
+class TestPoissonEnumerationOracle:
+    """Every one of the 2^N Poisson samples of a population of N = 10, each with its probability."""
+
+    def test_covariance_is_unbiased_over_every_sample(self):
+        rng = np.random.default_rng(7)
+        big_n = 10
+        pi = rng.uniform(0.2, 0.9, big_n)
+        z = rng.normal(size=big_n)
+        w = rng.normal(size=big_n)
+        probs, ht, est = [], [], []
+        for included in itertools.product((False, True), repeat=big_n):
+            s = np.array(included)
+            probs.append(float(np.prod(np.where(s, pi, 1.0 - pi))))
+            ht.append([float(np.sum(v[s] / pi[s])) / big_n for v in (z, w)])
+            # design_weights rejects an empty sample; its estimate is the empty sum, 0
+            est.append(design_weights(*poisson_args(pi[s], big_n)).cov(z[s], w[s]) if s.any() else 0.0)
+        probs, ht = np.array(probs), np.array(ht)
+        mean_ht = probs @ ht
+        exact_cov = float(probs @ ((ht[:, 0] - mean_ht[0]) * (ht[:, 1] - mean_ht[1])))
+        closed_form = float(np.sum((1.0 - pi) / pi * z * w)) / big_n**2
+        # The enumerated design covariance of the two HT means is the closed form, and so is the estimate's mean.
+        # Each sums 1024 terms of mixed sign; rounding leaves about 1e-15 relative (at most 2.2e-16 measured).
+        assert probs.sum() == pytest.approx(1.0, rel=1e-14)
+        assert exact_cov == pytest.approx(closed_form, rel=1e-12)
+        assert float(probs @ est) == pytest.approx(closed_form, rel=1e-12)
+
+    def test_census_sample_has_zero_coefficients(self):
+        # Every unit sampled with pi = 1: the HT mean has no design variance, and the covariance form is 0 exactly.
+        weights = design_weights(*poisson_args(np.ones(10), 10))
+        assert weights.cross == 0.0 and np.all(weights.c == 0.0)
+
+
 class TestProperties:
     def test_cov_of_u_with_u_is_var(self):
         # under SRSWOR the HT mean is the sample mean, with textbook variance estimate (1 - n/N) s^2 / n

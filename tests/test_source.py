@@ -46,6 +46,17 @@ def test_one_call_of_os_fork_in_the_package():
     assert len(calls) == 1, f"os.fork calls in src/surveyblend: {calls}"
 
 
+def test_no_branch_names_a_separable_selection_fit():
+    # Each selection-fit method's score and linearization are its row of nuisance.SELECTION_FITS; code reads the
+    # row, so no comparison or match case names pseudo-ML or calibration. Kim-Haziza adds a joint solve and a regime,
+    # so comparisons against it stay.
+    named = {"FitMethod.PSEUDO_ML", "FitMethod.CALIBRATION"}
+    found = [f"{name}:{node.lineno}" for name, node in package_nodes()
+             if isinstance(node, (ast.Compare, ast.MatchValue))
+             and any(ast.unparse(sub) in named for sub in ast.walk(node) if isinstance(sub, ast.Attribute))]
+    assert not found, f"branches on a selection-fit method in src/surveyblend: {found}"
+
+
 def imported_names(node) -> list[str]:
     """The names a ``from ... import`` statement binds from its module; none for other nodes."""
     return [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []

@@ -35,8 +35,11 @@ from surveyblend import (
     residual_variance,
     variance,
 )
+from surveyblend.nuisance import KH_TOL, score_and_jacobian_calibration
 from surveyblend.simulate import redraw_outcomes
-from conftest import SCENARIO_BOTH_CORRECT, SCENARIO_OUTCOME_WRONG, default_fit, make_observed
+from surveyblend.uncertainty import CENTERING
+from conftest import (SCENARIO_BOTH_CORRECT, SCENARIO_KH, SCENARIO_OUTCOME_WRONG, default_fit, make_observed,
+                      summary_row)
 
 K = EstimatorKind
 R = Regime
@@ -366,6 +369,84 @@ class TestReductionIdentities:
         assert analysis.point(K.DR1) == pytest.approx(analysis.point(K.IPW1), rel=1e-12)
         assert variance(K.DR1, R.SELECTION_CORRECT, analysis) == pytest.approx(
             variance(K.IPW1, R.SELECTION_CORRECT, analysis), rel=1e-12)
+
+
+class TestLinearizationIdentities:
+    """Each selection-fit method's linearization against an identity that holds whatever the data."""
+
+    @pytest.mark.parametrize("scenario", [SCENARIO_BOTH_CORRECT, SCENARIO_OUTCOME_WRONG],
+                             ids=["both-correct", "outcome-wrong"])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_calibration_adjustment_is_the_jacobian_solve_of_the_ipw1_gradient(self, scenario, seed):
+        # The selection_correct term of IPW1 is the delta-method term J^-T dtheta/dalpha of the solved equation,
+        # with J the calibration score's jacobian at alpha-hat and theta(alpha) = (1/N) sum_B y / pi(alpha).
+        # dtheta/dalpha is taken by complex step, which is exact to rounding.
+        config = dataclasses.replace(scenario, fit_method=FitMethod.CALIBRATION)
+        observed, _ = draw_samples(generate_population(config), seed)
+        fit = fit_nuisance(observed, config.model_spec)
+        cols = config.model_spec.columns("selection", observed.n_covariates)
+        x, h = observed.x_b[:, cols], 1e-30
+        dtheta = np.array([(observed.y_b @ (1.0 + np.exp(-x @ (fit.alpha + 1j * h * e)))).imag / h
+                           for e in np.eye(fit.alpha.size)]) / observed.n_population
+        _, jac = score_and_jacobian_calibration(observed, cols)(fit.alpha)
+        expected = np.linalg.solve(jac.T, dtheta)
+        got = regression_adjustment(K.IPW1, Analysis(observed, fit))
+        # Both sides solve a 3x3 system of the same sums over sample B, summed in different orders: rounding leaves
+        # about 1e-15 of the largest coefficient (1.3e-15 measured). The pseudo-ML linearization missed by 5.6-6.5.
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_kim_haziza_dr1_selection_correct_is_both_correct_to_the_solver_tolerance(self):
+        # The right-hand side of DR1's adjustment, (1/N) sum_B (1 - pi)/pi x (y - m), is the first Kim-Haziza
+        # equation, which the joint solve leaves below KH_TOL in max-abs. So the coefficient b is at most
+        # ||G^-1||_inf KH_TOL in max-abs, G = (1/N) sum_B (1 - pi) x x' being the pseudo-ML row's gram. b moves the
+        # centers by d = (pi_a x_a'b, pi_b x_b'b). The variance is a positive semidefinite form Q in the centered
+        # terms, so |Q(u + d) - Q(u)| <= 2 sqrt(Q(u)) sqrt(Q(d)) + Q(d), and sqrt(Q(d)) <= s =
+        # ||G^-1||_inf KH_TOL sum_j sqrt(Q(pi x_j)). Over these 20 draws the bound is 3.5e-10 to 4.3e-10 and the
+        # largest difference 1.1e-11.
+        population = generate_population(SCENARIO_KH)
+        for seed in range(20):
+            observed, _ = draw_samples(population, seed)
+            analysis = Analysis(observed, fit_nuisance(observed, SCENARIO_KH.model_spec))
+            cols = analysis.spec.columns("selection", observed.n_covariates)
+            x_a, x_b, pi_a, pi_b = observed.x_a[:, cols], observed.x_b[:, cols], analysis.pi_b_a, analysis.pi_b_b
+            gram = (x_b * (1.0 - pi_b)[:, None]).T @ x_b / observed.n_population
+            q = sum(np.sqrt(analysis.weights_a.cov(pi_a * x_a[:, j], pi_a * x_a[:, j])
+                            + analysis.weights_b.cov(pi_b * x_b[:, j], pi_b * x_b[:, j])) for j in range(len(gram)))
+            s = np.abs(np.linalg.inv(gram)).sum(axis=1).max() * KH_TOL * q
+            both = variance(K.DR1, R.BOTH_CORRECT, analysis)
+            assert abs(variance(K.DR1, R.SELECTION_CORRECT, analysis) - both) <= 2.0 * np.sqrt(both) * s + s * s
+
+    @pytest.mark.parametrize("method", list(FitMethod))
+    def test_a_census_sample_a_adds_nothing_to_any_variance_or_covariance(self, method):
+        # Every pi_a = 1: each c and cross of sample A's weights is 0, so its term is 0 exactly.
+        rng = np.random.default_rng(61)
+        x = np.column_stack([np.ones(400), rng.normal(size=(400, 2))])
+        y = x @ np.array([1.0, 0.8, 0.8]) + 0.5 * rng.normal(size=400)
+        b = rng.random(400) < 1.0 / (1.0 + np.exp(0.6 - x[:, 1:] @ np.array([0.4, 0.4])))
+        observed = ObservedData(n_population=400, design=DesignDescriptor(DesignKind.POISSON), x_a=x,
+                                pi_a=np.ones(400), y_a=y, x_b=x[b], y_b=y[b])
+        analysis = Analysis(observed, default_fit(observed, method=method))
+        for kind in (K.HT, K.HAJEK):
+            assert variance(kind, None, analysis) == 0.0
+        for kind, regime in CENTERING:
+            if regime is R.KH_DOUBLY_ROBUST and method is not FitMethod.KIM_HAZIZA:
+                continue
+            u, outcome_center = centering_terms(kind, regime, analysis)
+            assert analysis.weights_a.cov(u, u) == 0.0
+            if regime is not R.KH_DOUBLY_ROBUST:  # which adds its correction C
+                r = observed.y_b - outcome_center
+                assert variance(kind, regime, analysis) == analysis.weights_b.cov(r, r)
+            for prob in (K.HT, K.HAJEK):
+                assert cov_estimate(kind, regime, prob, analysis) == 0.0
+
+
+def test_calibration_ipw_variances_track_the_monte_carlo_variance(mc_ipw_calibration):
+    # SCENARIO_IPW under a calibration fit, held to acceptance criterion 3's band. With the pseudo-ML
+    # linearization these rows read +0.189 and +0.234.
+    for name in ("IPW1/selection_correct", "IPW2/selection_correct"):
+        row = summary_row(mc_ipw_calibration, name)
+        assert abs(row.rel_var_bias) <= 0.10, (name, row.rel_var_bias)
+        assert 0.93 <= row.coverage <= 0.97, (name, row.coverage)
 
 
 class TestAnalysis:
