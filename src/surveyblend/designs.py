@@ -8,10 +8,10 @@ sample, estimated with the pairwise-probability ratio form
 
 which is design-unbiased whenever all pi_ij > 0. Both supported designs
 admit closed forms: under Poisson sampling the off-diagonal terms vanish,
-and under SRSWOR pi_ij is constant over pairs. :func:`design_weights`
-checks ``pi`` and builds a sample's weights once, per analysis; their methods
-(the HT mean, the Hajek mean and the covariance form) are the dot products
-every estimate reads.
+and under SRSWOR, where every pi_i is n/N, the form is (1 - n/N) s_uv / n.
+:func:`design_weights` checks ``pi`` and builds a sample's weights once, per
+analysis; their methods (the HT mean, the Hajek mean and the covariance
+form) are the dot products every estimate reads.
 """
 
 from __future__ import annotations
@@ -30,15 +30,14 @@ POISSON_SAMPLING = DesignDescriptor(DesignKind.POISSON)  # sample B's opt-in is 
 class DesignWeights(NamedTuple):
     """One sample's weights ``w`` = 1/pi, their sum, and the coefficients of its covariance form.
 
-    The ratio-form covariance of two HT means is cross (u.w)(v.w) + sum_i c_i u_i v_i, with
-    c = ((1 - pi) - c_off) w^2 / N^2 and cross = c_off / N^2, where c_off = (pi_ij - pi_i pi_j) / pi_ij
-    off the diagonal: 0 under Poisson, -(1 - n/N) / (n - 1) under SRSWOR.
+    The ratio-form covariance of two HT means is sum_i c_i u_i v_i, with c = (1 - pi) w^2 / N^2 under Poisson;
+    under SRSWOR (pi = n/N) c = (1 - n/N) / (n (n - 1)) and u, v are ``centered``, so a far mean costs no digits.
     """
 
     w: np.ndarray
     total: float
     n_population: int
-    cross: float
+    centered: bool
     c: np.ndarray
 
     def ht_mean(self, values: np.ndarray) -> float:
@@ -51,14 +50,15 @@ class DesignWeights(NamedTuple):
 
     def cov(self, u: np.ndarray, v: np.ndarray) -> float:
         """The ratio-form estimate of the design covariance of the HT means of ``u`` and ``v``."""
-        diag = float((u * v) @ self.c)
-        return self.cross * float(u @ self.w) * float(v @ self.w) + diag if self.cross else diag
+        if self.centered:
+            u, v = u - u.mean(), v - v.mean()
+        return float((u * v) @ self.c)
 
 
 def design_weights(design: DesignDescriptor, pi, n_population: int) -> DesignWeights:
     """The read-only weights of a sample drawn under ``design`` with inclusion probabilities ``pi``.
 
-    ``pi`` must be a nonempty sample's probabilities, each in (0, 1].
+    ``pi`` must be a nonempty sample's probabilities, each in (0, 1]; under SRSWOR, n/N.
     """
     pi = np.asarray(pi, dtype=float)
     if pi.size == 0:
@@ -67,9 +67,9 @@ def design_weights(design: DesignDescriptor, pi, n_population: int) -> DesignWei
         raise ValidationError("nonpositive inclusion probability")
     if not pi.max() <= 1.0:
         raise ValidationError("inclusion probability above 1")
-    c_off = 0.0 if design.kind is DesignKind.POISSON else -(1.0 - design.n / n_population) / (design.n - 1)
     w = 1.0 / pi
-    c = (1.0 - pi - c_off) * w * w / n_population**2
+    c = (np.full(pi.size, (n_population - design.n) / (n_population * design.n * (design.n - 1)))
+         if design.kind is DesignKind.SRSWOR else (1.0 - pi) * w * w / n_population**2)
     w.setflags(write=False)
     c.setflags(write=False)
-    return DesignWeights(w, float(w.sum()), n_population, c_off / n_population**2, c)
+    return DesignWeights(w, float(w.sum()), n_population, design.kind is DesignKind.SRSWOR, c)

@@ -62,8 +62,13 @@ _POP_STREAM = 0
 _REP_STREAM = 1
 _MAX_FAILURE_FRACTION = 0.01
 _DRAW_ATTEMPTS = 10
-# The parameter counts each covariate kind accepts.
-_PARAM_COUNTS = {"normal": (0, 2), "uniform": (0, 2), "bernoulli": (0, 1), "square_of": (1,)}
+# Each covariate kind's accepted param counts, default params, and draw(rng, params, n, earlier columns).
+_COVARIATE_KINDS = {
+    "normal": ((0, 2), (0.0, 1.0), lambda rng, params, n, columns: rng.normal(*params, n)),
+    "uniform": ((0, 2), (0.0, 1.0), lambda rng, params, n, columns: rng.uniform(*params, n)),
+    "bernoulli": ((0, 1), (0.5,), lambda rng, params, n, columns: (rng.random(n) < params[0]).astype(float)),
+    "square_of": ((1,), (), lambda rng, params, n, columns: columns[int(params[0]) - 1] ** 2),
+}
 
 
 class SimulationError(RuntimeError):
@@ -83,9 +88,9 @@ class Covariate:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(config_float("covariate params", v) for v in self.params))
-        params, counts = list(self.params), _PARAM_COUNTS.get(self.kind)
-        if counts is None:
+        if self.kind not in _COVARIATE_KINDS:
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
+        params, counts = list(self.params), _COVARIATE_KINDS[self.kind][0]
         if len(params) not in counts:
             raise ValidationError(f"a {self.kind} covariate takes {' or '.join(map(str, counts))} params, "
                                   f"not {params}")
@@ -235,6 +240,8 @@ class ScenarioConfig:
             raise ValidationError("at least two replicates are required")
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level outside (0, 1)")
+        if self.noise_sd < 0.0:
+            raise ValidationError(f"noise_sd must be nonnegative, not {self.noise_sd}")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("sample_a_size must be below n_population")
         for j, cov in enumerate(self.covariates, start=1):
@@ -284,19 +291,13 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(_POP_STREAM,)))
     n = config.n_population
     columns: list[np.ndarray] = []
-    for cov in config.covariates:
-        if cov.kind == "normal":
-            mu, sd = cov.params or (0.0, 1.0)
-            columns.append(rng.normal(mu, sd, n))
-        elif cov.kind == "uniform":
-            lo, hi = cov.params or (0.0, 1.0)
-            columns.append(rng.uniform(lo, hi, n))
-        elif cov.kind == "bernoulli":
-            (p,) = cov.params or (0.5,)
-            columns.append((rng.random(n) < p).astype(float))
-        else:  # square_of
-            columns.append(columns[int(cov.params[0]) - 1] ** 2)
-    x = np.column_stack([np.ones(n)] + columns) if columns else np.ones((n, 1))
+    try:  # numpy refuses a size past its largest dimension (ValueError), or one it cannot allocate
+        for cov in config.covariates:
+            _, defaults, draw = _COVARIATE_KINDS[cov.kind]
+            columns.append(draw(rng, cov.params or defaults, n, columns))
+        x = np.column_stack([np.ones(n), *columns])
+    except (ValueError, MemoryError) as exc:
+        raise SimulationError(f"n_population {n} is too large to hold the frame in memory: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise ValidationError("non-finite covariate value; change the covariates' params")
 

@@ -27,6 +27,8 @@ __all__ = [
     "validate",
 ]
 
+SRSWOR_PI_RTOL = 1e-12  # how far from n/N, relative, a stated SRSWOR pi_a may be: n/N to 15 digits passes
+
 
 class ValidationError(ValueError):
     """Input data violates a structural or value invariant."""
@@ -265,10 +267,9 @@ class ModelSpec:
 def validate(observed: ObservedData) -> ObservedData:
     """Check every value-level invariant of :class:`ObservedData`.
 
-    Construction runs these checks, so on an existing object this re-runs
-    them. Returns the input object unchanged when everything holds, so the
-    operation is idempotent. Raises :class:`ValidationError` on the first
-    violation found.
+    Construction runs these checks, so on an existing object this re-runs them; it returns the
+    object unchanged when everything holds, so it is idempotent. Raises :class:`ValidationError`
+    on the first violation found. Under SRSWOR every pi_a must be n/N, to ``SRSWOR_PI_RTOL``.
     """
     n_pop = observed.n_population
     p = observed.n_covariates
@@ -299,4 +300,6 @@ def validate(observed: ObservedData) -> ObservedData:
             raise ValidationError("SRSWOR design size does not match sample A size")
         if observed.design.n >= n_pop:
             raise ValidationError("SRSWOR design size must be below the population size")
+        if not np.all(np.abs(observed.pi_a - observed.n_a / n_pop) <= SRSWOR_PI_RTOL * observed.n_a / n_pop):
+            raise ValidationError(f"SRSWOR inclusion probabilities in sample A must be n/N = {observed.n_a}/{n_pop}")
     return observed

@@ -33,7 +33,6 @@ analysis's nuisance fit; those of HT and Hajek do not.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -191,14 +190,12 @@ def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple
 
 def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis, *,
              sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
-    """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek), floored at 0."""
+    """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek), floored at 0
+    for the Kim-Haziza correction, its one term that can be negative; the others are design variances."""
     def compute():
         u, outcome_center = centering_terms(kind, regime, analysis)
         weights_a, weights_b = analysis.weights_a, analysis.weights_b
         term1 = weights_a.cov(u, u)
-        if term1 < 0.0:
-            # Only the SRSWOR ratio form can; under Poisson it sums (1 - pi) u^2 / pi^2 >= 0.
-            warnings.warn("negative first variance term under SRSWOR", stacklevel=4)  # the caller of variance
         term2 = correction = 0.0
         if outcome_center is not None:
             r = analysis.observed.y_b - outcome_center

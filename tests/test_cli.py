@@ -176,7 +176,7 @@ class TestEstimateMode:
         assert len(json.loads((tmp_path / "out" / "report.json").read_text())["points"]) == 6
 
     def test_pooling_ht_of_a_constant_srswor_outcome_succeeds(self, tmp_path):
-        # The HT variance of a constant outcome under SRSWOR rounds below 0; it is floored, not rejected.
+        # The HT variance of a constant outcome under SRSWOR is 0 exactly, with no warning; pooling takes it.
         base = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
         observed = ObservedData(n_population=200, design=base.design, x_a=base.x_a, pi_a=base.pi_a,
                                 y_a=np.ones(base.n_a), x_b=base.x_b, y_b=base.y_b)
@@ -185,12 +185,23 @@ class TestEstimateMode:
         cfg["estimators"]["pooled"] = [{"kind": "DR1", "regime": "both_correct", "prob": "HT"}]
         config.write_text(yaml.safe_dump(cfg))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+            warnings.simplefilter("error")
             assert main(["estimate", "--config", str(config)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert {(row["estimator"], row["variance"]) for row in report["variances"] if row["regime"] is None} == {
             ("HT", 0.0), ("Hajek", 0.0)}
         assert report["pooled"][0]["var_prob"] == 0.0
+
+    def test_srswor_pi_a_that_is_not_n_over_n_is_a_validation_error(self, tmp_path, capsys):
+        # The files state pi_a = 37/200; a config that sets N = 300 makes them another design's.
+        observed = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
+        config = estimate_config(tmp_path, observed)
+        cfg = yaml.safe_load(config.read_text())
+        cfg["inputs"]["n_population"] = 300
+        config.write_text(yaml.safe_dump(cfg))
+        assert main(["estimate", "--config", str(config)]) == 2
+        assert "must be n/N = 37/300" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_lock_file_blocks_concurrent_runs(self, tmp_path, capsys):
         observed = make_observed(seed=84)
@@ -450,6 +461,7 @@ class TestSimulateMode:
     # values that give a frame the study cannot use: Covariate rejects the first, the frame checks the rest
     ("simulate", "scenario.covariates.0", "params", [0.0, float("inf")]),
     ("simulate", "scenario", "noise_sd", float("inf")),
+    ("simulate", "scenario", "noise_sd", -1.0),
     ("simulate", "scenario", "sample_a_size", 0),
     ("simulate", "scenario", "alpha_true", [float("nan"), 0.4]),
     ("simulate", "scenario", "pi_a_coef", [float("nan"), 0.5]),
@@ -474,6 +486,12 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
+    path = edited_config(tmp_path, "simulate", "scenario", lambda target: target.__setitem__("n_population", 1e20))
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert "n_population 100000000000000000000 is too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, section, key, value", [

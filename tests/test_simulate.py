@@ -83,6 +83,27 @@ class TestGeneratePopulation:
         assert set(np.unique(pop.x[:, 2])) <= {0.0, 1.0}
         np.testing.assert_allclose(pop.x[:, 3], pop.x[:, 1] ** 2)
 
+    def test_a_kind_without_params_draws_with_its_defaults(self):
+        kinds = {"normal": (0.0, 1.0), "uniform": (0.0, 1.0), "bernoulli": (0.5,)}
+        bare = small_config(covariates=tuple(Covariate(kind) for kind in kinds),
+                            beta_true=(1.0, 0.5, 0.5, 0.5), alpha_true=(-1.5, 0.2, 0.0, 0.0))
+        stated = dataclasses.replace(bare, covariates=tuple(Covariate(k, p) for k, p in kinds.items()))
+        assert np.array_equal(generate_population(bare).x, generate_population(stated).x)
+
+    def test_a_frame_past_numpy_largest_size_is_a_simulation_error(self):
+        # numpy refuses 10^20 rows before it allocates anything
+        with pytest.raises(SimulationError, match="n_population 100000000000000000000 is too large"):
+            generate_population(small_config(n_population=10**20))
+
+    def test_a_frame_that_cannot_be_allocated_is_a_simulation_error(self, monkeypatch):
+        def no_memory(rng, params, n, columns):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+        counts, defaults, _ = simulate._COVARIATE_KINDS["normal"]
+        monkeypatch.setitem(simulate._COVARIATE_KINDS, "normal", (counts, defaults, no_memory))
+        with pytest.raises(SimulationError, match="n_population 10000000000000 is too large.*72.8 TiB"):
+            generate_population(small_config(n_population=10**13))
+
     def test_square_of_must_point_backwards(self):
         with pytest.raises(ValidationError):
             small_config(covariates=(Covariate("square_of", (1,)),),
@@ -281,11 +302,15 @@ SCALE_POWER = {"est": 1, "lo": 1, "hi": 1, "prob_est": 1, "var": 2, "cov": 2, "w
 
 
 class TestEvaluateRelations:
-    """Every row of a plan with every supported entry obeys two exact relations of the formulas.
+    """Every row of a plan with every supported entry obeys exact relations of the formulas.
 
-    Both hold for the evaluation alone, so each side reads the same fit
-    (scaled with y where y is scaled) rather than a refit, and only the
-    summation order separates them. Over 30 datasets of this shape the worst
+    Permuting the rows leaves it, and scaling y scales it, under both designs; under SRSWOR,
+    shifting y shifts its points and leaves its spreads. (Under Poisson DR2 centers its
+    predictions at their HT mean, so its variance moves with the shift; that half is open.)
+
+    Each holds for the evaluation alone, so each side reads the same fit
+    (scaled or shifted with y) rather than a refit, and only the summation
+    order separates the first two. Over 30 datasets of this shape the worst
     relative difference was 2.8e-15 under Poisson and 3.9e-15 under SRSWOR,
     and the worst absolute one in w 1.0e-14; w is compared absolutely,
     since it is a difference of variances over their sum and may sit near 0.
@@ -330,3 +355,30 @@ class TestEvaluateRelations:
         scaled_fit = dataclasses.replace(fit, beta=7.3 * fit.beta)  # the linear outcome model scales with y
         self.assert_rows_match(self.rows(scaled, scaled_fit, sigma_model), self.rows(observed, fit, sigma_model),
                                scale=7.3)
+
+    @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
+    def test_shifting_y_shifts_every_point_and_keeps_every_spread_under_srswor(self, sigma_model):
+        """y + a, with the fit's intercept moved by a, moves each point by a and leaves each var, cov and w.
+
+        Under SRSWOR sum 1/pi = N, so HT and DR1 shift with the self-normalized kinds; IPW1 (sum over B
+        of y/pi_b) does not, and its rows are left out. Adding a = 10^6 rounds each outcome by up to
+        5.8e-11, so the spreads move at that level: over 30 datasets of this shape the worst point missed
+        its shift by 7.0e-16 a, var and cov moved by 4.4e-11 relative and w by 6.3e-11.
+        """
+        shift, point_tol, spread_tol = 1e6, 1e-14, 1e-9  # points absolutely in units of a; var, cov relative; w abs
+        observed = make_observed(seed=99, n_population=2000, design_kind=DesignKind.SRSWOR, srswor_n=300)
+        fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)
+        shifted = ObservedData(n_population=observed.n_population, design=observed.design, x_a=observed.x_a,
+                               pi_a=observed.pi_a, y_a=observed.y_a + shift, x_b=observed.x_b, y_b=observed.y_b + shift)
+        shifted_fit = dataclasses.replace(fit, beta=fit.beta + shift * (np.arange(fit.beta.size) == 0))
+        got, want = self.rows(shifted, shifted_fit, sigma_model), self.rows(observed, fit, sigma_model)
+        assert [row.name for row in got] == [row.name for row in want]
+        for row, expected in zip(got, want):
+            if K.IPW1 in (row.kind, row.prob):
+                continue
+            for key, value in expected.values.items():
+                if SCALE_POWER[key] == 1:
+                    assert abs(row.values[key] - (value + shift)) <= point_tol * shift, (row.name, key)
+                else:
+                    assert abs(row.values[key] - value) <= spread_tol * (1.0 if key == "w" else abs(value)), \
+                        (row.name, key)

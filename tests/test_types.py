@@ -60,6 +60,10 @@ CORRUPTIONS = {
     "srswor_size_equals_population": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"])),
                                                  "n_population": len(f["pi_a"])},
                                       "SRSWOR design size must be below the population size"),
+    # SRSWOR defines every pi_a as n/N; a stated 0.9 is another design's
+    "srswor_pi_a_not_n_over_n": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"])),
+                                            "pi_a": np.full(len(f["pi_a"]), 0.9)},
+                                 "SRSWOR inclusion probabilities in sample A must be n/N"),
 }
 
 
@@ -69,6 +73,20 @@ def test_observed_data_rejects_invalid_values_at_construction(corrupt, match):
     fields = {name: getattr(observed, name) for name in field_names(ObservedData)}
     with pytest.raises(ValidationError, match=match):
         ObservedData(**{**fields, **corrupt(fields)})
+
+
+@pytest.mark.parametrize("stated, accepted", [(f"{1 / 3:.15g}", True), (repr(1 / 3 * (1 + 1e-11)), False)],
+                         ids=["n_over_n_to_15_digits", "n_over_n_off_by_1e-11"])
+def test_srswor_pi_a_is_n_over_n_to_a_relative_1e_12(stated, accepted):
+    # n/N = 30/90 written to 15 significant digits (R's default) is 1e-15 off; 1e-11 off is another design's
+    base = make_observed(seed=9, n_population=90, design_kind=DesignKind.SRSWOR, srswor_n=30)
+    fields = {name: getattr(base, name) for name in field_names(ObservedData)}
+    fields["pi_a"] = np.full(30, float(stated))
+    if accepted:
+        assert ObservedData(**fields).pi_a[0] == float(stated)
+    else:
+        with pytest.raises(ValidationError, match="must be n/N = 30/90"):
+            ObservedData(**fields)
 
 
 def test_dimension_mismatch_raises_at_construction():

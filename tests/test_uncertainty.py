@@ -171,26 +171,6 @@ class TestVarEstimate:
         v_bc = variance(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
         assert v_kh == pytest.approx(v_bc, rel=1e-9)
 
-    def test_negative_srswor_first_term_is_reported_and_floored(self):
-        # With equal first-order probabilities the SRSWOR ratio form is
-        # provably nonnegative, so the negative branch needs stated
-        # probabilities that disagree with the fixed-size design (allowed:
-        # they are analyst-provided). Constant predictions and zero outcome
-        # residuals then leave a negative design term that gets floored.
-        n_a, n_pop = 5, 30
-        observed = ObservedData(
-            n_population=n_pop,
-            design=DesignDescriptor(DesignKind.SRSWOR, n=n_a),
-            x_a=np.ones((n_a, 1)), pi_a=np.full(n_a, 0.9),
-            x_b=np.ones((4, 1)), y_b=np.full(4, 3.0))
-        fit = default_fit(observed)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            var = variance(K.DR1, R.BOTH_CORRECT, Analysis(observed, fit))
-        assert var == 0.0
-        negative = [w for w in caught if "negative first variance term" in str(w.message)]
-        assert [w.filename for w in negative] == [__file__]  # the warning names the caller of variance
-
     def test_scaling_outcomes_scales_variance_quadratically(self):
         observed = make_observed(seed=49)
         c = -2.5
@@ -240,14 +220,15 @@ class TestVarProbEstimate:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_constant_outcome_srswor_ht_variance_is_floored_and_pools(self):
-        # With pi = n/N the SRSWOR ratio form of a constant outcome cancels to
-        # about -1.7e-17, which the pooling weight would reject as negative.
+        # The SRSWOR form centers the constant outcome, so its HT variance is 0 exactly, with no
+        # floor and no warning; an uncentered form cancels to about -1.7e-17, which pooling rejects.
         base = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
         observed = ObservedData(n_population=200, design=base.design, x_a=base.x_a, pi_a=base.pi_a,
                                 y_a=np.ones(base.n_a), x_b=base.x_b, y_b=base.y_b)
         analysis = Analysis(observed, default_fit(observed))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a negative first term, floored
+            warnings.simplefilter("error")
+            assert analysis.weights_a.cov(observed.y_a, observed.y_a) == 0.0
             assert variance(K.HT, None, analysis) == 0.0
             report = pool(analysis, K.DR1, R.BOTH_CORRECT, K.HT)
         assert report.var_prob == 0.0
