@@ -15,13 +15,13 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 * ``sample_a.csv``: id, x_1..x_p, pi_a[, y]
 * ``sample_b.csv``: id, x_1..x_p, y
 
-Each sample is read with one bulk ``np.loadtxt`` of every column, after a
-scan of the file in 1 MiB blocks through one buffer looks for what loadtxt
-would read differently. When that parse fails or could read the file
-differently from ``csv`` (text ids, quoted fields, a field over csv's size
-limit), the row scanner reads the file with ``csv`` instead; it is the
-reader that names the file and line of any failure. Both accept the same
-grammar and give the same values. Either reader's table holds the intercept
+Each sample is read with one bulk ``np.loadtxt`` of every column. When that
+parse fails (text ids, quoted fields) or finds rows of another width, the
+row scanner reads the file with ``csv`` instead; it is the reader that names
+the file and line of any failure. The two accept one grammar by
+construction: the scanner strips each field as ``str.strip`` does, which is
+what loadtxt strips, and reads fields of any length, as loadtxt does, so
+both give the same values. Either reader's table holds the intercept
 in place of ``id``, so the covariates are a view of it, and a sample is held
 as that one parsed table plus the one copy ``ObservedData`` keeps. Sample B
 is read first, then sample A. When the platform forks and both files are at
@@ -93,7 +93,6 @@ __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
 
 LOCK_NAME = ".lock"
-_SCAN_BLOCK = 1 << 20  # bytes per read of the CSV guard scan
 _FORK_FLOOR = 1 << 20  # bytes in each sample file, or of the export's values, from which a fork pays
 _EXPORT_BLOCK = 8192  # rows the export formats in one C-level %
 
@@ -215,12 +214,15 @@ def _parse_config(raw, mode: str) -> RunConfig:
 
 @contextlib.contextmanager
 def _csv_reader(path: Path):
-    """A csv reader over ``path``; OS, decoding and csv errors become a CsvParseError naming the file."""
+    """A csv reader over ``path``, its field size unlimited; OS, decoding and csv errors become a CsvParseError."""
+    limit = csv.field_size_limit(2**31 - 1)  # the largest limit csv takes on every platform, until the block ends
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvParseError(f"{path}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _header(path: Path, fields: list[str], expected_tail: tuple[str, ...],
@@ -249,7 +251,8 @@ def _scan_rows(path: Path, expected_tail: tuple[str, ...],
 
     csv reads the file one record at a time, so the scanner takes what the
     bulk parse refuses (text ids, quoted fields) and is the one reader that
-    names the file and line of a failure.
+    names the file and line of a failure. Each field is stripped as loadtxt
+    strips it before ``float`` reads it.
     """
     with _csv_reader(path) as reader:
         n_x, tail = _header(path, next(reader, []), expected_tail, optional_tail)
@@ -261,7 +264,7 @@ def _scan_rows(path: Path, expected_tail: tuple[str, ...],
             if len(row) != width:
                 raise CsvParseError(f"{path} line {reader.line_num}: expected {width} fields, got {len(row)}")
             try:
-                rows.append([1.0, *map(float, row[1:])])
+                rows.append([1.0, *map(float, map(str.strip, row[1:]))])
             except ValueError as exc:
                 raise CsvParseError(f"{path} line {reader.line_num}: {exc}") from None
             linenos.append(reader.line_num)
@@ -271,26 +274,7 @@ def _scan_rows(path: Path, expected_tail: tuple[str, ...],
 
 
 def _bulk_rows(path: Path, width: int) -> np.ndarray | None:
-    """Every row after the header in one ``np.loadtxt``, or None where it could differ from the scanner.
-
-    That is: a line longer than csv's field limit (loadtxt has none), a byte
-    0x1c-0x1f (loadtxt strips them around a number, ``float`` refuses them),
-    a parse error, a file without data rows, or rows of another width. The
-    guards scan the file in blocks of ``_SCAN_BLOCK`` bytes read into one
-    buffer, carrying the last newline's offset from block to block.
-    """
-    block, size, newline, limit = bytearray(_SCAN_BLOCK), 0, -1, csv.field_size_limit()
-    with open(path, "rb") as fh:
-        while n := fh.readinto(block):
-            data = np.frombuffer(block, np.uint8, n)
-            controls = np.flatnonzero(data < 0x20)  # line ends, tabs and rarer control bytes: few per line
-            kinds = data[controls]
-            newlines = np.append(newline, controls[kinds == ord("\n")] + size)  # the last one before, then these
-            if ((kinds >= 0x1C) & (kinds <= 0x1F)).any() or np.diff(newlines).max(initial=0) > limit:
-                return None
-            newline, size = newlines[-1], size + n
-    if size - newline > limit:
-        return None
+    """Every row after the header in one ``np.loadtxt``; None when it fails, finds no data rows or another width."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt only warns when the file has no data rows
@@ -304,7 +288,7 @@ def _read_rows(path: Path, expected_tail: tuple[str, ...], optional_tail: tuple[
     """Parse a sample CSV: (its table, with the intercept in place of ``id``; covariate count; tail column names).
 
     One ``np.loadtxt`` parses the body; the row scanner reads the file only
-    when that raises or one of its guards trips. The table is one contiguous
+    when that finds no table of the header's width. The table is one contiguous
     array, which a forked reader sends without a copy.
     """
     with _csv_reader(path) as reader:
@@ -676,7 +660,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, SimulationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        print(f"{'solver' if isinstance(exc, SolverError) else 'simulation'} error: {exc}", file=sys.stderr)
         return 3
     except (CsvParseError, OSError, yaml.YAMLError) as exc:
         print(f"input/output error: {exc}", file=sys.stderr)

@@ -234,6 +234,8 @@ class ScenarioConfig:
                 if len(coef) != p:
                     raise ValidationError(f"{name} must have length {p} (intercept included)")
                 object.__setattr__(self, name, coef)
+        if self.pi_a_coef is not None and self.design_kind is DesignKind.SRSWOR:
+            raise ValidationError("pi_a_coef shapes Poisson design rates; an srswor design has none")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, not {self.seed}")
         if self.replicates < 2:

@@ -246,7 +246,10 @@ class ModelSpec:
         for name in ("outcome_cols", "selection_cols"):
             cols = getattr(self, name)
             if cols is not None:
-                _set(self, name, tuple(config_int(name, c) for c in cols))
+                cols = tuple(config_int(name, c) for c in cols)
+                if len(set(cols)) < len(cols):
+                    raise ValidationError(f"{name} {list(cols)} names a column twice (0 is the intercept)")
+                _set(self, name, cols)
         if self.fit_method is FitMethod.KIM_HAZIZA and self.outcome_cols != self.selection_cols:
             raise ValidationError("Kim-Haziza fitting requires identical covariate columns in both models")
 

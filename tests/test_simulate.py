@@ -72,6 +72,11 @@ class TestGeneratePopulation:
         pop = generate_population(config)
         np.testing.assert_allclose(pop.pi_a, 100 / 1_500)
 
+    def test_pi_a_coef_under_srswor_is_a_validation_error(self):
+        # SRSWOR gives every unit n/N, so the coefficients would be dropped without a word
+        with pytest.raises(ValidationError, match="pi_a_coef shapes Poisson design rates"):
+            small_config(design_kind=DesignKind.SRSWOR, sample_a_size=100, pi_a_coef=(0.0, 3.0))
+
     def test_covariate_kinds(self):
         config = small_config(
             covariates=(Covariate("uniform", (0.0, 2.0)), Covariate("bernoulli", (0.3,)),
