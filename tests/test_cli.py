@@ -840,6 +840,56 @@ def test_bulk_parse_matches_the_row_scanner(tmp_path_factory, fuzz_inputs, data)
     assert bitwise(bulk) == bitwise(scanner)
 
 
+# Files the bulk parse takes whole: line endings, and every class of whitespace the two readers strip around
+# a number, among them the bytes 0x1c-0x1f and a field over csv's default size limit.
+BULK_HEAD = b"id,x_1,y\n1,0.25,1\n"
+BULK_FILES = {
+    "crlf-lines": BULK_HEAD.replace(b"\n", b"\r\n") + b"2,-0.5,2.5\r\n",
+    "no-trailing-newline": BULK_HEAD + b"2,-0.5,2.5",
+    **{f"byte-{byte:#x}": BULK_HEAD + b"2," + bytes([byte]) + b"-0.5" + bytes([byte]) + b",2.5\n"
+       for byte in range(0x1C, 0x20)},
+    "tab": BULK_HEAD + b"2,\t-0.5\t,2.5\n",
+    "no-break-space": BULK_HEAD + b"2,\xc2\xa0-0.5\xc2\xa0,2.5\n",
+    "ideographic-space": BULK_HEAD + b"2,\xe3\x80\x80-0.5\xe3\x80\x80,2.5\n",
+    "field-over-csv-limit": BULK_HEAD + b"2,-0.5" + b"0" * 200_000 + b",2.5\n",
+}
+
+
+@pytest.mark.parametrize("content", BULK_FILES.values(), ids=BULK_FILES.keys())
+def test_bulk_parse_takes_the_table_the_row_scanner_reads(tmp_path, content):
+    path = tmp_path / "sample_b.csv"
+    path.write_bytes(content)
+    bulk = cli._bulk_rows(path, 3)
+    assert bulk is not None
+    linenos, scanned = cli._scan_rows(path, ("y",), ())
+    assert linenos == [2, 3]
+    assert scanned[:, 1:].tolist() == [[0.25, 1.0], [-0.5, 2.5]]
+    assert bulk[:, 1:].tobytes() == scanned[:, 1:].tobytes()
+
+
+@pytest.mark.parametrize("content", [b"id,x_1,y\n", b"id,x_1,y"], ids=["header-only", "header-only-without-newline"])
+def test_no_data_rows_leave_the_bulk_parse_to_the_row_scanner(tmp_path, content):
+    path = tmp_path / "sample_b.csv"
+    path.write_bytes(content)
+    assert cli._bulk_rows(path, 3) is None
+    with pytest.raises(cli.CsvParseError, match="no data rows"):
+        cli._scan_rows(path, ("y",), ())
+
+
+@pytest.mark.parametrize("content", [b"id\n1\n", b"id\n\xff\n"], ids=["read", "decoding-error"])
+def test_csv_reader_restores_the_field_size_limit(tmp_path, content):
+    path = tmp_path / "sample_b.csv"
+    path.write_bytes(content)
+    before = csv.field_size_limit()
+    try:
+        with cli._csv_reader(path) as reader:
+            assert csv.field_size_limit() == 2**31 - 1
+            list(reader)
+    except cli.CsvParseError:
+        assert content == b"id\n\xff\n"
+    assert csv.field_size_limit() == before
+
+
 def test_read_samples_holds_each_sample_about_once(tmp_path, monkeypatch):
     observed = make_observed(seed=93, n_x=4, n_population=56_000)  # about 50k rows in the two samples
     write_sample_csvs(observed, tmp_path)
