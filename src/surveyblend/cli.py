@@ -64,6 +64,13 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+if sys.platform == "win32":  # no fcntl; the system frees an msvcrt lock, too, when its process ends
+    import msvcrt
+    _try_lock = lambda fd: msvcrt.locking(fd, msvcrt.LK_NBLCK, 1)
+else:
+    import fcntl
+    _try_lock = lambda fd: fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+
 import numpy as np
 import yaml
 
@@ -92,7 +99,6 @@ from .uncertainty import ResidualVarianceModel
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
 
-LOCK_NAME = ".lock"
 _FORK_FLOOR = 1 << 20  # bytes in each sample file, or of the export's values, from which a fork pays
 _EXPORT_BLOCK = 8192  # rows the export formats in one C-level %
 
@@ -217,7 +223,7 @@ def _csv_reader(path: Path):
     """A csv reader over ``path``, its field size unlimited; OS, decoding and csv errors become a CsvParseError."""
     limit = csv.field_size_limit(2**31 - 1)  # the largest limit csv takes on every platform, until the block ends
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark at the start is skipped
             yield csv.reader(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvParseError(f"{path}: {exc}") from None
@@ -538,52 +544,30 @@ def summary_to_csv(summary: MonteCarloSummary, path: Path) -> None:
 # Run modes
 
 
-class _OutputLock:
-    """One run per output directory, enforced with an exclusive lock file that holds the owner's pid.
+@contextlib.contextmanager
+def _output_lock(directory: Path):
+    """Make ``directory`` and hold the kernel's lock on its ``.lock`` for the block: one run per directory.
 
-    A lock whose pid no longer runs was left by a killed run; it is removed, with a line on stderr.
+    The lock ends with its process, which a forked child does not share; the file stays, with the holder's pid.
     """
-
-    def __init__(self, directory: Path):
-        self.path = directory / LOCK_NAME
-        self.fd: int | None = None
-
-    def __enter__(self):
-        for retry in (False, True):
-            with contextlib.suppress(FileExistsError):
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            pid = None if retry else self._dead_owner()
-            if pid is None:
-                raise FileExistsError(f"{self.path}: lock file exists; another run owns this output directory")
-            self.path.unlink(missing_ok=True)
-            print(f"{self.path}: removed the stale lock of pid {pid}, which is not running", file=sys.stderr)
-        os.write(self.fd, str(os.getpid()).encode())
-        return self
-
-    def _dead_owner(self) -> int | None:
-        """The lock's pid if no process has it; None if one runs, may not be probed or the pid is unreadable."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / ".lock"
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
         try:
-            pid = int(self.path.read_text())
-            if pid > 0:
-                os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except (OSError, ValueError, OverflowError):
-            pass
-        return None
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
-        return False
+            _try_lock(fd)
+        except (BlockingIOError, PermissionError):
+            raise FileExistsError(f"{path}: another run holds the lock on this output directory") from None
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode())
+        yield
+    finally:
+        os.close(fd)
 
 
 def run_estimate(config: RunConfig) -> dict:
     """Estimate mode: CSVs in, report files out. Returns the report dict."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    with _OutputLock(config.output_dir):
+    with _output_lock(config.output_dir):
         observed = read_samples(config)
         report = build_estimate_report(config, observed)
         with _replacing(config.output_dir / "report.json") as fh:
@@ -596,8 +580,7 @@ def run_estimate(config: RunConfig) -> dict:
 
 def run_simulate(config: RunConfig) -> MonteCarloSummary:
     """Simulate mode: scenario in, summary.csv and manifest.json out."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    with _OutputLock(config.output_dir):
+    with _output_lock(config.output_dir):
         started = time.time()
         summary = run_replications(config.scenario, parallel=config.parallel,
                                    max_workers=config.max_workers)

@@ -244,6 +244,10 @@ class ScenarioConfig:
             raise ValidationError("confidence level outside (0, 1)")
         if self.noise_sd < 0.0:
             raise ValidationError(f"noise_sd must be nonnegative, not {self.noise_sd}")
+        if self.noise_sd_coef is not None and self.noise_sd != 1.0:
+            raise ValidationError(f"noise_sd {self.noise_sd} is unread beside noise_sd_coef, which sets the noise")
+        if self.outcome_family is OutcomeFamily.LOGISTIC_BINARY and (self.noise_sd_coef, self.noise_sd) != (None, 1.0):
+            raise ValidationError("noise_sd and noise_sd_coef are unread: a logistic_binary outcome draws no noise")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("sample_a_size must be below n_population")
         for j, cov in enumerate(self.covariates, start=1):

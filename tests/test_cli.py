@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -121,7 +122,7 @@ class TestEstimateMode:
         assert len(report["points"]) == 6
         assert len(report["pooled"]) == 1
         assert (tmp_path / "out" / "report.txt").read_text().startswith("surveyblend")
-        assert not (tmp_path / "out" / ".lock").exists()
+        assert (tmp_path / "out" / ".lock").read_text() == str(os.getpid())
 
     def test_bad_probability_names_row(self, tmp_path, capsys):
         observed = make_observed(seed=81)
@@ -202,39 +203,6 @@ class TestEstimateMode:
         assert main(["estimate", "--config", str(config)]) == 2
         assert "must be n/N = 37/300" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
-
-    def test_lock_file_blocks_concurrent_runs(self, tmp_path, capsys):
-        observed = make_observed(seed=84)
-        config = estimate_config(tmp_path, observed)
-        (tmp_path / "out").mkdir()
-        (tmp_path / "out" / ".lock").write_text(str(os.getpid()))
-        assert main(["estimate", "--config", str(config)]) == 4
-        assert "lock" in capsys.readouterr().err
-
-    def test_held_lock_is_a_file_exists_error(self, tmp_path):
-        # an OSError, so exit 4, but not a CsvParseError: no CSV was parsed
-        (tmp_path / ".lock").write_text(str(os.getpid()))
-        with pytest.raises(FileExistsError, match="lock file exists"), cli._OutputLock(tmp_path):
-            pass
-
-    @pytest.mark.parametrize("content", ["", "not a pid", "-1", str(2**80)])
-    def test_unreadable_lock_blocks_runs(self, tmp_path, capsys, content):
-        config = estimate_config(tmp_path, make_observed(seed=84))
-        (tmp_path / "out").mkdir()
-        (tmp_path / "out" / ".lock").write_text(content)
-        assert main(["estimate", "--config", str(config)]) == 4
-        assert "lock file exists" in capsys.readouterr().err
-
-    def test_stale_lock_of_an_exited_process_is_taken_over(self, tmp_path, capsys):
-        config = estimate_config(tmp_path, make_observed(seed=84))
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()
-        (tmp_path / "out").mkdir()
-        (tmp_path / "out" / ".lock").write_text(str(child.pid))
-        assert main(["estimate", "--config", str(config)]) == 0
-        assert f"removed the stale lock of pid {child.pid}" in capsys.readouterr().err
-        assert (tmp_path / "out" / "report.json").exists()
-        assert not (tmp_path / "out" / ".lock").exists()
 
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
@@ -327,6 +295,86 @@ class TestEstimateMode:
         assert main(["estimate", "--config", str(config_path)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [(row["estimator"], row["regime"]) for row in report["variances"]] == [("HT", None), ("Hajek", None)]
+
+
+# A process inside _output_lock until it is killed, which prints its pid and, when it forks, its child's pid.
+LOCK_HOLDER = """\
+import os, sys, time
+from pathlib import Path
+from surveyblend.cli import _output_lock
+with _output_lock(Path(sys.argv[1])):
+    child = os.fork() if sys.argv[2] == "fork" else None
+    if child == 0:
+        time.sleep(60)
+        os._exit(0)
+    print("held", os.getpid(), child, flush=True)
+    time.sleep(60)
+"""
+
+
+@pytest.fixture
+def lock_holder():
+    """Start a process that holds the lock on a directory; return it and the pid of its forked child, if any.
+
+    A ``lockf`` lock belongs to its process, which takes it again at will, so only another process can hold it.
+    """
+    holders = []
+
+    def hold(directory, fork=False):
+        holder = subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(directory), "fork" if fork else ""],
+                                  stdout=subprocess.PIPE, text=True, env=package_env())
+        holders.append(holder)
+        word, pid, child = holder.stdout.readline().split()
+        assert (word, pid) == ("held", str(holder.pid))
+        return holder, None if child == "None" else int(child)
+
+    yield hold
+    for holder in holders:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+
+
+class TestOutputLock:
+    @pytest.mark.parametrize("content", ["", "not a pid", "-1", str(2**80), "1", "reaped"])
+    def test_a_lock_file_nobody_holds_does_not_block(self, tmp_path, capsys, content):
+        if content == "reaped":  # the pid of an exited child, which may come round again
+            child = subprocess.Popen([sys.executable, "-c", "pass"])
+            child.wait(timeout=10)
+            content = str(child.pid)
+        config = estimate_config(tmp_path, make_observed(seed=84))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / ".lock").write_text(content)
+        assert main(["estimate", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / ".lock").read_text() == str(os.getpid())
+
+    def test_a_held_lock_blocks_runs_until_its_holder_is_killed(self, tmp_path, capsys, lock_holder):
+        config = estimate_config(tmp_path, make_observed(seed=84))
+        holder, _ = lock_holder(tmp_path / "out")
+        assert main(["estimate", "--config", str(config)]) == 4
+        lock = tmp_path / "out" / ".lock"
+        message = f"{lock}: another run holds the lock on this output directory"
+        assert capsys.readouterr().err == f"input/output error: {message}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+        holder.kill()
+        holder.wait(timeout=10)
+        assert main(["estimate", "--config", str(config)]) == 0
+        assert lock.read_text() == str(os.getpid())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform does not fork")
+    def test_a_forked_child_of_the_holder_does_not_keep_the_lock(self, tmp_path, lock_holder):
+        # A flock lock would stay with the child, as it does with the orphaned workers of a killed pool.
+        config = estimate_config(tmp_path, make_observed(seed=84))
+        holder, child = lock_holder(tmp_path / "out", fork=True)
+        try:
+            assert main(["estimate", "--config", str(config)]) == 4
+            holder.kill()
+            holder.wait(timeout=10)
+            os.kill(child, 0)  # the child runs on
+            assert main(["estimate", "--config", str(config)]) == 0
+        finally:
+            os.kill(child, signal.SIGKILL)
 
 
 class TestSimulateMode:
@@ -490,6 +538,18 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
     err = capsys.readouterr().err
     assert "validation error" in err
     assert key in err or str(value) in err
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"noise_sd_coef": [1.0, 0.5], "noise_sd": 2.0}, "noise_sd 2.0 is unread beside noise_sd_coef"),
+    ({"outcome_family": "logistic_binary", "noise_sd": 2.0}, "a logistic_binary outcome draws no noise"),
+    ({"outcome_family": "logistic_binary", "noise_sd_coef": [1.0, 0.5]}, "a logistic_binary outcome draws no noise"),
+], ids=["noise_sd-beside-noise_sd_coef", "noise_sd-under-logistic", "noise_sd_coef-under-logistic"])
+def test_a_noise_setting_the_outcome_model_does_not_read_is_validation_error(tmp_path, capsys, edits, message):
+    path = edited_config(tmp_path, "simulate", "scenario", lambda target: target.update(edits))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and message in err
 
 
 def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
@@ -788,12 +848,15 @@ CSV_CASES = [
      (cli.CsvParseError, "{path} line 1: trailing columns ['y', 'w'] do not match ['y'] (+ optional [])")),
     ("sample_b.csv", lambda lines: ["id,x_2,y"] + lines[1:],
      (cli.CsvParseError, "{path} line 1: expected covariate columns x_1..x_p")),
+    ("sample_b.csv", lambda lines: ["\ufeff" + lines[0]] + lines[1:], SAMPLE_B_ARRAYS),
+    ("sample_b.csv", lambda lines: lines[:2] + ["2,\ufeff-0.5,2.5"] + lines[3:],
+     (cli.CsvParseError, "{path} line 3: could not convert string to float: '\\ufeff-0.5'")),
 ]
 CSV_CASE_IDS = ["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
                 "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
                 "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
                 "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
-                "no-x_1-column"]
+                "no-x_1-column", "bom-at-file-start", "bom-inside-the-file"]
 SAMPLE_A_CASES = [(case, case_id) for case, case_id in zip(CSV_CASES, CSV_CASE_IDS) if case[0] == "sample_a.csv"]
 
 
@@ -1187,8 +1250,8 @@ def test_a_write_that_fails_partway_leaves_the_earlier_files_whole(tmp_path, mon
     run()
     before = {path.name: path.read_bytes() for path in directory.iterdir()}
     assert sorted(before) == {"sample-csvs": ["sample_a.csv", "sample_b.csv"],
-                              "estimate": ["report.json", "report.txt"],
-                              "simulate": ["manifest.json", "summary.csv"]}[kind]
+                              "estimate": [".lock", "report.json", "report.txt"],
+                              "simulate": [".lock", "manifest.json", "summary.csv"]}[kind]
 
     def full_open(path, mode="r", **kwargs):
         fh = open(path, mode, **kwargs)

@@ -77,6 +77,11 @@ class TestGeneratePopulation:
         with pytest.raises(ValidationError, match="pi_a_coef shapes Poisson design rates"):
             small_config(design_kind=DesignKind.SRSWOR, sample_a_size=100, pi_a_coef=(0.0, 3.0))
 
+    def test_noise_sd_under_a_logistic_outcome_is_a_validation_error(self):
+        # a logistic outcome is a Bernoulli draw, which reads no noise setting
+        with pytest.raises(ValidationError, match="a logistic_binary outcome draws no noise"):
+            small_config(outcome_family=OutcomeFamily.LOGISTIC_BINARY, noise_sd=2.0)
+
     def test_covariate_kinds(self):
         config = small_config(
             covariates=(Covariate("uniform", (0.0, 2.0)), Covariate("bernoulli", (0.3,)),
