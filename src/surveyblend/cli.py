@@ -81,18 +81,14 @@ from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationEr
                        run_replications)
 from .types import (
     DesignDescriptor,
-    DesignKind,
-    FitMethod,
     ModelSpec,
     ObservedData,
-    OutcomeFamily,
     ValidationError,
-    config_flag,
-    config_float,
     config_int,
     config_section,
     field_names,
     plain_data,
+    typed_fields,
 )
 from .uncertainty import ResidualVarianceModel
 
@@ -140,6 +136,11 @@ class RunConfig:
     parallel: bool = False
     max_workers: int | None = None
 
+    def __post_init__(self):
+        typed_fields(self)
+        if not 0.0 < self.level < 1.0:
+            raise ValidationError("confidence level outside (0, 1)")
+
 
 def _mask_from_config(cols) -> tuple[int, ...] | None:
     """Translate 1-based covariate numbers (x_1..x_p) to internal indices; intercept always kept."""
@@ -169,28 +170,21 @@ def _parse_config(raw, mode: str) -> RunConfig:
     config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode],
                    ("inputs",) if mode == "estimate" else ("scenario",))
     output_dir = Path(raw.get("output_dir", "out"))
+    given = {key: raw[key] for key in ("level", "parallel") if key in raw}  # the rest keep RunConfig's defaults
 
     if mode == "simulate":
         max_workers = raw.get("max_workers")
         if max_workers is not None and (type(max_workers) is not int or max_workers < 1):
             raise ValidationError(f"max_workers must be a positive integer, not {max_workers!r}")
-        return RunConfig(output_dir=output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
-                         parallel=config_flag("parallel", raw.get("parallel", False)), max_workers=max_workers)
+        return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
+                         max_workers=max_workers, **given)
 
-    level = config_float("level", raw.get("level", 0.95))
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level outside (0, 1)")
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
-    design_raw = config_section(raw.get("design", {}), "design", field_names(DesignDescriptor))
-    design = DesignDescriptor(kind=DesignKind(design_raw.get("kind", "poisson")),
-                              n=design_raw.get("n"))
+    design = DesignDescriptor(**config_section(raw.get("design", {}), "design", DesignDescriptor))
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
-    model = ModelSpec(
-        outcome_family=OutcomeFamily(analysis.get("outcome_family", "linear_gaussian")),
-        fit_method=FitMethod(analysis.get("fit_method", "pseudo_ml")),
-        outcome_cols=_mask_from_config(analysis.get("outcome_cols")),
-        selection_cols=_mask_from_config(analysis.get("selection_cols")),
-    )
+    given.update({key: analysis[key] for key in ("sigma_model",) if key in analysis})
+    model = ModelSpec(**{key: _mask_from_config(value) if key.endswith("_cols") else value
+                         for key, value in analysis.items() if key != "sigma_model"})
     est = config_section(raw.get("estimators", {}), "estimators", ("points", "variances", "covariances", "pooled"))
 
     def entries(section: str, keys: tuple[str, ...]) -> tuple:
@@ -206,12 +200,9 @@ def _parse_config(raw, mode: str) -> RunConfig:
                     cov_pairs=entries("covariances", ("kind", "regime", "prob")),
                     pooled=entries("pooled", ("kind", "regime", "prob")))
     plan.check(model.fit_method)
-    return RunConfig(
-        output_dir=output_dir, level=level,
-        sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
-        n_population=config_int("inputs.n_population", inputs["n_population"]), design=design, model=model,
-        sigma_model=ResidualVarianceModel(analysis.get("sigma_model", "constant")), plan=plan,
-    )
+    return RunConfig(output_dir, sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
+                     n_population=config_int("inputs.n_population", inputs["n_population"]), design=design,
+                     model=model, plan=plan, **given)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ minimized at w = (var_p - cov) / (var_p + var_dr - 2 cov). The weight is
 deliberately not clipped to [0, 1]; the class ranges over all real w. A
 degenerate denominator triggers a fallback to whichever input estimator
 has the smaller variance. The pooled variance treats the estimated weight
-as known, which is first-order exact.
+as known, a first-order approximation: over 2000 replicates at two seeds,
+ROADMAP item 8 measured pooled(DR2/both_correct,Hajek) coverage of 0.921
+at n_A = 50 and 0.945 at n_A = 500.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ from the corresponding analysis model.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,10 +37,10 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
-    config_flag,
     config_float,
     config_int,
     config_section,
+    typed_fields,
 )
 from .uncertainty import Regime, ResidualVarianceModel, check_supported, cov_estimate, variance
 
@@ -209,19 +207,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Config files give plain values: a field with an enum or number default
-        # takes its default's type (no bool or string passes as a number), a flag
-        # must be a bool (bool("false") is True), and a sequence becomes a tuple below.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, bool):
-                config_flag(f.name, value)
-            elif isinstance(f.default, int):
-                object.__setattr__(self, f.name, config_int(f.name, value))
-            elif isinstance(f.default, float):
-                object.__setattr__(self, f.name, config_float(f.name, value))
-            elif isinstance(f.default, Enum):
-                object.__setattr__(self, f.name, type(f.default)(value))
+        typed_fields(self)  # a sequence becomes a tuple below
         object.__setattr__(self, "n_population", config_int("n_population", self.n_population))
         object.__setattr__(self, "covariates", tuple(self.covariates))
         for name in ("outcome_cols_override", "selection_cols_override"):

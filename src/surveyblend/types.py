@@ -109,13 +109,6 @@ def config_section(raw, section: str, keys, required=()) -> dict:
     return raw
 
 
-def config_flag(name: str, value) -> bool:
-    """``value``, checked to be a bool; ``bool("false")`` is True, so a flag takes no other type."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{name} must be true or false, not {value!r}")
-    return value
-
-
 def config_int(name: str, value) -> int:
     """``value``, checked to be a whole number; ``int()`` truncates 2.9 to 2 and takes True as 1, so neither passes."""
     whole = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and float(value).is_integer()
@@ -131,6 +124,25 @@ def config_float(name: str, value) -> float:
     return float(value)
 
 
+def typed_fields(obj) -> None:
+    """Give each field of the dataclass ``obj`` whose default is a bool, an int, a float or an enum that default's type.
+
+    A flag must be a bool (``bool("false")`` is True), a number goes through :func:`config_int` or
+    :func:`config_float`, and an enum is looked up by its value, in any case. Each config dataclass calls this first.
+    """
+    for f in dataclasses.fields(obj):
+        value, default = getattr(obj, f.name), f.default
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ValidationError(f"{f.name} must be true or false, not {value!r}")
+        elif isinstance(default, int):
+            _set(obj, f.name, config_int(f.name, value))
+        elif isinstance(default, float):
+            _set(obj, f.name, config_float(f.name, value))
+        elif isinstance(default, Enum):
+            _set(obj, f.name, type(default)(value))
+
+
 @dataclass(frozen=True)
 class DesignDescriptor:
     """How the probability sample was drawn.
@@ -139,10 +151,11 @@ class DesignDescriptor:
     for ``SRSWOR``.
     """
 
-    kind: DesignKind
+    kind: DesignKind = DesignKind.POISSON
     n: int | None = None
 
     def __post_init__(self):
+        typed_fields(self)
         if self.n is not None:
             _set(self, "n", config_int("design.n", self.n))
         if self.kind is DesignKind.SRSWOR:
@@ -243,6 +256,7 @@ class ModelSpec:
     selection_cols: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        typed_fields(self)
         for name in ("outcome_cols", "selection_cols"):
             cols = getattr(self, name)
             if cols is not None:

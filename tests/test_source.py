@@ -1,10 +1,13 @@
 """Rules that hold for the package source and its documentation as a whole."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import re
+import textwrap
+from enum import Enum
 from pathlib import Path
 
 from conftest import make_observed
@@ -79,6 +82,27 @@ def test_every_package_export_has_a_caller_outside_the_tests():
             if isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert not exported - used, f"exported but used by tests only: {sorted(exported - used)}"
+
+
+def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
+    # A field whose default is a bool, a number or an enum takes that type from types.typed_fields, the one rule for
+    # plain values; a dataclass that skips it keeps a config's string, and an identity check on the field reads False.
+    typed = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__main__":  # running it parses the command line
+            module = importlib.import_module("surveyblend" + ("" if path.stem == "__init__" else f".{path.stem}"))
+            typed.update({f"{path.name}:{cls.__name__}": cls for cls in vars(module).values()
+                          if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                          and any(isinstance(f.default, (bool, int, float, Enum)) for f in dataclasses.fields(cls))})
+    assert {"cli.py:RunConfig", "simulate.py:ScenarioConfig",
+            "types.py:DesignDescriptor", "types.py:ModelSpec"} <= set(typed), sorted(typed)
+
+    def first_statement(post_init):
+        return ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(post_init))).body[0].body[0])
+
+    found = [name for name, cls in typed.items()
+             if "__post_init__" not in vars(cls) or first_statement(cls.__post_init__) != "typed_fields(self)"]
+    assert not found, f"dataclasses whose __post_init__ does not start with typed_fields(self): {found}"
 
 
 def test_readme_quick_tour_runs(capsys):

@@ -1,11 +1,15 @@
 """Data-model invariants, validation errors, and serialization round trips."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surveyblend import (
+    Analysis,
     DesignDescriptor,
     DesignKind,
     EstimatorKind,
@@ -17,7 +21,9 @@ from surveyblend import (
     Regime,
     ResidualVarianceModel,
     ValidationError,
+    fit_nuisance,
     validate,
+    variance,
 )
 from surveyblend.cli import RunConfig, read_samples, write_sample_csvs
 from surveyblend.types import field_names, plain_data
@@ -152,6 +158,69 @@ def test_config_enums_match_in_any_case(enum, text, member):
     assert enum(text) is member
     with pytest.raises(ValueError, match="is not a valid"):
         enum(text + "_x")
+
+
+# Each enum field of the library's config dataclasses: the other fields it needs, a mixed-case value and its member.
+ENUM_FIELDS = {
+    "ModelSpec.outcome_family": (ModelSpec, {}, "outcome_family", "Logistic_Binary", OutcomeFamily.LOGISTIC_BINARY),
+    "ModelSpec.fit_method": (ModelSpec, {}, "fit_method", "Calibration", FitMethod.CALIBRATION),
+    "DesignDescriptor.kind": (DesignDescriptor, {"n": 4}, "kind", "SRSWOR", DesignKind.SRSWOR),
+    "RunConfig.sigma_model": (RunConfig, {"output_dir": Path("out")}, "sigma_model", "LINEAR_IN_X",
+                              ResidualVarianceModel.LINEAR_IN_X),
+}
+
+
+@pytest.mark.parametrize("cls, others, name, text, member", ENUM_FIELDS.values(), ids=ENUM_FIELDS.keys())
+def test_config_dataclasses_take_an_enum_field_by_its_value_in_any_case(cls, others, name, text, member):
+    assert getattr(cls(**others, **{name: text}), name) is member
+    with pytest.raises(ValueError, match=f"'{text}_x' is not a valid {type(member).__name__}"):
+        cls(**others, **{name: text + "_x"})
+
+
+def test_design_descriptor_defaults_to_poisson():
+    assert DesignDescriptor().kind is DesignKind.POISSON
+    assert DesignDescriptor() == DesignDescriptor(DesignKind.POISSON)
+
+
+@pytest.mark.parametrize("value, match", [
+    ({"level": "0.9"}, "level must be a number, not '0.9'"),
+    ({"level": True}, "level must be a number, not True"),
+    ({"level": 1.5}, r"confidence level outside \(0, 1\)"),
+    ({"parallel": "yes"}, "parallel must be true or false, not 'yes'"),
+], ids=["level-string", "level-bool", "level-1.5", "parallel-string"])
+def test_run_config_checks_its_level_and_flag(value, match):
+    with pytest.raises(ValidationError, match=match):
+        RunConfig(output_dir=Path("out"), **value)
+
+
+def test_a_logistic_family_given_by_its_value_gives_the_member_built_dr1():
+    # the family is compared with `is`: kept as a string, it fits a logistic outcome and predicts with the identity link
+    observed = make_observed(seed=7)
+    binary = dataclasses.replace(observed, y_a=(observed.y_a > 1.0).astype(float),
+                                 y_b=(observed.y_b > 1.0).astype(float))
+    by_member, by_value = (Analysis(binary, fit_nuisance(binary, ModelSpec(outcome_family=family)))
+                           .point(EstimatorKind.DR1) for family in (OutcomeFamily.LOGISTIC_BINARY, "logistic_binary"))
+    assert by_value == by_member
+
+
+def test_an_srswor_design_given_by_its_value_gives_the_member_built_ht_variance():
+    # the kind is compared with `is`: kept as a string, every check reads it as Poisson
+    observed = make_observed(seed=7, design_kind=DesignKind.SRSWOR)
+    by_value = dataclasses.replace(observed, design=DesignDescriptor("srswor", n=observed.n_a))
+    assert by_value.design == observed.design
+    assert (variance(EstimatorKind.HT, None, Analysis(by_value))
+            == variance(EstimatorKind.HT, None, Analysis(observed)))
+
+
+def test_a_fit_method_given_by_its_value_gives_the_member_built_fit():
+    # the selection-fit table is keyed by member: a method kept as a string finds no row, a bare KeyError
+    observed = make_observed(seed=7)
+    by_member, by_value = (fit_nuisance(observed, ModelSpec(fit_method=method))
+                           for method in (FitMethod.CALIBRATION, "calibration"))
+    assert by_value.spec == by_member.spec
+    np.testing.assert_array_equal(by_value.alpha, by_member.alpha)
+    np.testing.assert_array_equal(by_value.beta, by_member.beta)
+    assert by_value.iterations == by_member.iterations
 
 
 def test_eval_plan_takes_names_in_any_case():
