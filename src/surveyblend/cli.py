@@ -140,6 +140,10 @@ class RunConfig:
         typed_fields(self)
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level outside (0, 1)")
+        if self.max_workers is not None:
+            object.__setattr__(self, "max_workers", config_int("max_workers", self.max_workers))
+            if self.max_workers < 1:
+                raise ValidationError(f"max_workers must be a positive integer, not {self.max_workers}")
 
 
 def _mask_from_config(cols) -> tuple[int, ...] | None:
@@ -170,14 +174,10 @@ def _parse_config(raw, mode: str) -> RunConfig:
     config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode],
                    ("inputs",) if mode == "estimate" else ("scenario",))
     output_dir = Path(raw.get("output_dir", "out"))
-    given = {key: raw[key] for key in ("level", "parallel") if key in raw}  # the rest keep RunConfig's defaults
+    given = {key: raw[key] for key in ("level", "parallel", "max_workers") if key in raw}  # the rest keep defaults
 
     if mode == "simulate":
-        max_workers = raw.get("max_workers")
-        if max_workers is not None and (type(max_workers) is not int or max_workers < 1):
-            raise ValidationError(f"max_workers must be a positive integer, not {max_workers!r}")
-        return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]),
-                         max_workers=max_workers, **given)
+        return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
 
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
     design = DesignDescriptor(**config_section(raw.get("design", {}), "design", DesignDescriptor))
@@ -599,10 +599,9 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
 
 
 def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, not {count}")
-    return count
+    if not text.strip().isdecimal() or int(text) < 1:  # argparse names this function when int() raises
+        raise argparse.ArgumentTypeError(f"worker count must be a positive integer, not {text!r}")
+    return int(text)
 
 
 def main(argv=None) -> int:

@@ -9,9 +9,11 @@ sample, estimated with the pairwise-probability ratio form
 which is design-unbiased whenever all pi_ij > 0. Both supported designs
 admit closed forms: under Poisson sampling the off-diagonal terms vanish,
 and under SRSWOR, where every pi_i is n/N, the form is (1 - n/N) s_uv / n.
-:func:`design_weights` checks ``pi`` and builds a sample's weights once, per
-analysis; their methods (the HT mean, the Hajek mean and the covariance
-form) are the dot products every estimate reads.
+:func:`design_weights` builds a sample's weights once, per analysis, from
+probabilities already checked: by :func:`surveyblend.types.validate` for
+sample A, by :func:`surveyblend.nuisance.check_selection_floor` for sample B.
+Their methods (the HT mean, the Hajek mean and the covariance form) are the
+dot products every estimate reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import DesignDescriptor, DesignKind, ValidationError
+from .types import DesignDescriptor, DesignKind
 
 __all__ = ["DesignWeights", "design_weights"]
 
@@ -58,17 +60,15 @@ class DesignWeights(NamedTuple):
 def design_weights(design: DesignDescriptor, pi, n_population: int) -> DesignWeights:
     """The read-only weights of a sample drawn under ``design`` with inclusion probabilities ``pi``.
 
-    ``pi`` must be a nonempty sample's probabilities, each in (0, 1]; under SRSWOR, n/N.
+    Nothing is checked here, and ``design`` is read only for its kind. ``pi`` must be a nonempty sample's
+    probabilities in (0, 1], under SRSWOR each n/N with n = ``pi.size``: :func:`surveyblend.types.validate` holds
+    sample A's ``pi_a`` to that, and :func:`surveyblend.nuisance.check_selection_floor` holds sample B's fitted
+    pi_b at or above ``PI_B_FLOOR`` (NaN fails), which the logistic link keeps at or below 1.
     """
     pi = np.asarray(pi, dtype=float)
-    if pi.size == 0:
-        raise ValidationError("empty sample")
-    if not pi.min() > 0.0:  # a NaN makes the min and max NaN
-        raise ValidationError("nonpositive inclusion probability")
-    if not pi.max() <= 1.0:
-        raise ValidationError("inclusion probability above 1")
+    n = pi.size
     w = 1.0 / pi
-    c = (np.full(pi.size, (n_population - design.n) / (n_population * design.n * (design.n - 1)))
+    c = (np.full(n, (n_population - n) / (n_population * n * (n - 1)))
          if design.kind is DesignKind.SRSWOR else (1.0 - pi) * w * w / n_population**2)
     w.setflags(write=False)
     c.setflags(write=False)

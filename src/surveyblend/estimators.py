@@ -38,10 +38,10 @@ SELF_NORMALIZED = (EstimatorKind.HAJEK, EstimatorKind.IPW2, EstimatorKind.DR2)
 class Analysis:
     """One dataset with its nuisance fit, and everything computed from the pair.
 
-    Each sample's weights are built and checked once, when the analysis is
-    made: sample A's design weights and, with a fit, sample B's 1/pi_b, from
-    selection probabilities floor-checked on both samples, so a fit needing
-    clamped weights fails before any estimator runs. Without a fit,
+    Each sample's weights are built once, when the analysis is made: sample
+    A's design weights from the pi_a its ObservedData checked and, with a fit,
+    sample B's 1/pi_b, from selection probabilities floor-checked on both
+    samples, so a fit needing clamped weights fails before any estimator runs. Without a fit,
     whatever needs one raises a :class:`ValidationError`. The outcome-model
     means on each sample are computed on first use and kept. Point estimates
     here, and the centering terms, variances and covariances of

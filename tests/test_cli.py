@@ -613,12 +613,15 @@ def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flags, config_workers, workers", [
     (["--workers", "2"], None, 2),
     (["--parallel"], 1, 1),
+    # a whole-number float is an integer setting, as scenario.replicates: 20.0 is
+    (["--parallel"], 2.0, 2),
 ])
 def test_worker_flags_start_a_pool(tmp_path, flags, config_workers, workers):
     path = edited_config(tmp_path, "simulate", None, lambda cfg: cfg.update(max_workers=config_workers))
     assert main(["simulate", "--config", str(path)] + flags) == 0
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
     assert (manifest["parallel"], manifest["max_workers"]) == (True, workers)
+    assert type(manifest["max_workers"]) is int
 
 
 def test_config_with_invalid_utf8_is_io_error(tmp_path, capsys):
@@ -639,12 +642,15 @@ def test_unreadable_csv_bytes_are_io_error(tmp_path, capsys, junk):
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "two"])
-def test_worker_option_must_be_a_positive_integer(tmp_path, workers):
+@pytest.mark.parametrize("workers", ["0", "two", "2.0"])
+def test_worker_option_must_be_a_positive_integer(tmp_path, capsys, workers):
     config = simulate_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(config), "--parallel", "--workers", workers])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: worker count must be a positive integer, not '{workers}'" in err
+    assert "_worker_count" not in err
 
 
 @pytest.mark.parametrize("name, mode", [("estimate_example.yaml", "estimate"),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surveyblend import DesignDescriptor, DesignKind, ValidationError
+from surveyblend import DesignDescriptor, DesignKind
 from surveyblend.designs import design_weights
 
 POISSON = DesignDescriptor(DesignKind.POISSON)
@@ -84,23 +84,6 @@ class TestHajekMean:
     def test_direct_evaluation(self):
         # (0/0.8 + 4/0.2) / (1/0.8 + 1/0.2) = 20 / 6.25
         assert design_weights(POISSON, [0.8, 0.2], 10).hajek_mean(np.array([0.0, 4.0])) == pytest.approx(3.2)
-
-    def test_empty_sample_errors(self):
-        # an empty sample has no weights, so its Hajek mean would divide 0.0 by 0.0
-        with pytest.raises(ValidationError, match="empty sample"):
-            design_weights(POISSON, [], 10)
-
-
-@pytest.mark.parametrize("pi, message", [([0.0, 0.5], "nonpositive inclusion probability"),
-                                         ([-0.2, 0.5], "nonpositive inclusion probability"),
-                                         ([np.nan, 0.5], "nonpositive inclusion probability"),
-                                         ([1.5, 0.5], "inclusion probability above 1")],
-                         ids=["zero", "negative", "nan", "above_one"])
-@pytest.mark.parametrize("estimate", ["ht_mean"])
-def test_inclusion_probability_outside_0_1_is_rejected(estimate, pi, message):
-    # design_weights rejects pi before any estimate is read from the weights; the HT mean stands for all of them
-    with pytest.raises(ValidationError, match=message):
-        getattr(design_weights(POISSON, np.array(pi), 10), estimate)(np.array([1.0, 2.0]))
 
 
 class TestHtVarEstimate:
@@ -191,7 +174,7 @@ class TestPoissonEnumerationOracle:
             s = np.array(included)
             probs.append(float(np.prod(np.where(s, pi, 1.0 - pi))))
             ht.append([float(np.sum(v[s] / pi[s])) / big_n for v in (z, w)])
-            # design_weights rejects an empty sample; its estimate is the empty sum, 0
+            # no ObservedData holds an empty sample, so the empty draw is skipped here; its estimate is the empty sum, 0
             est.append(design_weights(*poisson_args(pi[s], big_n)).cov(z[s], w[s]) if s.any() else 0.0)
         probs, ht = np.array(probs), np.array(ht)
         mean_ht = probs @ ht

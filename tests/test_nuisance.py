@@ -6,6 +6,7 @@ small repeated-sampling loop checks consistency of the selection fits
 under a correctly specified model.
 """
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -48,7 +49,7 @@ from scipy.optimize import minimize
 from scipy.special import expit as scipy_expit
 from scipy.special import logit
 
-from conftest import SCENARIO_BOTH_CORRECT, make_observed, default_fit, summary_row
+from conftest import SCENARIO_BOTH_CORRECT, SCENARIO_KH, make_observed, default_fit, summary_row
 
 
 def intercept_only_data(n_pop=50, n_b=20, *, census_a=True, seed=0):
@@ -248,6 +249,34 @@ class TestKimHaziza:
         _, jac = score_and_jacobian_kh(observed, spec)(theta)
         fd = fd_jacobian(lambda t: score_and_jacobian_kh(observed, spec)(t)[0], theta)
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
+
+
+def test_kim_haziza_alpha_and_ipw_points_are_the_calibration_fit_s_under_a_linear_outcome():
+    # With m = x'beta the gradient dm is x, so the second Kim-Haziza equation is the calibration score with its sign
+    # flipped, and holds no beta: the Kim-Haziza alpha is the calibration root. The joint solve stops once the max-abs
+    # of its stacked score is at most KH_TOL; the calibration fit lands on its root to rounding. One Newton step from
+    # the Kim-Haziza alpha moves it to that root, by J^-1 f with J the calibration jacobian there, so the alphas differ
+    # by at most ||J^-1||_inf KH_TOL in max-abs to first order, which a factor 2 covers; each IPW point by at most its
+    # gradient's l1-norm times that. Over these 20 draws the largest differences are 0.3% (alpha) and 0.2% (points) of
+    # their bounds, 3.2e-11 and 4.1e-11 relative. The selection_correct variances are not compared: a Kim-Haziza fit
+    # borrows pseudo-ML's linearization, which is ROADMAP item 10's open defect.
+    population = generate_population(SCENARIO_KH)
+    spec = SCENARIO_KH.model_spec
+    calibration = dataclasses.replace(spec, fit_method=FitMethod.CALIBRATION)
+    for seed in range(20):
+        observed, _ = draw_samples(population, seed)
+        kh, cal = (Analysis(observed, fit_nuisance(observed, s)) for s in (spec, calibration))
+        cols = spec.columns("selection", observed.n_covariates)
+        _, jac = score_and_jacobian_calibration(observed, cols)(kh.fit.alpha)
+        alpha_bound = 2.0 * np.abs(np.linalg.inv(jac)).sum(axis=1).max() * KH_TOL
+        assert np.abs(kh.fit.alpha - cal.fit.alpha).max() <= alpha_bound
+        x, y, h = observed.x_b[:, cols], observed.y_b, 1e-30
+        for kind, total in ((EstimatorKind.IPW1, lambda w: observed.n_population), (EstimatorKind.IPW2, np.sum)):
+            def point(alpha):
+                w = 1.0 + np.exp(-x @ alpha)
+                return y @ w / total(w)
+            gradient = [point(cal.fit.alpha + 1j * h * e).imag / h for e in np.eye(len(cols))]
+            assert abs(kh.point(kind) - cal.point(kind)) <= np.abs(gradient).sum() * alpha_bound
 
 
 def kh_score_by_the_sums(observed, family, theta):

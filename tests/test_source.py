@@ -84,6 +84,16 @@ def test_every_package_export_has_a_caller_outside_the_tests():
     assert not exported - used, f"exported but used by tests only: {sorted(exported - used)}"
 
 
+def test_design_weights_checks_nothing_its_callers_hold_checked():
+    # designs.design_weights builds weights from probabilities already checked: types.validate holds sample A's pi_a
+    # (nonempty, in (0, 1], n/N under SRSWOR with design.n equal to n_A) and nuisance.check_selection_floor sample B's
+    # fitted pi_b. So designs.py raises nothing, imports no ValidationError, and takes an SRSWOR size from pi itself.
+    found = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in package_nodes() if name == "designs.py"
+             and (isinstance(node, ast.Raise) or "ValidationError" in imported_names(node)
+                  or isinstance(node, ast.Attribute) and ast.unparse(node) == "design.n")]
+    assert not found, f"checks in designs.py that validate or the selection floor own: {found}"
+
+
 def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
     # A field whose default is a bool, a number or an enum takes that type from types.typed_fields, the one rule for
     # plain values; a dataclass that skips it keeps a config's string, and an identity check on the field reads False.

@@ -49,6 +49,7 @@ CORRUPTIONS = {
     "nan_y_a": (lambda f: with_entry(f, "y_a", 3, np.nan), "non-finite outcome on sample A"),
     "zero_pi_a": (lambda f: with_entry(f, "pi_a", 0, 0.0), "nonpositive inclusion probability"),
     "nan_pi_a": (lambda f: with_entry(f, "pi_a", 1, np.nan), "nonpositive inclusion probability"),
+    "negative_pi_a": (lambda f: with_entry(f, "pi_a", 3, -0.2), "nonpositive inclusion probability"),
     "pi_a_above_one": (lambda f: with_entry(f, "pi_a", 2, 1.5), "above 1"),
     "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B"),
     "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept"),
