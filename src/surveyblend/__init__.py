@@ -24,7 +24,6 @@ from .simulate import (
     run_replications,
 )
 from .types import (
-    DesignDescriptor,
     DesignKind,
     FinitePopulation,
     FitMethod,

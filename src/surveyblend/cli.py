@@ -80,7 +80,7 @@ from .nuisance import SolverError, fit_nuisance
 from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationError, SummaryRow, evaluate,
                        run_replications)
 from .types import (
-    DesignDescriptor,
+    DesignKind,
     ModelSpec,
     ObservedData,
     ValidationError,
@@ -127,7 +127,7 @@ class RunConfig:
     sample_a_path: Path | None = None
     sample_b_path: Path | None = None
     n_population: int | None = None
-    design: DesignDescriptor | None = None
+    design: DesignKind = DesignKind.POISSON
     model: ModelSpec | None = None
     sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
     plan: EvalPlan = field(default_factory=EvalPlan)
@@ -180,7 +180,8 @@ def _parse_config(raw, mode: str) -> RunConfig:
         return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
 
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
-    design = DesignDescriptor(**config_section(raw.get("design", {}), "design", DesignDescriptor))
+    design = config_section(raw.get("design", {}), "design", ("kind",))  # SRSWOR's size is sample A's row count
+    given.update({"design": design["kind"]} if design else {})
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
     given.update({key: analysis[key] for key in ("sigma_model",) if key in analysis})
     model = ModelSpec(**{key: _mask_from_config(value) if key.endswith("_cols") else value
@@ -201,8 +202,8 @@ def _parse_config(raw, mode: str) -> RunConfig:
                     pooled=entries("pooled", ("kind", "regime", "prob")))
     plan.check(model.fit_method)
     return RunConfig(output_dir, sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
-                     n_population=config_int("inputs.n_population", inputs["n_population"]), design=design,
-                     model=model, plan=plan, **given)
+                     n_population=config_int("inputs.n_population", inputs["n_population"]), model=model,
+                     plan=plan, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +474,7 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
     report: dict = {
         "mode": "estimate",
         "n_population": observed.n_population,
-        "design": plain_data(config.design),
+        "design": {"kind": observed.design.value, "n": observed.n_a if observed.design is DesignKind.SRSWOR else None},
         "model": plain_data(config.model),
         "level": config.level,
         "points": [],

@@ -8,12 +8,13 @@ sample, estimated with the pairwise-probability ratio form
 
 which is design-unbiased whenever all pi_ij > 0. Both supported designs
 admit closed forms: under Poisson sampling the off-diagonal terms vanish,
-and under SRSWOR, where every pi_i is n/N, the form is (1 - n/N) s_uv / n.
-:func:`design_weights` builds a sample's weights once, per analysis, from
-probabilities already checked: by :func:`surveyblend.types.validate` for
-sample A, by :func:`surveyblend.nuisance.check_selection_floor` for sample B.
-Their methods (the HT mean, the Hajek mean and the covariance form) are the
-dot products every estimate reads.
+and under SRSWOR, where each of the sample's n rows has pi_i = n/N, the
+form is (1 - n/N) s_uv / n. :func:`design_weights` builds a sample's
+weights once, per analysis, from probabilities already checked: by
+:func:`surveyblend.types.validate` for sample A, by
+:func:`surveyblend.nuisance.check_selection_floor` for sample B. Their
+methods (the HT mean, the Hajek mean and the covariance form) are the dot
+products every estimate reads.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import DesignDescriptor, DesignKind
+from .types import DesignKind
 
 __all__ = ["DesignWeights", "design_weights"]
-
-POISSON_SAMPLING = DesignDescriptor(DesignKind.POISSON)  # sample B's opt-in is modelled so too
 
 
 class DesignWeights(NamedTuple):
@@ -57,19 +56,19 @@ class DesignWeights(NamedTuple):
         return float((u * v) @ self.c)
 
 
-def design_weights(design: DesignDescriptor, pi, n_population: int) -> DesignWeights:
+def design_weights(design: DesignKind, pi, n_population: int) -> DesignWeights:
     """The read-only weights of a sample drawn under ``design`` with inclusion probabilities ``pi``.
 
-    Nothing is checked here, and ``design`` is read only for its kind. ``pi`` must be a nonempty sample's
-    probabilities in (0, 1], under SRSWOR each n/N with n = ``pi.size``: :func:`surveyblend.types.validate` holds
-    sample A's ``pi_a`` to that, and :func:`surveyblend.nuisance.check_selection_floor` holds sample B's fitted
-    pi_b at or above ``PI_B_FLOOR`` (NaN fails), which the logistic link keeps at or below 1.
+    Nothing is checked here. ``pi`` must be a nonempty sample's probabilities in (0, 1], under SRSWOR each n/N
+    with n = ``pi.size``: :func:`surveyblend.types.validate` holds sample A's ``pi_a`` to that, and
+    :func:`surveyblend.nuisance.check_selection_floor` holds sample B's fitted pi_b at or above ``PI_B_FLOOR``
+    (NaN fails), which the logistic link keeps at or below 1.
     """
     pi = np.asarray(pi, dtype=float)
     n = pi.size
     w = 1.0 / pi
     c = (np.full(n, (n_population - n) / (n_population * n * (n - 1)))
-         if design.kind is DesignKind.SRSWOR else (1.0 - pi) * w * w / n_population**2)
+         if design is DesignKind.SRSWOR else (1.0 - pi) * w * w / n_population**2)
     w.setflags(write=False)
     c.setflags(write=False)
-    return DesignWeights(w, float(w.sum()), n_population, design.kind is DesignKind.SRSWOR, c)
+    return DesignWeights(w, float(w.sum()), n_population, design is DesignKind.SRSWOR, c)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designs import POISSON_SAMPLING, DesignWeights, design_weights
+from .designs import DesignWeights, design_weights
 from .nuisance import NuisanceFit, check_selection_floor
-from .types import ConfigEnum, ModelSpec, ObservedData, ValidationError
+from .types import ConfigEnum, DesignKind, ModelSpec, ObservedData, ValidationError
 
 __all__ = ["Analysis", "EstimatorKind"]
 
@@ -57,7 +57,7 @@ class Analysis:
         self.pi_b_a = self.pi_b_b = self.weights_b = None
         if fit is not None:
             self.pi_b_a, self.pi_b_b = (check_selection_floor(fit.pi_b(x)) for x in (observed.x_a, observed.x_b))
-            self.weights_b = design_weights(POISSON_SAMPLING, self.pi_b_b, observed.n_population)
+            self.weights_b = design_weights(DesignKind.POISSON, self.pi_b_b, observed.n_population)  # opt-in as Poisson
 
     def memo(self, key, compute):
         """The value kept under ``key``; ``compute()`` makes it on the first request.

@@ -19,6 +19,7 @@ from the corresponding analysis model.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -29,7 +30,6 @@ from .combiner import PooledReport, pool, z_score
 from .estimators import Analysis, EstimatorKind
 from .nuisance import SolverError, expit, fit_nuisance
 from .types import (
-    DesignDescriptor,
     DesignKind,
     FinitePopulation,
     FitMethod,
@@ -236,6 +236,8 @@ class ScenarioConfig:
             raise ValidationError("noise_sd and noise_sd_coef are unread: a logistic_binary outcome draws no noise")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("sample_a_size must be below n_population")
+        if self.design_kind is DesignKind.SRSWOR and self.sample_a_size < p + 1:  # draw_samples' need
+            raise ValidationError(f"an srswor sample_a_size must be at least {p + 1}, the covariate columns + 1")
         for j, cov in enumerate(self.covariates, start=1):
             if cov.kind == "square_of" and not 1 <= config_int("square_of params", cov.params[0]) < j:
                 raise ValidationError("square_of must reference an earlier covariate column")
@@ -299,14 +301,9 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
         raise ValidationError("true selection probabilities outside (0, 1); rescale alpha_true")
 
     if config.design_kind is DesignKind.SRSWOR:
-        design = DesignDescriptor(DesignKind.SRSWOR, n=config.sample_a_size)
         pi_a = np.full(n, config.sample_a_size / n)
     else:
-        design = DesignDescriptor(DesignKind.POISSON)
-        if config.pi_a_coef is not None:
-            shape = expit(x @ np.asarray(config.pi_a_coef))
-        else:
-            shape = np.ones(n)
+        shape = expit(x @ np.asarray(config.pi_a_coef)) if config.pi_a_coef is not None else np.ones(n)
         total = float(np.sum(shape))  # 0 when pi_a_coef sends every rate to 0: pi_a = shape fails the check below
         pi_a = shape * (config.sample_a_size / total) if total > 0.0 else shape
         if not np.all((pi_a > 0.0) & (pi_a <= 1.0)):
@@ -315,7 +312,7 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
     y = _draw_outcomes(x, config, rng)
     if not np.all(np.isfinite(y)):
         raise ValidationError("non-finite outcome; change beta_true, noise_sd or noise_sd_coef")
-    return FinitePopulation(x=x, y=y, pi_a=pi_a, pi_b_true=pi_b, design=design)
+    return FinitePopulation(x=x, y=y, pi_a=pi_a, pi_b_true=pi_b, design=config.design_kind)
 
 
 def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) -> np.ndarray:
@@ -324,7 +321,7 @@ def redraw_outcomes(population: FinitePopulation, config: ScenarioConfig, seed) 
 
 
 def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None) -> tuple[ObservedData, float]:
-    """Draw sample A by the design and sample B by independent Bernoulli selection.
+    """Draw sample A by the design (SRSWOR: pi_a N units) and sample B by independent Bernoulli selection.
 
     Both samples observe the outcome vector ``y`` (by default
     ``population.y``), which must hold one finite value per unit. Returns
@@ -344,8 +341,8 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     for _ in range(_DRAW_ATTEMPTS):
         a_ss, b_ss = ss.spawn(2)
         rng_a, rng_b = np.random.default_rng(a_ss), np.random.default_rng(b_ss)
-        if population.design.kind is DesignKind.SRSWOR:
-            a_idx = np.sort(rng_a.choice(n, population.design.n, replace=False))
+        if population.design is DesignKind.SRSWOR:
+            a_idx = np.sort(rng_a.choice(n, round(population.pi_a[0] * n), replace=False))
         else:
             a_idx = np.flatnonzero(rng_a.random(n) < population.pi_a)
         b_idx = np.flatnonzero(rng_b.random(n) < population.pi_b_true)
@@ -490,9 +487,11 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
     population = generate_population(config)
     n_rep = config.replicates
     if parallel:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers, initializer=_worker_init,
+        chunk = max(1, n_rep // 64)
+        workers = min(max_workers or os.cpu_count() or 1, -(-n_rep // chunk))  # a worker past the chunks would idle
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                                     initargs=(config, population)) as executor:
-            records = list(executor.map(_worker_run, range(n_rep), chunksize=max(1, n_rep // 64)))
+            records = list(executor.map(_worker_run, range(n_rep), chunksize=chunk))
     else:
         records = [_replicate_record(config, population, r) for r in range(n_rep)]
 

@@ -16,7 +16,6 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "DesignDescriptor",
     "DesignKind",
     "FinitePopulation",
     "FitMethod",
@@ -48,7 +47,7 @@ class DesignKind(ConfigEnum):
     """Probability-sample designs with closed-form pairwise inclusion probabilities."""
 
     POISSON = "poisson"
-    SRSWOR = "srswor"
+    SRSWOR = "srswor"  # a sample's size n is its own row count, and each of its units has pi = n/N
 
 
 class OutcomeFamily(ConfigEnum):
@@ -144,44 +143,25 @@ def typed_fields(obj) -> None:
 
 
 @dataclass(frozen=True)
-class DesignDescriptor:
-    """How the probability sample was drawn.
-
-    ``n`` is the fixed sample size and is required (and only meaningful)
-    for ``SRSWOR``.
-    """
-
-    kind: DesignKind = DesignKind.POISSON
-    n: int | None = None
-
-    def __post_init__(self):
-        typed_fields(self)
-        if self.n is not None:
-            _set(self, "n", config_int("design.n", self.n))
-        if self.kind is DesignKind.SRSWOR:
-            if self.n is None or self.n < 2:
-                raise ValidationError("SRSWOR design requires a fixed sample size n > 1")
-        elif self.n is not None:
-            raise ValidationError("Poisson design takes no fixed sample size")
-
-
-@dataclass(frozen=True)
 class FinitePopulation:
     """The fixed frame plus outcomes; only the simulator ever sees this.
 
     ``pi_a`` holds the first-order probability of entering the probability
     sample and ``pi_b_true`` the true (in practice unknown) probability of
-    opting into the nonprobability sample. Construction only freezes the
-    arrays; :func:`~surveyblend.simulate.generate_population` checks them.
+    opting into the nonprobability sample; under SRSWOR every ``pi_a`` is
+    n/N, n the size of each draw. Construction only types ``design`` and
+    freezes the arrays; :func:`~surveyblend.simulate.generate_population`
+    checks them.
     """
 
     x: np.ndarray          # (N, p), x[:, 0] == 1
     y: np.ndarray          # (N,)
     pi_a: np.ndarray       # (N,), in (0, 1]
     pi_b_true: np.ndarray  # (N,), in (0, 1)
-    design: DesignDescriptor
+    design: DesignKind
 
     def __post_init__(self):
+        _set(self, "design", DesignKind(self.design))
         for name in ("x", "y", "pi_a", "pi_b_true"):
             _set(self, name, frozen_array(getattr(self, name)))
 
@@ -202,7 +182,7 @@ class ObservedData:
     """
 
     n_population: int
-    design: DesignDescriptor
+    design: DesignKind
     x_a: np.ndarray            # (n_a, p)
     pi_a: np.ndarray           # (n_a,)
     x_b: np.ndarray            # (n_b, p)
@@ -211,6 +191,7 @@ class ObservedData:
 
     def __post_init__(self):
         _set(self, "n_population", config_int("n_population", self.n_population))
+        _set(self, "design", DesignKind(self.design))
         for name in ("x_a", "x_b", "pi_a", "y_b", "y_a"):
             if getattr(self, name) is not None:
                 _set(self, name, frozen_array(getattr(self, name)))
@@ -286,7 +267,8 @@ def validate(observed: ObservedData) -> ObservedData:
 
     Construction runs these checks, so on an existing object this re-runs them; it returns the
     object unchanged when everything holds, so it is idempotent. Raises :class:`ValidationError`
-    on the first violation found. Under SRSWOR every pi_a must be n/N, to ``SRSWOR_PI_RTOL``.
+    on the first violation found. Under SRSWOR n is sample A's size n_A, which must be below N,
+    and every pi_a must be n_A/N, to ``SRSWOR_PI_RTOL``.
     """
     n_pop = observed.n_population
     p = observed.n_covariates
@@ -312,11 +294,9 @@ def validate(observed: ObservedData) -> ObservedData:
             f"underdetermined fit: sample sizes ({observed.n_a}, {observed.n_b}) "
             f"below covariate dimension {p} + 1"
         )
-    if observed.design.kind is DesignKind.SRSWOR:
-        if observed.design.n != observed.n_a:
-            raise ValidationError("SRSWOR design size does not match sample A size")
-        if observed.design.n >= n_pop:
-            raise ValidationError("SRSWOR design size must be below the population size")
+    if observed.design is DesignKind.SRSWOR:
+        if observed.n_a >= n_pop:
+            raise ValidationError("SRSWOR sample A size must be below the population size")
         if not np.all(np.abs(observed.pi_a - observed.n_a / n_pop) <= SRSWOR_PI_RTOL * observed.n_a / n_pop):
             raise ValidationError(f"SRSWOR inclusion probabilities in sample A must be n/N = {observed.n_a}/{n_pop}")
     return observed

@@ -18,7 +18,6 @@ from scipy.special import expit
 
 from surveyblend import (
     Covariate,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     EvalPlan,
@@ -51,14 +50,12 @@ def make_observed(seed=0, n_x=2, n_population=400, *,
     y = x @ beta + noise_sd * rng.normal(size=n_population)
     b_idx = rng.random(n_population) < expit(x @ alpha)
     if design_kind is DesignKind.SRSWOR:
-        design = DesignDescriptor(DesignKind.SRSWOR, n=srswor_n)
         a_idx = np.sort(rng.choice(n_population, srswor_n, replace=False))
         pi_a_all = np.full(n_population, srswor_n / n_population)
     else:
-        design = DesignDescriptor(DesignKind.POISSON)
         pi_a_all = rng.uniform(0.15, 0.9, n_population)
         a_idx = rng.random(n_population) < pi_a_all
-    return ObservedData(n_population=n_population, design=design,
+    return ObservedData(n_population=n_population, design=design_kind,
                         x_a=x[a_idx], pi_a=pi_a_all[a_idx],
                         y_a=y[a_idx] if y_on_a else None,
                         x_b=x[b_idx], y_b=y[b_idx])

@@ -14,7 +14,6 @@ import yaml
 
 from surveyblend import (
     Analysis,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     FitMethod,
@@ -72,7 +71,7 @@ def test_criterion_1_exact_enumeration_oracle():
         t_v = [ht(v, s) for s in samples]
         exact = float(np.mean([(a - np.mean(t_u)) * (b - np.mean(t_v))
                                for a, b in zip(t_u, t_v)]))
-        weights = design_weights(DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(n, pi), big_n)
+        weights = design_weights(DesignKind.SRSWOR, np.full(n, pi), big_n)
         mean_est = float(np.mean([weights.cov(u[list(s)], v[list(s)]) for s in samples]))
         err = abs(mean_est - exact)
         checks.append((err <= 1e-15 + 1e-13 * abs(exact),

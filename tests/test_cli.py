@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 from surveyblend import (
     Analysis,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     ModelSpec,
@@ -60,8 +59,7 @@ def estimate_config(tmp_path, observed, out="out", **analysis):
             "sample_b": str(tmp_path / "sample_b.csv"),
             "n_population": observed.n_population,
         },
-        "design": {"kind": observed.design.kind.value,
-                   **({"n": observed.design.n} if observed.design.n else {})},
+        "design": {"kind": observed.design.value},
         "analysis": {"fit_method": "pseudo_ml", "outcome_family": "linear_gaussian", **analysis},
         "estimators": {
             "points": ["HT", "Hajek", "IPW1", "IPW2", "DR1", "DR2"],
@@ -203,6 +201,25 @@ class TestEstimateMode:
         assert main(["estimate", "--config", str(config)]) == 2
         assert "must be n/N = 37/300" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("design_kind, design", [(DesignKind.SRSWOR, {"kind": "srswor", "n": 37}),
+                                                      (DesignKind.POISSON, {"kind": "poisson", "n": None})],
+                             ids=["srswor", "poisson"])
+    def test_report_states_the_srswor_size_as_sample_a_s_row_count(self, tmp_path, design_kind, design):
+        observed = make_observed(seed=55, n_population=200, design_kind=design_kind, srswor_n=37)
+        assert main(["estimate", "--config", str(estimate_config(tmp_path, observed))]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert list(report["design"].items()) == list(design.items())
+
+    def test_a_config_that_states_an_srswor_size_is_validation_error(self, tmp_path, capsys):
+        # The size is sample A's row count, so the design section takes its kind alone.
+        observed = make_observed(seed=55, n_population=200, design_kind=DesignKind.SRSWOR, srswor_n=37)
+        config = estimate_config(tmp_path, observed)
+        cfg = yaml.safe_load(config.read_text())
+        cfg["design"]["n"] = 37
+        config.write_text(yaml.safe_dump(cfg))
+        assert main(["estimate", "--config", str(config)]) == 2
+        assert "validation error: config section design: unknown key 'n'" in capsys.readouterr().err
 
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
@@ -460,6 +477,7 @@ class TestSimulateMode:
     ("estimate", None, "estimator", {"points": ["HT"]}),
     ("estimate", "inputs", "sample_c", "c.csv"),
     ("estimate", "design", "size", 80),
+    ("estimate", "design", "n", 100.5),
     ("estimate", "analysis", "fitmethod", "calibration"),
     ("estimate", "estimators", "point", ["HT"]),
     ("estimate", "estimators.variances.0", "prob", "HT"),
@@ -483,7 +501,6 @@ class TestSimulateMode:
     # integers that int() would truncate
     ("simulate", "scenario", "replicates", 2.9),
     ("simulate", "scenario", "seed", 1.5),
-    ("estimate", "design", "n", 100.5),
     ("estimate", "inputs", "n_population", 1000.5),
     ("estimate", "analysis", "outcome_cols", [1.5]),
     ("simulate", "scenario", "outcome_cols_override", [0, 1.5]),
@@ -550,6 +567,20 @@ def test_a_noise_setting_the_outcome_model_does_not_read_is_validation_error(tmp
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and message in err
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_an_srswor_sample_a_too_small_for_the_fit_is_validation_error(tmp_path, capsys, size):
+    # Three covariate columns need 4 rows in each sample: every smaller SRSWOR draw would be redrawn until it failed.
+    def srswor(scenario, size):
+        scenario.update(covariates=[{"kind": "normal"}] * 2, beta_true=[1.0] * 3, alpha_true=[-1.5, 0.4, 0.4],
+                        design_kind="srswor", sample_a_size=size)
+
+    assert main(["simulate", "--config", str(edited_config(tmp_path, "simulate", "scenario",
+                                                           lambda scenario: srswor(scenario, size)))]) == 2
+    assert "validation error: an srswor sample_a_size must be at least 4" in capsys.readouterr().err
+    path = edited_config(tmp_path, "simulate", "scenario", lambda scenario: srswor(scenario, 4))
+    assert load_config(path, "simulate").scenario.sample_a_size == 4
 
 
 def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
@@ -800,7 +831,7 @@ def samples_config(directory, n_population=FUZZ_POPULATION):
     """A RunConfig reading ``sample_a.csv`` and ``sample_b.csv`` in ``directory``."""
     return cli.RunConfig(output_dir=directory / "out", sample_a_path=directory / "sample_a.csv",
                          sample_b_path=directory / "sample_b.csv", n_population=n_population,
-                         design=DesignDescriptor(DesignKind.POISSON))
+                         design=DesignKind.POISSON)
 
 
 def read_outcome(config):
@@ -1138,7 +1169,7 @@ def test_forked_export_cut_keeps_the_bytes(tmp_path, monkeypatch, n_a, n_b, befo
         columns[side]["x"][row, 1], columns[side]["y"][row] = x_1, y
         if side == "a":
             pi_a[row] = 5e-324
-    observed = ObservedData(n_population=100, design=DesignDescriptor(DesignKind.POISSON), x_a=columns["a"]["x"],
+    observed = ObservedData(n_population=100, design=DesignKind.POISSON, x_a=columns["a"]["x"],
                             pi_a=pi_a, y_a=columns["a"]["y"], x_b=columns["b"]["x"], y_b=columns["b"]["y"])
     monkeypatch.setattr(cli, "_EXPORT_BLOCK", 4)
     rests = {}

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surveyblend import DesignDescriptor, DesignKind
+from surveyblend import DesignKind
 from surveyblend.designs import design_weights
 
-POISSON = DesignDescriptor(DesignKind.POISSON)
+POISSON = DesignKind.POISSON
 
 
 def poisson_args(pi, n_population):
@@ -27,7 +27,7 @@ def poisson_args(pi, n_population):
 
 def srswor_args(n, n_population):
     """The ``(design, pi, N)`` arguments of :func:`design_weights` for an SRSWOR sample of size ``n``."""
-    return DesignDescriptor(DesignKind.SRSWOR, n=n), np.full(n, n / n_population), n_population
+    return DesignKind.SRSWOR, np.full(n, n / n_population), n_population
 
 
 def joint_prob(args, i, j):
@@ -35,9 +35,9 @@ def joint_prob(args, i, j):
     design, pi, big_n = args
     if i == j:
         return float(pi[i])
-    if design.kind is DesignKind.POISSON:
+    if design is DesignKind.POISSON:
         return float(pi[i] * pi[j])
-    n = design.n
+    n = pi.size
     return n * (n - 1) / (big_n * (big_n - 1))
 
 

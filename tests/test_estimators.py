@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from surveyblend import (
     Analysis,
     Covariate,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     ModelSpec,
@@ -68,7 +67,7 @@ class TestDefinitions:
         if design_kind is DesignKind.POISSON:
             pi_ij = np.outer(pi, pi)
         else:
-            n = observed.design.n
+            n = observed.n_a
             pi_ij = np.full((n, n), n * (n - 1) / (big_n * (big_n - 1)))
         np.fill_diagonal(pi_ij, pi)
         delta = (pi_ij - np.outer(pi, pi)) / pi_ij
@@ -89,7 +88,7 @@ class TestDefinitions:
         # rounds to exactly 1.0 in float64). Outcome model predicts 1 everywhere.
         observed = ObservedData(
             n_population=3,
-            design=DesignDescriptor(DesignKind.POISSON),
+            design=DesignKind.POISSON,
             x_a=np.ones((2, 1)),
             pi_a=np.array([2 / 3, 2 / 3]),
             x_b=np.ones((3, 1)),

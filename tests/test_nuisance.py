@@ -16,7 +16,6 @@ from numpy.random import SeedSequence, default_rng
 
 from surveyblend import (
     Covariate,
-    DesignDescriptor,
     DesignKind,
     FitMethod,
     ModelSpec,
@@ -58,7 +57,7 @@ def intercept_only_data(n_pop=50, n_b=20, *, census_a=True, seed=0):
     pi_a = np.ones(n_a) if census_a else rng.uniform(0.3, 0.9, n_a)
     return ObservedData(
         n_population=n_pop,
-        design=DesignDescriptor(DesignKind.POISSON),
+        design=DesignKind.POISSON,
         x_a=np.ones((n_a, 1)),
         pi_a=pi_a,
         y_a=rng.normal(size=n_a),
@@ -160,7 +159,7 @@ class TestOutcomeMl:
         x_b = np.column_stack([np.ones(30), x1])
         y_b = (x1 > 0).astype(float)  # perfectly separated
         observed = ObservedData(
-            n_population=200, design=DesignDescriptor(DesignKind.POISSON),
+            n_population=200, design=DesignKind.POISSON,
             x_a=x_b, pi_a=np.full(30, 0.4), x_b=x_b, y_b=y_b)
         with pytest.raises(SolverError):
             fit_outcome_ml(observed, OutcomeFamily.LOGISTIC_BINARY)
@@ -465,7 +464,7 @@ class TestFitNuisance:
         rng = default_rng(2)
         x = np.column_stack([np.ones(200), rng.normal(size=200)])
         y = x @ [1.0, 0.8] + 0.5 * rng.normal(size=200)
-        observed = ObservedData(n_population=200, design=DesignDescriptor(DesignKind.POISSON),
+        observed = ObservedData(n_population=200, design=DesignKind.POISSON,
                                 x_a=x[::2], pi_a=np.full(100, 0.4), y_a=y[::2], x_b=x[:n_b], y_b=y[:n_b])
         fit = fit_nuisance(observed, ModelSpec(fit_method=method))
         assert fit.max_abs_score <= (KH_TOL if method is FitMethod.KIM_HAZIZA else SELECTION_TOL)

@@ -142,6 +142,13 @@ class TestDrawSamples:
             observed, _ = draw_samples(pop, seed)
             assert observed.n_a == 100
 
+    def test_a_frame_given_its_design_by_value_draws_by_the_member(self):
+        # the draw compares the design with `is`: kept as a string, an SRSWOR frame would draw as Poisson
+        pop = generate_population(small_config(design_kind=DesignKind.SRSWOR, sample_a_size=100, pi_a_coef=None))
+        by_value = dataclasses.replace(pop, design="SRSWOR")
+        assert by_value.design is DesignKind.SRSWOR
+        assert draw_samples(by_value, 3)[0].x_a.tolist() == draw_samples(pop, 3)[0].x_a.tolist()
+
     def test_poisson_inclusion_frequencies(self):
         config = small_config()
         pop = generate_population(config)
@@ -186,6 +193,33 @@ class TestRunReplications:
         serial = run_replications(small_config())
         parallel = run_replications(small_config(), parallel=True, max_workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("replicates, requested, started", [(1000, 200, 67), (500, 2, 2)],
+                             ids=["more-workers-than-chunks", "benchmark-setting"])
+    def test_a_pool_starts_no_worker_past_the_chunk_count(self, monkeypatch, replicates, requested, started):
+        # A fork-started pool forks every worker at its first submit; one past the chunk count would idle. The
+        # stand-in pool records its worker count and maps in this process, so no real pool starts here.
+        counts = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                counts.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(simulate, "_WORKER_STATE", {})
+        summary = run_replications(small_config(replicates=replicates), parallel=True, max_workers=requested)
+        assert counts == [started]
+        assert (summary.n_replicates, summary.n_failed) == (replicates, 0)
 
     def test_mc_standard_errors_shrink_with_replicates(self):
         lo = run_replications(small_config(replicates=150))

@@ -86,12 +86,21 @@ def test_every_package_export_has_a_caller_outside_the_tests():
 
 def test_design_weights_checks_nothing_its_callers_hold_checked():
     # designs.design_weights builds weights from probabilities already checked: types.validate holds sample A's pi_a
-    # (nonempty, in (0, 1], n/N under SRSWOR with design.n equal to n_A) and nuisance.check_selection_floor sample B's
+    # (nonempty, in (0, 1], under SRSWOR n_A/N with n_A its row count) and nuisance.check_selection_floor sample B's
     # fitted pi_b. So designs.py raises nothing, imports no ValidationError, and takes an SRSWOR size from pi itself.
     found = [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in package_nodes() if name == "designs.py"
              and (isinstance(node, ast.Raise) or "ValidationError" in imported_names(node)
                   or isinstance(node, ast.Attribute) and ast.unparse(node) == "design.n")]
     assert not found, f"checks in designs.py that validate or the selection floor own: {found}"
+
+
+def test_a_design_is_its_kind_and_states_no_size():
+    # An SRSWOR sample's size is its own row count, so a design is a DesignKind: no module names the DesignDescriptor
+    # that carried a second copy of that size, or reads an .n from a design.
+    found = [path.name for path in sorted(SRC.rglob("*.py")) if "DesignDescriptor" in path.read_text()]
+    found += [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in package_nodes()
+              if isinstance(node, ast.Attribute) and node.attr == "n" and ast.unparse(node.value).endswith("design")]
+    assert not found, f"a design size in src/surveyblend: {found}"
 
 
 def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
@@ -104,8 +113,7 @@ def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
             typed.update({f"{path.name}:{cls.__name__}": cls for cls in vars(module).values()
                           if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
                           and any(isinstance(f.default, (bool, int, float, Enum)) for f in dataclasses.fields(cls))})
-    assert {"cli.py:RunConfig", "simulate.py:ScenarioConfig",
-            "types.py:DesignDescriptor", "types.py:ModelSpec"} <= set(typed), sorted(typed)
+    assert {"cli.py:RunConfig", "simulate.py:ScenarioConfig", "types.py:ModelSpec"} <= set(typed), sorted(typed)
 
     def first_statement(post_init):
         return ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(post_init))).body[0].body[0])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from surveyblend import (
     Analysis,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     EvalPlan,
@@ -54,8 +53,6 @@ CORRUPTIONS = {
     "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B"),
     "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept"),
     "population_below_n_b": (lambda f: {"n_population": len(f["y_b"]) - 1}, "population size smaller"),
-    "srswor_size_mismatch": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"]) + 1)},
-                             "SRSWOR design size does not match sample A size"),
     # 2 rows against 3 covariate columns (intercept + 2)
     "underdetermined_sample_b": (lambda f: {"x_b": np.array([[1.0, 0.5, 1.0], [1.0, -0.5, 2.0]]),
                                             "y_b": np.array([1.0, 2.0])}, "underdetermined fit"),
@@ -64,12 +61,10 @@ CORRUPTIONS = {
     "y_b_one_short": (lambda f: {"y_b": f["y_b"][:-1]}, "y length does not match sample B"),
     "empty_sample_a": (lambda f: {"x_a": f["x_a"][:0], "pi_a": f["pi_a"][:0], "y_a": f["y_a"][:0]}, "empty sample"),
     # sample A is the larger one here, so N = n_A leaves sample B inside the population
-    "srswor_size_equals_population": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"])),
-                                                 "n_population": len(f["pi_a"])},
-                                      "SRSWOR design size must be below the population size"),
+    "srswor_size_equals_population": (lambda f: {"design": DesignKind.SRSWOR, "n_population": len(f["pi_a"])},
+                                      "SRSWOR sample A size must be below the population size"),
     # SRSWOR defines every pi_a as n/N; a stated 0.9 is another design's
-    "srswor_pi_a_not_n_over_n": (lambda f: {"design": DesignDescriptor(DesignKind.SRSWOR, n=len(f["pi_a"])),
-                                            "pi_a": np.full(len(f["pi_a"]), 0.9)},
+    "srswor_pi_a_not_n_over_n": (lambda f: {"design": DesignKind.SRSWOR, "pi_a": np.full(len(f["pi_a"]), 0.9)},
                                  "SRSWOR inclusion probabilities in sample A must be n/N"),
 }
 
@@ -116,15 +111,6 @@ def test_arrays_are_read_only():
         observed.x_a[0, 0] = 5.0
 
 
-def test_design_descriptor_invariants():
-    with pytest.raises(ValidationError):
-        DesignDescriptor(DesignKind.SRSWOR, n=1)
-    with pytest.raises(ValidationError):
-        DesignDescriptor(DesignKind.POISSON, n=10)
-    d = DesignDescriptor(DesignKind.SRSWOR, n=4)
-    assert d.n == 4
-
-
 def test_kim_haziza_requires_matching_masks():
     with pytest.raises(ValidationError, match="identical covariate columns"):
         ModelSpec(fit_method=FitMethod.KIM_HAZIZA, outcome_cols=(0, 1), selection_cols=(0, 1, 2))
@@ -165,7 +151,7 @@ def test_config_enums_match_in_any_case(enum, text, member):
 ENUM_FIELDS = {
     "ModelSpec.outcome_family": (ModelSpec, {}, "outcome_family", "Logistic_Binary", OutcomeFamily.LOGISTIC_BINARY),
     "ModelSpec.fit_method": (ModelSpec, {}, "fit_method", "Calibration", FitMethod.CALIBRATION),
-    "DesignDescriptor.kind": (DesignDescriptor, {"n": 4}, "kind", "SRSWOR", DesignKind.SRSWOR),
+    "RunConfig.design": (RunConfig, {"output_dir": Path("out")}, "design", "SRSWOR", DesignKind.SRSWOR),
     "RunConfig.sigma_model": (RunConfig, {"output_dir": Path("out")}, "sigma_model", "LINEAR_IN_X",
                               ResidualVarianceModel.LINEAR_IN_X),
 }
@@ -178,9 +164,8 @@ def test_config_dataclasses_take_an_enum_field_by_its_value_in_any_case(cls, oth
         cls(**others, **{name: text + "_x"})
 
 
-def test_design_descriptor_defaults_to_poisson():
-    assert DesignDescriptor().kind is DesignKind.POISSON
-    assert DesignDescriptor() == DesignDescriptor(DesignKind.POISSON)
+def test_run_config_design_defaults_to_poisson():
+    assert RunConfig(output_dir=Path("out")).design is DesignKind.POISSON
 
 
 @pytest.mark.parametrize("value, match", [
@@ -207,8 +192,8 @@ def test_a_logistic_family_given_by_its_value_gives_the_member_built_dr1():
 def test_an_srswor_design_given_by_its_value_gives_the_member_built_ht_variance():
     # the kind is compared with `is`: kept as a string, every check reads it as Poisson
     observed = make_observed(seed=7, design_kind=DesignKind.SRSWOR)
-    by_value = dataclasses.replace(observed, design=DesignDescriptor("srswor", n=observed.n_a))
-    assert by_value.design == observed.design
+    by_value = dataclasses.replace(observed, design="SRSWOR")  # ObservedData(design="SRSWOR", ...)
+    assert by_value.design is DesignKind.SRSWOR
     assert (variance(EstimatorKind.HT, None, Analysis(by_value))
             == variance(EstimatorKind.HT, None, Analysis(observed)))
 
@@ -253,13 +238,6 @@ class TestRoundTrips:
         observed = make_observed(seed=10, y_on_a=False)
         back = csv_round_trip(observed, tmp_path)
         assert back.y_a is None
-
-    def test_design_descriptor(self):
-        # report.json carries the design as this dict; it rebuilds the same design.
-        for d in (DesignDescriptor(DesignKind.POISSON), DesignDescriptor(DesignKind.SRSWOR, n=7)):
-            plain = plain_data(d)
-            assert plain == {"kind": d.kind.value, "n": d.n}
-            assert DesignDescriptor(DesignKind(plain["kind"]), plain["n"]) == d
 
     def test_model_spec(self):
         spec = ModelSpec(outcome_family=OutcomeFamily.LOGISTIC_BINARY,

@@ -15,7 +15,6 @@ import pytest
 from surveyblend import (
     Analysis,
     Covariate,
-    DesignDescriptor,
     DesignKind,
     EstimatorKind,
     FitMethod,
@@ -278,7 +277,7 @@ class TestResidualVariance:
         # two intercept-only rows with residuals (+1, -1)
         observed = ObservedData(
             n_population=20,
-            design=DesignDescriptor(DesignKind.POISSON),
+            design=DesignKind.POISSON,
             x_a=np.ones((3, 1)), pi_a=np.full(3, 0.5),
             x_b=np.ones((2, 1)), y_b=np.array([3.0, 1.0]))
         fit = default_fit(observed)  # intercept-only OLS: prediction 2, residuals +/-1
@@ -404,7 +403,7 @@ class TestLinearizationIdentities:
         x = np.column_stack([np.ones(400), rng.normal(size=(400, 2))])
         y = x @ np.array([1.0, 0.8, 0.8]) + 0.5 * rng.normal(size=400)
         b = rng.random(400) < 1.0 / (1.0 + np.exp(0.6 - x[:, 1:] @ np.array([0.4, 0.4])))
-        observed = ObservedData(n_population=400, design=DesignDescriptor(DesignKind.POISSON), x_a=x,
+        observed = ObservedData(n_population=400, design=DesignKind.POISSON, x_a=x,
                                 pi_a=np.ones(400), y_a=y, x_b=x[b], y_b=y[b])
         analysis = Analysis(observed, default_fit(observed, method=method))
         for kind in (K.HT, K.HAJEK):
