@@ -84,7 +84,6 @@ from .types import (
     ModelSpec,
     ObservedData,
     ValidationError,
-    config_int,
     config_section,
     field_names,
     plain_data,
@@ -140,15 +139,8 @@ class RunConfig:
         typed_fields(self)
         if not 0.0 < self.level < 1.0:
             raise ValidationError("confidence level outside (0, 1)")
-        if self.max_workers is not None:
-            object.__setattr__(self, "max_workers", config_int("max_workers", self.max_workers))
-            if self.max_workers < 1:
-                raise ValidationError(f"max_workers must be a positive integer, not {self.max_workers}")
-
-
-def _mask_from_config(cols) -> tuple[int, ...] | None:
-    """Translate 1-based covariate numbers (x_1..x_p) to internal indices; intercept always kept."""
-    return None if cols is None else (0,) + tuple(cols)  # ModelSpec checks that each is an integer
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValidationError(f"max_workers must be a positive integer, not {self.max_workers}")
 
 
 def load_config(path: str | Path, mode: str) -> RunConfig:
@@ -184,7 +176,8 @@ def _parse_config(raw, mode: str) -> RunConfig:
     given.update({"design": design["kind"]} if design else {})
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
     given.update({key: analysis[key] for key in ("sigma_model",) if key in analysis})
-    model = ModelSpec(**{key: _mask_from_config(value) if key.endswith("_cols") else value
+    # a mask lists covariate numbers, x_j as j; the intercept, column 0, is always kept
+    model = ModelSpec(**{key: (0, *value) if key.endswith("_cols") and isinstance(value, list) else value
                          for key, value in analysis.items() if key != "sigma_model"})
     est = config_section(raw.get("estimators", {}), "estimators", ("points", "variances", "covariances", "pooled"))
 
@@ -202,7 +195,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
                     pooled=entries("pooled", ("kind", "regime", "prob")))
     plan.check(model.fit_method)
     return RunConfig(output_dir, sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
-                     n_population=config_int("inputs.n_population", inputs["n_population"]), model=model,
+                     n_population=inputs["n_population"], model=model,
                      plan=plan, **given)
 
 

@@ -53,7 +53,8 @@ class DesignWeights(NamedTuple):
         """The ratio-form estimate of the design covariance of the HT means of ``u`` and ``v``."""
         if self.centered:
             u, v = u - u.mean(), v - v.mean()
-        return float((u * v) @ self.c)
+        with np.errstate(over="ignore"):  # inf, which Analysis.memo rejects for each caller
+            return float((u * v) @ self.c)
 
 
 def design_weights(design: DesignKind, pi, n_population: int) -> DesignWeights:

@@ -59,17 +59,20 @@ class Analysis:
             self.pi_b_a, self.pi_b_b = (check_selection_floor(fit.pi_b(x)) for x in (observed.x_a, observed.x_b))
             self.weights_b = design_weights(DesignKind.POISSON, self.pi_b_b, observed.n_population)  # opt-in as Poisson
 
-    def memo(self, key, compute):
-        """The value kept under ``key``; ``compute()`` makes it on the first request.
+    def memo(self, key: tuple, compute):
+        """The value kept under ``key``, the quantity in words and the enums that pick it out; ``compute()`` makes it.
 
-        A kept array, or an array inside a kept tuple, is made read-only,
-        because every later request shares it.
+        A non-finite value, or a tuple holding one, raises a :class:`ValidationError` naming ``key``. A kept array,
+        or one in a kept tuple, is made read-only, because every later request shares it.
         """
         if key not in self._memo:
-            value = self._memo[key] = compute()
+            value = compute()
             for item in value if isinstance(value, tuple) else (value,):
+                if item is not None and not np.isfinite(item).all():
+                    raise ValidationError("non-finite " + " ".join(getattr(part, "value", part) for part in key if part))
                 if isinstance(item, np.ndarray):
                     item.setflags(write=False)
+            self._memo[key] = value
         return self._memo[key]
 
     def _fitted(self, what: str) -> NuisanceFit:
@@ -84,11 +87,11 @@ class Analysis:
 
     @property
     def m_a(self) -> np.ndarray:
-        return self.memo("m_a", lambda: self._fitted("the outcome model").m(self.observed.x_a))
+        return self.memo(("outcome model on sample A",), lambda: self._fitted("the outcome model").m(self.observed.x_a))
 
     @property
     def m_b(self) -> np.ndarray:
-        return self.memo("m_b", lambda: self._fitted("the outcome model").m(self.observed.x_b))
+        return self.memo(("outcome model on sample B",), lambda: self._fitted("the outcome model").m(self.observed.x_b))
 
     def point(self, kind: EstimatorKind) -> float:
         """Evaluate one point estimator of the population mean.
@@ -96,7 +99,7 @@ class Analysis:
         HT/Hajek require the outcome on sample A; IPW kinds require a fitted
         selection model and DR kinds a full nuisance fit.
         """
-        return self.memo(("point", kind), lambda: self._point(kind))
+        return self.memo(("point estimate", kind), lambda: self._point(kind))
 
     def _point(self, kind: EstimatorKind) -> float:
         observed = self.observed

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, frozen_array
+from .types import FitMethod, ModelSpec, ObservedData, OutcomeFamily, typed_fields
 
 __all__ = ["NuisanceFit", "SolverError", "fit_nuisance"]
 
@@ -84,8 +84,7 @@ class NuisanceFit:
     max_abs_score: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", frozen_array(self.alpha))
-        object.__setattr__(self, "beta", frozen_array(self.beta))
+        typed_fields(self)
 
     def pi_b(self, x_full: np.ndarray) -> np.ndarray:
         cols = self.spec.columns("selection", x_full.shape[1])

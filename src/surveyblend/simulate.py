@@ -37,9 +37,8 @@ from .types import (
     ObservedData,
     OutcomeFamily,
     ValidationError,
-    config_float,
+    config_dataclass,
     config_int,
-    config_section,
     typed_fields,
 )
 from .uncertainty import Regime, ResidualVarianceModel, check_supported, cov_estimate, variance
@@ -85,7 +84,7 @@ class Covariate:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(config_float("covariate params", v) for v in self.params))
+        typed_fields(self)
         if self.kind not in _COVARIATE_KINDS:
             raise ValidationError(f"unknown covariate kind {self.kind!r}")
         params, counts = list(self.params), _COVARIATE_KINDS[self.kind][0]
@@ -114,12 +113,7 @@ class EvalPlan:
     pooled: tuple[tuple[EstimatorKind, Regime, EstimatorKind], ...] = ()
 
     def __post_init__(self):
-        K = EstimatorKind
-        object.__setattr__(self, "prob_points", tuple(K(k) for k in self.prob_points))
-        object.__setattr__(self, "point_only", tuple(K(k) for k in self.point_only))
-        object.__setattr__(self, "var_pairs", tuple((K(k), Regime(r)) for k, r in self.var_pairs))
-        object.__setattr__(self, "cov_pairs", tuple((K(k), Regime(r), K(p)) for k, r, p in self.cov_pairs))
-        object.__setattr__(self, "pooled", tuple((K(k), Regime(r), K(p)) for k, r, p in self.pooled))
+        typed_fields(self)
 
     def check(self, fit_method: FitMethod) -> None:
         """Reject an interval, covariance or pooled entry that has no variance formula under ``fit_method``."""
@@ -207,19 +201,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        typed_fields(self)  # a sequence becomes a tuple below
-        object.__setattr__(self, "n_population", config_int("n_population", self.n_population))
-        object.__setattr__(self, "covariates", tuple(self.covariates))
-        for name in ("outcome_cols_override", "selection_cols_override"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(config_int(name, c) for c in getattr(self, name)))
+        typed_fields(self)
         p = self.n_covariate_columns
         for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
-            if getattr(self, name) is not None or name.endswith("_true"):  # the true vectors are required
-                coef = tuple(config_float(name, v) for v in getattr(self, name))
-                if len(coef) != p:
-                    raise ValidationError(f"{name} must have length {p} (intercept included)")
-                object.__setattr__(self, name, coef)
+            if getattr(self, name) is not None and len(getattr(self, name)) != p:
+                raise ValidationError(f"{name} must have length {p} (intercept included)")
         if self.pi_a_coef is not None and self.design_kind is DesignKind.SRSWOR:
             raise ValidationError("pi_a_coef shapes Poisson design rates; an srswor design has none")
         if self.seed < 0:
@@ -242,6 +228,8 @@ class ScenarioConfig:
             if cov.kind == "square_of" and not 1 <= config_int("square_of params", cov.params[0]) < j:
                 raise ValidationError("square_of must reference an earlier covariate column")
         for which in ("outcome", "selection"):
+            if getattr(self, f"{which}_wrong") and getattr(self, f"{which}_cols_override") is not None:
+                raise ValidationError(f"{which}_wrong is unread beside {which}_cols_override, which sets the columns")
             self.model_spec.columns(which, p)  # checks the range of the column overrides
         self.plan.check(self.fit_method)
 
@@ -252,21 +240,13 @@ class ScenarioConfig:
     @cached_property  # a pickled config carries it to the workers, so a study builds it once
     def model_spec(self) -> ModelSpec:
         wrong = tuple(range(self.n_covariate_columns - 1))  # a wrong model lacks the last column
-
-        def cols(override, misspecified):
-            return override if override is not None else wrong if misspecified else None
-
         return ModelSpec(outcome_family=self.outcome_family, fit_method=self.fit_method,
-                         outcome_cols=cols(self.outcome_cols_override, self.outcome_wrong),
-                         selection_cols=cols(self.selection_cols_override, self.selection_wrong))
+                         outcome_cols=wrong if self.outcome_wrong else self.outcome_cols_override,
+                         selection_cols=wrong if self.selection_wrong else self.selection_cols_override)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(config_section(d, "scenario", cls))
-        d["covariates"] = tuple(Covariate(**config_section(c, "scenario.covariates", Covariate))
-                                for c in d["covariates"])
-        d["plan"] = EvalPlan(**config_section(d.get("plan", {}), "scenario.plan", EvalPlan))
-        return cls(**d)
+        return config_dataclass(cls, "scenario", d)
 
 
 def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Shared data model: populations, observed samples, model specifications.
 
-Every object here converts its array fields to read-only float64 when it
-is constructed, so it is immutable and safe to share across threads or
-worker processes. All but :class:`FinitePopulation` check their invariants
-then; its one producer, ``simulate.generate_population``, checks the frame.
+Every object here types its fields by their annotations when it is constructed
+(:func:`typed_fields`, arrays as read-only float64), so it is immutable and safe to
+share across threads or worker processes. All but :class:`FinitePopulation` check their
+invariants then; its one producer, ``simulate.generate_population``, checks the frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
+import typing
 from dataclasses import dataclass
 from enum import Enum
+from types import UnionType
 
 import numpy as np
 
@@ -68,10 +71,6 @@ def frozen_array(values) -> np.ndarray:
     return arr
 
 
-def _set(obj, name, value) -> None:
-    object.__setattr__(obj, name, value)
-
-
 def plain_data(value):
     """A dataclass instance or field value as JSON-ready data: enums by value, tuples as lists."""
     if dataclasses.is_dataclass(value):
@@ -123,23 +122,60 @@ def config_float(name: str, value) -> float:
     return float(value)
 
 
-def typed_fields(obj) -> None:
-    """Give each field of the dataclass ``obj`` whose default is a bool, an int, a float or an enum that default's type.
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):  # bool("false") is True
+        raise ValidationError(f"{name} must be true or false, not {value!r}")
+    return value
 
-    A flag must be a bool (``bool("false")`` is True), a number goes through :func:`config_int` or
-    :func:`config_float`, and an enum is looked up by its value, in any case. Each config dataclass calls this first.
+
+def _converter(hint):
+    """The ``convert(name, value)`` that types a value annotated ``hint``, by the rule of :func:`typed_fields`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, UnionType) and len(args) == 2 and type(None) in args:
+        convert = _converter(next(arg for arg in args if arg is not type(None)))
+        return lambda name, value: None if value is None else convert(name, value)
+    if origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)  # tuple[X, ...] takes any length
+        converts = tuple(map(_converter, args[:size or 1]))
+
+        def typed_tuple(name, value):
+            if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+                raise ValidationError(f"{name}: {value!r} is not a list" + (f" of {size} items" if size else ""))
+            return tuple(convert(name, v) for convert, v in zip(converts * len(value), value))  # zip stops with value
+        return typed_tuple
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(config_dataclass, hint)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return lambda name, value: value if isinstance(value, hint) else hint(value)
+    converters = {bool: _flag, int: config_int, float: config_float, np.ndarray: lambda name, value: frozen_array(value)}
+    return converters.get(hint, lambda name, value: value)
+
+
+@functools.cache  # ObservedData and NuisanceFit are built on every replicate; their annotations are read once
+def _converters(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: _converter(hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+def typed_fields(obj) -> None:
+    """Give each field of the dataclass ``obj`` the type its annotation names; each dataclass calls this first.
+
+    ``bool`` must be a bool; ``int`` and ``float`` go through :func:`config_int` and :func:`config_float`; an enum
+    is looked up by its value, in any case; ``np.ndarray`` becomes a :func:`frozen_array`. ``X | None`` passes None.
+    ``tuple[X, ...]`` and ``tuple[X, Y]`` take a list or a tuple (the latter of that length) and type each item. A
+    dataclass passes an instance or is built by :func:`config_dataclass`. Other types (``str``, ``Path``) pass as given.
     """
-    for f in dataclasses.fields(obj):
-        value, default = getattr(obj, f.name), f.default
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ValidationError(f"{f.name} must be true or false, not {value!r}")
-        elif isinstance(default, int):
-            _set(obj, f.name, config_int(f.name, value))
-        elif isinstance(default, float):
-            _set(obj, f.name, config_float(f.name, value))
-        elif isinstance(default, Enum):
-            _set(obj, f.name, type(default)(value))
+    for name, convert in _converters(type(obj)).items():
+        object.__setattr__(obj, name, convert(name, getattr(obj, name)))
+
+
+def config_dataclass(cls, section: str, raw):
+    """``raw`` if it is a ``cls``, else a ``cls`` from the mapping ``raw``, each value typed as ``section.key``."""
+    if isinstance(raw, cls):
+        return raw
+    converters = _converters(cls)
+    return cls(**{key: converters[key](f"{section}.{key}", value)
+                  for key, value in config_section(raw, section, cls).items()})
 
 
 @dataclass(frozen=True)
@@ -149,9 +185,8 @@ class FinitePopulation:
     ``pi_a`` holds the first-order probability of entering the probability
     sample and ``pi_b_true`` the true (in practice unknown) probability of
     opting into the nonprobability sample; under SRSWOR every ``pi_a`` is
-    n/N, n the size of each draw. Construction only types ``design`` and
-    freezes the arrays; :func:`~surveyblend.simulate.generate_population`
-    checks them.
+    n/N, n the size of each draw. Construction only types the fields;
+    :func:`~surveyblend.simulate.generate_population` checks them.
     """
 
     x: np.ndarray          # (N, p), x[:, 0] == 1
@@ -161,9 +196,7 @@ class FinitePopulation:
     design: DesignKind
 
     def __post_init__(self):
-        _set(self, "design", DesignKind(self.design))
-        for name in ("x", "y", "pi_a", "pi_b_true"):
-            _set(self, name, frozen_array(getattr(self, name)))
+        typed_fields(self)
 
     @property
     def size(self) -> int:
@@ -190,11 +223,7 @@ class ObservedData:
     y_a: np.ndarray | None = None
 
     def __post_init__(self):
-        _set(self, "n_population", config_int("n_population", self.n_population))
-        _set(self, "design", DesignKind(self.design))
-        for name in ("x_a", "x_b", "pi_a", "y_b", "y_a"):
-            if getattr(self, name) is not None:
-                _set(self, name, frozen_array(getattr(self, name)))
+        typed_fields(self)
         if self.x_a.ndim != 2 or self.x_b.ndim != 2:
             raise ValidationError("sample covariates must be 2-d arrays")
         if self.x_a.shape[1] != self.x_b.shape[1]:
@@ -240,11 +269,8 @@ class ModelSpec:
         typed_fields(self)
         for name in ("outcome_cols", "selection_cols"):
             cols = getattr(self, name)
-            if cols is not None:
-                cols = tuple(config_int(name, c) for c in cols)
-                if len(set(cols)) < len(cols):
-                    raise ValidationError(f"{name} {list(cols)} names a column twice (0 is the intercept)")
-                _set(self, name, cols)
+            if cols is not None and len(set(cols)) < len(cols):
+                raise ValidationError(f"{name} {list(cols)} names a column twice (0 is the intercept)")
         if self.fit_method is FitMethod.KIM_HAZIZA and self.outcome_cols != self.selection_cols:
             raise ValidationError("Kim-Haziza fitting requires identical covariate columns in both models")
 

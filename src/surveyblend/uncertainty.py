@@ -134,7 +134,7 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
         rhs = x.T @ ((1.0 - pi) / pi * target) / observed.n_population
         return solve_spd(gram, rhs, "regression adjustment")
 
-    return analysis.memo(("adjustment", kind), compute)
+    return analysis.memo(("regression adjustment", kind), compute)
 
 
 def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analysis) -> CenteringTerms:
@@ -150,7 +150,7 @@ def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analys
             m_a = m_b = m_bar = 0.0
         else:
             m_a, m_b = analysis.m_a, analysis.m_b
-            m_bar = analysis.memo("m_bar", lambda: analysis.weights_a.ht_mean(m_a))
+            m_bar = analysis.memo(("outcome-model mean",), lambda: analysis.weights_a.ht_mean(m_a))
         pred_center, outcome_center = m_bar if kind in SELF_NORMALIZED else 0.0, m_b
         if regime is Regime.SELECTION_CORRECT:  # the fit method's linearization moves both centers
             adj = regression_adjustment(kind, analysis)
@@ -159,12 +159,9 @@ def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analys
             shift = analysis.point(kind) - m_bar if kind in SELF_NORMALIZED else 0.0
             pred_center = pred_center - factor(analysis.pi_b_a) * (observed.x_a[:, cols] @ adj)
             outcome_center = outcome_center + shift + factor(analysis.pi_b_b) * (observed.x_b[:, cols] @ adj)
-        u = m_a - pred_center
-        if not (np.isfinite(u).all() and np.isfinite(outcome_center).all()):
-            raise ValidationError("non-finite centering term")
-        return CenteringTerms(u, outcome_center)
+        return CenteringTerms(m_a - pred_center, outcome_center)
 
-    return analysis.memo(("centering", kind, regime), compute)
+    return analysis.memo(("centering term", kind, regime), compute)
 
 
 def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
@@ -216,5 +213,5 @@ def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, 
     two estimators' :func:`centering_terms` ``u``: the centered predictions
     against the outcomes centered at 0 (HT) or at the Hajek mean.
     """
-    return analysis.memo(("cov", kind, regime, prob_kind), lambda: analysis.weights_a.cov(
+    return analysis.memo(("covariance", kind, regime, prob_kind), lambda: analysis.weights_a.cov(
         centering_terms(kind, regime, analysis).u, centering_terms(prob_kind, None, analysis).u))

@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -548,13 +549,17 @@ class TestSimulateMode:
     ("simulate", "scenario", "outcome_family", "Logistic"),
     # a design whose every rate is 0, so that no sample_a_size can scale it
     ("simulate", "scenario", "pi_a_coef", [-800.0, 0.0]),
+    # a list setting given as a scalar, and a plan entry of the wrong length
+    ("simulate", "scenario", "covariates", 5),
+    ("estimate", "analysis", "outcome_cols", 1),
+    ("simulate", "scenario.plan", "var_pairs", [["DR1"]]),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
     assert main([mode, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
-    assert key in err or str(value) in err
+    assert re.search(rf"\b{key}\b", err) or str(value) in err
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -567,6 +572,39 @@ def test_a_noise_setting_the_outcome_model_does_not_read_is_validation_error(tmp
     assert main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and message in err
+
+
+@pytest.mark.parametrize("which", ["outcome", "selection"])
+def test_a_misspecification_flag_beside_a_column_override_is_validation_error(tmp_path, capsys, which):
+    # the override sets the model's columns, so a true *_wrong flag beside it would be silently unread
+    def edit(wrong):
+        return lambda scenario: scenario.update({f"{which}_wrong": wrong, f"{which}_cols_override": [0, 1]})
+
+    assert main(["simulate", "--config", str(edited_config(tmp_path, "simulate", "scenario", edit(True)))]) == 2
+    assert f"validation error: {which}_wrong is unread beside {which}_cols_override" in capsys.readouterr().err
+    config = load_config(edited_config(tmp_path, "simulate", "scenario", edit(False)), "simulate")
+    assert getattr(config.scenario.model_spec, f"{which}_cols") == (0, 1)
+
+
+def test_a_study_whose_every_variance_overflows_is_a_simulation_error(tmp_path, capsys):
+    # outcomes near 1e200 square past the float range, so every replicate fails with a typed error and the study
+    # exits 3, where it once aggregated rows over no finite replicate and divided by zero
+    path = edited_config(tmp_path, "simulate", "scenario",
+                         lambda scenario: scenario.update(replicates=4, beta_true=[1e200, 1e200]))
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "simulation error: 4 of 4 replicates failed" in err and "ValidationError: non-finite variance" in err
+
+
+def test_an_outcome_whose_variance_overflows_is_validation_error(tmp_path, capsys):
+    # sample B's y at 1e300 gives variances past the float range, which report.json once held as Infinity
+    observed = make_observed(seed=87)
+    path = estimate_config(tmp_path, ObservedData(
+        n_population=observed.n_population, design=observed.design, x_a=observed.x_a, pi_a=observed.pi_a,
+        y_a=observed.y_a, x_b=observed.x_b, y_b=np.full(observed.n_b, 1e300)))
+    assert main(["estimate", "--config", str(path)]) == 2
+    assert "validation error: non-finite variance DR1 both_correct" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

@@ -103,17 +103,29 @@ def test_a_design_is_its_kind_and_states_no_size():
     assert not found, f"a design size in src/surveyblend: {found}"
 
 
-def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
-    # A field whose default is a bool, a number or an enum takes that type from types.typed_fields, the one rule for
-    # plain values; a dataclass that skips it keeps a config's string, and an identity check on the field reads False.
-    typed = {}
+def package_modules():
+    """(path, module) for every package module but ``__main__``, which parses the command line when run."""
     for path in sorted(SRC.glob("*.py")):
-        if path.stem != "__main__":  # running it parses the command line
-            module = importlib.import_module("surveyblend" + ("" if path.stem == "__init__" else f".{path.stem}"))
-            typed.update({f"{path.name}:{cls.__name__}": cls for cls in vars(module).values()
-                          if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
-                          and any(isinstance(f.default, (bool, int, float, Enum)) for f in dataclasses.fields(cls))})
-    assert {"cli.py:RunConfig", "simulate.py:ScenarioConfig", "types.py:ModelSpec"} <= set(typed), sorted(typed)
+        if path.stem != "__main__":
+            yield path, importlib.import_module("surveyblend" + ("" if path.stem == "__init__" else f".{path.stem}"))
+
+
+def package_dataclasses() -> dict:
+    """{"module.py:Class": class} for every dataclass a package module defines."""
+    return {f"{path.name}:{cls.__name__}": cls for path, module in package_modules() for cls in vars(module).values()
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__}
+
+
+TYPED_CLASSES = {"types.py:FinitePopulation", "types.py:ObservedData", "types.py:ModelSpec", "nuisance.py:NuisanceFit",
+                 "simulate.py:Covariate", "simulate.py:EvalPlan", "simulate.py:ScenarioConfig", "cli.py:RunConfig"}
+
+
+def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
+    # Every field takes its type from types.typed_fields, the one rule, which reads the field's annotation; a dataclass
+    # that skips it keeps a config's string or list, and an identity check on the field reads False.
+    typed = {name: cls for name, cls in package_dataclasses().items() if "__post_init__" in vars(cls)
+             or any(isinstance(f.default, (bool, int, float, Enum)) for f in dataclasses.fields(cls))}
+    assert TYPED_CLASSES <= set(typed), sorted(typed)
 
     def first_statement(post_init):
         return ast.unparse(ast.parse(textwrap.dedent(inspect.getsource(post_init))).body[0].body[0])
@@ -121,6 +133,43 @@ def test_every_dataclass_with_a_typed_default_calls_typed_fields_first():
     found = [name for name, cls in typed.items()
              if "__post_init__" not in vars(cls) or first_statement(cls.__post_init__) != "typed_fields(self)"]
     assert not found, f"dataclasses whose __post_init__ does not start with typed_fields(self): {found}"
+
+
+def test_no_post_init_converts_a_field_by_hand():
+    # typed_fields holds the only conversions of a field: no __post_init__ passes one of its own fields (self.x,
+    # getattr(self, name), or a name bound from either) to config_int, config_float, frozen_array or an enum.
+    found = []
+    for path, module in package_modules():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                found += [f"{path.name}:{call.lineno}: {ast.unparse(call)}"
+                          for call in _hand_conversions(node, vars(module))]
+    assert not found, f"fields converted by hand in a __post_init__: {found}"
+
+
+def _hand_conversions(post_init: ast.FunctionDef, module: dict) -> list[ast.Call]:
+    """The calls in ``post_init`` that pass a field of ``self`` to a converter."""
+    converters = {"config_int", "config_float", "frozen_array"}
+    converters |= {name for name, value in module.items() if isinstance(value, type) and issubclass(value, Enum)}
+    from_self: set[str] = set()  # names bound from a field
+
+    def reads_self(node) -> bool:
+        return (isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"
+                or isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr" and ast.unparse(node.args[0]) == "self"
+                or isinstance(node, ast.Name) and node.id in from_self)
+
+    for _ in range(3):  # a name bound from a name bound from a field, and so on
+        for node in ast.walk(post_init):
+            bindings = [(node.targets, node.value)] if isinstance(node, ast.Assign) else []
+            bindings += [([node.target], node.iter)] if isinstance(node, (ast.For, ast.comprehension)) else []
+            for targets, value in bindings:
+                names = {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+                if isinstance(value, ast.Name) and value.id in converters:  # K = EstimatorKind
+                    converters |= names
+                elif reads_self(value):
+                    from_self |= names
+    return [node for node in ast.walk(post_init) if isinstance(node, ast.Call) and ast.unparse(node.func) in converters
+            and any(reads_self(sub) for arg in node.args for sub in ast.walk(arg))]
 
 
 def test_readme_quick_tour_runs(capsys):

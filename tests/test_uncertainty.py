@@ -137,7 +137,7 @@ class TestCenteringTerms:
         fit = default_fit(observed)
         broken = NuisanceFit(alpha=fit.alpha, beta=np.full_like(fit.beta, np.nan), spec=fit.spec,
                              iterations=fit.iterations, max_abs_score=fit.max_abs_score)
-        with pytest.raises(ValidationError, match="non-finite centering term"):
+        with pytest.raises(ValidationError, match="non-finite outcome model on sample A"):
             centering_terms(K.DR1, R.BOTH_CORRECT, Analysis(observed, broken))
 
     def test_kh_regime_requires_kh_fit(self):
