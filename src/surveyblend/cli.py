@@ -84,12 +84,14 @@ from .types import (
     ModelSpec,
     ObservedData,
     ValidationError,
+    config_dataclass,
     config_section,
+    config_value,
     field_names,
     plain_data,
     typed_fields,
 )
-from .uncertainty import ResidualVarianceModel
+from .uncertainty import Regime, ResidualVarianceModel
 
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
            "run_estimate", "run_simulate", "write_sample_csvs"]
@@ -143,16 +145,28 @@ class RunConfig:
             raise ValidationError(f"max_workers must be a positive integer, not {self.max_workers}")
 
 
+@dataclass(frozen=True)
+class _Interval:
+    """An entry of an estimate config's ``estimators.variances``."""
+
+    kind: EstimatorKind
+    regime: Regime
+
+    def __post_init__(self):
+        typed_fields(self)
+
+
+@dataclass(frozen=True)
+class _Paired(_Interval):
+    """An entry of an estimate config's ``estimators.covariances`` or ``estimators.pooled``."""
+
+    prob: EstimatorKind
+
+
 def load_config(path: str | Path, mode: str) -> RunConfig:
-    """Read and check a YAML config; a malformed value raises :class:`ValidationError`."""
+    """Read and check a YAML config; a malformed value raises a :class:`ValidationError` naming its key."""
     with open(path, "rb") as fh:  # yaml decodes bytes itself, so invalid UTF-8 is a YAMLError naming the file
-        raw = yaml.safe_load(fh)
-    try:
-        return _parse_config(raw, mode)
-    except ValidationError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{path}: malformed config value: {exc}") from None
+        return _parse_config(yaml.safe_load(fh), mode)
 
 
 def _parse_config(raw, mode: str) -> RunConfig:
@@ -165,38 +179,37 @@ def _parse_config(raw, mode: str) -> RunConfig:
         raise ValidationError("a simulate config sets its level as scenario.level, not at the top level")
     config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode],
                    ("inputs",) if mode == "estimate" else ("scenario",))
-    output_dir = Path(raw.get("output_dir", "out"))
+    output_dir = raw.get("output_dir", "out")
     given = {key: raw[key] for key in ("level", "parallel", "max_workers") if key in raw}  # the rest keep defaults
 
     if mode == "simulate":
         return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
 
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
+    inputs = {key: config_value(f"inputs.{key}", hint, inputs[key]) for key, hint in zip(INPUT_KEYS, (Path, Path, int))}
     design = config_section(raw.get("design", {}), "design", ("kind",))  # SRSWOR's size is sample A's row count
-    given.update({"design": design["kind"]} if design else {})
+    given.update({"design": config_value("design.kind", DesignKind, design["kind"])} if design else {})
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
-    given.update({key: analysis[key] for key in ("sigma_model",) if key in analysis})
+    given.update({"sigma_model": config_value("analysis.sigma_model", ResidualVarianceModel, analysis["sigma_model"])}
+                 if "sigma_model" in analysis else {})
     # a mask lists covariate numbers, x_j as j; the intercept, column 0, is always kept
-    model = ModelSpec(**{key: (0, *value) if key.endswith("_cols") and isinstance(value, list) else value
-                         for key, value in analysis.items() if key != "sigma_model"})
+    model = config_dataclass(ModelSpec, "analysis", {
+        key: (0, *value) if key.endswith("_cols") and isinstance(value, list) else value
+        for key, value in analysis.items() if key != "sigma_model"})
     est = config_section(raw.get("estimators", {}), "estimators", ("points", "variances", "covariances", "pooled"))
-
-    def entries(section: str, keys: tuple[str, ...]) -> tuple:
-        """The section's entries as tuples of their ``keys``' values."""
-        rows = [config_section(v, f"estimators.{section}", keys, keys) for v in est.get(section, ())]
-        return tuple(tuple(v[k] for k in keys) for v in rows)
-
+    points, variances, covariances, pooled = (
+        config_value(f"estimators.{key}", hint, est.get(key, ())) for key, hint in (
+            ("points", tuple[EstimatorKind, ...]), ("variances", tuple[_Interval, ...]),
+            ("covariances", tuple[_Paired, ...]), ("pooled", tuple[_Paired, ...])))
     # Every listed point is a point-only row, in the listed order; the
     # probability-sample ones also get their design-variance interval.
-    points = tuple(map(EstimatorKind, est.get("points", ())))
     plan = EvalPlan(prob_points=tuple(k for k in points if k in PROB_KINDS), point_only=points,
-                    var_pairs=entries("variances", ("kind", "regime")),
-                    cov_pairs=entries("covariances", ("kind", "regime", "prob")),
-                    pooled=entries("pooled", ("kind", "regime", "prob")))
+                    var_pairs=tuple(map(dataclasses.astuple, variances)),
+                    cov_pairs=tuple(map(dataclasses.astuple, covariances)),
+                    pooled=tuple(map(dataclasses.astuple, pooled)))
     plan.check(model.fit_method)
-    return RunConfig(output_dir, sample_a_path=Path(inputs["sample_a"]), sample_b_path=Path(inputs["sample_b"]),
-                     n_population=inputs["n_population"], model=model,
-                     plan=plan, **given)
+    return RunConfig(output_dir, sample_a_path=inputs["sample_a"], sample_b_path=inputs["sample_b"],
+                     n_population=inputs["n_population"], model=model, plan=plan, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +628,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.command)
         if args.output_dir is not None:
-            config = dataclasses.replace(config, output_dir=Path(args.output_dir))
+            config = dataclasses.replace(config, output_dir=args.output_dir)
         if args.command == "estimate":
             run_estimate(config)
         else:

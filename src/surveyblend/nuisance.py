@@ -175,7 +175,7 @@ class SelectionFit(NamedTuple):
 
 
 _PSEUDO_ML = SelectionFit(score_and_jacobian_pml, "pseudo-ML selection fit", lambda pi: 1.0 - pi, lambda pi: pi)
-# Kim-Haziza borrows pseudo-ML's linearization: its IPW selection_correct (co)variances are off until ROADMAP item 10
+# Kim-Haziza borrows pseudo-ML's linearization; uncertainty.SUPPORTED rejects the IPW cells it gets wrong (item 10)
 SELECTION_FITS = {FitMethod.PSEUDO_ML: _PSEUDO_ML, FitMethod.KIM_HAZIZA: _PSEUDO_ML,
                   FitMethod.CALIBRATION: SelectionFit(score_and_jacobian_calibration, "calibration selection fit",
                                                       lambda pi: (1.0 - pi) / pi, lambda pi: 1.0)}

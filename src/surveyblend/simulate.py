@@ -205,7 +205,7 @@ class ScenarioConfig:
         p = self.n_covariate_columns
         for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
             if getattr(self, name) is not None and len(getattr(self, name)) != p:
-                raise ValidationError(f"{name} must have length {p} (intercept included)")
+                raise ValidationError(f"{name} must have length {p}, the intercept and one per entry of covariates")
         if self.pi_a_coef is not None and self.design_kind is DesignKind.SRSWOR:
             raise ValidationError("pi_a_coef shapes Poisson design rates; an srswor design has none")
         if self.seed < 0:

@@ -4,6 +4,8 @@ Every object here types its fields by their annotations when it is constructed
 (:func:`typed_fields`, arrays as read-only float64), so it is immutable and safe to
 share across threads or worker processes. All but :class:`FinitePopulation` check their
 invariants then; its one producer, ``simulate.generate_population``, checks the frame.
+A config value goes through the same rule (:func:`config_value`, :func:`config_dataclass`),
+so a malformed one raises a :class:`ValidationError` that names its dotted key.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import os
 import typing
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from types import UnionType
 
 import numpy as np
@@ -128,6 +132,27 @@ def _flag(name: str, value) -> bool:
     return value
 
 
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, not {value!r}")
+    return value
+
+
+def _path(name: str, value) -> Path:
+    if not isinstance(value, (str, os.PathLike)):  # Path(1) raises a TypeError that names no key
+        raise ValidationError(f"{name} must be a path, not {value!r}")
+    return Path(value)
+
+
+def _member(enum: type[Enum]):
+    def convert(name: str, value):
+        try:
+            return value if isinstance(value, enum) else enum(value)
+        except ValueError:
+            raise ValidationError(f"{name}: {value!r} is not a valid {enum.__name__}") from None
+    return convert
+
+
 def _converter(hint):
     """The ``convert(name, value)`` that types a value annotated ``hint``, by the rule of :func:`typed_fields`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -146,9 +171,15 @@ def _converter(hint):
     if dataclasses.is_dataclass(hint):
         return functools.partial(config_dataclass, hint)
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return lambda name, value: value if isinstance(value, hint) else hint(value)
-    converters = {bool: _flag, int: config_int, float: config_float, np.ndarray: lambda name, value: frozen_array(value)}
-    return converters.get(hint, lambda name, value: value)
+        return _member(hint)
+    converters = {bool: _flag, int: config_int, float: config_float, str: _text, Path: _path,
+                  np.ndarray: lambda name, value: frozen_array(value)}
+    return converters[hint]  # a KeyError here is an annotation that the rule does not cover
+
+
+def config_value(name: str, hint, value):
+    """``value`` typed as the annotation ``hint`` by the rule of :func:`typed_fields`, its errors naming ``name``."""
+    return _converter(hint)(name, value)
 
 
 @functools.cache  # ObservedData and NuisanceFit are built on every replicate; their annotations are read once
@@ -161,9 +192,11 @@ def typed_fields(obj) -> None:
     """Give each field of the dataclass ``obj`` the type its annotation names; each dataclass calls this first.
 
     ``bool`` must be a bool; ``int`` and ``float`` go through :func:`config_int` and :func:`config_float`; an enum
-    is looked up by its value, in any case; ``np.ndarray`` becomes a :func:`frozen_array`. ``X | None`` passes None.
-    ``tuple[X, ...]`` and ``tuple[X, Y]`` take a list or a tuple (the latter of that length) and type each item. A
-    dataclass passes an instance or is built by :func:`config_dataclass`. Other types (``str``, ``Path``) pass as given.
+    is looked up by its value, in any case; ``str`` must be a string; ``Path`` takes a string or a path;
+    ``np.ndarray`` becomes a :func:`frozen_array`. ``X | None`` passes None. ``tuple[X, ...]`` and ``tuple[X, Y]``
+    take a list or a tuple (the latter of that length) and type each item. A dataclass passes an instance or is
+    built by :func:`config_dataclass`. No other annotation is typed. Every error is a :class:`ValidationError`
+    naming the field, or the dotted config key that :func:`config_value` and :func:`config_dataclass` pass.
     """
     for name, convert in _converters(type(obj)).items():
         object.__setattr__(obj, name, convert(name, getattr(obj, name)))

@@ -10,11 +10,13 @@ nonprobability sample built from centered outcome residuals,
         + C,
 
 where C is a mean-zero correction used only under the Kim-Haziza doubly
-robust regime. The centering vectors depend on which estimator is being
-assessed and on which nuisance model is assumed correct, over the
-supported pairs of :data:`CENTERING`: a self-normalized estimator centers at
-its own means, and the selection_correct regime adjusts for selection-model
-estimation error with a weighted-least-squares coefficient
+robust regime. One table, :data:`SUPPORTED`, lists each (estimator, regime)
+pair that has such a formula and the fit methods it holds under; every
+variance, covariance and plan check asks :func:`check_supported`, which reads
+it alone. The centering vectors depend on which estimator is being assessed
+and on which nuisance model is assumed correct: a self-normalized estimator
+centers at its own means, and the selection_correct regime adjusts for
+selection-model estimation error with a weighted-least-squares coefficient
 (:func:`regression_adjustment`) of the (possibly centered) outcomes or
 residuals on the selection covariates. That adjustment linearizes the
 selection fit's score; each fit method's linearization lives in its row of
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import DR_KINDS, IPW_KINDS, PROB_KINDS, SELF_NORMALIZED, Analysis, EstimatorKind
+from .estimators import DR_KINDS, IPW_KINDS, SELF_NORMALIZED, Analysis, EstimatorKind
 from .nuisance import SELECTION_FITS, solve_spd, weighted_gram
 from .types import ConfigEnum, FitMethod, ValidationError
 
@@ -67,37 +69,32 @@ class ResidualVarianceModel(ConfigEnum):
     LINEAR_IN_X = "linear_in_x"
 
 
-# The (estimator, regime) pairs that have a variance formula. A
-# self-normalized estimator (IPW2, DR2) centers its predictions at their HT
-# mean, and under selection_correct its outcomes at its own estimate; that
-# regime adds the regression adjustment for selection-fit error. IPW kinds
-# are DR kinds with a zero outcome model.
-CENTERING = (
-    (EstimatorKind.DR1, Regime.BOTH_CORRECT),
-    (EstimatorKind.DR1, Regime.KH_DOUBLY_ROBUST),
-    (EstimatorKind.DR1, Regime.SELECTION_CORRECT),
-    (EstimatorKind.DR2, Regime.BOTH_CORRECT),
-    (EstimatorKind.DR2, Regime.SELECTION_CORRECT),
-    (EstimatorKind.IPW1, Regime.SELECTION_CORRECT),
-    (EstimatorKind.IPW2, Regime.SELECTION_CORRECT),
-)
+# Each (estimator, regime) pair that has a variance formula, with the fit methods it holds under (None: the
+# caller names no fit). A Kim-Haziza fit borrows pseudo-ML's selection_correct linearization, which is off for
+# the IPW kinds until ROADMAP item 10 lands, so their row lists no Kim-Haziza fit.
+_ANY_FIT = (None, *FitMethod)
+SUPPORTED = {
+    (EstimatorKind.HT, None): _ANY_FIT,
+    (EstimatorKind.HAJEK, None): _ANY_FIT,
+    (EstimatorKind.DR1, Regime.BOTH_CORRECT): _ANY_FIT,
+    (EstimatorKind.DR1, Regime.KH_DOUBLY_ROBUST): (FitMethod.KIM_HAZIZA,),
+    (EstimatorKind.DR1, Regime.SELECTION_CORRECT): _ANY_FIT,
+    (EstimatorKind.DR2, Regime.BOTH_CORRECT): _ANY_FIT,
+    (EstimatorKind.DR2, Regime.SELECTION_CORRECT): _ANY_FIT,
+    (EstimatorKind.IPW1, Regime.SELECTION_CORRECT): (None, FitMethod.PSEUDO_ML, FitMethod.CALIBRATION),
+    (EstimatorKind.IPW2, Regime.SELECTION_CORRECT): (None, FitMethod.PSEUDO_ML, FitMethod.CALIBRATION),
+}
 
 
 def check_supported(kind: EstimatorKind, regime: Regime | None, fit_method: FitMethod | None) -> None:
-    """Reject an (estimator, regime) pair that has no variance formula under ``fit_method``.
-
-    A probability-sample estimator (HT, Hajek) takes the regime None and needs no fit.
-    """
-    if regime is None:
-        if kind not in PROB_KINDS:
-            raise ValidationError(f"{kind.value} is not a probability-sample estimator")
-        return
-    if (kind, regime) not in CENTERING:
-        if kind in PROB_KINDS:
-            raise ValidationError(f"no variance regime is defined for {kind.value}")
-        raise ValidationError(f"unsupported regime {regime.value} for {kind.value}")
-    if regime is Regime.KH_DOUBLY_ROBUST and fit_method is not FitMethod.KIM_HAZIZA:
-        raise ValidationError("the doubly robust variance regime requires a Kim-Haziza fit")
+    """Reject an (estimator, regime) pair that :data:`SUPPORTED` does not hold under ``fit_method``."""
+    if fit_method not in SUPPORTED.get((kind, regime), ()):
+        label = kind.value if regime is None else f"{kind.value}/{regime.value}"
+        fit = f"under a {fit_method.value} fit" if fit_method else "without a fit"
+        held = " or ".join(r.value if r else "the regime None"
+                           for (k, r), fits in SUPPORTED.items() if k is kind and fit_method in fits)
+        raise ValidationError(f"{label} has no variance formula {fit}; {kind.value} has "
+                              + (f"one under {held} there" if held else "none there"))
 
 
 class CenteringTerms(NamedTuple):
@@ -138,13 +135,12 @@ def regression_adjustment(kind: EstimatorKind, analysis: Analysis) -> np.ndarray
 
 
 def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analysis) -> CenteringTerms:
-    """Build the centering vectors for a supported (estimator, regime) pair of :data:`CENTERING`."""
+    """Build the centering vectors for an (estimator, regime) pair that :data:`SUPPORTED` holds under the fit."""
     def compute():
+        check_supported(kind, regime, None if regime is None and analysis.fit is None else analysis.spec.fit_method)
         if regime is None:  # HT or Hajek: sample A's outcomes, centered at 0 or at the Hajek mean
-            check_supported(kind, None, None)
             est = analysis.point(kind)
             return CenteringTerms(analysis.observed.y_a - (est if kind in SELF_NORMALIZED else 0.0), None)
-        check_supported(kind, regime, analysis.spec.fit_method)
         observed = analysis.observed
         if kind in IPW_KINDS:  # a zero outcome model
             m_a = m_b = m_bar = 0.0

@@ -256,14 +256,20 @@ class TestEstimateMode:
         assert pooled["w"] == expected.w
 
 
-    @pytest.mark.parametrize("section, entry, message", [
-        ("variances", {"kind": "DR1", "regime": "kh_doubly_robust"}, "Kim-Haziza"),
-        ("covariances", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "not a probability-sample"),
-        ("pooled", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "not a probability-sample"),
-    ], ids=["variances", "covariances", "pooled"])
-    def test_unsupported_pair_rejected_before_reading_csvs(self, tmp_path, capsys, section, entry, message):
+    @pytest.mark.parametrize("section, entry, fit_method, message", [
+        ("variances", {"kind": "DR1", "regime": "kh_doubly_robust"}, "pseudo_ml",
+         "DR1/kh_doubly_robust has no variance formula under a pseudo_ml fit"),
+        ("covariances", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "pseudo_ml",
+         "DR1 has no variance formula under a pseudo_ml fit"),
+        ("pooled", {"kind": "DR2", "regime": "both_correct", "prob": "DR1"}, "pseudo_ml",
+         "DR1 has no variance formula under a pseudo_ml fit"),
+        ("variances", {"kind": "IPW2", "regime": "selection_correct"}, "kim_haziza",
+         "IPW2/selection_correct has no variance formula under a kim_haziza fit; IPW2 has none there"),
+    ], ids=["variances", "covariances", "pooled", "ipw2-kim-haziza"])
+    def test_unsupported_pair_rejected_before_reading_csvs(self, tmp_path, capsys, section, entry, fit_method,
+                                                           message):
         observed = make_observed(seed=86)
-        config_path = estimate_config(tmp_path, observed)
+        config_path = estimate_config(tmp_path, observed, fit_method=fit_method)
         cfg = yaml.safe_load(config_path.read_text())
         cfg["estimators"][section] = [entry]
         config_path.write_text(yaml.safe_dump(cfg))
@@ -459,13 +465,19 @@ class TestSimulateMode:
         assert ((tmp_path / "exact" / "summary.csv").read_bytes()
                 == (tmp_path / "mixed" / "summary.csv").read_bytes())
 
-    def test_unsupported_pair_rejected_before_any_replicate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fit_method, pair, message", [
+        ("pseudo_ml", ["DR1", "kh_doubly_robust"],
+         "DR1/kh_doubly_robust has no variance formula under a pseudo_ml fit"),
+        ("kim_haziza", ["IPW2", "selection_correct"],
+         "IPW2/selection_correct has no variance formula under a kim_haziza fit"),
+    ], ids=["dr1-kh-regime", "ipw2-kim-haziza"])
+    def test_unsupported_pair_rejected_before_any_replicate(self, tmp_path, capsys, fit_method, pair, message):
         path = simulate_config(tmp_path, replicates=50)
         cfg = yaml.safe_load(path.read_text())
-        cfg["scenario"]["plan"] = {"var_pairs": [["DR1", "kh_doubly_robust"]]}
+        cfg["scenario"].update(fit_method=fit_method, plan={"var_pairs": [pair]})
         path.write_text(yaml.safe_dump(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "Kim-Haziza" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
 
@@ -627,16 +639,65 @@ def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
     assert "simulation error: n_population 100000000000000000000 is too large" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode, section, key, value", [
-    ("estimate", "estimators", "points", ["HT", "Bogus"]),
-    ("estimate", "estimators.variances.0", "kind", "Bogus"),
-    ("simulate", "scenario.plan", "prob_points", ["Bogus"]),
-    ("simulate", "scenario.plan", "var_pairs", [["Bogus", "both_correct"]]),
-])
-def test_unknown_estimator_name_is_validation_error(tmp_path, capsys, mode, section, key, value):
+@pytest.mark.parametrize("mode, section, key, value, message", [
+    ("estimate", "estimators", "points", ["HT", "Bogus"], "estimators.points: 'Bogus' is not a valid EstimatorKind"),
+    ("estimate", "estimators.variances.0", "kind", "Bogus",
+     "estimators.variances.kind: 'Bogus' is not a valid EstimatorKind"),
+    ("simulate", "scenario.plan", "prob_points", ["Bogus"],
+     "scenario.plan.prob_points: 'Bogus' is not a valid EstimatorKind"),
+    ("simulate", "scenario.plan", "var_pairs", [["Bogus", "both_correct"]],
+     "scenario.plan.var_pairs: 'Bogus' is not a valid EstimatorKind"),
+    # a list of names given as one name, or as a mapping
+    ("estimate", "estimators", "points", "HT", "estimators.points: 'HT' is not a list"),
+    ("estimate", "estimators", "points", {"HT": 1}, "estimators.points: {'HT': 1} is not a list"),
+    ("estimate", "analysis", "fit_method", "bogus", "analysis.fit_method: 'bogus' is not a valid FitMethod"),
+    ("simulate", "scenario", "fit_method", "bogus", "scenario.fit_method: 'bogus' is not a valid FitMethod"),
+    ("estimate", "inputs", "sample_a", 1, "inputs.sample_a must be a path, not 1"),
+    ("simulate", "scenario.covariates.0", "kind", ["normal"], "scenario.covariates.kind must be a string"),
+], ids=["points-item", "variances-kind", "prob_points-item", "var_pairs-item", "points-scalar", "points-mapping",
+        "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list"])
+def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, capsys, mode, section, key, value, message):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
     assert main([mode, "--config", str(path)]) == 2
-    assert "malformed config value: 'Bogus' is not a valid EstimatorKind" in capsys.readouterr().err
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+# YAML values of the wrong kind for almost every config setting
+MALFORMED_VALUES = (None, [], {}, "x", "", True, -1, 0, 2.5, float("inf"), float("nan"), [1], ["x"], {"a": 1},
+                    [[1, 2]], [{"a": 1}], "1.0e-3")
+
+
+@pytest.mark.parametrize("mode", ["estimate", "simulate"])
+def test_every_malformed_value_in_a_shipped_config_is_named_by_its_key(tmp_path, monkeypatch, mode):
+    """Each key and list item of a shipped config, set to each of ``MALFORMED_VALUES`` in turn, loads, or raises a
+    ValidationError whose message names the key at least by its last part (list positions left out). A typing
+    error names the whole dotted key (the cases above); a rule that a section checks across its keys, such as a
+    coefficient list's length against ``covariates``, names the field. Any other exception fails the test."""
+    loader, dumper = getattr(yaml, "CSafeLoader", yaml.SafeLoader), getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    monkeypatch.setattr(cli.yaml, "safe_load", functools.partial(yaml.load, Loader=loader))  # libyaml, for speed
+    base = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / f"{mode}_example.yaml").read_bytes())
+    config, unnamed = tmp_path / "config.yaml", []
+    for path in key_paths(base):
+        key = ".".join(part for part in path if isinstance(part, str))
+        for value in MALFORMED_VALUES:
+            cfg = copy.deepcopy(base)
+            functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+            config.write_text(yaml.dump(cfg, Dumper=dumper))
+            try:
+                load_config(config, mode)
+            except ValidationError as exc:
+                if not re.search(rf"\b{key.rpartition('.')[2]}\b", str(exc)):
+                    unnamed.append((key, value, str(exc)))
+    assert not unnamed
+
+
+def test_a_value_error_from_a_bug_in_config_parsing_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(cli, "config_value", broken)
+    with pytest.raises(ValueError, match="bug"):
+        main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))])
 
 
 @pytest.mark.parametrize("mode", ["estimate", "simulate"])

@@ -30,7 +30,7 @@ from surveyblend import (
 )
 from surveyblend import simulate
 from surveyblend.types import plain_data
-from surveyblend.uncertainty import CENTERING
+from surveyblend.uncertainty import SUPPORTED
 
 from conftest import default_fit, make_observed, summary_row
 
@@ -338,15 +338,20 @@ class TestRunReplications:
         assert ScenarioConfig.from_dict(plain_data(config)) == config
 
 
-_EVERY_PAIRING = tuple((kind, regime, prob) for kind, regime in CENTERING for prob in (K.HT, K.HAJEK))
-EVERY_ROW = EvalPlan(prob_points=(K.HT, K.HAJEK), point_only=(K.IPW1, K.IPW2, K.DR1, K.DR2),
-                     var_pairs=tuple(CENTERING), cov_pairs=_EVERY_PAIRING, pooled=_EVERY_PAIRING)
+def every_row(fit_method):
+    """The plan of every interval, covariance and pooled entry that ``SUPPORTED`` holds under ``fit_method``."""
+    pairs = tuple(pair for pair, fits in SUPPORTED.items() if pair[1] is not None and fit_method in fits)
+    pairing = tuple((kind, regime, prob) for kind, regime in pairs for prob in (K.HT, K.HAJEK))
+    return EvalPlan(prob_points=(K.HT, K.HAJEK), point_only=(K.IPW1, K.IPW2, K.DR1, K.DR2),
+                    var_pairs=pairs, cov_pairs=pairing, pooled=pairing)
+
+
 # The power of the outcome's scale that each value carries; the pooled weight w is a ratio of variances.
 SCALE_POWER = {"est": 1, "lo": 1, "hi": 1, "prob_est": 1, "var": 2, "cov": 2, "w": 0}
 
 
 class TestEvaluateRelations:
-    """Every row of a plan with every supported entry obeys exact relations of the formulas.
+    """Every row of a plan with every entry supported under the fit obeys exact relations of the formulas.
 
     Permuting the rows leaves it, and scaling y scales it, under both designs; under SRSWOR,
     shifting y shifts its points and leaves its spreads. (Under Poisson DR2 centers its
@@ -354,17 +359,18 @@ class TestEvaluateRelations:
 
     Each holds for the evaluation alone, so each side reads the same fit
     (scaled or shifted with y) rather than a refit, and only the summation
-    order separates the first two. Over 30 datasets of this shape the worst
-    relative difference was 2.8e-15 under Poisson and 3.9e-15 under SRSWOR,
-    and the worst absolute one in w 1.0e-14; w is compared absolutely,
-    since it is a difference of variances over their sum and may sit near 0.
+    order separates the first two. Over 30 datasets of this shape, under
+    each fit method, the worst relative difference was 3.3e-15 under Poisson
+    and 4.0e-15 under SRSWOR, and the worst absolute one in w 1.1e-14; w is
+    compared absolutely, since it is a difference of variances over their
+    sum and may sit near 0.
     """
 
     TOLERANCE = 1e-13  # relative, and absolute in w; for both designs
 
     @staticmethod
     def rows(observed, fit, sigma_model):
-        return simulate.evaluate(EVERY_ROW, Analysis(observed, fit), 0.95, sigma_model)
+        return simulate.evaluate(every_row(fit.spec.fit_method), Analysis(observed, fit), 0.95, sigma_model)
 
     @staticmethod
     def rebuilt(observed, rows_a, rows_b, scale=1.0):
@@ -381,37 +387,40 @@ class TestEvaluateRelations:
                 assert abs(row.values[key] - target) <= self.TOLERANCE * (1.0 if key == "w" else abs(target)), \
                     (row.name, key)
 
+    @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
     @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("design_kind", [DesignKind.POISSON, DesignKind.SRSWOR], ids=lambda k: k.value)
-    def test_permuting_both_samples_leaves_every_row(self, design_kind, sigma_model):
+    def test_permuting_both_samples_leaves_every_row(self, design_kind, sigma_model, method):
         observed = make_observed(seed=97, n_population=2000, design_kind=design_kind, srswor_n=300)
-        fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)  # a Kim-Haziza spec admits every regime
+        fit = default_fit(observed, method=method)
         rng = np.random.default_rng(97)
         permuted = self.rebuilt(observed, rng.permutation(observed.n_a), rng.permutation(observed.n_b))
         self.assert_rows_match(self.rows(permuted, fit, sigma_model), self.rows(observed, fit, sigma_model))
 
+    @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
     @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("design_kind", [DesignKind.POISSON, DesignKind.SRSWOR], ids=lambda k: k.value)
-    def test_scaling_y_scales_every_row(self, design_kind, sigma_model):
+    def test_scaling_y_scales_every_row(self, design_kind, sigma_model, method):
         observed = make_observed(seed=98, n_population=2000, design_kind=design_kind, srswor_n=300)
-        fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)
+        fit = default_fit(observed, method=method)
         scaled = self.rebuilt(observed, slice(None), slice(None), scale=7.3)
         scaled_fit = dataclasses.replace(fit, beta=7.3 * fit.beta)  # the linear outcome model scales with y
         self.assert_rows_match(self.rows(scaled, scaled_fit, sigma_model), self.rows(observed, fit, sigma_model),
                                scale=7.3)
 
+    @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
     @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
-    def test_shifting_y_shifts_every_point_and_keeps_every_spread_under_srswor(self, sigma_model):
+    def test_shifting_y_shifts_every_point_and_keeps_every_spread_under_srswor(self, sigma_model, method):
         """y + a, with the fit's intercept moved by a, moves each point by a and leaves each var, cov and w.
 
         Under SRSWOR sum 1/pi = N, so HT and DR1 shift with the self-normalized kinds; IPW1 (sum over B
         of y/pi_b) does not, and its rows are left out. Adding a = 10^6 rounds each outcome by up to
-        5.8e-11, so the spreads move at that level: over 30 datasets of this shape the worst point missed
-        its shift by 7.0e-16 a, var and cov moved by 4.4e-11 relative and w by 6.3e-11.
+        5.8e-11, so the spreads move at that level: over 30 datasets of this shape, under each fit method, the
+        worst point missed its shift by 5.8e-16 a, var and cov moved by 1.0e-10 relative and w by 7.4e-11.
         """
         shift, point_tol, spread_tol = 1e6, 1e-14, 1e-9  # points absolutely in units of a; var, cov relative; w abs
         observed = make_observed(seed=99, n_population=2000, design_kind=DesignKind.SRSWOR, srswor_n=300)
-        fit = default_fit(observed, method=FitMethod.KIM_HAZIZA)
+        fit = default_fit(observed, method=method)
         shifted = ObservedData(n_population=observed.n_population, design=observed.design, x_a=observed.x_a,
                                pi_a=observed.pi_a, y_a=observed.y_a + shift, x_b=observed.x_b, y_b=observed.y_b + shift)
         shifted_fit = dataclasses.replace(fit, beta=fit.beta + shift * (np.arange(fit.beta.size) == 0))

@@ -7,6 +7,7 @@ and the residual-variance model are checked by repeated sampling.
 """
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from surveyblend import (
 )
 from surveyblend.nuisance import KH_TOL, score_and_jacobian_calibration
 from surveyblend.simulate import redraw_outcomes
-from surveyblend.uncertainty import CENTERING
+from surveyblend.uncertainty import SUPPORTED, check_supported
 from conftest import (SCENARIO_BOTH_CORRECT, SCENARIO_KH, SCENARIO_OUTCOME_WRONG, default_fit, make_observed,
                       summary_row)
 
@@ -143,7 +144,7 @@ class TestCenteringTerms:
     def test_kh_regime_requires_kh_fit(self):
         observed = make_observed(seed=46)
         fit = default_fit(observed)  # pseudo-ML
-        with pytest.raises(ValidationError, match="Kim-Haziza"):
+        with pytest.raises(ValidationError, match="DR1/kh_doubly_robust has no variance formula under a pseudo_ml"):
             centering_terms(K.DR1, R.KH_DOUBLY_ROBUST, Analysis(observed, fit))
 
 
@@ -408,8 +409,8 @@ class TestLinearizationIdentities:
         analysis = Analysis(observed, default_fit(observed, method=method))
         for kind in (K.HT, K.HAJEK):
             assert variance(kind, None, analysis) == 0.0
-        for kind, regime in CENTERING:
-            if regime is R.KH_DOUBLY_ROBUST and method is not FitMethod.KIM_HAZIZA:
+        for (kind, regime), fits in SUPPORTED.items():
+            if regime is None or method not in fits:
                 continue
             u, outcome_center = centering_terms(kind, regime, analysis)
             assert analysis.weights_a.cov(u, u) == 0.0
@@ -429,6 +430,74 @@ def test_calibration_ipw_variances_track_the_monte_carlo_variance(mc_ipw_calibra
         assert 0.93 <= row.coverage <= 0.97, (name, row.coverage)
 
 
+def branch_rules(kind, regime, fit_method):
+    """The nested rules that decided support before the table, copied as they stood, with their pair list."""
+    centering = ((K.DR1, R.BOTH_CORRECT), (K.DR1, R.KH_DOUBLY_ROBUST), (K.DR1, R.SELECTION_CORRECT),
+                 (K.DR2, R.BOTH_CORRECT), (K.DR2, R.SELECTION_CORRECT), (K.IPW1, R.SELECTION_CORRECT),
+                 (K.IPW2, R.SELECTION_CORRECT))
+    if regime is None:
+        if kind not in (K.HT, K.HAJEK):
+            raise ValidationError(f"{kind.value} is not a probability-sample estimator")
+        return
+    if (kind, regime) not in centering:
+        if kind in (K.HT, K.HAJEK):
+            raise ValidationError(f"no variance regime is defined for {kind.value}")
+        raise ValidationError(f"unsupported regime {regime.value} for {kind.value}")
+    if regime is R.KH_DOUBLY_ROBUST and fit_method is not FitMethod.KIM_HAZIZA:
+        raise ValidationError("the doubly robust variance regime requires a Kim-Haziza fit")
+
+
+# Kim-Haziza fits borrow pseudo-ML's selection_correct linearization, which is off for the IPW kinds.
+KH_IPW_CELLS = {(kind, R.SELECTION_CORRECT, FitMethod.KIM_HAZIZA) for kind in (K.IPW1, K.IPW2)}
+
+
+class TestSupportTable:
+    @staticmethod
+    def accepts(check, cell):
+        try:
+            check(*cell)
+        except ValidationError:
+            return False
+        return True
+
+    def test_the_table_holds_what_the_branch_rules_held_but_the_kim_haziza_ipw_cells(self):
+        cells = list(itertools.product(K, (None, *R), (None, *FitMethod)))
+        assert all(self.accepts(branch_rules, cell) for cell in KH_IPW_CELLS)
+        for cell in cells:
+            assert self.accepts(check_supported, cell) == (self.accepts(branch_rules, cell)
+                                                           and cell not in KH_IPW_CELLS), cell
+        assert sum(self.accepts(check_supported, cell) for cell in cells) == len(
+            [fit for fits in SUPPORTED.values() for fit in fits])
+
+    @pytest.mark.parametrize("cell, message", [
+        ((K.IPW2, R.SELECTION_CORRECT, FitMethod.KIM_HAZIZA),
+         "IPW2/selection_correct has no variance formula under a kim_haziza fit; IPW2 has none there"),
+        ((K.DR2, R.KH_DOUBLY_ROBUST, FitMethod.CALIBRATION), "DR2/kh_doubly_robust has no variance formula under "
+         "a calibration fit; DR2 has one under both_correct or selection_correct there"),
+        ((K.DR1, None, FitMethod.KIM_HAZIZA), "DR1 has no variance formula under a kim_haziza fit; DR1 has one "
+         "under both_correct or kh_doubly_robust or selection_correct there"),
+        ((K.HT, R.BOTH_CORRECT, None),
+         "HT/both_correct has no variance formula without a fit; HT has one under the regime None there"),
+    ], ids=["ipw2-kim-haziza", "dr2-kh-regime", "dr1-no-regime", "ht-regime"])
+    def test_a_rejected_cell_is_named_with_the_regimes_its_estimator_has_under_the_fit(self, cell, message):
+        with pytest.raises(ValidationError) as raised:
+            check_supported(*cell)
+        assert str(raised.value) == message
+
+    def test_a_kim_haziza_fit_keeps_the_ipw_points_and_the_dr_selection_correct_variances(self):
+        observed = make_observed(seed=63)
+        analysis = Analysis(observed, default_fit(observed, method=FitMethod.KIM_HAZIZA))
+        for kind in (K.IPW1, K.IPW2):
+            assert np.isfinite(analysis.point(kind))
+            for call in (lambda: variance(kind, R.SELECTION_CORRECT, analysis),
+                         lambda: cov_estimate(kind, R.SELECTION_CORRECT, K.HAJEK, analysis)):
+                with pytest.raises(ValidationError, match=f"{kind.value}/selection_correct has no variance formula"):
+                    call()
+        for kind in (K.DR1, K.DR2):
+            assert variance(kind, R.SELECTION_CORRECT, analysis) > 0.0
+            assert np.isfinite(cov_estimate(kind, R.SELECTION_CORRECT, K.HAJEK, analysis))
+
+
 class TestAnalysis:
     def test_fields_cohere(self):
         observed = make_observed(seed=60)
@@ -444,7 +513,8 @@ class TestAnalysis:
         observed = make_observed(seed=61)
         analysis = Analysis(observed, default_fit(observed))
         assert variance(K.HAJEK, None, analysis) >= 0.0
-        with pytest.raises(ValidationError, match="no variance regime"):
+        with pytest.raises(ValidationError, match="Hajek/both_correct has no variance formula under a pseudo_ml fit; "
+                                                  "Hajek has one under the regime None there"):
             variance(K.HAJEK, R.BOTH_CORRECT, analysis)
 
     @pytest.mark.parametrize("call", [lambda a: variance(K.IPW1, None, a),
@@ -452,7 +522,8 @@ class TestAnalysis:
                              ids=["var_prob_estimate", "cov_estimate"])
     def test_prob_kind_must_be_a_probability_sample_estimator(self, call):
         observed = make_observed(seed=62)
-        with pytest.raises(ValidationError, match="IPW1 is not a probability-sample estimator"):
+        with pytest.raises(ValidationError, match="IPW1 has no variance formula under a pseudo_ml fit; "
+                                                  "IPW1 has one under selection_correct there"):
             call(Analysis(observed, default_fit(observed)))
 
     @pytest.mark.parametrize("call", [
