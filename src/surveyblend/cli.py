@@ -41,8 +41,8 @@ temporary name in its directory and renamed when whole, so a failed or
 interrupted write never leaves a short file at an output's name.
 
 Exit codes: 0 success, 2 validation failure (a config key missing or unread,
-a null section, a non-bool flag, a fractional or bool integer, a bool or
-string number and a worker count below 1 included), 3 solver/simulation failure, 4 I/O or parse failure
+a null section, a value of the wrong type or outside its annotated bound and
+an empty path included), 3 solver/simulation failure, 4 I/O or parse failure
 (bytes that are not UTF-8 included); any other exception is a bug and
 propagates. ``--workers N`` implies ``--parallel``. All numbers carry 17
 significant digits, so re-ingestion is lossless.
@@ -79,18 +79,8 @@ from .estimators import PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import SolverError, fit_nuisance
 from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationError, SummaryRow, evaluate,
                        run_replications)
-from .types import (
-    DesignKind,
-    ModelSpec,
-    ObservedData,
-    ValidationError,
-    config_dataclass,
-    config_section,
-    config_value,
-    field_names,
-    plain_data,
-    typed_fields,
-)
+from .types import (DesignKind, Level, ModelSpec, ObservedData, PositiveInt, ValidationError, config_dataclass,
+                    config_section, config_value, field_names, plain_data, typed_fields)
 from .uncertainty import Regime, ResidualVarianceModel
 
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
@@ -123,11 +113,11 @@ class RunConfig:
     """Parsed configuration for one CLI run."""
 
     output_dir: Path
-    level: float = 0.95
+    level: Level = 0.95
     # estimate mode
     sample_a_path: Path | None = None
     sample_b_path: Path | None = None
-    n_population: int | None = None
+    n_population: PositiveInt | None = None
     design: DesignKind = DesignKind.POISSON
     model: ModelSpec | None = None
     sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
@@ -135,14 +125,10 @@ class RunConfig:
     # simulate mode
     scenario: ScenarioConfig | None = None
     parallel: bool = False
-    max_workers: int | None = None
+    max_workers: PositiveInt | None = None
 
     def __post_init__(self):
         typed_fields(self)
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError("confidence level outside (0, 1)")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValidationError(f"max_workers must be a positive integer, not {self.max_workers}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +172,8 @@ def _parse_config(raw, mode: str) -> RunConfig:
         return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
 
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
-    inputs = {key: config_value(f"inputs.{key}", hint, inputs[key]) for key, hint in zip(INPUT_KEYS, (Path, Path, int))}
+    inputs = {key: config_value(f"inputs.{key}", hint, inputs[key])
+              for key, hint in zip(INPUT_KEYS, (Path, Path, PositiveInt))}
     design = config_section(raw.get("design", {}), "design", ("kind",))  # SRSWOR's size is sample A's row count
     given.update({"design": config_value("design.kind", DesignKind, design["kind"])} if design else {})
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))

@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .estimators import Analysis, EstimatorKind
-from .types import ValidationError
+from .types import Level, ValidationError, config_value
 from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, variance
 
 __all__ = ["PooledReport", "combine", "pool", "pooled_variance", "z_score"]
@@ -70,8 +70,7 @@ def pooled_variance(w: float, var_p: float, var_dr: float, cov: float) -> float:
 def combine(est_prob: float, var_prob: float, est_dr: float, var_dr: float, cov: float,
             level: float = 0.95) -> PooledReport:
     """Pool two point estimates given their variances and covariance."""
-    if not 0.0 < level < 1.0:
-        raise ValidationError("confidence level outside (0, 1)")
+    config_value("level", Level, level)
     w, fallback = _weight(var_prob, var_dr, cov)
     estimate = (1.0 - w) * est_prob + w * est_dr
     variance = max(pooled_variance(w, var_prob, var_dr, cov), 0.0)

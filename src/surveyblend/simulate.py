@@ -29,18 +29,9 @@ import numpy as np
 from .combiner import PooledReport, pool, z_score
 from .estimators import Analysis, EstimatorKind
 from .nuisance import SolverError, expit, fit_nuisance
-from .types import (
-    DesignKind,
-    FinitePopulation,
-    FitMethod,
-    ModelSpec,
-    ObservedData,
-    OutcomeFamily,
-    ValidationError,
-    config_dataclass,
-    config_int,
-    typed_fields,
-)
+from .types import (DesignKind, FinitePopulation, FitMethod, IntAtLeast2, Level, ModelSpec, NonNegativeFloat,
+                    NonNegativeInt, ObservedData, OutcomeFamily, PositiveInt, ValidationError, config_dataclass,
+                    config_int, typed_fields)
 from .uncertainty import Regime, ResidualVarianceModel, check_supported, cov_estimate, variance
 
 __all__ = [
@@ -184,21 +175,21 @@ class ScenarioConfig:
     beta_true: tuple[float, ...]
     alpha_true: tuple[float, ...]
     outcome_family: OutcomeFamily = OutcomeFamily.LINEAR_GAUSSIAN
-    noise_sd: float = 1.0
+    noise_sd: NonNegativeFloat = 1.0
     noise_sd_coef: tuple[float, ...] | None = None
     design_kind: DesignKind = DesignKind.POISSON
-    sample_a_size: int = 500
+    sample_a_size: PositiveInt = 500
     pi_a_coef: tuple[float, ...] | None = None
     fit_method: FitMethod = FitMethod.PSEUDO_ML
     outcome_wrong: bool = False
     selection_wrong: bool = False
     outcome_cols_override: tuple[int, ...] | None = None
     selection_cols_override: tuple[int, ...] | None = None
-    replicates: int = 1000
-    level: float = 0.95
+    replicates: IntAtLeast2 = 1000
+    level: Level = 0.95
     sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
     plan: EvalPlan = field(default_factory=EvalPlan)
-    seed: int = 0
+    seed: NonNegativeInt = 0
 
     def __post_init__(self):
         typed_fields(self)
@@ -208,14 +199,6 @@ class ScenarioConfig:
                 raise ValidationError(f"{name} must have length {p}, the intercept and one per entry of covariates")
         if self.pi_a_coef is not None and self.design_kind is DesignKind.SRSWOR:
             raise ValidationError("pi_a_coef shapes Poisson design rates; an srswor design has none")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, not {self.seed}")
-        if self.replicates < 2:
-            raise ValidationError("at least two replicates are required")
-        if not 0.0 < self.level < 1.0:
-            raise ValidationError("confidence level outside (0, 1)")
-        if self.noise_sd < 0.0:
-            raise ValidationError(f"noise_sd must be nonnegative, not {self.noise_sd}")
         if self.noise_sd_coef is not None and self.noise_sd != 1.0:
             raise ValidationError(f"noise_sd {self.noise_sd} is unread beside noise_sd_coef, which sets the noise")
         if self.outcome_family is OutcomeFamily.LOGISTIC_BINARY and (self.noise_sd_coef, self.noise_sd) != (None, 1.0):

@@ -139,7 +139,7 @@ def _text(name: str, value) -> str:
 
 
 def _path(name: str, value) -> Path:
-    if not isinstance(value, (str, os.PathLike)):  # Path(1) raises a TypeError that names no key
+    if not isinstance(value, (str, os.PathLike)) or value == "":  # Path(1) names no key; Path("") is "."
         raise ValidationError(f"{name} must be a path, not {value!r}")
     return Path(value)
 
@@ -153,9 +153,27 @@ def _member(enum: type[Enum]):
     return convert
 
 
+# Bounded numbers: the bound is a test the typed value passes and the words a failure states.
+Level = typing.Annotated[float, (lambda value: 0.0 < value < 1.0, "in (0, 1)")]  # NaN fails every comparison
+NonNegativeFloat = typing.Annotated[float, (lambda value: value >= 0.0, "at least 0")]
+NonNegativeInt = typing.Annotated[int, (lambda value: value >= 0, "at least 0")]
+PositiveInt = typing.Annotated[int, (lambda value: value >= 1, "at least 1")]
+IntAtLeast2 = typing.Annotated[int, (lambda value: value >= 2, "at least 2")]
+
+
+@functools.cache  # a hint's converter is built once, however often config_value types a value by it
 def _converter(hint):
     """The ``convert(name, value)`` that types a value annotated ``hint``, by the rule of :func:`typed_fields`."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        convert, (holds, bound) = _converter(args[0]), args[1]
+
+        def bounded(name, value):
+            value = convert(name, value)
+            if not holds(value):
+                raise ValidationError(f"{name} must be {bound}, not {value!r}")
+            return value
+        return bounded
     if origin in (typing.Union, UnionType) and len(args) == 2 and type(None) in args:
         convert = _converter(next(arg for arg in args if arg is not type(None)))
         return lambda name, value: None if value is None else convert(name, value)
@@ -184,7 +202,7 @@ def config_value(name: str, hint, value):
 
 @functools.cache  # ObservedData and NuisanceFit are built on every replicate; their annotations are read once
 def _converters(cls) -> dict:
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)  # without extras, Annotated loses its bound
     return {f.name: _converter(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
@@ -192,8 +210,9 @@ def typed_fields(obj) -> None:
     """Give each field of the dataclass ``obj`` the type its annotation names; each dataclass calls this first.
 
     ``bool`` must be a bool; ``int`` and ``float`` go through :func:`config_int` and :func:`config_float`; an enum
-    is looked up by its value, in any case; ``str`` must be a string; ``Path`` takes a string or a path;
-    ``np.ndarray`` becomes a :func:`frozen_array`. ``X | None`` passes None. ``tuple[X, ...]`` and ``tuple[X, Y]``
+    is looked up by its value, in any case; ``str`` must be a string; ``Path`` takes a nonempty string or a path;
+    ``np.ndarray`` becomes a :func:`frozen_array`. ``Annotated[X, (test, words)]`` types as ``X``, then must pass
+    ``test`` (e.g. :data:`Level`, in (0, 1)). ``X | None`` passes None. ``tuple[X, ...]`` and ``tuple[X, Y]``
     take a list or a tuple (the latter of that length) and type each item. A dataclass passes an instance or is
     built by :func:`config_dataclass`. No other annotation is typed. Every error is a :class:`ValidationError`
     naming the field, or the dotted config key that :func:`config_value` and :func:`config_dataclass` pass.
@@ -334,7 +353,8 @@ def validate(observed: ObservedData) -> ObservedData:
     if observed.n_a == 0 or observed.n_b == 0:
         raise ValidationError("empty sample")
     if n_pop < max(observed.n_a, observed.n_b):
-        raise ValidationError("population size smaller than a sample size")
+        raise ValidationError(f"population size smaller than a sample size (N {n_pop}, n_A {observed.n_a}, "
+                              f"n_B {observed.n_b})")
     if not np.all(observed.pi_a > 0.0):  # NaN too
         raise ValidationError("nonpositive inclusion probability in sample A")
     if np.any(observed.pi_a > 1.0):

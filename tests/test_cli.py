@@ -9,6 +9,7 @@ import math
 import operator
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -221,6 +222,22 @@ class TestEstimateMode:
         config.write_text(yaml.safe_dump(cfg))
         assert main(["estimate", "--config", str(config)]) == 2
         assert "validation error: config section design: unknown key 'n'" in capsys.readouterr().err
+
+    def test_a_population_below_a_sample_size_states_the_sizes(self, tmp_path, capsys):
+        observed = make_observed(seed=87)  # the data edited_config writes
+        path = edited_config(tmp_path, "estimate", "inputs", lambda inputs: inputs.update(n_population=50))
+        assert main(["estimate", "--config", str(path)]) == 2
+        assert ("validation error: population size smaller than a sample size "
+                f"(N 50, n_A {observed.n_a}, n_B {observed.n_b})") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimators", [{}, {"points": [], "variances": [], "covariances": [], "pooled": []}],
+                             ids=["no-keys", "empty-lists"])
+    def test_an_empty_estimators_section_writes_an_empty_report(self, tmp_path, estimators):
+        path = edited_config(tmp_path, "estimate", None, lambda cfg: cfg.update(estimators=estimators))
+        assert main(["estimate", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [report[key] for key in ("points", "variances", "covariances", "pooled")] == [[], [], [], []]
+        assert len((tmp_path / "out" / "report.txt").read_text().splitlines()) == 1  # the heading alone
 
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
@@ -639,6 +656,15 @@ def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
     assert "simulation error: n_population 100000000000000000000 is too large" in capsys.readouterr().err
 
 
+@pytest.fixture
+def empty_cwd(tmp_path, monkeypatch):
+    """An empty working directory, so that a test can see what a run writes there."""
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    return work
+
+
 @pytest.mark.parametrize("mode, section, key, value, message", [
     ("estimate", "estimators", "points", ["HT", "Bogus"], "estimators.points: 'Bogus' is not a valid EstimatorKind"),
     ("estimate", "estimators.variances.0", "kind", "Bogus",
@@ -654,12 +680,44 @@ def test_a_frame_too_large_to_draw_is_a_simulation_error(tmp_path, capsys):
     ("simulate", "scenario", "fit_method", "bogus", "scenario.fit_method: 'bogus' is not a valid FitMethod"),
     ("estimate", "inputs", "sample_a", 1, "inputs.sample_a must be a path, not 1"),
     ("simulate", "scenario.covariates.0", "kind", ["normal"], "scenario.covariates.kind must be a string"),
+    # values past the bound their annotation states, and empty paths (Path("") is the working directory)
+    ("estimate", "inputs", "n_population", 0, "inputs.n_population must be at least 1, not 0"),
+    ("estimate", "inputs", "n_population", -1, "inputs.n_population must be at least 1, not -1"),
+    ("estimate", None, "output_dir", "", "output_dir must be a path, not ''"),
+    ("estimate", "inputs", "sample_a", "", "inputs.sample_a must be a path, not ''"),
+    ("estimate", "inputs", "sample_b", "", "inputs.sample_b must be a path, not ''"),
+    ("estimate", None, "level", 1.0, "level must be in (0, 1), not 1.0"),
+    ("estimate", None, "level", float("nan"), "level must be in (0, 1), not nan"),
+    ("simulate", None, "output_dir", "", "output_dir must be a path, not ''"),
+    ("simulate", None, "max_workers", 0, "max_workers must be at least 1, not 0"),
+    ("simulate", "scenario", "sample_a_size", 0, "scenario.sample_a_size must be at least 1, not 0"),
+    ("simulate", "scenario", "level", 0, "scenario.level must be in (0, 1), not 0.0"),
+    ("simulate", "scenario", "seed", -1, "scenario.seed must be at least 0, not -1"),
+    ("simulate", "scenario", "replicates", 1, "scenario.replicates must be at least 2, not 1"),
+    ("simulate", "scenario", "noise_sd", -0.5, "scenario.noise_sd must be at least 0, not -0.5"),
+    ("simulate", "scenario", "noise_sd", float("nan"), "scenario.noise_sd must be at least 0, not nan"),
 ], ids=["points-item", "variances-kind", "prob_points-item", "var_pairs-item", "points-scalar", "points-mapping",
-        "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list"])
-def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, capsys, mode, section, key, value, message):
+        "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list",
+        "n_population-0", "n_population-negative", "output_dir-empty", "sample_a-empty", "sample_b-empty", "level-1",
+        "level-nan", "simulate-output_dir-empty", "max_workers-0", "sample_a_size-0", "scenario-level-0",
+        "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan"])
+def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, monkeypatch, capsys, empty_cwd, mode, section,
+                                                              key, value, message):
+    # the config is rejected as it loads: no sample is read, no replicate runs and no file is written
+    for name in ("read_samples", "run_replications"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
     assert main([mode, "--config", str(path)]) == 2
     assert f"validation error: {message}" in capsys.readouterr().err
+    assert not list(empty_cwd.iterdir()) and not (tmp_path / "out").exists() and not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("mode", ["estimate", "simulate"])
+def test_an_empty_output_dir_override_is_validation_error(tmp_path, capsys, empty_cwd, mode):
+    path = edited_config(tmp_path, mode, None, lambda cfg: None)
+    assert main([mode, "--config", str(path), "--output-dir", ""]) == 2
+    assert "validation error: output_dir must be a path, not ''" in capsys.readouterr().err
+    assert not list(empty_cwd.iterdir())
 
 
 # YAML values of the wrong kind for almost every config setting
@@ -668,15 +726,24 @@ MALFORMED_VALUES = (None, [], {}, "x", "", True, -1, 0, 2.5, float("inf"), float
 
 
 @pytest.mark.parametrize("mode", ["estimate", "simulate"])
-def test_every_malformed_value_in_a_shipped_config_is_named_by_its_key(tmp_path, monkeypatch, mode):
+def test_every_malformed_value_in_a_shipped_config_is_named_by_its_key(tmp_path, monkeypatch, capsys, empty_cwd, mode):
     """Each key and list item of a shipped config, set to each of ``MALFORMED_VALUES`` in turn, loads, or raises a
     ValidationError whose message names the key at least by its last part (list positions left out). A typing
     error names the whole dotted key (the cases above); a rule that a section checks across its keys, such as a
-    coefficient list's length against ``covariates``, names the field. Any other exception fails the test."""
+    coefficient list's length against ``covariates``, names the field. Any other exception fails the test.
+
+    Each estimate edit that loads then runs on the data of ``scripts/make_example_data.py``, in the working
+    directory the shipped config's relative paths read from. It exits 0, 3, or 4 for an input file that does not
+    exist; never 2, which after a load is a config error found once the samples are read. It writes no file
+    outside the directory its ``output_dir`` names, which is not the working directory itself."""
     loader, dumper = getattr(yaml, "CSafeLoader", yaml.SafeLoader), getattr(yaml, "CSafeDumper", yaml.SafeDumper)
     monkeypatch.setattr(cli.yaml, "safe_load", functools.partial(yaml.load, Loader=loader))  # libyaml, for speed
-    base = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / f"{mode}_example.yaml").read_bytes())
-    config, unnamed = tmp_path / "config.yaml", []
+    root = Path(__file__).resolve().parents[1]
+    base = yaml.safe_load((root / "configs" / f"{mode}_example.yaml").read_bytes())
+    if mode == "estimate":
+        subprocess.run([sys.executable, str(root / "scripts" / "make_example_data.py"), "data"],
+                       capture_output=True, env=package_env(), check=True)
+    config, unnamed, misran = tmp_path / "config.yaml", [], []
     for path in key_paths(base):
         key = ".".join(part for part in path if isinstance(part, str))
         for value in MALFORMED_VALUES:
@@ -688,7 +755,19 @@ def test_every_malformed_value_in_a_shipped_config_is_named_by_its_key(tmp_path,
             except ValidationError as exc:
                 if not re.search(rf"\b{key.rpartition('.')[2]}\b", str(exc)):
                     unnamed.append((key, value, str(exc)))
+                continue
+            if mode == "estimate":
+                code, err = main([mode, "--config", str(config)]), capsys.readouterr().err
+                files = (p.relative_to(empty_cwd) for p in empty_cwd.rglob("*") if p.is_file())
+                written = [p for p in files if p.parts[0] != "data"]
+                named = all(p.parent != Path(".") and p.is_relative_to(cfg["output_dir"]) for p in written)
+                if not (code in (0, 3) or code == 4 and "No such file or directory" in err) or not named:
+                    misran.append((key, value, code, err, written))
+                for entry in empty_cwd.iterdir():
+                    if entry.name != "data":
+                        shutil.rmtree(entry) if entry.is_dir() else entry.unlink()
     assert not unnamed
+    assert not misran
 
 
 def test_a_value_error_from_a_bug_in_config_parsing_propagates(tmp_path, monkeypatch):

@@ -106,7 +106,7 @@ class TestCombine:
         assert report.cov == 0.25 and report.level == 0.9
 
     def test_level_outside_unit_interval_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^level must be in \(0, 1\), not 1\.2$"):
             combine(0.0, 1.0, 0.0, 1.0, 0.0, level=1.2)
 
 

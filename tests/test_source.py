@@ -147,6 +147,22 @@ def test_no_post_init_converts_a_field_by_hand():
     assert not found, f"fields converted by hand in a __post_init__: {found}"
 
 
+def test_no_post_init_checks_the_range_of_one_field_by_hand():
+    # A bound on one field alone (self.seed < 0, not 0.0 < self.level < 1.0) is its annotation's, which typed_fields
+    # checks under the field's dotted config key: no __post_init__ `if` tests one field of self against constants.
+    def one_field_against_constants(test) -> bool:
+        nodes = list(ast.walk(test))
+        fields = {node.attr for node in nodes if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self"}
+        others = [node for node in nodes if isinstance(node, ast.Call)
+                  or isinstance(node, ast.Name) and node.id != "self"]
+        return len(fields) == 1 and not others
+
+    found = [f"{name}:{sub.lineno}: {ast.unparse(sub.test)}" for name, node in package_nodes()
+             if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+             for sub in ast.walk(node) if isinstance(sub, ast.If) and one_field_against_constants(sub.test)]
+    assert not found, f"range checks on one field in a __post_init__: {found}"
+
+
 def _hand_conversions(post_init: ast.FunctionDef, module: dict) -> list[ast.Call]:
     """The calls in ``post_init`` that pass a field of ``self`` to a converter."""
     converters = {"config_int", "config_float", "frozen_array"}

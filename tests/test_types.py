@@ -171,7 +171,7 @@ def test_run_config_design_defaults_to_poisson():
 @pytest.mark.parametrize("value, match", [
     ({"level": "0.9"}, "level must be a number, not '0.9'"),
     ({"level": True}, "level must be a number, not True"),
-    ({"level": 1.5}, r"confidence level outside \(0, 1\)"),
+    ({"level": 1.5}, r"^level must be in \(0, 1\), not 1\.5$"),
     ({"parallel": "yes"}, "parallel must be true or false, not 'yes'"),
 ], ids=["level-string", "level-bool", "level-1.5", "parallel-string"])
 def test_run_config_checks_its_level_and_flag(value, match):
