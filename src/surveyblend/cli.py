@@ -593,9 +593,14 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
 
 
 def _worker_count(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:  # argparse names this function when int() raises
-        raise argparse.ArgumentTypeError(f"worker count must be a positive integer, not {text!r}")
-    return int(text)
+    """The ``--workers`` text typed as ``max_workers``, bound and all; text that ``int`` rejects fails as no integer."""
+    value = text
+    with contextlib.suppress(ValueError):
+        value = int(text)
+    try:
+        return config_value("max_workers", PositiveInt, value)
+    except ValidationError as exc:  # a ValueError, which argparse would report under this function's name
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv=None) -> int:

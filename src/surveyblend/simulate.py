@@ -32,7 +32,7 @@ from .nuisance import SolverError, expit, fit_nuisance
 from .types import (DesignKind, FinitePopulation, FitMethod, IntAtLeast2, Level, ModelSpec, NonNegativeFloat,
                     NonNegativeInt, ObservedData, OutcomeFamily, PositiveInt, ValidationError, config_dataclass,
                     config_int, typed_fields)
-from .uncertainty import Regime, ResidualVarianceModel, check_supported, cov_estimate, variance
+from .uncertainty import Regime, ResidualVarianceModel, cell_label, check_supported, cov_estimate, variance
 
 __all__ = [
     "Covariate",
@@ -114,10 +114,6 @@ class EvalPlan:
             check_supported(kind, regime, fit_method)
 
 
-def _label(kind: EstimatorKind, regime: Regime | None = None) -> str:
-    return kind.value if regime is None else f"{kind.value}/{regime.value}"
-
-
 class EvalRow(NamedTuple):
     """One evaluated plan entry on one dataset, under its summary name.
 
@@ -147,20 +143,20 @@ def evaluate(plan: EvalPlan, analysis: Analysis, level: float,
     def interval(kind: EstimatorKind, regime: Regime | None, var: float) -> EvalRow:
         est = analysis.point(kind)
         half = z * float(np.sqrt(var))
-        return EvalRow(_label(kind, regime), kind, regime, None,
+        return EvalRow(cell_label(kind, regime), kind, regime, None,
                        {"est": est, "var": var, "lo": est - half, "hi": est + half})
 
     rows = [interval(kind, None, variance(kind, None, analysis)) for kind in plan.prob_points]
-    rows += [EvalRow(_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
+    rows += [EvalRow(cell_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
     rows += [interval(kind, regime, variance(kind, regime, analysis, sigma_model=sigma_model))
              for kind, regime in plan.var_pairs]
     for kind, regime, prob in plan.cov_pairs:
-        rows.append(EvalRow(f"cov({_label(kind, regime)},{prob.value})", kind, regime, prob,
+        rows.append(EvalRow(f"cov({cell_label(kind, regime)},{prob.value})", kind, regime, prob,
                             {"est": analysis.point(kind), "prob_est": analysis.point(prob),
                              "cov": cov_estimate(kind, regime, prob, analysis)}))
     for kind, regime, prob in plan.pooled:
         report = pool(analysis, kind, regime, prob, level, sigma_model=sigma_model)
-        rows.append(EvalRow(f"pooled({_label(kind, regime)},{prob.value})", kind, regime, prob,
+        rows.append(EvalRow(f"pooled({cell_label(kind, regime)},{prob.value})", kind, regime, prob,
                             {"est": report.pooled_estimate, "var": report.pooled_variance,
                              "lo": report.ci_low, "hi": report.ci_high, "w": report.w}, report))
     return rows

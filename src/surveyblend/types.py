@@ -155,7 +155,7 @@ def _member(enum: type[Enum]):
 
 # Bounded numbers: the bound is a test the typed value passes and the words a failure states.
 Level = typing.Annotated[float, (lambda value: 0.0 < value < 1.0, "in (0, 1)")]  # NaN fails every comparison
-NonNegativeFloat = typing.Annotated[float, (lambda value: value >= 0.0, "at least 0")]
+NonNegativeFloat = typing.Annotated[float, (lambda value: 0.0 <= value < np.inf, "finite and at least 0")]
 NonNegativeInt = typing.Annotated[int, (lambda value: value >= 0, "at least 0")]
 PositiveInt = typing.Annotated[int, (lambda value: value >= 1, "at least 1")]
 IntAtLeast2 = typing.Annotated[int, (lambda value: value >= 2, "at least 2")]

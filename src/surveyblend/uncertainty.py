@@ -1,31 +1,26 @@
 """Variance and covariance estimation for every estimator.
 
-Every variance here has the same two-part shape: a design variance of a
-Horvitz-Thompson mean over the probability sample, applied to per-unit
-terms u, plus, for a reweighted estimator, a selection term over the
-nonprobability sample built from centered outcome residuals,
+A cell is an (estimator, regime) pair; HT and Hajek take the regime None.
+Its linearization, :func:`centering_terms`, is per-unit terms u over the
+probability sample and, for a reweighted estimator, an outcome center over
+the nonprobability sample. Every variance and covariance is one form, the
+design covariance of two cells' linearizations,
 
-    var = ht_var(u)
-        + (1/N^2) sum_B (1 - pi_i) / pi_i^2 (y_i - outcome_center_i)^2
-        + C,
+    cov(1, 2) = ht_cov(u1, u2)
+              + (1/N^2) sum_B (1 - pi_i) / pi_i^2 (y_i - center1_i) (y_i - center2_i),
 
-where C is a mean-zero correction used only under the Kim-Haziza doubly
-robust regime. One table, :data:`SUPPORTED`, lists each (estimator, regime)
-pair that has such a formula and the fit methods it holds under; every
-variance, covariance and plan check asks :func:`check_supported`, which reads
-it alone. The centering vectors depend on which estimator is being assessed
-and on which nuisance model is assumed correct: a self-normalized estimator
-centers at its own means, and the selection_correct regime adjusts for
-selection-model estimation error with a weighted-least-squares coefficient
-(:func:`regression_adjustment`) of the (possibly centered) outcomes or
-residuals on the selection covariates. That adjustment linearizes the
-selection fit's score; each fit method's linearization lives in its row of
-:data:`~surveyblend.nuisance.SELECTION_FITS`. A probability-sample estimator
-(HT, Hajek) takes no regime: its u is the sample-A outcomes centered at 0 or
-at the Hajek mean, and it has no sample-B term.
-
-The covariance of a reweighted estimator with HT or Hajek is the design
-covariance of the two estimators' u over sample A.
+whose sample-B term is taken only when both cells have one. A variance is
+a cell's form with itself, plus a mean-zero correction C under the
+Kim-Haziza doubly robust regime alone; a covariance pairs a reweighted
+cell with HT or Hajek. One table, :data:`SUPPORTED`, lists each cell that
+has a linearization and the fit methods it holds under; every variance,
+covariance and plan check asks :func:`check_supported`, which reads it
+alone. The centers depend on the estimator and on which nuisance model is
+assumed correct: a self-normalized estimator centers at its own means, and
+the selection_correct regime moves both centers by the selection fit's
+linearization, a weighted-least-squares coefficient
+(:func:`regression_adjustment`) from its fit method's row of
+:data:`~surveyblend.nuisance.SELECTION_FITS`.
 
 Each function reads one :class:`~surveyblend.estimators.Analysis`, evaluates
 dot products against the sample weights it built and checked once, and keeps
@@ -86,25 +81,24 @@ SUPPORTED = {
 }
 
 
+def cell_label(kind: EstimatorKind, regime: Regime | None = None) -> str:
+    """The name of a cell in messages and summary rows: ``DR1/both_correct``, or ``HT`` for a regime of None."""
+    return kind.value if regime is None else f"{kind.value}/{regime.value}"
+
+
 def check_supported(kind: EstimatorKind, regime: Regime | None, fit_method: FitMethod | None) -> None:
     """Reject an (estimator, regime) pair that :data:`SUPPORTED` does not hold under ``fit_method``."""
     if fit_method not in SUPPORTED.get((kind, regime), ()):
-        label = kind.value if regime is None else f"{kind.value}/{regime.value}"
         fit = f"under a {fit_method.value} fit" if fit_method else "without a fit"
         held = " or ".join(r.value if r else "the regime None"
                            for (k, r), fits in SUPPORTED.items() if k is kind and fit_method in fits)
-        raise ValidationError(f"{label} has no variance formula {fit}; {kind.value} has "
+        raise ValidationError(f"{cell_label(kind, regime)} has no variance formula {fit}; {kind.value} has "
                               + (f"one under {held} there" if held else "none there"))
 
 
 class CenteringTerms(NamedTuple):
-    """Per-unit vectors feeding the two-part variance form.
-
-    ``u`` is the outcome-model predictions on sample A minus their center,
-    or for HT and Hajek the sample-A outcomes minus theirs;
-    ``outcome_center`` is subtracted from the observed outcomes on sample B,
-    and is None for HT and Hajek, which have no sample-B term.
-    """
+    """A cell's linearization: ``u``, the per-unit terms on sample A (for HT and Hajek, the sample-A outcomes
+    minus their center), and ``outcome_center``, subtracted from sample B's outcomes, or None for HT and Hajek."""
 
     u: np.ndarray
     outcome_center: np.ndarray | None
@@ -181,33 +175,35 @@ def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple
     return s2_a, s2_b
 
 
+def _covariance(terms: CenteringTerms, other: CenteringTerms, analysis: Analysis) -> float:
+    """The design covariance of two cells' linearizations: over sample A of their ``u``, plus, when both cells
+    have a sample-B part, over sample B of their centered outcomes (sample B's opt-in is Poisson sampling with pi_b)."""
+    cov = analysis.weights_a.cov(terms.u, other.u)
+    if terms.outcome_center is not None and other.outcome_center is not None:
+        y_b = analysis.observed.y_b
+        r = y_b - terms.outcome_center  # a variance reads one residual vector, not two equal ones
+        cov += analysis.weights_b.cov(r, r if other is terms else y_b - other.outcome_center)
+    return cov
+
+
 def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis, *,
              sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
-    """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek), floored at 0
-    for the Kim-Haziza correction, its one term that can be negative; the others are design variances."""
+    """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek): the cell's
+    covariance with itself, plus, under the Kim-Haziza regime, its correction, the sum floored at 0."""
     def compute():
-        u, outcome_center = centering_terms(kind, regime, analysis)
-        weights_a, weights_b = analysis.weights_a, analysis.weights_b
-        term1 = weights_a.cov(u, u)
-        term2 = correction = 0.0
-        if outcome_center is not None:
-            r = analysis.observed.y_b - outcome_center
-            term2 = weights_b.cov(r, r)  # sample B's opt-in is Poisson sampling with pi_b
-        if regime is Regime.KH_DOUBLY_ROBUST:
+        terms = centering_terms(kind, regime, analysis)
+        var = _covariance(terms, terms, analysis)
+        if regime is Regime.KH_DOUBLY_ROBUST:  # its correction C is the one term that can be negative
             s2_a, s2_b = residual_variance(analysis, sigma_model)
-            correction = (weights_a.ht_mean(s2_a) - weights_b.ht_mean(s2_b)) / analysis.observed.n_population
-        return max(term1 + term2 + correction, 0.0)
+            c = (analysis.weights_a.ht_mean(s2_a) - analysis.weights_b.ht_mean(s2_b)) / analysis.observed.n_population
+            var = max(var + c, 0.0)
+        return var
 
     return analysis.memo(("variance", kind, regime, sigma_model), compute)
 
 
 def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:
-    """Covariance estimate between a reweighted estimator and HT or Hajek.
-
-    Both estimators share sample A through the covariates, so their errors
-    correlate; the estimate is the design covariance over sample A of the
-    two estimators' :func:`centering_terms` ``u``: the centered predictions
-    against the outcomes centered at 0 (HT) or at the Hajek mean.
-    """
-    return analysis.memo(("covariance", kind, regime, prob_kind), lambda: analysis.weights_a.cov(
-        centering_terms(kind, regime, analysis).u, centering_terms(prob_kind, None, analysis).u))
+    """Covariance estimate between a reweighted estimator and HT or Hajek, whose errors correlate through sample
+    A's covariates: the form of their two cells, over sample A alone, since HT and Hajek have no sample-B term."""
+    return analysis.memo(("covariance", kind, regime, prob_kind), lambda: _covariance(
+        centering_terms(kind, regime, analysis), centering_terms(prob_kind, None, analysis), analysis))

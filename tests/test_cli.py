@@ -694,13 +694,14 @@ def empty_cwd(tmp_path, monkeypatch):
     ("simulate", "scenario", "level", 0, "scenario.level must be in (0, 1), not 0.0"),
     ("simulate", "scenario", "seed", -1, "scenario.seed must be at least 0, not -1"),
     ("simulate", "scenario", "replicates", 1, "scenario.replicates must be at least 2, not 1"),
-    ("simulate", "scenario", "noise_sd", -0.5, "scenario.noise_sd must be at least 0, not -0.5"),
-    ("simulate", "scenario", "noise_sd", float("nan"), "scenario.noise_sd must be at least 0, not nan"),
+    ("simulate", "scenario", "noise_sd", -0.5, "scenario.noise_sd must be finite and at least 0, not -0.5"),
+    ("simulate", "scenario", "noise_sd", float("nan"), "scenario.noise_sd must be finite and at least 0, not nan"),
+    ("simulate", "scenario", "noise_sd", float("inf"), "scenario.noise_sd must be finite and at least 0, not inf"),
 ], ids=["points-item", "variances-kind", "prob_points-item", "var_pairs-item", "points-scalar", "points-mapping",
         "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list",
         "n_population-0", "n_population-negative", "output_dir-empty", "sample_a-empty", "sample_b-empty", "level-1",
         "level-nan", "simulate-output_dir-empty", "max_workers-0", "sample_a_size-0", "scenario-level-0",
-        "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan"])
+        "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan", "noise_sd-inf"])
 def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, monkeypatch, capsys, empty_cwd, mode, section,
                                                               key, value, message):
     # the config is rejected as it loads: no sample is read, no replicate runs and no file is written
@@ -851,14 +852,21 @@ def test_unreadable_csv_bytes_are_io_error(tmp_path, capsys, junk):
     assert str(path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "two", "2.0"])
-def test_worker_option_must_be_a_positive_integer(tmp_path, capsys, workers):
+@pytest.mark.parametrize("workers, message", [
+    ("0", "max_workers must be at least 1, not 0"),
+    ("-1", "max_workers must be at least 1, not -1"),
+    ("two", "max_workers must be an integer, not 'two'"),
+    ("x", "max_workers must be an integer, not 'x'"),
+    ("2.0", "max_workers must be an integer, not '2.0'"),
+], ids=["0", "-1", "two", "x", "2.0"])
+def test_worker_option_must_be_a_positive_integer(tmp_path, capsys, workers, message):
+    # --workers is held to the bound of the max_workers key, so both state it in the same words
     config = simulate_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", str(config), "--parallel", "--workers", workers])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --workers: worker count must be a positive integer, not '{workers}'" in err
+    assert f"argument --workers: {message}\n" in err
     assert "_worker_count" not in err
 
 

@@ -82,6 +82,15 @@ class TestGeneratePopulation:
         with pytest.raises(ValidationError, match="a logistic_binary outcome draws no noise"):
             small_config(outcome_family=OutcomeFamily.LOGISTIC_BINARY, noise_sd=2.0)
 
+    @pytest.mark.parametrize("overrides", [{"beta_true": (1e308, 1e308)}, {"noise_sd_coef": (1e308, 1e308)}],
+                             ids=["beta_true", "noise_sd_coef"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_outcome_past_the_float_range_is_a_validation_error(self, overrides):
+        # every coefficient is finite, but x @ beta_true or a unit's noise scale overflows to inf (numpy warns
+        # first); an infinite noise_sd no longer gets this far, since its bound rejects it as the config loads
+        with pytest.raises(ValidationError, match="^non-finite outcome; change beta_true, noise_sd or noise_sd_coef$"):
+            generate_population(small_config(**overrides))
+
     def test_covariate_kinds(self):
         config = small_config(
             covariates=(Covariate("uniform", (0.0, 2.0)), Covariate("bernoulli", (0.3,)),
@@ -336,6 +345,12 @@ class TestRunReplications:
     def test_config_round_trip(self):
         config = small_config()
         assert ScenarioConfig.from_dict(plain_data(config)) == config
+
+    def test_an_infinite_noise_sd_is_rejected_as_the_config_loads(self):
+        # an infinite noise_sd once passed its bound and failed only on the first drawn outcome, naming three keys
+        raw = {**plain_data(small_config()), "noise_sd": float("inf")}
+        with pytest.raises(ValidationError, match=r"^scenario\.noise_sd must be finite and at least 0, not inf$"):
+            ScenarioConfig.from_dict(raw)
 
 
 def every_row(fit_method):

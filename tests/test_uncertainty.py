@@ -37,7 +37,7 @@ from surveyblend import (
 )
 from surveyblend.nuisance import KH_TOL, score_and_jacobian_calibration
 from surveyblend.simulate import redraw_outcomes
-from surveyblend.uncertainty import SUPPORTED, check_supported
+from surveyblend.uncertainty import SUPPORTED, _covariance, check_supported
 from conftest import (SCENARIO_BOTH_CORRECT, SCENARIO_KH, SCENARIO_OUTCOME_WRONG, default_fit, make_observed,
                       summary_row)
 
@@ -397,28 +397,46 @@ class TestLinearizationIdentities:
             both = variance(K.DR1, R.BOTH_CORRECT, analysis)
             assert abs(variance(K.DR1, R.SELECTION_CORRECT, analysis) - both) <= 2.0 * np.sqrt(both) * s + s * s
 
-    @pytest.mark.parametrize("method", list(FitMethod))
-    def test_a_census_sample_a_adds_nothing_to_any_variance_or_covariance(self, method):
-        # Every pi_a = 1: each c and cross of sample A's weights is 0, so its term is 0 exactly.
-        rng = np.random.default_rng(61)
-        x = np.column_stack([np.ones(400), rng.normal(size=(400, 2))])
-        y = x @ np.array([1.0, 0.8, 0.8]) + 0.5 * rng.normal(size=400)
-        b = rng.random(400) < 1.0 / (1.0 + np.exp(0.6 - x[:, 1:] @ np.array([0.4, 0.4])))
-        observed = ObservedData(n_population=400, design=DesignKind.POISSON, x_a=x,
-                                pi_a=np.ones(400), y_a=y, x_b=x[b], y_b=y[b])
-        analysis = Analysis(observed, default_fit(observed, method=method))
-        for kind in (K.HT, K.HAJEK):
-            assert variance(kind, None, analysis) == 0.0
-        for (kind, regime), fits in SUPPORTED.items():
-            if regime is None or method not in fits:
-                continue
-            u, outcome_center = centering_terms(kind, regime, analysis)
-            assert analysis.weights_a.cov(u, u) == 0.0
-            if regime is not R.KH_DOUBLY_ROBUST:  # which adds its correction C
-                r = observed.y_b - outcome_center
-                assert variance(kind, regime, analysis) == analysis.weights_b.cov(r, r)
-            for prob in (K.HT, K.HAJEK):
-                assert cov_estimate(kind, regime, prob, analysis) == 0.0
+    @pytest.mark.parametrize("method", [None, *FitMethod], ids=["no-fit", *(m.value for m in FitMethod)])
+    @pytest.mark.parametrize("data", ["poisson", "srswor", "census"])
+    def test_every_variance_and_covariance_is_the_form_of_two_cells(self, data, method):
+        # Each cell SUPPORTED holds under the fit (a reweighted cell needs one): its variance is its form with
+        # itself, bit for bit, plus the Kim-Haziza correction in that regime; its covariance with HT or Hajek is
+        # their form; and the form is symmetric in its two cells, since sum c u v and sum c v u round alike.
+        observed = census_observed() if data == "census" else make_observed(
+            seed=64, design_kind=DesignKind.SRSWOR if data == "srswor" else DesignKind.POISSON)
+        analysis = Analysis(observed, None if method is None else default_fit(observed, method=method))
+        weights_a, weights_b = analysis.weights_a, analysis.weights_b
+        terms = {(kind, regime): centering_terms(kind, regime, analysis) for (kind, regime), fits in SUPPORTED.items()
+                 if method in fits and (regime is None or method is not None)}
+        assert len(terms) == {None: 2, FitMethod.KIM_HAZIZA: 7}.get(method, 8)
+        for (kind, regime), cell in terms.items():
+            form = _covariance(cell, cell, analysis)
+            if regime is not R.KH_DOUBLY_ROBUST:
+                assert variance(kind, regime, analysis) == form
+            for model in ResidualVarianceModel if regime is R.KH_DOUBLY_ROBUST else ():
+                s2_a, s2_b = residual_variance(analysis, model)
+                c = (weights_a.ht_mean(s2_a) - weights_b.ht_mean(s2_b)) / observed.n_population
+                assert variance(kind, regime, analysis, sigma_model=model) == max(form + c, 0.0)
+            for prob in (K.HT, K.HAJEK) if regime is not None else ():
+                assert cov_estimate(kind, regime, prob, analysis) == _covariance(cell, terms[prob, None], analysis)
+        for cell, other in itertools.product(terms.values(), repeat=2):
+            form = _covariance(cell, other, analysis)
+            assert form == _covariance(other, cell, analysis)
+            if data == "census":  # every pi_a = 1: each c of sample A's weights is 0, so its term is 0 exactly
+                assert weights_a.cov(cell.u, other.u) == 0.0
+                assert form == (0.0 if cell.outcome_center is None or other.outcome_center is None else
+                                weights_b.cov(observed.y_b - cell.outcome_center, observed.y_b - other.outcome_center))
+
+
+def census_observed():
+    """A sample A that is the whole population (every pi_a = 1) beside a Poisson opt-in sample B."""
+    rng = np.random.default_rng(61)
+    x = np.column_stack([np.ones(400), rng.normal(size=(400, 2))])
+    y = x @ np.array([1.0, 0.8, 0.8]) + 0.5 * rng.normal(size=400)
+    b = rng.random(400) < 1.0 / (1.0 + np.exp(0.6 - x[:, 1:] @ np.array([0.4, 0.4])))
+    return ObservedData(n_population=400, design=DesignKind.POISSON, x_a=x, pi_a=np.ones(400), y_a=y,
+                        x_b=x[b], y_b=y[b])
 
 
 def test_calibration_ipw_variances_track_the_monte_carlo_variance(mc_ipw_calibration):
