@@ -122,7 +122,7 @@ SCENARIO_IPW = ScenarioConfig(
 
 SCENARIO_OUTCOME_WRONG = ScenarioConfig(
     **_BASE,
-    outcome_wrong=True,
+    outcome_cols_override=(0, 1),
     plan=EvalPlan(
         var_pairs=((K.DR1, R.SELECTION_CORRECT), (K.DR2, R.SELECTION_CORRECT)),
     ),
@@ -131,15 +131,15 @@ SCENARIO_OUTCOME_WRONG = ScenarioConfig(
 
 SCENARIO_SELECTION_WRONG = ScenarioConfig(
     **_BASE,
-    selection_wrong=True,
+    selection_cols_override=(0, 1),
     plan=EvalPlan(point_only=(K.DR1, K.DR2)),
     seed=1003,
 )
 
 SCENARIO_BOTH_WRONG = ScenarioConfig(
     **_BASE,
-    outcome_wrong=True,
-    selection_wrong=True,
+    outcome_cols_override=(0, 1),
+    selection_cols_override=(0, 1),
     plan=EvalPlan(point_only=(K.DR1, K.DR2)),
     seed=1004,
 )

@@ -1,6 +1,7 @@
 """Simulation harness: generation contracts, determinism, sampling laws, and relations between evaluated rows."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -82,13 +83,22 @@ class TestGeneratePopulation:
         with pytest.raises(ValidationError, match="a logistic_binary outcome draws no noise"):
             small_config(outcome_family=OutcomeFamily.LOGISTIC_BINARY, noise_sd=2.0)
 
-    @pytest.mark.parametrize("overrides", [{"beta_true": (1e308, 1e308)}, {"noise_sd_coef": (1e308, 1e308)}],
-                             ids=["beta_true", "noise_sd_coef"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_an_outcome_past_the_float_range_is_a_validation_error(self, overrides):
-        # every coefficient is finite, but x @ beta_true or a unit's noise scale overflows to inf (numpy warns
-        # first); an infinite noise_sd no longer gets this far, since its bound rejects it as the config loads
-        with pytest.raises(ValidationError, match="^non-finite outcome; change beta_true, noise_sd or noise_sd_coef$"):
+    @pytest.mark.parametrize("overrides, message", [
+        ({"beta_true": (1e308, 1e308)}, "non-finite outcome; change beta_true, noise_sd or noise_sd_coef"),
+        ({"noise_sd_coef": (1e308, 1e308)}, "non-finite outcome; change beta_true, noise_sd or noise_sd_coef"),
+        ({"noise_sd": 1e308}, "non-finite outcome; change beta_true, noise_sd or noise_sd_coef"),
+        ({"alpha_true": (1e308, 1e308)}, "true selection probabilities outside (0, 1); rescale alpha_true"),
+        ({"alpha_true": (1e308, -1e308)}, "true selection probabilities outside (0, 1); rescale alpha_true"),
+        ({"pi_a_coef": (1e308, 1e308)}, "design probabilities outside (0, 1]; change sample_a_size or pi_a_coef"),
+        ({"covariates": (Covariate("normal", (1e200, 1.0)), Covariate("square_of", (1,))),
+          "beta_true": (1.0, 1.0, 1.0), "alpha_true": (-1.5, 0.4, 0.0)},
+         "non-finite covariate value; change the covariates' params"),
+    ], ids=["beta_true", "noise_sd_coef", "noise_sd", "alpha_true", "alpha_true-mixed-sign", "pi_a_coef",
+            "square_of"])
+    def test_an_outcome_past_the_float_range_is_a_validation_error(self, overrides, message):
+        # every setting is finite, but a product or square of them overflows to inf or NaN; numpy stays silent, so
+        # this holds under pytest's error::RuntimeWarning filter too, and the check after the step names the key
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             generate_population(small_config(**overrides))
 
     def test_covariate_kinds(self):
