@@ -15,7 +15,8 @@ from pathlib import Path
 
 import yaml
 
-from surveyblend import ScenarioConfig, run_replications
+from surveyblend import ScenarioConfig, ValidationError, run_replications
+from surveyblend.types import PositiveInt, config_value
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_example.yaml"
 
@@ -31,13 +32,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--replicates", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=20_240)
-    parser.add_argument("--parallel", action="store_true")
+    parser.add_argument("--workers", type=int, default=1, help="worker process count (1: no process pool)")
     args = parser.parse_args()
 
-    config = default_scenario(args.replicates, args.seed)
-    started = time.time()
-    summary = run_replications(config, parallel=args.parallel)
-    elapsed = time.time() - started
+    try:  # the CLI's bounds, and its exit code for a value past one
+        config = default_scenario(args.replicates, args.seed)
+        workers = config_value("max_workers", PositiveInt, args.workers)
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
+    summary = run_replications(config, parallel=True, max_workers=workers)
+    elapsed = time.perf_counter() - started
 
     print(f"replicates {summary.n_replicates} (failed {summary.n_failed}), "
           f"mean population outcome {summary.y_bar_mean:.4f}, {elapsed:.1f}s")

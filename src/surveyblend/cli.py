@@ -44,8 +44,9 @@ Exit codes: 0 success, 2 validation failure (a config key missing or unread,
 a null section, a value of the wrong type or outside its annotated bound and
 an empty path included), 3 solver/simulation failure, 4 I/O or parse failure
 (bytes that are not UTF-8 included); any other exception is a bug and
-propagates. ``--workers N`` implies ``--parallel``. All numbers carry 17
-significant digits, so re-ingestion is lossless.
+propagates. ``max_workers`` (``--workers N``) is a study's one worker
+setting: 1 runs every replicate in process, N >= 2 runs a pool of N. All
+numbers carry 17 significant digits, so re-ingestion is lossless.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ _FORK_FLOOR = 1 << 20  # bytes in each sample file, or of the export's values, f
 _EXPORT_BLOCK = 8192  # rows the export formats in one C-level %
 
 MODE_KEYS = {"estimate": ("level", "inputs", "design", "analysis", "estimators"),
-             "simulate": ("parallel", "max_workers", "scenario")}
+             "simulate": ("max_workers", "scenario")}
 INPUT_KEYS = ("sample_a", "sample_b", "n_population")
 
 SUMMARY_COLUMNS = field_names(SummaryRow)
@@ -124,8 +125,7 @@ class RunConfig:
     plan: EvalPlan = field(default_factory=EvalPlan)
     # simulate mode
     scenario: ScenarioConfig | None = None
-    parallel: bool = False
-    max_workers: PositiveInt | None = None
+    max_workers: PositiveInt = 1
 
     def __post_init__(self):
         typed_fields(self)
@@ -166,7 +166,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
     config_section(raw, "top level", ("mode", "output_dir") + MODE_KEYS[mode],
                    ("inputs",) if mode == "estimate" else ("scenario",))
     output_dir = raw.get("output_dir", "out")
-    given = {key: raw[key] for key in ("level", "parallel", "max_workers") if key in raw}  # the rest keep defaults
+    given = {key: raw[key] for key in ("level", "max_workers") if key in raw}  # the rest keep defaults
 
     if mode == "simulate":
         return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
@@ -566,15 +566,13 @@ def run_estimate(config: RunConfig) -> dict:
 def run_simulate(config: RunConfig) -> MonteCarloSummary:
     """Simulate mode: scenario in, summary.csv and manifest.json out."""
     with _output_lock(config.output_dir):
-        started = time.time()
-        summary = run_replications(config.scenario, parallel=config.parallel,
-                                   max_workers=config.max_workers)
+        started = time.perf_counter()
+        summary = run_replications(config.scenario, parallel=True, max_workers=config.max_workers)  # 1 runs in process
         summary_to_csv(summary, config.output_dir / "summary.csv")
         manifest = {
             "mode": "simulate",
             "scenario": plain_data(config.scenario),
             "seed": config.scenario.seed,
-            "parallel": config.parallel,
             "max_workers": config.max_workers,
             "n_replicates": summary.n_replicates,
             "n_failed": summary.n_failed,
@@ -584,23 +582,12 @@ def run_simulate(config: RunConfig) -> MonteCarloSummary:
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
             },
-            "wall_time_seconds": time.time() - started,
+            "wall_time_seconds": time.perf_counter() - started,
         }
         with _replacing(config.output_dir / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
     return summary
-
-
-def _worker_count(text: str) -> int:
-    """The ``--workers`` text typed as ``max_workers``, bound and all; text that ``int`` rejects fails as no integer."""
-    value = text
-    with contextlib.suppress(ValueError):
-        value = int(text)
-    try:
-        return config_value("max_workers", PositiveInt, value)
-    except ValidationError as exc:  # a ValueError, which argparse would report under this function's name
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv=None) -> int:
@@ -609,24 +596,18 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("estimate", "estimate from sample CSVs"),
                             ("simulate", "run a repeated-sampling study")):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)  # an option not given is unset
         cmd.add_argument("--config", required=True, help="YAML configuration file")
-        cmd.add_argument("--output-dir", default=None, help="override the configured output directory")
+        cmd.add_argument("--output-dir", help="override the configured output directory")
         if name == "simulate":
-            cmd.add_argument("--parallel", action="store_true", help="run replicates in parallel")
-            cmd.add_argument("--workers", type=_worker_count, help="worker process count; implies --parallel")
-    args = parser.parse_args(argv)
+            cmd.add_argument("--workers", dest="max_workers", type=int, metavar="N",
+                             help="override the configured worker count (1: no process pool)")
+    overrides = vars(parser.parse_args(argv))  # the options given, each named as its RunConfig field
+    command, path = overrides.pop("command"), overrides.pop("config")
 
     try:
-        config = load_config(args.config, args.command)
-        if args.output_dir is not None:
-            config = dataclasses.replace(config, output_dir=args.output_dir)
-        if args.command == "estimate":
-            run_estimate(config)
-        else:
-            if args.parallel or args.workers:
-                config = dataclasses.replace(config, parallel=True, max_workers=args.workers or config.max_workers)
-            run_simulate(config)
+        config = dataclasses.replace(load_config(path, command), **overrides)  # RunConfig checks each bound
+        (run_estimate if command == "estimate" else run_simulate)(config)
         return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

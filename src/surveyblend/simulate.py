@@ -437,14 +437,20 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
                      max_workers: int | None = None) -> MonteCarloSummary:
     """Run the full repeated-sampling study described by ``config``.
 
-    Raises :class:`SimulationError` when more than 1% of the replicates
-    fail, with the error of the failed replicate of lowest index.
+    Under ``parallel``, a process pool of ``max_workers`` runs the replicates
+    (all cores when ``max_workers`` is None), in chunks of 1/64 of them and
+    with no worker past the chunk count. Where that comes to one worker, or
+    without ``parallel``, every replicate runs in this process. The CLI
+    passes its one count as ``max_workers``; both keywords stay because the
+    benchmark harness passes them. Raises :class:`SimulationError` when more
+    than 1% of the replicates fail, with the error of the failed replicate of
+    lowest index.
     """
     population = generate_population(config)
     n_rep = config.replicates
-    if parallel:
-        chunk = max(1, n_rep // 64)
-        workers = min(max_workers or os.cpu_count() or 1, -(-n_rep // chunk))  # a worker past the chunks would idle
+    chunk = max(1, n_rep // 64)
+    workers = min(max_workers or os.cpu_count() or 1, -(-n_rep // chunk)) if parallel else 1  # none past the chunks
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                                     initargs=(config, population)) as executor:
             records = list(executor.map(_worker_run, range(n_rep), chunksize=chunk))

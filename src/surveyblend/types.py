@@ -126,12 +126,6 @@ def config_float(name: str, value) -> float:
     return float(value)
 
 
-def _flag(name: str, value) -> bool:
-    if not isinstance(value, bool):  # bool("false") is True
-        raise ValidationError(f"{name} must be true or false, not {value!r}")
-    return value
-
-
 def _text(name: str, value) -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{name} must be a string, not {value!r}")
@@ -190,7 +184,7 @@ def _converter(hint):
         return functools.partial(config_dataclass, hint)
     if isinstance(hint, type) and issubclass(hint, Enum):
         return _member(hint)
-    converters = {bool: _flag, int: config_int, float: config_float, str: _text, Path: _path,
+    converters = {int: config_int, float: config_float, str: _text, Path: _path,
                   np.ndarray: lambda name, value: frozen_array(value)}
     return converters[hint]  # a KeyError here is an annotation that the rule does not cover
 
@@ -209,8 +203,8 @@ def _converters(cls) -> dict:
 def typed_fields(obj) -> None:
     """Give each field of the dataclass ``obj`` the type its annotation names; each dataclass calls this first.
 
-    ``bool`` must be a bool; ``int`` and ``float`` go through :func:`config_int` and :func:`config_float`; an enum
-    is looked up by its value, in any case; ``str`` must be a string; ``Path`` takes a nonempty string or a path;
+    ``int`` and ``float`` go through :func:`config_int` and :func:`config_float`; an enum is looked up by its
+    value, in any case; ``str`` must be a string; ``Path`` takes a nonempty string or a path;
     ``np.ndarray`` becomes a :func:`frozen_array`. ``Annotated[X, (test, words)]`` types as ``X``, then must pass
     ``test`` (e.g. :data:`Level`, in (0, 1)). ``X | None`` passes None. ``tuple[X, ...]`` and ``tuple[X, Y]``
     take a list or a tuple (the latter of that length) and type each item. A dataclass passes an instance or is

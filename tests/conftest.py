@@ -29,6 +29,7 @@ from surveyblend import (
     ScenarioConfig,
     fit_nuisance,
     run_replications,
+    simulate,
 )
 
 K = EstimatorKind
@@ -59,6 +60,34 @@ def make_observed(seed=0, n_x=2, n_population=400, *,
                         x_a=x[a_idx], pi_a=pi_a_all[a_idx],
                         y_a=y[a_idx] if y_on_a else None,
                         x_b=x[b_idx], y_b=y[b_idx])
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool a study builds, in order; the replicates run in this process.
+
+    A fork-started pool forks every worker at its first submit. The stand-in pool records its worker count and
+    maps in this process, so no real pool starts.
+    """
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(simulate, "_WORKER_STATE", {})
+    return sizes
 
 
 def summary_row(summary, name):

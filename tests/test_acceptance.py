@@ -260,7 +260,6 @@ def test_criterion_9_cli_reproducibility(tmp_path):
         cfg = {
             "mode": "simulate",
             "output_dir": str(tmp_path / out),
-            "parallel": parallel,
             "scenario": {
                 "n_population": 2000,
                 "covariates": [{"kind": "normal"}, {"kind": "normal"}],

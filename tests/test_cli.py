@@ -88,11 +88,10 @@ def edited_config(tmp_path, mode, section, edit):
     return path
 
 
-def simulate_config(tmp_path, out="sim", replicates=12, seed=7, parallel=False):
+def simulate_config(tmp_path, out="sim", replicates=12, seed=7):
     cfg = {
         "mode": "simulate",
         "output_dir": str(tmp_path / out),
-        "parallel": parallel,
         "scenario": {
             "n_population": 1200,
             "covariates": [{"kind": "normal"}],
@@ -429,6 +428,13 @@ class TestSimulateMode:
         assert manifest["seed"] == 7
         assert "wall_time_seconds" in manifest
 
+    def test_wall_time_is_measured_on_a_monotonic_clock(self, tmp_path, monkeypatch):
+        # a wall clock stepped back during the run does not make the run's duration negative
+        stepped_back = iter(range(10**9, 0, -1000))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(stepped_back)))
+        assert main(["simulate", "--config", str(simulate_config(tmp_path, replicates=2))]) == 0
+        assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["wall_time_seconds"] >= 0.0
+
     def test_same_config_and_seed_identical_summaries(self, tmp_path):
         c1 = simulate_config(tmp_path, out="sim1")
         c2 = simulate_config(tmp_path, out="sim2")
@@ -440,7 +446,7 @@ class TestSimulateMode:
 
     def test_parallel_summary_is_bit_identical_to_serial(self, tmp_path):
         serial = simulate_config(tmp_path, out="ser", replicates=16)
-        parallel = simulate_config(tmp_path, out="par", replicates=16, parallel=True)
+        parallel = simulate_config(tmp_path, out="par", replicates=16)
         assert main(["simulate", "--config", str(serial)]) == 0
         assert main(["simulate", "--config", str(parallel), "--workers", "2"]) == 0
         assert ((tmp_path / "ser" / "summary.csv").read_bytes()
@@ -521,8 +527,8 @@ class TestSimulateMode:
     # worker counts below 1
     ("simulate", None, "max_workers", 0),
     ("simulate", None, "max_workers", "two"),
-    # a top-level flag that is not a bool
-    ("simulate", None, "parallel", "no"),
+    # the removed worker flag, which max_workers alone spells
+    ("simulate", None, "parallel", False),
     # values that used to fail only once the study ran, with a traceback
     ("simulate", "scenario", "seed", -1),
     ("simulate", "scenario", "pi_a_coef", [0.5]),
@@ -592,6 +598,8 @@ class TestSimulateMode:
     ("simulate", "scenario", "alpha_true", [1e308, -1e308]),
     ("simulate", "scenario", "pi_a_coef", [1e308, 1e308]),
     ("simulate", "scenario", "noise_sd", 1e308),
+    # a worker count that is no count
+    ("simulate", None, "max_workers", None),
 ])
 def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, section, key, value):
     path = edited_config(tmp_path, mode, section, lambda target: target.__setitem__(key, value))
@@ -695,11 +703,14 @@ def empty_cwd(tmp_path, monkeypatch):
     ("simulate", "scenario", "noise_sd", -0.5, "scenario.noise_sd must be finite and at least 0, not -0.5"),
     ("simulate", "scenario", "noise_sd", float("nan"), "scenario.noise_sd must be finite and at least 0, not nan"),
     ("simulate", "scenario", "noise_sd", float("inf"), "scenario.noise_sd must be finite and at least 0, not inf"),
+    ("simulate", None, "max_workers", None, "max_workers must be an integer, not None"),
+    ("simulate", None, "parallel", True, "config section top level: unknown key 'parallel'"),
 ], ids=["points-item", "variances-kind", "prob_points-item", "var_pairs-item", "points-scalar", "points-mapping",
         "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list",
         "n_population-0", "n_population-negative", "output_dir-empty", "sample_a-empty", "sample_b-empty", "level-1",
         "level-nan", "simulate-output_dir-empty", "max_workers-0", "sample_a_size-0", "scenario-level-0",
-        "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan", "noise_sd-inf"])
+        "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan", "noise_sd-inf", "max_workers-null",
+        "parallel-removed"])
 def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, monkeypatch, capsys, empty_cwd, mode, section,
                                                               key, value, message):
     # the config is rejected as it loads: no sample is read, no replicate runs and no file is written
@@ -818,18 +829,33 @@ def test_key_error_from_a_bug_propagates(tmp_path, monkeypatch):
         main(["estimate", "--config", str(estimate_config(tmp_path, make_observed(seed=80)))])
 
 
-@pytest.mark.parametrize("flags, config_workers, workers", [
-    (["--workers", "2"], None, 2),
-    (["--parallel"], 1, 1),
+@pytest.mark.parametrize("config_workers, flags, pools", [
+    (2, [], [2]),
+    (1, [], []),
+    (None, [], []),
+    (2, ["--workers", "1"], []),
+    (2, ["--workers", "3"], [3]),
     # a whole-number float is an integer setting, as scenario.replicates: 20.0 is
-    (["--parallel"], 2.0, 2),
-])
-def test_worker_flags_start_a_pool(tmp_path, flags, config_workers, workers):
-    path = edited_config(tmp_path, "simulate", None, lambda cfg: cfg.update(max_workers=config_workers))
+    (2.0, [], [2]),
+], ids=["config-2", "config-1", "unset", "flag-1", "flag-3-over-config-2", "config-2.0"])
+def test_the_worker_count_sizes_the_pool(tmp_path, pool_sizes, config_workers, flags, pools):
+    def set_workers(cfg):
+        if config_workers is not None:
+            cfg["max_workers"] = config_workers
+
+    path = edited_config(tmp_path, "simulate", None, set_workers)
     assert main(["simulate", "--config", str(path)] + flags) == 0
+    assert pool_sizes == pools
     manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
-    assert (manifest["parallel"], manifest["max_workers"]) == (True, workers)
-    assert type(manifest["max_workers"]) is int
+    assert manifest["max_workers"] == (pools or [1])[0] and type(manifest["max_workers"]) is int
+    assert "parallel" not in manifest
+
+
+def test_the_removed_parallel_flag_exits_2_naming_it(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(simulate_config(tmp_path)), "--parallel"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 def test_config_with_invalid_utf8_is_io_error(tmp_path, capsys):
@@ -851,21 +877,23 @@ def test_unreadable_csv_bytes_are_io_error(tmp_path, capsys, junk):
 
 
 @pytest.mark.parametrize("workers, message", [
-    ("0", "max_workers must be at least 1, not 0"),
-    ("-1", "max_workers must be at least 1, not -1"),
-    ("two", "max_workers must be an integer, not 'two'"),
-    ("x", "max_workers must be an integer, not 'x'"),
-    ("2.0", "max_workers must be an integer, not '2.0'"),
+    ("0", "validation error: max_workers must be at least 1, not 0"),
+    ("-1", "validation error: max_workers must be at least 1, not -1"),
+    ("two", "argument --workers: invalid int value: 'two'"),
+    ("x", "argument --workers: invalid int value: 'x'"),
+    ("2.0", "argument --workers: invalid int value: '2.0'"),
 ], ids=["0", "-1", "two", "x", "2.0"])
 def test_worker_option_must_be_a_positive_integer(tmp_path, capsys, workers, message):
-    # --workers is held to the bound of the max_workers key, so both state it in the same words
+    # a count is held to the bound of the max_workers key, which RunConfig states; text argparse cannot read
+    # as an int stops as it parses
     config = simulate_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", str(config), "--parallel", "--workers", workers])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument --workers: {message}\n" in err
-    assert "_worker_count" not in err
+    try:
+        code = main(["simulate", "--config", str(config), "--workers", workers])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert f"{message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("name, mode", [("estimate_example.yaml", "estimate"),
@@ -922,7 +950,7 @@ def fuzz_configs(directory):
                        "pooled": [{"kind": "DR1", "regime": "both_correct", "prob": "Hajek"}]},
     }
     simulate = {
-        "mode": "simulate", "output_dir": "out", "parallel": False, "max_workers": 1,
+        "mode": "simulate", "output_dir": "out", "max_workers": 1,
         "scenario": {"n_population": 300, "covariates": [{"kind": "normal", "params": [0.0, 1.0]},
                                                           {"kind": "uniform", "params": [0.0, 1.0]}],
                      "beta_true": [1.0, 1.0, 0.5], "alpha_true": [-1.0, 0.4, 0.2], "sample_a_size": 60,

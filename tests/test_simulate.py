@@ -215,30 +215,18 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("replicates, requested, started", [(1000, 200, 67), (500, 2, 2)],
                              ids=["more-workers-than-chunks", "benchmark-setting"])
-    def test_a_pool_starts_no_worker_past_the_chunk_count(self, monkeypatch, replicates, requested, started):
-        # A fork-started pool forks every worker at its first submit; one past the chunk count would idle. The
-        # stand-in pool records its worker count and maps in this process, so no real pool starts here.
-        counts = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                counts.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize):
-                return map(fn, items)
-
-        monkeypatch.setattr(simulate.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(simulate, "_WORKER_STATE", {})
+    def test_a_pool_starts_no_worker_past_the_chunk_count(self, pool_sizes, replicates, requested, started):
+        # a worker past the chunk count would idle
         summary = run_replications(small_config(replicates=replicates), parallel=True, max_workers=requested)
-        assert counts == [started]
+        assert pool_sizes == [started]
         assert (summary.n_replicates, summary.n_failed) == (replicates, 0)
+
+    @pytest.mark.parametrize("max_workers, cores", [(1, 4), (None, 1)], ids=["one-worker", "all-of-one-core"])
+    def test_a_study_that_would_start_one_worker_runs_in_process(self, monkeypatch, pool_sizes, max_workers, cores):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+        pooled = run_replications(small_config(replicates=8), parallel=True, max_workers=max_workers)
+        assert pool_sizes == []
+        assert pooled == run_replications(small_config(replicates=8))
 
     def test_mc_standard_errors_shrink_with_replicates(self):
         lo = run_replications(small_config(replicates=150))

@@ -172,9 +172,9 @@ def test_run_config_design_defaults_to_poisson():
     ({"level": "0.9"}, "level must be a number, not '0.9'"),
     ({"level": True}, "level must be a number, not True"),
     ({"level": 1.5}, r"^level must be in \(0, 1\), not 1\.5$"),
-    ({"parallel": "yes"}, "parallel must be true or false, not 'yes'"),
-], ids=["level-string", "level-bool", "level-1.5", "parallel-string"])
-def test_run_config_checks_its_level_and_flag(value, match):
+    ({"max_workers": None}, "max_workers must be an integer, not None"),
+], ids=["level-string", "level-bool", "level-1.5", "max_workers-null"])
+def test_run_config_checks_its_level_and_worker_count(value, match):
     with pytest.raises(ValidationError, match=match):
         RunConfig(output_dir=Path("out"), **value)
 
