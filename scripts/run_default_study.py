@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from surveyblend import ScenarioConfig, ValidationError, run_replications
-from surveyblend.types import PositiveInt, config_value
+from surveyblend.types import PositiveInt, config_dataclass, config_value
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "simulate_example.yaml"
 
@@ -25,7 +25,7 @@ def default_scenario(replicates: int, seed: int) -> ScenarioConfig:
     """The scenario of configs/simulate_example.yaml with ``replicates`` and ``seed`` replaced."""
     with open(EXAMPLE_CONFIG, "rb") as fh:
         scenario = yaml.safe_load(fh)["scenario"]
-    return ScenarioConfig.from_dict({**scenario, "replicates": replicates, "seed": seed})
+    return config_dataclass(ScenarioConfig, "scenario", {**scenario, "replicates": replicates, "seed": seed})
 
 
 def main() -> int:

@@ -169,7 +169,7 @@ def _parse_config(raw, mode: str) -> RunConfig:
     given = {key: raw[key] for key in ("level", "max_workers") if key in raw}  # the rest keep defaults
 
     if mode == "simulate":
-        return RunConfig(output_dir, scenario=ScenarioConfig.from_dict(raw["scenario"]), **given)
+        return RunConfig(output_dir, scenario=config_dataclass(ScenarioConfig, "scenario", raw["scenario"]), **given)
 
     inputs = config_section(raw["inputs"], "inputs", INPUT_KEYS, INPUT_KEYS)
     inputs = {key: config_value(f"inputs.{key}", hint, inputs[key])

@@ -5,11 +5,11 @@ generated and checked once per scenario and held fixed; each replicate
 then draws new outcomes from the superpopulation model, redraws both
 samples, refits the nuisance models, and returns by row name the values
 of the scenario's :class:`EvalPlan` from :func:`evaluate`, which the
-``estimate`` command uses too. A failed replicate (a domain error such
-as invalid data, a failed solve or an unusable draw) stacks as NaN;
-any other exception stops the study. Replicate RNG streams are indexed by
-(master seed, replicate), so serial and parallel execution produce
-bit-identical summaries.
+``estimate`` command uses too. A replicate that fails with a domain error
+(a ValidationError, such as a sample too small to fit, or a SolverError)
+is left out of the summary; any other exception stops the study.
+Replicate RNG streams are indexed by (master seed, replicate), so serial
+and parallel execution produce bit-identical summaries.
 
 Misspecification never touches the generating mechanism: a model is wrong
 when ``outcome_cols_override``/``selection_cols_override`` leave out a
@@ -30,8 +30,8 @@ from .combiner import PooledReport, pool, z_score
 from .estimators import Analysis, EstimatorKind
 from .nuisance import SolverError, expit, fit_nuisance
 from .types import (DesignKind, FinitePopulation, FitMethod, IntAtLeast2, Level, ModelSpec, NonNegativeFloat,
-                    NonNegativeInt, ObservedData, OutcomeFamily, PositiveInt, ValidationError, config_dataclass,
-                    config_int, typed_fields)
+                    NonNegativeInt, ObservedData, OutcomeFamily, PositiveInt, ValidationError, config_int,
+                    typed_fields)
 from .uncertainty import Regime, ResidualVarianceModel, cell_label, check_supported, cov_estimate, variance
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
 _POP_STREAM = 0
 _REP_STREAM = 1
 _MAX_FAILURE_FRACTION = 0.01
-_DRAW_ATTEMPTS = 10
 # Each covariate kind's accepted param counts, default params, and draw(rng, params, n, earlier columns).
 _COVARIATE_KINDS = {
     "normal": ((0, 2), (0.0, 1.0), lambda rng, params, n, columns: rng.normal(*params, n)),
@@ -199,7 +198,7 @@ class ScenarioConfig:
             raise ValidationError("noise_sd and noise_sd_coef are unread: a logistic_binary outcome draws no noise")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("sample_a_size must be below n_population")
-        if self.design_kind is DesignKind.SRSWOR and self.sample_a_size < p + 1:  # draw_samples' need
+        if self.design_kind is DesignKind.SRSWOR and self.sample_a_size < p + 1:  # validate's underdetermined fit
             raise ValidationError(f"an srswor sample_a_size must be at least {p + 1}, the covariate columns + 1")
         for j, cov in enumerate(self.covariates, start=1):
             if cov.kind == "square_of" and not 1 <= config_int("square_of params", cov.params[0]) < j:
@@ -216,10 +215,6 @@ class ScenarioConfig:
     def model_spec(self) -> ModelSpec:
         return ModelSpec(outcome_family=self.outcome_family, fit_method=self.fit_method,
                          outcome_cols=self.outcome_cols_override, selection_cols=self.selection_cols_override)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        return config_dataclass(cls, "scenario", d)
 
 
 # The generator lets a value past the float range become inf or NaN unwarned; the checks on the result report it.
@@ -283,9 +278,10 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     ``population.y``), which must hold one finite value per unit. Returns
     the observed data and ``y_bar``, the population mean of ``y``.
 
-    The two samples come from independent RNG streams. Degenerate draws
-    (either sample smaller than the covariate dimension + 1) are redrawn,
-    up to ten attempts in all.
+    The two samples come from independent RNG streams, the two children of
+    ``seed``, and are drawn once: a sample too small to fit fails
+    :class:`ObservedData`'s own checks (``empty sample``, ``underdetermined
+    fit``) with a :class:`ValidationError`, as any other invalid sample does.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     n = population.size
@@ -293,27 +289,15 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     y_bar = float(np.mean(y))
     if y.shape != (n,) or not np.isfinite(y_bar):
         raise ValidationError(f"the outcome vector must hold {n} finite values")
-    need = population.x.shape[1] + 1
-    for _ in range(_DRAW_ATTEMPTS):
-        a_ss, b_ss = ss.spawn(2)
-        rng_a, rng_b = np.random.default_rng(a_ss), np.random.default_rng(b_ss)
-        if population.design is DesignKind.SRSWOR:
-            a_idx = np.sort(rng_a.choice(n, round(population.pi_a[0] * n), replace=False))
-        else:
-            a_idx = np.flatnonzero(rng_a.random(n) < population.pi_a)
-        b_idx = np.flatnonzero(rng_b.random(n) < population.pi_b_true)
-        if a_idx.size >= need and b_idx.size >= need:
-            observed = ObservedData(
-                n_population=n,
-                design=population.design,
-                x_a=population.x[a_idx],
-                pi_a=population.pi_a[a_idx],
-                y_a=y[a_idx],
-                x_b=population.x[b_idx],
-                y_b=y[b_idx],
-            )
-            return observed, y_bar
-    raise SimulationError(f"could not draw usable samples after {_DRAW_ATTEMPTS} attempts")
+    rng_a, rng_b = (np.random.default_rng(child) for child in ss.spawn(2))
+    if population.design is DesignKind.SRSWOR:
+        a_idx = np.sort(rng_a.choice(n, round(population.pi_a[0] * n), replace=False))
+    else:
+        a_idx = np.flatnonzero(rng_a.random(n) < population.pi_a)
+    b_idx = np.flatnonzero(rng_b.random(n) < population.pi_b_true)
+    observed = ObservedData(n_population=n, design=population.design, x_a=population.x[a_idx],
+                            pi_a=population.pi_a[a_idx], y_a=y[a_idx], x_b=population.x[b_idx], y_b=y[b_idx])
+    return observed, y_bar
 
 
 def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
@@ -330,7 +314,7 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
         observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec))
         rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
-    except (ValidationError, SolverError, SimulationError, np.linalg.LinAlgError) as exc:
+    except (ValidationError, SolverError) as exc:
         return f"{type(exc).__name__}: {exc}"
     record: dict[str, dict[str, float]] = {}
     for row in rows:  # rows of one name (a point listed with and without its interval) pool their values
@@ -462,12 +446,8 @@ def run_replications(config: ScenarioConfig, *, parallel: bool = False,
         index, error = failed[0]
         raise SimulationError(f"{len(failed)} of {n_rep} replicates failed; "
                               f"first error (replicate {index}): {error}")
-    # A failed replicate reads as NaN throughout, which _summary_row's isfinite filter and nanmean leave out.
-    fields = next(r for r in records if not isinstance(r, str))[1]
-    nan_record = (np.nan, {name: dict.fromkeys(values, np.nan) for name, values in fields.items()})
-    records = [nan_record if isinstance(r, str) else r for r in records]
+    records = [r for r in records if not isinstance(r, str)]  # a failed replicate is left out of every row
     ybar = np.array([y_bar for y_bar, _ in records])
     rows = tuple(_summary_row(name, {f: np.array([r[1][name][f] for r in records]) for f in values}, ybar)
-                 for name, values in fields.items())
-    return MonteCarloSummary(rows=rows, n_replicates=n_rep, n_failed=len(failed),
-                             y_bar_mean=float(np.nanmean(ybar)))
+                 for name, values in records[0][1].items())
+    return MonteCarloSummary(rows=rows, n_replicates=n_rep, n_failed=len(failed), y_bar_mean=float(np.mean(ybar)))

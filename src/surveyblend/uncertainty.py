@@ -169,7 +169,7 @@ def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple
         return np.full(observed.n_a, s2), np.full(observed.n_b, s2)
     cols = analysis.spec.columns("outcome", observed.n_covariates)
     x_b = observed.x_b[:, cols]
-    coef, *_ = np.linalg.lstsq(x_b, r**2, rcond=None)
+    coef = solve_spd(x_b.T @ x_b, x_b.T @ r**2, "residual variance least squares")
     s2_a = np.clip(observed.x_a[:, cols] @ coef, 0.0, None)
     s2_b = np.clip(x_b @ coef, 0.0, None)
     return s2_a, s2_b

@@ -644,7 +644,7 @@ def test_an_outcome_whose_variance_overflows_is_validation_error(tmp_path, capsy
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_an_srswor_sample_a_too_small_for_the_fit_is_validation_error(tmp_path, capsys, size):
-    # Three covariate columns need 4 rows in each sample: every smaller SRSWOR draw would be redrawn until it failed.
+    # Three covariate columns need 4 rows in each sample: every smaller SRSWOR draw would fail the fit's size check.
     def srswor(scenario, size):
         scenario.update(covariates=[{"kind": "normal"}] * 2, beta_true=[1.0] * 3, alpha_true=[-1.5, 0.4, 0.4],
                         design_kind="srswor", sample_a_size=size)
@@ -705,12 +705,13 @@ def empty_cwd(tmp_path, monkeypatch):
     ("simulate", "scenario", "noise_sd", float("inf"), "scenario.noise_sd must be finite and at least 0, not inf"),
     ("simulate", None, "max_workers", None, "max_workers must be an integer, not None"),
     ("simulate", None, "parallel", True, "config section top level: unknown key 'parallel'"),
+    ("simulate", None, "scenario", None, "config section scenario: must be a mapping, not None"),
 ], ids=["points-item", "variances-kind", "prob_points-item", "var_pairs-item", "points-scalar", "points-mapping",
         "analysis-fit_method", "scenario-fit_method", "sample_a-number", "covariate-kind-list",
         "n_population-0", "n_population-negative", "output_dir-empty", "sample_a-empty", "sample_b-empty", "level-1",
         "level-nan", "simulate-output_dir-empty", "max_workers-0", "sample_a_size-0", "scenario-level-0",
         "seed-negative", "replicates-1", "noise_sd-negative", "noise_sd-nan", "noise_sd-inf", "max_workers-null",
-        "parallel-removed"])
+        "parallel-removed", "scenario-null"])
 def test_a_malformed_value_is_validation_error_naming_its_key(tmp_path, monkeypatch, capsys, empty_cwd, mode, section,
                                                               key, value, message):
     # the config is rejected as it loads: no sample is read, no replicate runs and no file is written

@@ -1,6 +1,7 @@
 """Simulation harness: generation contracts, determinism, sampling laws, and relations between evaluated rows."""
 
 import dataclasses
+import multiprocessing
 import re
 
 import numpy as np
@@ -30,7 +31,7 @@ from surveyblend import (
     run_replications,
 )
 from surveyblend import simulate
-from surveyblend.types import plain_data
+from surveyblend.types import config_dataclass, plain_data
 from surveyblend.uncertainty import SUPPORTED
 
 from conftest import default_fit, make_observed, summary_row
@@ -195,11 +196,13 @@ class TestDrawSamples:
             with pytest.raises(ValidationError, match="finite values"):
                 draw_samples(pop, 0, y)
 
-    def test_degenerate_selection_errors_after_retries(self):
-        config = small_config(alpha_true=(-14.0, 0.0))
-        pop = generate_population(config)
-        with pytest.raises(SimulationError, match="attempts"):
-            draw_samples(pop, 0)
+    def test_degenerate_selection_fails_its_one_draw(self):
+        # an empty sample B fails ObservedData's own check; the two samples are drawn once, not redrawn
+        pop = generate_population(small_config(alpha_true=(-14.0, 0.0)))
+        seed = SeedSequence(0)
+        with pytest.raises(ValidationError, match="^empty sample$"):
+            draw_samples(pop, seed)
+        assert seed.n_children_spawned == 2
 
 
 class TestRunReplications:
@@ -251,8 +254,8 @@ class TestRunReplications:
     def test_failure_threshold_raises(self):
         config = small_config(alpha_true=(-14.0, 0.0), replicates=10)
         for parallel in (False, True):
-            with pytest.raises(SimulationError, match=r"10 of 10 replicates failed; first error "
-                                                      r"\(replicate 0\): SimulationError: could not draw"):
+            with pytest.raises(SimulationError, match=r"^10 of 10 replicates failed; first error "
+                                                      r"\(replicate 0\): ValidationError: empty sample$"):
                 run_replications(config, parallel=parallel, max_workers=2)
 
     def test_programming_error_in_a_replicate_propagates(self, monkeypatch):
@@ -267,6 +270,18 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "fit_nuisance", fit_that_breaks_once)
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_config(replicates=5))
+
+    @pytest.mark.parametrize("parallel", [False, pytest.param(True, marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="only a fork-started worker inherits the patched fit"))],
+        ids=["serial", "two-workers"])
+    def test_a_linear_algebra_error_in_a_replicate_propagates(self, monkeypatch, parallel):
+        # Every solve the package makes turns a singular system into a SolverError, so a raw LinAlgError is a bug.
+        def fit_that_breaks(observed, spec):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(simulate, "fit_nuisance", fit_that_breaks)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            run_replications(small_config(replicates=5), parallel=parallel, max_workers=2)
 
     def test_replicate_streams_are_the_children_spawn_derives(self, monkeypatch):
         # Each replicate seeds its outcome and sample streams directly; they must stay what spawn(2) gave.
@@ -342,13 +357,13 @@ class TestRunReplications:
 
     def test_config_round_trip(self):
         config = small_config()
-        assert ScenarioConfig.from_dict(plain_data(config)) == config
+        assert config_dataclass(ScenarioConfig, "scenario", plain_data(config)) == config
 
     def test_an_infinite_noise_sd_is_rejected_as_the_config_loads(self):
         # an infinite noise_sd once passed its bound and failed only on the first drawn outcome, naming three keys
         raw = {**plain_data(small_config()), "noise_sd": float("inf")}
         with pytest.raises(ValidationError, match=r"^scenario\.noise_sd must be finite and at least 0, not inf$"):
-            ScenarioConfig.from_dict(raw)
+            config_dataclass(ScenarioConfig, "scenario", raw)
 
 
 def every_row(fit_method):

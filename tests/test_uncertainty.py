@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from surveyblend import (
     Analysis,
@@ -291,6 +292,18 @@ class TestResidualVariance:
         fit = default_fit(observed)
         s2_a, s2_b = residual_variance(Analysis(observed, fit), ResidualVarianceModel.LINEAR_IN_X)
         assert np.min(s2_a) >= 0.0 and np.min(s2_b) >= 0.0
+
+    @pytest.mark.parametrize("cols", [None, (0, 1)], ids=["all-columns", "masked"])
+    @pytest.mark.parametrize("method", list(FitMethod), ids=lambda method: method.value)
+    def test_linear_model_is_the_least_squares_fit_of_squared_residuals(self, method, cols):
+        # an SVD least-squares oracle, apart from the package's Cholesky solve of the normal equations
+        observed = make_observed(seed=59)
+        analysis = Analysis(observed, default_fit(observed, method, outcome_cols=cols, selection_cols=cols))
+        mask = slice(None) if cols is None else list(cols)
+        coef, *_ = scipy.linalg.lstsq(observed.x_b[:, mask], (observed.y_b - analysis.m_b) ** 2)
+        s2 = residual_variance(analysis, ResidualVarianceModel.LINEAR_IN_X)
+        for values, x in zip(s2, (observed.x_a, observed.x_b)):
+            np.testing.assert_allclose(values, np.clip(x[:, mask] @ coef, 0.0, None), rtol=1e-12, atol=0)
 
     def test_constant_model_recovers_noise_variance(self):
         config = ScenarioConfig(
