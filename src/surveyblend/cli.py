@@ -80,8 +80,8 @@ from .estimators import PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import SolverError, fit_nuisance
 from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationError, SummaryRow, evaluate,
                        run_replications)
-from .types import (DesignKind, Level, ModelSpec, ObservedData, PositiveInt, ValidationError, config_dataclass,
-                    config_section, config_value, field_names, plain_data, typed_fields)
+from .types import (PI_A_FLOOR, DesignKind, Level, ModelSpec, ObservedData, PositiveInt, ValidationError,
+                    config_dataclass, config_section, config_value, field_names, plain_data, typed_fields)
 from .uncertainty import Regime, ResidualVarianceModel
 
 __all__ = ["CsvParseError", "RunConfig", "console_main", "main", "read_samples",
@@ -121,7 +121,6 @@ class RunConfig:
     n_population: PositiveInt | None = None
     design: DesignKind = DesignKind.POISSON
     model: ModelSpec | None = None
-    sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
     plan: EvalPlan = field(default_factory=EvalPlan)
     # simulate mode
     scenario: ScenarioConfig | None = None
@@ -177,8 +176,8 @@ def _parse_config(raw, mode: str) -> RunConfig:
     design = config_section(raw.get("design", {}), "design", ("kind",))  # SRSWOR's size is sample A's row count
     given.update({"design": config_value("design.kind", DesignKind, design["kind"])} if design else {})
     analysis = config_section(raw.get("analysis", {}), "analysis", field_names(ModelSpec) + ("sigma_model",))
-    given.update({"sigma_model": config_value("analysis.sigma_model", ResidualVarianceModel, analysis["sigma_model"])}
-                 if "sigma_model" in analysis else {})
+    if "sigma_model" in analysis:  # the residual variance has one model, so the key is checked, then unread
+        config_value("analysis.sigma_model", ResidualVarianceModel, analysis["sigma_model"])
     # a mask lists covariate numbers, x_j as j; the intercept, column 0, is always kept
     model = config_dataclass(ModelSpec, "analysis", {
         key: (0, *value) if key.endswith("_cols") and isinstance(value, list) else value
@@ -398,12 +397,12 @@ def read_samples(config: RunConfig) -> ObservedData:
     (x_a, tails_a), (x_b, tails_b) = ((values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T)))
                                       for values, n_x, tail in (table_a, table_b))
     pi_a = tails_a["pi_a"]
-    outside = ~((pi_a > 0.0) & (pi_a <= 1.0))
+    outside = ~((pi_a > PI_A_FLOOR) & (pi_a <= 1.0))  # validate's bound, named here with the line
     if outside.any():
         row = int(np.argmax(outside))
         lineno = _scan_rows(config.sample_a_path, ("pi_a",), ("y",))[0][row]
-        raise ValidationError(
-            f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} outside (0, 1]")
+        problem = "too small to invert" if 0.0 < pi_a[row] <= 1.0 else "outside (0, 1]"
+        raise ValidationError(f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} {problem}")
     return ObservedData(
         n_population=config.n_population,
         design=config.design,
@@ -475,7 +474,7 @@ def build_estimate_report(config: RunConfig, observed: ObservedData) -> dict:
         "covariances": [],
         "pooled": [],
     }
-    for row in evaluate(plan, analysis, config.level, config.sigma_model):
+    for row in evaluate(plan, analysis, config.level):
         values = row.values
         head = {"estimator": row.kind.value, "regime": row.regime.value if row.regime else None}
         if row.pooled is not None:

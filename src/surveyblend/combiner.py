@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimators import Analysis, EstimatorKind
 from .types import Level, ValidationError, config_value
-from .uncertainty import Regime, ResidualVarianceModel, cov_estimate, variance
+from .uncertainty import Regime, cov_estimate, variance
 
 __all__ = ["PooledReport", "combine", "pool", "pooled_variance", "z_score"]
 
@@ -84,9 +84,8 @@ def combine(est_prob: float, var_prob: float, est_dr: float, var_dr: float, cov:
 
 
 def pool(analysis: Analysis, kind_dr: EstimatorKind, regime: Regime, prob_kind: EstimatorKind,
-         level: float = 0.95, *,
-         sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> PooledReport:
+         level: float = 0.95) -> PooledReport:
     """Pool a reweighted estimate with a probability-sample one, reading the analysis's results."""
     return combine(analysis.point(prob_kind), variance(prob_kind, None, analysis),
-                   analysis.point(kind_dr), variance(kind_dr, regime, analysis, sigma_model=sigma_model),
+                   analysis.point(kind_dr), variance(kind_dr, regime, analysis),
                    cov_estimate(kind_dr, regime, prob_kind, analysis), level)

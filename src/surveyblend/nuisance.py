@@ -265,6 +265,8 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 
+# A sum past the float range becomes inf or NaN unwarned; the solve that reads the gram reports it (SolverError).
+@np.errstate(over="ignore", invalid="ignore")
 def weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i weights_i x_i x_i' over the rows of ``x``, in blocks of ``GRAM_BLOCK`` rows, each weighted in turn."""
     gram = 0.0

@@ -32,7 +32,7 @@ from .nuisance import SolverError, expit, fit_nuisance
 from .types import (DesignKind, FinitePopulation, FitMethod, IntAtLeast2, Level, ModelSpec, NonNegativeFloat,
                     NonNegativeInt, ObservedData, OutcomeFamily, PositiveInt, ValidationError, config_int,
                     typed_fields)
-from .uncertainty import Regime, ResidualVarianceModel, cell_label, check_supported, cov_estimate, variance
+from .uncertainty import Regime, cell_label, check_supported, cov_estimate, variance
 
 __all__ = [
     "Covariate",
@@ -129,8 +129,7 @@ class EvalRow(NamedTuple):
     pooled: PooledReport | None = None
 
 
-def evaluate(plan: EvalPlan, analysis: Analysis, level: float,
-             sigma_model: ResidualVarianceModel) -> list[EvalRow]:
+def evaluate(plan: EvalPlan, analysis: Analysis, level: float) -> list[EvalRow]:
     """Every point, interval, covariance and pooled report of ``plan`` on one analysed dataset.
 
     Rows come in plan order: probability-sample points with their
@@ -147,14 +146,13 @@ def evaluate(plan: EvalPlan, analysis: Analysis, level: float,
 
     rows = [interval(kind, None, variance(kind, None, analysis)) for kind in plan.prob_points]
     rows += [EvalRow(cell_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
-    rows += [interval(kind, regime, variance(kind, regime, analysis, sigma_model=sigma_model))
-             for kind, regime in plan.var_pairs]
+    rows += [interval(kind, regime, variance(kind, regime, analysis)) for kind, regime in plan.var_pairs]
     for kind, regime, prob in plan.cov_pairs:
         rows.append(EvalRow(f"cov({cell_label(kind, regime)},{prob.value})", kind, regime, prob,
                             {"est": analysis.point(kind), "prob_est": analysis.point(prob),
                              "cov": cov_estimate(kind, regime, prob, analysis)}))
     for kind, regime, prob in plan.pooled:
-        report = pool(analysis, kind, regime, prob, level, sigma_model=sigma_model)
+        report = pool(analysis, kind, regime, prob, level)
         rows.append(EvalRow(f"pooled({cell_label(kind, regime)},{prob.value})", kind, regime, prob,
                             {"est": report.pooled_estimate, "var": report.pooled_variance,
                              "lo": report.ci_low, "hi": report.ci_high, "w": report.w}, report))
@@ -180,7 +178,6 @@ class ScenarioConfig:
     selection_cols_override: tuple[int, ...] | None = None
     replicates: IntAtLeast2 = 1000
     level: Level = 0.95
-    sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT
     plan: EvalPlan = field(default_factory=EvalPlan)
     seed: NonNegativeInt = 0
 
@@ -313,7 +310,7 @@ def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
                            for i in (0, 1))
         observed, y_bar = draw_samples(population, sample_ss, redraw_outcomes(population, config, y_ss))
         analysis = Analysis(observed, fit_nuisance(observed, config.model_spec))
-        rows = evaluate(config.plan, analysis, config.level, config.sigma_model)
+        rows = evaluate(config.plan, analysis, config.level)
     except (ValidationError, SolverError) as exc:
         return f"{type(exc).__name__}: {exc}"
     record: dict[str, dict[str, float]] = {}

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 SRSWOR_PI_RTOL = 1e-12  # how far from n/N, relative, a stated SRSWOR pi_a may be: n/N to 15 digits passes
+PI_A_FLOOR = 1.0 / np.finfo(float).max  # a pi_a must be above it: 1/pi_a overflows at or below it
 
 
 class ValidationError(ValueError):
@@ -339,8 +340,9 @@ def validate(observed: ObservedData) -> ObservedData:
 
     Construction runs these checks, so on an existing object this re-runs them; it returns the
     object unchanged when everything holds, so it is idempotent. Raises :class:`ValidationError`
-    on the first violation found. Under SRSWOR n is sample A's size n_A, which must be below N,
-    and every pi_a must be n_A/N, to ``SRSWOR_PI_RTOL``.
+    on the first violation found. Every pi_a must be above ``PI_A_FLOOR``, so that 1/pi_a is
+    finite. Under SRSWOR n is sample A's size n_A, which must be below N, and every pi_a must be
+    n_A/N, to ``SRSWOR_PI_RTOL``.
     """
     n_pop = observed.n_population
     p = observed.n_covariates
@@ -349,8 +351,8 @@ def validate(observed: ObservedData) -> ObservedData:
     if n_pop < max(observed.n_a, observed.n_b):
         raise ValidationError(f"population size smaller than a sample size (N {n_pop}, n_A {observed.n_a}, "
                               f"n_B {observed.n_b})")
-    if not np.all(observed.pi_a > 0.0):  # NaN too
-        raise ValidationError("nonpositive inclusion probability in sample A")
+    if not np.all(observed.pi_a > PI_A_FLOOR):  # NaN too
+        raise ValidationError("nonpositive inclusion probability in sample A, or one too small to invert")
     if np.any(observed.pi_a > 1.0):
         raise ValidationError("inclusion probability above 1 in sample A")
     for label, x in (("A", observed.x_a), ("B", observed.x_b)):

@@ -60,8 +60,9 @@ class Regime(ConfigEnum):
 
 
 class ResidualVarianceModel(ConfigEnum):
+    """The model of the residual variance s² in the Kim-Haziza correction: one constant over both samples."""
+
     CONSTANT = "constant"
-    LINEAR_IN_X = "linear_in_x"
 
 
 # Each (estimator, regime) pair that has a variance formula, with the fit methods it holds under (None: the
@@ -155,24 +156,15 @@ def centering_terms(kind: EstimatorKind, regime: Regime | None, analysis: Analys
 
 
 def residual_variance(analysis: Analysis, model: ResidualVarianceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate the residual variance function on both samples.
+    """Estimate the residual variance on both samples: per-unit values (on sample A, on sample B).
 
-    Returns per-unit values (on sample A, on sample B). The constant model
-    uses the mean squared sample-B residual; the linear model least-squares
-    fits squared residuals on the outcome covariates and truncates below
-    at zero.
+    The one ``model`` is a constant, the mean squared sample-B residual. Under
+    a Kim-Haziza fit with a linear outcome, any s² linear in x gives the
+    correction C = 0, since the fit calibrates the two samples' HT totals of x.
     """
     observed = analysis.observed
-    r = observed.y_b - analysis.m_b
-    if model is ResidualVarianceModel.CONSTANT:
-        s2 = float(np.mean(r**2))
-        return np.full(observed.n_a, s2), np.full(observed.n_b, s2)
-    cols = analysis.spec.columns("outcome", observed.n_covariates)
-    x_b = observed.x_b[:, cols]
-    coef = solve_spd(x_b.T @ x_b, x_b.T @ r**2, "residual variance least squares")
-    s2_a = np.clip(observed.x_a[:, cols] @ coef, 0.0, None)
-    s2_b = np.clip(x_b @ coef, 0.0, None)
-    return s2_a, s2_b
+    s2 = float(np.mean((observed.y_b - analysis.m_b) ** 2))
+    return np.full(observed.n_a, s2), np.full(observed.n_b, s2)
 
 
 def _covariance(terms: CenteringTerms, other: CenteringTerms, analysis: Analysis) -> float:
@@ -186,20 +178,19 @@ def _covariance(terms: CenteringTerms, other: CenteringTerms, analysis: Analysis
     return cov
 
 
-def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis, *,
-             sigma_model: ResidualVarianceModel = ResidualVarianceModel.CONSTANT) -> float:
+def variance(kind: EstimatorKind, regime: Regime | None, analysis: Analysis) -> float:
     """Closed-form variance estimate for an estimator under a regime (None for HT and Hajek): the cell's
     covariance with itself, plus, under the Kim-Haziza regime, its correction, the sum floored at 0."""
     def compute():
         terms = centering_terms(kind, regime, analysis)
         var = _covariance(terms, terms, analysis)
         if regime is Regime.KH_DOUBLY_ROBUST:  # its correction C is the one term that can be negative
-            s2_a, s2_b = residual_variance(analysis, sigma_model)
+            s2_a, s2_b = residual_variance(analysis, ResidualVarianceModel.CONSTANT)
             c = (analysis.weights_a.ht_mean(s2_a) - analysis.weights_b.ht_mean(s2_b)) / analysis.observed.n_population
             var = max(var + c, 0.0)
         return var
 
-    return analysis.memo(("variance", kind, regime, sigma_model), compute)
+    return analysis.memo(("variance", kind, regime), compute)
 
 
 def cov_estimate(kind: EstimatorKind, regime: Regime, prob_kind: EstimatorKind, analysis: Analysis) -> float:

@@ -39,9 +39,11 @@ from surveyblend import (
 )
 from surveyblend import cli
 from surveyblend.cli import main, read_samples, load_config, write_sample_csvs
+from surveyblend.types import PI_A_FLOOR
 from conftest import make_observed
 
 K = EstimatorKind
+SMALLEST_PI_A = float(np.nextafter(PI_A_FLOOR, 1.0))  # a subnormal, the smallest pi_a with a finite inverse
 
 
 def package_env():
@@ -136,6 +138,22 @@ class TestEstimateMode:
         assert main(["estimate", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert "line 5" in err and "1.5" in err
+
+    # x_1 = 1e160 on one row of the selection fit's reference sample squares past the float range in its gram
+    # matrix, which numpy once warned of (exit 1 under error::RuntimeWarning); the solve reports it instead
+    @pytest.mark.parametrize("sample, fit_method", [("sample_a.csv", "pseudo_ml"), ("sample_a.csv", "kim_haziza"),
+                                                    ("sample_b.csv", "calibration")])
+    def test_a_covariate_whose_square_overflows_is_a_solver_error(self, tmp_path, capsys, sample, fit_method):
+        config = estimate_config(tmp_path, make_observed(seed=82), fit_method=fit_method)
+        path = tmp_path / sample
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[1] = "1e160"
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", str(config)]) == 3
+        assert re.fullmatch(r"solver error: [\w-]+ selection fit: no descent direction \(residual \S+\)\n",
+                            capsys.readouterr().err)
 
     def test_unparsable_float_is_io_error(self, tmp_path, capsys):
         observed = make_observed(seed=82)
@@ -478,8 +496,7 @@ class TestSimulateMode:
         exact = simulate_config(tmp_path, out="exact")
         mixed = simulate_config(tmp_path, out="mixed")
         cfg = yaml.safe_load(mixed.read_text())
-        cfg["scenario"].update(design_kind="POISSON", fit_method="Pseudo_ML", outcome_family="Linear_Gaussian",
-                               sigma_model="CONSTANT")
+        cfg["scenario"].update(design_kind="POISSON", fit_method="Pseudo_ML", outcome_family="Linear_Gaussian")
         cfg["scenario"]["plan"]["var_pairs"] = [["DR1", "Both_Correct"]]
         cfg["scenario"]["plan"]["pooled"] = [["DR1", "BOTH_CORRECT", "Hajek"]]
         mixed.write_text(yaml.safe_dump(cfg))
@@ -581,6 +598,9 @@ class TestSimulateMode:
     # names that no case of a member's value spells
     ("estimate", "analysis", "fit_method", "Pseudo-ML"),
     ("estimate", "analysis", "sigma_model", "Linear"),
+    # the residual variance has one model: analysis.sigma_model takes only its name, and a scenario has no such key
+    ("estimate", "analysis", "sigma_model", "linear_in_x"),
+    ("simulate", "scenario", "sigma_model", "constant"),
     ("estimate", "design", "kind", "SRS"),
     ("simulate", "scenario", "outcome_family", "Logistic"),
     # a design whose every rate is 0, so that no sample_a_size can scale it
@@ -629,6 +649,16 @@ def test_a_study_whose_every_variance_overflows_is_a_simulation_error(tmp_path, 
     assert main(["simulate", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert "simulation error: 4 of 4 replicates failed" in err and "ValidationError: non-finite variance" in err
+
+
+def test_a_study_whose_covariate_squares_overflow_is_a_simulation_error(tmp_path, capsys):
+    # x_1 at sd 1e160 overflows each replicate's selection-fit gram matrix, which numpy once warned of, stopping
+    # the study (exit 1 under error::RuntimeWarning); the solve reports it, so every replicate fails with exit 3
+    path = edited_config(tmp_path, "simulate", "scenario", lambda scenario: scenario.update(
+        replicates=4, covariates=[{"kind": "normal", "params": [0.0, 1e160]}], alpha_true=[-1.5, 0.0]))
+    assert main(["simulate", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "simulation error: 4 of 4 replicates failed" in err and "SolverError: pseudo-ML selection fit" in err
 
 
 def test_an_outcome_whose_variance_overflows_is_validation_error(tmp_path, capsys):
@@ -1101,12 +1131,15 @@ CSV_CASES = [
     ("sample_b.csv", lambda lines: ["\ufeff" + lines[0]] + lines[1:], SAMPLE_B_ARRAYS),
     ("sample_b.csv", lambda lines: lines[:2] + ["2,\ufeff-0.5,2.5"] + lines[3:],
      (cli.CsvParseError, "{path} line 3: could not convert string to float: '\\ufeff-0.5'")),
+    # 1/pi_a overflows, which numpy once warned of in the selection fit (exit 1 under error::RuntimeWarning)
+    ("sample_a.csv", lambda lines: lines[:3] + ["3,2,1e-320,-0.75"] + lines[4:],
+     (ValidationError, f"{{path}} line 4: inclusion probability {1e-320:g} too small to invert")),
 ]
 CSV_CASE_IDS = ["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
                 "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
                 "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
                 "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
-                "no-x_1-column", "bom-at-file-start", "bom-inside-the-file"]
+                "no-x_1-column", "bom-at-file-start", "bom-inside-the-file", "subnormal-pi_a"]
 SAMPLE_A_CASES = [(case, case_id) for case, case_id in zip(CSV_CASES, CSV_CASE_IDS) if case[0] == "sample_a.csv"]
 
 
@@ -1348,7 +1381,7 @@ def test_sample_csv_export_bytes_match_the_csv_writer(tmp_path, monkeypatch, y_o
     x_b[:len(special), 2] = special[::-1]
     y_b[:len(special)] = special
     pi_a = base.pi_a.copy()
-    pi_a[:3] = [0.30000000000000004, 1.0, 5e-324]
+    pi_a[:3] = [0.30000000000000004, 1.0, SMALLEST_PI_A]
     observed = ObservedData(n_population=base.n_population, design=base.design, x_a=x_a, pi_a=pi_a,
                             y_a=None if base.y_a is None else -base.y_a, x_b=x_b, y_b=y_b)
     assert_export_matches_the_csv_writer(monkeypatch, observed, tmp_path)
@@ -1381,7 +1414,7 @@ def test_forked_export_cut_keeps_the_bytes(tmp_path, monkeypatch, n_a, n_b, befo
     for (side, row), (x_1, y) in ((before, (-0.0, 1e22)), (after, (5e-324, -0.0))):
         columns[side]["x"][row, 1], columns[side]["y"][row] = x_1, y
         if side == "a":
-            pi_a[row] = 5e-324
+            pi_a[row] = SMALLEST_PI_A
     observed = ObservedData(n_population=100, design=DesignKind.POISSON, x_a=columns["a"]["x"],
                             pi_a=pi_a, y_a=columns["a"]["y"], x_b=columns["b"]["x"], y_b=columns["b"]["y"])
     monkeypatch.setattr(cli, "_EXPORT_BLOCK", 4)

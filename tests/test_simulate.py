@@ -20,7 +20,6 @@ from surveyblend import (
     ObservedData,
     OutcomeFamily,
     Regime,
-    ResidualVarianceModel,
     ScenarioConfig,
     SimulationError,
     SolverError,
@@ -397,8 +396,8 @@ class TestEvaluateRelations:
     TOLERANCE = 1e-13  # relative, and absolute in w; for both designs
 
     @staticmethod
-    def rows(observed, fit, sigma_model):
-        return simulate.evaluate(every_row(fit.spec.fit_method), Analysis(observed, fit), 0.95, sigma_model)
+    def rows(observed, fit):
+        return simulate.evaluate(every_row(fit.spec.fit_method), Analysis(observed, fit), 0.95)
 
     @staticmethod
     def rebuilt(observed, rows_a, rows_b, scale=1.0):
@@ -416,29 +415,25 @@ class TestEvaluateRelations:
                     (row.name, key)
 
     @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
-    @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("design_kind", [DesignKind.POISSON, DesignKind.SRSWOR], ids=lambda k: k.value)
-    def test_permuting_both_samples_leaves_every_row(self, design_kind, sigma_model, method):
+    def test_permuting_both_samples_leaves_every_row(self, design_kind, method):
         observed = make_observed(seed=97, n_population=2000, design_kind=design_kind, srswor_n=300)
         fit = default_fit(observed, method=method)
         rng = np.random.default_rng(97)
         permuted = self.rebuilt(observed, rng.permutation(observed.n_a), rng.permutation(observed.n_b))
-        self.assert_rows_match(self.rows(permuted, fit, sigma_model), self.rows(observed, fit, sigma_model))
+        self.assert_rows_match(self.rows(permuted, fit), self.rows(observed, fit))
 
     @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
-    @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
     @pytest.mark.parametrize("design_kind", [DesignKind.POISSON, DesignKind.SRSWOR], ids=lambda k: k.value)
-    def test_scaling_y_scales_every_row(self, design_kind, sigma_model, method):
+    def test_scaling_y_scales_every_row(self, design_kind, method):
         observed = make_observed(seed=98, n_population=2000, design_kind=design_kind, srswor_n=300)
         fit = default_fit(observed, method=method)
         scaled = self.rebuilt(observed, slice(None), slice(None), scale=7.3)
         scaled_fit = dataclasses.replace(fit, beta=7.3 * fit.beta)  # the linear outcome model scales with y
-        self.assert_rows_match(self.rows(scaled, scaled_fit, sigma_model), self.rows(observed, fit, sigma_model),
-                               scale=7.3)
+        self.assert_rows_match(self.rows(scaled, scaled_fit), self.rows(observed, fit), scale=7.3)
 
     @pytest.mark.parametrize("method", list(FitMethod), ids=lambda m: m.value)
-    @pytest.mark.parametrize("sigma_model", list(ResidualVarianceModel), ids=lambda m: m.value)
-    def test_shifting_y_shifts_every_point_and_keeps_every_spread_under_srswor(self, sigma_model, method):
+    def test_shifting_y_shifts_every_point_and_keeps_every_spread_under_srswor(self, method):
         """y + a, with the fit's intercept moved by a, moves each point by a and leaves each var, cov and w.
 
         Under SRSWOR sum 1/pi = N, so HT and DR1 shift with the self-normalized kinds; IPW1 (sum over B
@@ -452,7 +447,7 @@ class TestEvaluateRelations:
         shifted = ObservedData(n_population=observed.n_population, design=observed.design, x_a=observed.x_a,
                                pi_a=observed.pi_a, y_a=observed.y_a + shift, x_b=observed.x_b, y_b=observed.y_b + shift)
         shifted_fit = dataclasses.replace(fit, beta=fit.beta + shift * (np.arange(fit.beta.size) == 0))
-        got, want = self.rows(shifted, shifted_fit, sigma_model), self.rows(observed, fit, sigma_model)
+        got, want = self.rows(shifted, shifted_fit), self.rows(observed, fit)
         assert [row.name for row in got] == [row.name for row in want]
         for row, expected in zip(got, want):
             if K.IPW1 in (row.kind, row.prob):

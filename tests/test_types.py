@@ -18,7 +18,6 @@ from surveyblend import (
     ObservedData,
     OutcomeFamily,
     Regime,
-    ResidualVarianceModel,
     ValidationError,
     fit_nuisance,
     validate,
@@ -49,6 +48,7 @@ CORRUPTIONS = {
     "zero_pi_a": (lambda f: with_entry(f, "pi_a", 0, 0.0), "nonpositive inclusion probability"),
     "nan_pi_a": (lambda f: with_entry(f, "pi_a", 1, np.nan), "nonpositive inclusion probability"),
     "negative_pi_a": (lambda f: with_entry(f, "pi_a", 3, -0.2), "nonpositive inclusion probability"),
+    "subnormal_pi_a": (lambda f: with_entry(f, "pi_a", 2, 1e-320), "too small to invert"),
     "pi_a_above_one": (lambda f: with_entry(f, "pi_a", 2, 1.5), "above 1"),
     "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B"),
     "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept"),
@@ -137,7 +137,6 @@ def test_columns_without_a_mask_select_a_view():
     (DesignKind, "SRSWOR", DesignKind.SRSWOR),
     (FitMethod, "Kim_Haziza", FitMethod.KIM_HAZIZA),
     (OutcomeFamily, "Logistic_Binary", OutcomeFamily.LOGISTIC_BINARY),
-    (ResidualVarianceModel, "LINEAR_in_x", ResidualVarianceModel.LINEAR_IN_X),
     (Regime, "Both_Correct", Regime.BOTH_CORRECT),
     (EstimatorKind, "hajek", EstimatorKind.HAJEK),
 ])
@@ -152,8 +151,6 @@ ENUM_FIELDS = {
     "ModelSpec.outcome_family": (ModelSpec, {}, "outcome_family", "Logistic_Binary", OutcomeFamily.LOGISTIC_BINARY),
     "ModelSpec.fit_method": (ModelSpec, {}, "fit_method", "Calibration", FitMethod.CALIBRATION),
     "RunConfig.design": (RunConfig, {"output_dir": Path("out")}, "design", "SRSWOR", DesignKind.SRSWOR),
-    "RunConfig.sigma_model": (RunConfig, {"output_dir": Path("out")}, "sigma_model", "LINEAR_IN_X",
-                              ResidualVarianceModel.LINEAR_IN_X),
 }
 
 
