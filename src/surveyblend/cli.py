@@ -18,17 +18,17 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 Each sample is read with one bulk ``np.loadtxt`` of every column. When that
 parse fails (text ids, quoted fields) or finds rows of another width, the
 row scanner reads the file with ``csv`` instead; it is the reader that names
-the file and line of any failure. The two accept one grammar by
-construction: the scanner strips each field as ``str.strip`` does, which is
-what loadtxt strips, and reads fields of any length, as loadtxt does, so
-both give the same values. Either reader's table holds the intercept
-in place of ``id``, so the covariates are a view of it, and a sample is held
-as that one parsed table plus the one copy ``ObservedData`` keeps. Sample B
-is read first, then sample A. When the platform forks and both files are at
-least ``_FORK_FLOOR`` (1 MiB), a forked child reads sample A and pickles its
-table, or the error, back through a pipe while the process reads sample B;
-below that size the fork costs more than the overlap saves, and sample A is
-read in process after B.
+the file and line of any failure, a value that ``validate`` rejects
+included. The two accept one grammar by construction: the scanner strips
+each field as ``str.strip`` does, which is what loadtxt strips, and reads
+fields of any length, as loadtxt does, so both give the same values. Either
+reader's table holds the intercept in place of ``id``, so the covariates are
+a view of it, and a sample is held as that one parsed table plus the one
+copy ``ObservedData`` keeps. Sample B is read first, then sample A. When the
+platform forks and both files are at least ``_FORK_FLOOR`` (1 MiB), a forked
+child reads sample A and pickles its table, or the error, back through a
+pipe while the process reads sample B; below that size the fork costs more
+than the overlap saves, and sample A is read in process after B.
 
 Sample CSVs are written with CRLF line ends, as ``csv`` writes. The export
 formats every row before it opens a file. When the platform forks and the
@@ -80,7 +80,7 @@ from .estimators import PROB_KINDS, Analysis, EstimatorKind
 from .nuisance import SolverError, fit_nuisance
 from .simulate import (EvalPlan, MonteCarloSummary, ScenarioConfig, SimulationError, SummaryRow, evaluate,
                        run_replications)
-from .types import (PI_A_FLOOR, DesignKind, Level, ModelSpec, ObservedData, PositiveInt, ValidationError,
+from .types import (DesignKind, Level, ModelSpec, ObservedData, PositiveInt, ValidationError,
                     config_dataclass, config_section, config_value, field_names, plain_data, typed_fields)
 from .uncertainty import Regime, ResidualVarianceModel
 
@@ -379,39 +379,32 @@ def _replacing(path: Path, newline: str | None = None):
 def read_samples(config: RunConfig) -> ObservedData:
     """Read both sample CSVs into an ObservedData, which checks them as it is built.
 
-    Sample B is read first, then sample A. When both files are at least
-    ``_FORK_FLOOR`` bytes, a forked child reads sample A while this process
-    reads sample B. Either way, when both fail, sample A's error is raised.
+    Sample B is read first, then sample A. When both files are at least ``_FORK_FLOOR`` bytes, a forked child reads
+    sample A while this process reads sample B. Either way, when both fail, sample A's error is raised. The error of
+    a row rule of :func:`~surveyblend.types.validate` is raised again naming the file and line of its row.
     """
     path_a, path_b = config.sample_a_path, config.sample_b_path
+    schemas = {"A": (path_a, ("pi_a",), ("y",)), "B": (path_b, ("y",), ())}  # each file's trailing columns
     fork = False
     with contextlib.suppress(OSError):  # a file that cannot be read fails in _read_rows, with its message
         fork = min(os.path.getsize(path_a), os.path.getsize(path_b)) >= _FORK_FLOOR
-    with _forked(lambda: _read_rows(path_a, ("pi_a",), ("y",)), path_a, "reader", fork) as sample_a:
+    with _forked(lambda: _read_rows(*schemas["A"]), path_a, "reader", fork) as sample_a:
         try:
-            table_b = _read_rows(path_b, ("y",))
+            table_b = _read_rows(*schemas["B"])
         except Exception:
             sample_a()  # raises sample A's error, if it has one, in place of B's
             raise
         table_a = sample_a()
     (x_a, tails_a), (x_b, tails_b) = ((values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T)))
                                       for values, n_x, tail in (table_a, table_b))
-    pi_a = tails_a["pi_a"]
-    outside = ~((pi_a > PI_A_FLOOR) & (pi_a <= 1.0))  # validate's bound, named here with the line
-    if outside.any():
-        row = int(np.argmax(outside))
-        lineno = _scan_rows(config.sample_a_path, ("pi_a",), ("y",))[0][row]
-        problem = "too small to invert" if 0.0 < pi_a[row] <= 1.0 else "outside (0, 1]"
-        raise ValidationError(f"{config.sample_a_path} line {lineno}: inclusion probability {pi_a[row]:g} {problem}")
-    return ObservedData(
-        n_population=config.n_population,
-        design=config.design,
-        x_a=x_a,
-        pi_a=pi_a,
-        y_a=tails_a.get("y"),
-        x_b=x_b,
-        y_b=tails_b["y"],
-    )
+    try:
+        return ObservedData(n_population=config.n_population, design=config.design, x_a=x_a, pi_a=tails_a["pi_a"],
+                            y_a=tails_a.get("y"), x_b=x_b, y_b=tails_b["y"])
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        lineno = _scan_rows(*schemas[exc.sample])[0][exc.row]
+        raise ValidationError(f"{schemas[exc.sample][0]} line {lineno}: {exc}", exc.sample, exc.row) from None
 
 
 def _format_block(block: np.ndarray) -> str:

@@ -53,10 +53,11 @@ class DesignWeights(NamedTuple):
         """The ratio-form estimate of the design covariance of the HT means of ``u`` and ``v``."""
         if self.centered:
             u, v = u - u.mean(), v - v.mean()
-        with np.errstate(over="ignore"):  # inf, which Analysis.memo rejects for each caller
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN (0 * inf), which Analysis.memo rejects
             return float((u * v) @ self.c)
 
 
+@np.errstate(over="ignore")  # a w * w past the float range is an inf c, whose variance Analysis.memo rejects
 def design_weights(design: DesignKind, pi, n_population: int) -> DesignWeights:
     """The read-only weights of a sample drawn under ``design`` with inclusion probabilities ``pi``.
 

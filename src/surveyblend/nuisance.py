@@ -234,10 +234,11 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
     return system
 
 
-def _fit_outcome(observed: ObservedData, family: OutcomeFamily, cols: slice | np.ndarray):
+def _fit_outcome(observed: ObservedData, spec: ModelSpec):
     """Maximum-likelihood outcome coefficients on sample B (OLS for the linear family)."""
+    cols = spec.columns("outcome", observed.n_covariates)
     x_b = observed.x_b[:, cols]
-    if family is OutcomeFamily.LINEAR_GAUSSIAN:
+    if spec.outcome_family is OutcomeFamily.LINEAR_GAUSSIAN:
         return solve_spd(x_b.T @ x_b, x_b.T @ observed.y_b, "outcome least squares"), 0, 0.0
     beta, iters, resid = _newton(score_and_jacobian_outcome_logistic(observed, cols), np.zeros(x_b.shape[1]),
                                  OUTCOME_TOL, "logistic outcome fit")
@@ -256,7 +257,7 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     selection, n_b, n_pop = SELECTION_FITS[spec.fit_method], observed.n_b, observed.n_population
     start = np.where(np.arange(observed.n_covariates)[sel_cols] == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)
     alpha, it_a, r_a = _newton(selection.score(observed, sel_cols), start, SELECTION_TOL, selection.context)
-    beta, it_b, r_b = _fit_outcome(observed, spec.outcome_family, spec.columns("outcome", observed.n_covariates))
+    beta, it_b, r_b = _fit_outcome(observed, spec)
     iters, resid = it_a + it_b, max(r_a, r_b)
     if spec.fit_method is FitMethod.KIM_HAZIZA:
         theta, it_kh, resid = _newton(score_and_jacobian_kh(observed, spec), np.concatenate([alpha, beta]),

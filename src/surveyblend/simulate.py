@@ -138,15 +138,15 @@ def evaluate(plan: EvalPlan, analysis: Analysis, level: float) -> list[EvalRow]:
     """
     z = z_score(level)
 
-    def interval(kind: EstimatorKind, regime: Regime | None, var: float) -> EvalRow:
-        est = analysis.point(kind)
+    def interval(kind: EstimatorKind, regime: Regime | None) -> EvalRow:
+        var, est = variance(kind, regime, analysis), analysis.point(kind)  # the variance first, as a failure names it
         half = z * float(np.sqrt(var))
         return EvalRow(cell_label(kind, regime), kind, regime, None,
                        {"est": est, "var": var, "lo": est - half, "hi": est + half})
 
-    rows = [interval(kind, None, variance(kind, None, analysis)) for kind in plan.prob_points]
+    rows = [interval(kind, None) for kind in plan.prob_points]
     rows += [EvalRow(cell_label(kind), kind, None, None, {"est": analysis.point(kind)}) for kind in plan.point_only]
-    rows += [interval(kind, regime, variance(kind, regime, analysis)) for kind, regime in plan.var_pairs]
+    rows += [interval(kind, regime) for kind, regime in plan.var_pairs]
     for kind, regime, prob in plan.cov_pairs:
         rows.append(EvalRow(f"cov({cell_label(kind, regime)},{prob.value})", kind, regime, prob,
                             {"est": analysis.point(kind), "prob_est": analysis.point(prob),

@@ -4,6 +4,8 @@ Every object here types its fields by their annotations when it is constructed
 (:func:`typed_fields`, arrays as read-only float64), so it is immutable and safe to
 share across threads or worker processes. All but :class:`FinitePopulation` check their
 invariants then; its one producer, ``simulate.generate_population``, checks the frame.
+:func:`validate` alone states the value rules of :class:`ObservedData`; an error of a row rule
+names the sample and the first row at fault, which the CLI maps to a CSV file and line.
 A config value goes through the same rule (:func:`config_value`, :func:`config_dataclass`),
 so a malformed one raises a :class:`ValidationError` that names its dotted key.
 """
@@ -38,7 +40,11 @@ PI_A_FLOOR = 1.0 / np.finfo(float).max  # a pi_a must be above it: 1/pi_a overfl
 
 
 class ValidationError(ValueError):
-    """Input data violates a structural or value invariant."""
+    """Input data violates a structural or value invariant; a row rule's error names its ``sample`` and ``row``."""
+
+    def __init__(self, message: str, sample: str | None = None, row: int | None = None):
+        super().__init__(message)
+        self.sample, self.row = sample, row
 
 
 class ConfigEnum(Enum):
@@ -335,43 +341,41 @@ class ModelSpec:
         return np.array(cols)
 
 
-def validate(observed: ObservedData) -> ObservedData:
-    """Check every value-level invariant of :class:`ObservedData`.
+def _require(holds: np.ndarray, sample: str, rule) -> None:
+    """Unless ``holds`` (an entry or a row per unit of ``sample``) is all True, raise ``rule(row)`` at the first row."""
+    if not holds.all():
+        row = int(np.argmin(holds.reshape(len(holds), -1).all(axis=1)))
+        raise ValidationError(rule(row), sample, row)
 
-    Construction runs these checks, so on an existing object this re-runs them; it returns the
-    object unchanged when everything holds, so it is idempotent. Raises :class:`ValidationError`
-    on the first violation found. Every pi_a must be above ``PI_A_FLOOR``, so that 1/pi_a is
-    finite. Under SRSWOR n is sample A's size n_A, which must be below N, and every pi_a must be
-    n_A/N, to ``SRSWOR_PI_RTOL``.
+
+def validate(observed: ObservedData) -> ObservedData:
+    """Check every value-level invariant of :class:`ObservedData`; no other code states them.
+
+    Construction runs these checks, so on an existing object this re-runs them; it returns the object unchanged
+    when everything holds, so it is idempotent. Raises :class:`ValidationError` on the first violation found. A
+    row rule's error names the sample ("A" or "B") and its first 0-based row at fault: every pi_a is in
+    (``PI_A_FLOOR``, 1], so that 1/pi_a is finite; covariates and outcomes are finite; the first covariate is the
+    intercept; under SRSWOR every pi_a is n_A/N, to ``SRSWOR_PI_RTOL``. The sample-level rules name no row.
     """
-    n_pop = observed.n_population
+    n_pop, n_a, n_b, pi_a = observed.n_population, observed.n_a, observed.n_b, observed.pi_a
     p = observed.n_covariates
-    if observed.n_a == 0 or observed.n_b == 0:
+    if n_a == 0 or n_b == 0:
         raise ValidationError("empty sample")
-    if n_pop < max(observed.n_a, observed.n_b):
-        raise ValidationError(f"population size smaller than a sample size (N {n_pop}, n_A {observed.n_a}, "
-                              f"n_B {observed.n_b})")
-    if not np.all(observed.pi_a > PI_A_FLOOR):  # NaN too
-        raise ValidationError("nonpositive inclusion probability in sample A, or one too small to invert")
-    if np.any(observed.pi_a > 1.0):
-        raise ValidationError("inclusion probability above 1 in sample A")
-    for label, x in (("A", observed.x_a), ("B", observed.x_b)):
-        if not np.all(np.isfinite(x)):
-            raise ValidationError(f"non-finite covariate in sample {label}")
-        if not np.all(x[:, 0] == 1.0):
-            raise ValidationError(f"first covariate column must be the intercept in sample {label}")
-    if not np.all(np.isfinite(observed.y_b)):
-        raise ValidationError("missing or non-finite outcome on sample B")
-    if observed.y_a is not None and not np.all(np.isfinite(observed.y_a)):
-        raise ValidationError("non-finite outcome on sample A")
-    if observed.n_a < p + 1 or observed.n_b < p + 1:
-        raise ValidationError(
-            f"underdetermined fit: sample sizes ({observed.n_a}, {observed.n_b}) "
-            f"below covariate dimension {p} + 1"
-        )
+    if n_pop < max(n_a, n_b):
+        raise ValidationError(f"population size smaller than a sample size (N {n_pop}, n_A {n_a}, n_B {n_b})")
+    _require((pi_a > PI_A_FLOOR) & (pi_a <= 1.0), "A",  # NaN fails too
+             lambda row: f"inclusion probability {pi_a[row]:g} "
+                         f"{'too small to invert' if 0.0 < pi_a[row] <= 1.0 else 'outside (0, 1]'} in sample A")
+    for label, x, y in (("A", observed.x_a, observed.y_a), ("B", observed.x_b, observed.y_b)):
+        _require(np.isfinite(x), label, lambda row: f"non-finite covariate in sample {label}")
+        _require(x[:, 0] == 1.0, label, lambda row: f"first covariate column must be the intercept in sample {label}")
+        if y is not None:
+            _require(np.isfinite(y), label, lambda row: f"non-finite outcome on sample {label}")
+    if n_a < p + 1 or n_b < p + 1:
+        raise ValidationError(f"underdetermined fit: sample sizes ({n_a}, {n_b}) below covariate dimension {p} + 1")
     if observed.design is DesignKind.SRSWOR:
-        if observed.n_a >= n_pop:
+        if n_a >= n_pop:
             raise ValidationError("SRSWOR sample A size must be below the population size")
-        if not np.all(np.abs(observed.pi_a - observed.n_a / n_pop) <= SRSWOR_PI_RTOL * observed.n_a / n_pop):
-            raise ValidationError(f"SRSWOR inclusion probabilities in sample A must be n/N = {observed.n_a}/{n_pop}")
+        _require(np.abs(pi_a - n_a / n_pop) <= SRSWOR_PI_RTOL * n_a / n_pop, "A", lambda row:
+                 f"SRSWOR inclusion probability {float(pi_a[row])!r} in sample A must be n/N = {n_a}/{n_pop}")
     return observed

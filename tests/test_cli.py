@@ -155,6 +155,24 @@ class TestEstimateMode:
         assert re.fullmatch(r"solver error: [\w-]+ selection fit: no descent direction \(residual \S+\)\n",
                             capsys.readouterr().err)
 
+    # A pi_a of 1e-300 passes validate, but its 1/pi_a^2 in a Poisson covariance coefficient overflows, and Hajek's
+    # form meets 0 * inf; numpy once warned of both (exit 1 under error::RuntimeWarning). The variance's check
+    # reports it.
+    @pytest.mark.parametrize("point", ["HT", "Hajek"])
+    def test_a_pi_a_whose_inverse_square_overflows_is_a_validation_error(self, tmp_path, capsys, point):
+        config = estimate_config(tmp_path, make_observed(seed=83))
+        cfg = yaml.safe_load(config.read_text())
+        cfg["estimators"] = {"points": [point]}
+        config.write_text(yaml.safe_dump(cfg))
+        path = tmp_path / "sample_a.csv"
+        lines = path.read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[-2] = "1e-300"
+        lines[3] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"validation error: non-finite variance {point}\n"
+
     def test_unparsable_float_is_io_error(self, tmp_path, capsys):
         observed = make_observed(seed=82)
         config = estimate_config(tmp_path, observed)
@@ -1070,11 +1088,10 @@ SAMPLE_B = ["id,x_1,y", "1,0.25,1", "2,-0.5,2.5", "3,1.5,-1", "4,3,0.5"]
 SAMPLE_B_ARRAYS = {"x_b": [0.25, -0.5, 1.5, 3.0], "y_b": [1.0, 2.5, -1.0, 0.5]}
 
 
-def samples_config(directory, n_population=FUZZ_POPULATION):
+def samples_config(directory, n_population=FUZZ_POPULATION, design=DesignKind.POISSON):
     """A RunConfig reading ``sample_a.csv`` and ``sample_b.csv`` in ``directory``."""
     return cli.RunConfig(output_dir=directory / "out", sample_a_path=directory / "sample_a.csv",
-                         sample_b_path=directory / "sample_b.csv", n_population=n_population,
-                         design=DesignKind.POISSON)
+                         sample_b_path=directory / "sample_b.csv", n_population=n_population, design=design)
 
 
 def read_outcome(config):
@@ -1104,7 +1121,7 @@ CSV_CASES = [
      {"x_b": [-0.5, 1.5, 3.0], "y_b": [2.5, -1.0, 0.5]}),
     ("sample_b.csv", lambda lines: ['"id', '",x_1,y'] + lines[1:], SAMPLE_B_ARRAYS),
     ("sample_b.csv", lambda lines: lines[:2] + ["2," + "1" * 200_000 + ",2.5"] + lines[3:],
-     (ValidationError, "non-finite covariate in sample B")),
+     (ValidationError, "{path} line 3: non-finite covariate in sample B")),
     ("sample_b.csv", lambda lines: lines[:2] + ["   "] + lines[2:],
      (cli.CsvParseError, "{path} line 3: expected 3 fields, got 1")),
     ("sample_b.csv", lambda lines: lines[:2] + ["", ""] + lines[2:] + [""], SAMPLE_B_ARRAYS),
@@ -1119,11 +1136,11 @@ CSV_CASES = [
     ("sample_b.csv", lambda lines: [lines[0], "", ""],
      (cli.CsvParseError, "{path}: no data rows")),
     ("sample_a.csv", lambda lines: lines[:3] + ["", "3,2,1.5,-0.75"] + lines[4:],
-     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
+     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1] in sample A")),
     ("sample_b.csv", lambda lines: [lines[0], '"1', '",0.5,1.0', "2,0.5,1.0", "3,0.5,1.0", "4,abc,1.0"],
      (cli.CsvParseError, "{path} line 6: could not convert string to float: 'abc'")),
     ("sample_a.csv", lambda lines: [lines[0], '"1', '",0.5,0.25,1.5', lines[2], "3,2,1.5,-0.75", lines[4]],
-     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1]")),
+     (ValidationError, "{path} line 5: inclusion probability 1.5 outside (0, 1] in sample A")),
     ("sample_b.csv", lambda lines: [lines[0] + ",w"] + [line + ",7" for line in lines[1:]],
      (cli.CsvParseError, "{path} line 1: trailing columns ['y', 'w'] do not match ['y'] (+ optional [])")),
     ("sample_b.csv", lambda lines: ["id,x_2,y"] + lines[1:],
@@ -1133,28 +1150,42 @@ CSV_CASES = [
      (cli.CsvParseError, "{path} line 3: could not convert string to float: '\\ufeff-0.5'")),
     # 1/pi_a overflows, which numpy once warned of in the selection fit (exit 1 under error::RuntimeWarning)
     ("sample_a.csv", lambda lines: lines[:3] + ["3,2,1e-320,-0.75"] + lines[4:],
-     (ValidationError, f"{{path}} line 4: inclusion probability {1e-320:g} too small to invert")),
+     (ValidationError, f"{{path}} line 4: inclusion probability {1e-320:g} too small to invert in sample A")),
+    # validate's row rules, each named by its file and line
+    ("sample_a.csv", lambda lines: lines[:4] + ["4,nan,1,3.5"],
+     (ValidationError, "{path} line 5: non-finite covariate in sample A")),
+    ("sample_b.csv", lambda lines: lines[:3] + ["3,1.5,inf"] + lines[4:],
+     (ValidationError, "{path} line 4: non-finite outcome on sample B")),
+    ("sample_a.csv", lambda lines: lines[:2] + ["2,-1.25,0.5,nan"] + lines[3:],
+     (ValidationError, "{path} line 3: non-finite outcome on sample A")),
+    # every pi_a of an SRSWOR sample of 4 from 100 is 0.04
+    ("sample_a.csv", lambda lines: [lines[0], "1,0.5,0.04,1.5", "2,-1.25,0.04,2", "3,2,0.05,-0.75", "4,0.75,0.04,3.5"],
+     (ValidationError, "{path} line 4: SRSWOR inclusion probability 0.05 in sample A must be n/N = 4/100"),
+     DesignKind.SRSWOR),
 ]
 CSV_CASE_IDS = ["extra-field-every-row", "extra-field-one-row", "quote-in-id-spans-lines", "quoted-header-spans-lines",
                 "field-over-csv-limit", "whitespace-only-line", "blank-lines", "cr-newlines", "text-ids", "nul-in-id",
                 "underscore-digits", "quoted-number", "file-separator-byte", "no-data-rows", "pi_a-after-blank-line",
                 "bad-field-after-line-break-in-quotes", "pi_a-after-line-break-in-quotes", "unknown-trailing-column",
-                "no-x_1-column", "bom-at-file-start", "bom-inside-the-file", "subnormal-pi_a"]
+                "no-x_1-column", "bom-at-file-start", "bom-inside-the-file", "subnormal-pi_a", "nan-covariate-on-a",
+                "inf-outcome-on-b", "nan-outcome-on-a", "srswor-pi_a-off-n-over-n"]
 SAMPLE_A_CASES = [(case, case_id) for case, case_id in zip(CSV_CASES, CSV_CASE_IDS) if case[0] == "sample_a.csv"]
 
 
-# Sample A's cases also run through the forked reader, with the size floor at 0.
-@pytest.mark.parametrize("name, edit, expected, forked",
-                         [(*case, False) for case in CSV_CASES] + [(*case, True) for case, _ in SAMPLE_A_CASES],
+# Sample A's cases also run through the forked reader, with the size floor at 0. A case reads a Poisson design
+# unless it names another.
+@pytest.mark.parametrize("case, forked",
+                         [(case, False) for case in CSV_CASES] + [(case, True) for case, _ in SAMPLE_A_CASES],
                          ids=CSV_CASE_IDS + [f"{case_id}-forked" for _, case_id in SAMPLE_A_CASES])
-def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, monkeypatch, name, edit, expected, forked):
+def test_csv_inputs_read_as_the_row_scanner_reads_them(tmp_path, monkeypatch, case, forked):
+    name, edit, expected, design = (*case, DesignKind.POISSON)[:4]
     if forked:
         monkeypatch.setattr(cli, "_FORK_FLOOR", 0)
     files = {"sample_a.csv": SAMPLE_A, "sample_b.csv": SAMPLE_B}
     files[name] = edit(files[name])
     for file_name, lines in files.items():
         (tmp_path / file_name).write_text("\n".join(lines) + "\n", newline="")
-    config = samples_config(tmp_path, n_population=100)
+    config = samples_config(tmp_path, n_population=100, design=design)
     got = read_outcome(config)
     if isinstance(expected, tuple):
         assert got == (expected[0], expected[1].format(path=tmp_path / name))

@@ -42,39 +42,44 @@ def with_entry(fields, name, index, value):
     return {name: arr}
 
 
-# id -> (overrides of a valid dataset's fields, given those fields; message the rejection matches)
+# id -> (overrides of a valid dataset's fields, given those fields; message the rejection matches; the sample and
+# 0-based row a row rule's error names, None for a sample-level rule)
 CORRUPTIONS = {
-    "nan_y_a": (lambda f: with_entry(f, "y_a", 3, np.nan), "non-finite outcome on sample A"),
-    "zero_pi_a": (lambda f: with_entry(f, "pi_a", 0, 0.0), "nonpositive inclusion probability"),
-    "nan_pi_a": (lambda f: with_entry(f, "pi_a", 1, np.nan), "nonpositive inclusion probability"),
-    "negative_pi_a": (lambda f: with_entry(f, "pi_a", 3, -0.2), "nonpositive inclusion probability"),
-    "subnormal_pi_a": (lambda f: with_entry(f, "pi_a", 2, 1e-320), "too small to invert"),
-    "pi_a_above_one": (lambda f: with_entry(f, "pi_a", 2, 1.5), "above 1"),
-    "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B"),
-    "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept"),
-    "population_below_n_b": (lambda f: {"n_population": len(f["y_b"]) - 1}, "population size smaller"),
+    "nan_y_a": (lambda f: with_entry(f, "y_a", 3, np.nan), "non-finite outcome on sample A", ("A", 3)),
+    "zero_pi_a": (lambda f: with_entry(f, "pi_a", 0, 0.0), "inclusion probability 0 outside \\(0, 1\\] in sample A",
+                  ("A", 0)),
+    "nan_pi_a": (lambda f: with_entry(f, "pi_a", 1, np.nan), "inclusion probability nan outside", ("A", 1)),
+    "negative_pi_a": (lambda f: with_entry(f, "pi_a", 3, -0.2), "inclusion probability -0.2 outside", ("A", 3)),
+    "subnormal_pi_a": (lambda f: with_entry(f, "pi_a", 2, 1e-320), "too small to invert in sample A", ("A", 2)),
+    "pi_a_above_one": (lambda f: with_entry(f, "pi_a", 2, 1.5), "inclusion probability 1.5 outside", ("A", 2)),
+    "inf_x_b": (lambda f: with_entry(f, "x_b", (1, 2), np.inf), "non-finite covariate in sample B", ("B", 1)),
+    "non_intercept_first_column": (lambda f: with_entry(f, "x_a", (0, 0), 2.0), "intercept in sample A", ("A", 0)),
+    "population_below_n_b": (lambda f: {"n_population": len(f["y_b"]) - 1}, "population size smaller", None),
     # 2 rows against 3 covariate columns (intercept + 2)
     "underdetermined_sample_b": (lambda f: {"x_b": np.array([[1.0, 0.5, 1.0], [1.0, -0.5, 2.0]]),
-                                            "y_b": np.array([1.0, 2.0])}, "underdetermined fit"),
-    "missing_outcome_on_sample_b": (lambda f: with_entry(f, "y_b", 1, np.nan), "sample B"),
-    "one_dimensional_x_b": (lambda f: {"x_b": f["x_b"][:, 1]}, "sample covariates must be 2-d arrays"),
-    "y_b_one_short": (lambda f: {"y_b": f["y_b"][:-1]}, "y length does not match sample B"),
-    "empty_sample_a": (lambda f: {"x_a": f["x_a"][:0], "pi_a": f["pi_a"][:0], "y_a": f["y_a"][:0]}, "empty sample"),
+                                            "y_b": np.array([1.0, 2.0])}, "underdetermined fit", None),
+    "missing_outcome_on_sample_b": (lambda f: with_entry(f, "y_b", 1, np.nan), "non-finite outcome on sample B",
+                                    ("B", 1)),
+    "one_dimensional_x_b": (lambda f: {"x_b": f["x_b"][:, 1]}, "sample covariates must be 2-d arrays", None),
+    "y_b_one_short": (lambda f: {"y_b": f["y_b"][:-1]}, "y length does not match sample B", None),
+    "empty_sample_a": (lambda f: {"x_a": f["x_a"][:0], "pi_a": f["pi_a"][:0], "y_a": f["y_a"][:0]}, "empty sample",
+                       None),
     # sample A is the larger one here, so N = n_A leaves sample B inside the population
     "srswor_size_equals_population": (lambda f: {"design": DesignKind.SRSWOR, "n_population": len(f["pi_a"])},
-                                      "SRSWOR sample A size must be below the population size"),
+                                      "SRSWOR sample A size must be below the population size", None),
     # SRSWOR defines every pi_a as n/N; a stated 0.9 is another design's
     "srswor_pi_a_not_n_over_n": (lambda f: {"design": DesignKind.SRSWOR, "pi_a": np.full(len(f["pi_a"]), 0.9)},
-                                 "SRSWOR inclusion probabilities in sample A must be n/N"),
+                                 "SRSWOR inclusion probability 0.9 in sample A must be n/N", ("A", 0)),
 }
 
 
-@pytest.mark.parametrize("corrupt, match", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
-def test_observed_data_rejects_invalid_values_at_construction(corrupt, match):
+@pytest.mark.parametrize("corrupt, match, at", CORRUPTIONS.values(), ids=CORRUPTIONS.keys())
+def test_observed_data_rejects_invalid_values_at_construction(corrupt, match, at):
     observed = make_observed(seed=1)
     fields = {name: getattr(observed, name) for name in field_names(ObservedData)}
-    with pytest.raises(ValidationError, match=match):
+    with pytest.raises(ValidationError, match=match) as raised:
         ObservedData(**{**fields, **corrupt(fields)})
+    assert (raised.value.sample, raised.value.row) == (at or (None, None))
 
 
 @pytest.mark.parametrize("stated, accepted", [(f"{1 / 3:.15g}", True), (repr(1 / 3 * (1 + 1e-11)), False)],
