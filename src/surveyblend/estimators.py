@@ -38,17 +38,17 @@ SELF_NORMALIZED = (EstimatorKind.HAJEK, EstimatorKind.IPW2, EstimatorKind.DR2)
 class Analysis:
     """One dataset with its nuisance fit, and everything computed from the pair.
 
-    Each sample's weights are built once, when the analysis is made: sample
-    A's design weights from the pi_a its ObservedData checked and, with a fit,
-    sample B's 1/pi_b, from selection probabilities floor-checked on both
-    samples, so a fit needing clamped weights fails before any estimator runs. Without a fit,
-    whatever needs one raises a :class:`ValidationError`. The outcome-model
-    means on each sample are computed on first use and kept. Point estimates
-    here, and the centering terms, variances and covariances of
-    :mod:`surveyblend.uncertainty`, are kept per key through :meth:`memo`,
-    so a quantity that several reports need is computed once.
+    Each sample's weights are built once, when the analysis is made: sample A's design weights from the pi_a its
+    ObservedData checked and, with a fit, sample B's 1/pi_b, from selection probabilities floor-checked on both
+    samples, so a fit needing clamped weights fails before any estimator runs. Without a fit, whatever needs one
+    raises a :class:`ValidationError`. The outcome-model means on each sample are computed on first use and kept.
+    Point estimates here, and the centering terms, variances and covariances of :mod:`surveyblend.uncertainty`, are
+    kept per key through :meth:`memo`, so a quantity that several reports need is computed once. A value past the
+    float range, here or in a ``compute()``, becomes inf or NaN unwarned, which the selection floor or the memo's
+    finite check reports.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, observed: ObservedData, fit: NuisanceFit | None = None):
         self.observed = observed
         self.fit = fit
@@ -66,7 +66,8 @@ class Analysis:
         or one in a kept tuple, is made read-only, because every later request shares it.
         """
         if key not in self._memo:
-            value = compute()
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = compute()
             for item in value if isinstance(value, tuple) else (value,):
                 if item is not None and not np.isfinite(item).all():
                     raise ValidationError("non-finite " + " ".join(getattr(part, "value", part) for part in key if part))

@@ -209,9 +209,8 @@ def score_and_jacobian_kh(observed: ObservedData, spec: ModelSpec):
     def system(theta):
         alpha, beta = theta[:k], theta[k:]
         jac = np.empty((2 * k, 2 * k))
-        with np.errstate(over="ignore"):
-            odds = np.exp(-alpha @ xt_b)
-            m = 1.0 / (1.0 + np.exp(-beta @ xt)) if logistic else None
+        odds = np.exp(-alpha @ xt_b)
+        m = 1.0 / (1.0 + np.exp(-beta @ xt)) if logistic else None
         if logistic:
             v = m * (1.0 - m)
             s = v * np.concatenate([w_a, -1.0 - odds])  # dm/pi_a on A, -dm/pi on B, per unit of x
@@ -247,11 +246,13 @@ def _fit_outcome(observed: ObservedData, spec: ModelSpec):
     return beta, iters, resid
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     """Fit both nuisance models by the method named in ``spec``.
 
     Each fits the two models apart, selection by its row of :data:`SELECTION_FITS`; Kim-Haziza then solves its
-    nonconvex joint system from there, the natural basin of its root.
+    nonconvex joint system from there, the natural basin of its root. A value past the float range becomes inf or
+    NaN unwarned, which the solver's residual test or :func:`solve_spd`'s finite check reports (SolverError).
     """
     sel_cols = spec.columns("selection", observed.n_covariates)
     selection, n_b, n_pop = SELECTION_FITS[spec.fit_method], observed.n_b, observed.n_population
@@ -266,8 +267,6 @@ def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
     return NuisanceFit(alpha=alpha, beta=beta, spec=spec, iterations=iters, max_abs_score=resid)
 
 
-# A sum past the float range becomes inf or NaN unwarned; the solve that reads the gram reports it (SolverError).
-@np.errstate(over="ignore", invalid="ignore")
 def weighted_gram(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i weights_i x_i x_i' over the rows of ``x``, in blocks of ``GRAM_BLOCK`` rows, each weighted in turn."""
     gram = 0.0

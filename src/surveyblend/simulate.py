@@ -214,8 +214,6 @@ class ScenarioConfig:
                          outcome_cols=self.outcome_cols_override, selection_cols=self.selection_cols_override)
 
 
-# The generator lets a value past the float range become inf or NaN unwarned; the checks on the result report it.
-@np.errstate(over="ignore", invalid="ignore")
 def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
     eta = x @ np.asarray(config.beta_true)
     if config.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
@@ -224,12 +222,13 @@ def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
         sd = np.abs(x @ np.asarray(config.noise_sd_coef))
     else:
         sd = config.noise_sd
-    return eta + rng.normal(size=x.shape[0]) * sd
+    return eta + rng.standard_normal(x.shape[0]) * sd
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def generate_population(config: ScenarioConfig) -> FinitePopulation:
-    """Draw covariates, true selection probabilities, design probabilities and outcomes."""
+    """Draw covariates, true selection probabilities, design probabilities and outcomes; a value past the float
+    range becomes inf or NaN unwarned, which the checks on each of them report as a :class:`ValidationError`."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(_POP_STREAM,)))
     n = config.n_population
     columns: list[np.ndarray] = []
@@ -297,12 +296,14 @@ def draw_samples(population: FinitePopulation, seed, y: np.ndarray | None = None
     return observed, y_bar
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _replicate_record(config: ScenarioConfig, population: FinitePopulation,
                       rep_index: int) -> tuple[float, dict[str, dict[str, float]]] | str:
     """One replicate's population mean ``y_bar`` and its evaluated rows' values by row name.
 
-    A replicate that fails with a domain error returns the error's type and
-    message instead; any other exception propagates.
+    A replicate that fails with a domain error returns the error's type and message instead; any other exception
+    propagates. A value past the float range becomes inf or NaN unwarned, which :func:`draw_samples`' outcome check,
+    the fit's or the analysis's reports.
     """
     try:
         # the two children that spawn(2) gives SeedSequence(entropy=config.seed, spawn_key=(_REP_STREAM, rep_index))

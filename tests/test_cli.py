@@ -659,14 +659,20 @@ def test_a_noise_setting_the_outcome_model_does_not_read_is_validation_error(tmp
     assert err.startswith("validation error: ") and message in err
 
 
-def test_a_study_whose_every_variance_overflows_is_a_simulation_error(tmp_path, capsys):
+@pytest.mark.parametrize("beta_true, message", [
     # outcomes near 1e200 square past the float range, so every replicate fails with a typed error and the study
     # exits 3, where it once aggregated rows over no finite replicate and divided by zero
+    ([1e200, 1e200], "ValidationError: non-finite variance"),
+    # outcomes near 1e308 are finite, but their sum in each replicate's population mean overflows, which numpy
+    # once warned of (exit 1 under error::RuntimeWarning); the sample draw's outcome check reports it
+    ([1e308, 0.0], "ValidationError: the outcome vector must hold 1200 finite values"),
+], ids=["variance", "population-mean"])
+def test_a_study_whose_every_variance_overflows_is_a_simulation_error(tmp_path, capsys, beta_true, message):
     path = edited_config(tmp_path, "simulate", "scenario",
-                         lambda scenario: scenario.update(replicates=4, beta_true=[1e200, 1e200]))
+                         lambda scenario: scenario.update(replicates=4, beta_true=beta_true))
     assert main(["simulate", "--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "simulation error: 4 of 4 replicates failed" in err and "ValidationError: non-finite variance" in err
+    assert "simulation error: 4 of 4 replicates failed" in err and message in err
 
 
 def test_a_study_whose_covariate_squares_overflow_is_a_simulation_error(tmp_path, capsys):
@@ -688,6 +694,24 @@ def test_an_outcome_whose_variance_overflows_is_validation_error(tmp_path, capsy
     assert main(["estimate", "--config", str(path)]) == 2
     assert "validation error: non-finite variance DR1 both_correct" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+@pytest.mark.parametrize("fit_method", ["pseudo_ml", "calibration", "kim_haziza"])
+@pytest.mark.parametrize("sample, column", [(sample, column) for sample in ("sample_a.csv", "sample_b.csv")
+                                            for column in ("x_1", "x_2", "y")])
+def test_a_finite_csv_value_whose_products_overflow_is_a_typed_error(tmp_path, capsys, sample, column, fit_method,
+                                                                     value):
+    # One value near the float range overflows a sum of products in the fit or the analysis, which numpy once warned
+    # of (exit 1 under error::RuntimeWarning); the fit's or the analysis's own check reports it
+    config = estimate_config(tmp_path, make_observed(seed=88), fit_method=fit_method)
+    with open(tmp_path / sample, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = repr(value)
+    with open(tmp_path / sample, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["estimate", "--config", str(config)]) in (2, 3)
+    assert re.fullmatch(r"(validation|solver) error: .*\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
