@@ -8,8 +8,10 @@ outcome family: 7 columns x 10 values x 3 fit methods x 2 families = 420 runs. F
 outcome is first thresholded to 1 above 1.0 and 0 otherwise. Each run is
 `python -W error::RuntimeWarning -m surveyblend estimate`, so a numpy warning is a crash.
 
-A documented exit code is 0, 2 (validation), 3 (solver) or 4 (I/O). The script prints each run that exits
-with another code, with the last line of its stderr, and exits 1 if there is any. Run:
+A documented exit code is 0, 2 (validation), 3 (solver) or 4 (I/O). A logistic run that edits a `y` column
+(2 columns x 10 values x 3 fit methods = 60 runs) puts an outcome other than 0 or 1 in a binary column, so it
+must exit 2. The script prints each run that exits otherwise, with the last line of its stderr, and exits 1 if
+there is any. Run:
 `python scripts/exit_code_sweep.py` (no options; a sweep takes about 75 s on 2 cores).
 """
 
@@ -83,10 +85,10 @@ def main() -> int:
     runs = undocumented = 0
     for family, fit_method, name, column, value, code, last in sweep():
         runs += 1
-        if code not in DOCUMENTED:
+        if code not in DOCUMENTED or family == "logistic_binary" and column == "y" and code != 2:
             undocumented += 1
             print(f"{family} {fit_method} {name} {column}={value!r}: exit {code}: {last}")
-    print(f"{undocumented} of {runs} runs exit outside {DOCUMENTED}")
+    print(f"{undocumented} of {runs} runs exit outside {DOCUMENTED}, or a binary outcome's edit other than 2")
     return 1 if undocumented else 0
 
 

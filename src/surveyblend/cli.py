@@ -18,7 +18,7 @@ CSV schemas (intercept never stored; x_0 = 1 is added internally):
 Each sample is read with one bulk ``np.loadtxt`` of every column. When that
 parse fails (text ids, quoted fields) or finds rows of another width, the
 row scanner reads the file with ``csv`` instead; it is the reader that names
-the file and line of any failure, a value that ``validate`` rejects
+the file and line of any failure, a value that a row rule rejects
 included. The two accept one grammar by construction: the scanner strips
 each field as ``str.strip`` does, which is what loadtxt strips, and reads
 fields of any length, as loadtxt does, so both give the same values. Either
@@ -120,7 +120,7 @@ class RunConfig:
     sample_b_path: Path | None = None
     n_population: PositiveInt | None = None
     design: DesignKind = DesignKind.POISSON
-    model: ModelSpec | None = None
+    model: ModelSpec = field(default_factory=ModelSpec)
     plan: EvalPlan = field(default_factory=EvalPlan)
     # simulate mode
     scenario: ScenarioConfig | None = None
@@ -377,11 +377,11 @@ def _replacing(path: Path, newline: str | None = None):
 
 
 def read_samples(config: RunConfig) -> ObservedData:
-    """Read both sample CSVs into an ObservedData, which checks them as it is built.
+    """Read both sample CSVs into an ObservedData, checked as it is built and by ``config.model.check_outcomes``.
 
     Sample B is read first, then sample A. When both files are at least ``_FORK_FLOOR`` bytes, a forked child reads
     sample A while this process reads sample B. Either way, when both fail, sample A's error is raised. The error of
-    a row rule of :func:`~surveyblend.types.validate` is raised again naming the file and line of its row.
+    a row rule of either check is raised again naming the file and line of its row.
     """
     path_a, path_b = config.sample_a_path, config.sample_b_path
     schemas = {"A": (path_a, ("pi_a",), ("y",)), "B": (path_b, ("y",), ())}  # each file's trailing columns
@@ -398,8 +398,9 @@ def read_samples(config: RunConfig) -> ObservedData:
     (x_a, tails_a), (x_b, tails_b) = ((values[:, :1 + n_x], dict(zip(tail, values[:, 1 + n_x:].T)))
                                       for values, n_x, tail in (table_a, table_b))
     try:
-        return ObservedData(n_population=config.n_population, design=config.design, x_a=x_a, pi_a=tails_a["pi_a"],
-                            y_a=tails_a.get("y"), x_b=x_b, y_b=tails_b["y"])
+        return config.model.check_outcomes(ObservedData(
+            n_population=config.n_population, design=config.design, x_a=x_a, pi_a=tails_a["pi_a"], y_a=tails_a.get("y"),
+            x_b=x_b, y_b=tails_b["y"]))
     except ValidationError as exc:
         if exc.row is None:
             raise

@@ -248,12 +248,13 @@ def _fit_outcome(observed: ObservedData, spec: ModelSpec):
 
 @np.errstate(over="ignore", invalid="ignore")
 def fit_nuisance(observed: ObservedData, spec: ModelSpec) -> NuisanceFit:
-    """Fit both nuisance models by the method named in ``spec``.
+    """Fit both nuisance models by the method named in ``spec``, on outcomes :meth:`ModelSpec.check_outcomes` passes.
 
     Each fits the two models apart, selection by its row of :data:`SELECTION_FITS`; Kim-Haziza then solves its
     nonconvex joint system from there, the natural basin of its root. A value past the float range becomes inf or
     NaN unwarned, which the solver's residual test or :func:`solve_spd`'s finite check reports (SolverError).
     """
+    spec.check_outcomes(observed)
     sel_cols = spec.columns("selection", observed.n_covariates)
     selection, n_b, n_pop = SELECTION_FITS[spec.fit_method], observed.n_b, observed.n_population
     start = np.where(np.arange(observed.n_covariates)[sel_cols] == 0, np.log((n_b + 0.5) / (n_pop - n_b + 0.5)), 0.0)

@@ -169,7 +169,6 @@ class ScenarioConfig:
     alpha_true: tuple[float, ...]
     outcome_family: OutcomeFamily = OutcomeFamily.LINEAR_GAUSSIAN
     noise_sd: NonNegativeFloat = 1.0
-    noise_sd_coef: tuple[float, ...] | None = None
     design_kind: DesignKind = DesignKind.POISSON
     sample_a_size: PositiveInt = 500
     pi_a_coef: tuple[float, ...] | None = None
@@ -183,16 +182,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         typed_fields(self)
-        p = self.n_covariate_columns
-        for name in ("beta_true", "alpha_true", "noise_sd_coef", "pi_a_coef"):
+        p = 1 + len(self.covariates)
+        for name in ("beta_true", "alpha_true", "pi_a_coef"):
             if getattr(self, name) is not None and len(getattr(self, name)) != p:
                 raise ValidationError(f"{name} must have length {p}, the intercept and one per entry of covariates")
         if self.pi_a_coef is not None and self.design_kind is DesignKind.SRSWOR:
             raise ValidationError("pi_a_coef shapes Poisson design rates; an srswor design has none")
-        if self.noise_sd_coef is not None and self.noise_sd != 1.0:
-            raise ValidationError(f"noise_sd {self.noise_sd} is unread beside noise_sd_coef, which sets the noise")
-        if self.outcome_family is OutcomeFamily.LOGISTIC_BINARY and (self.noise_sd_coef, self.noise_sd) != (None, 1.0):
-            raise ValidationError("noise_sd and noise_sd_coef are unread: a logistic_binary outcome draws no noise")
+        if self.outcome_family is OutcomeFamily.LOGISTIC_BINARY and self.noise_sd != 1.0:
+            raise ValidationError("noise_sd is unread: a logistic_binary outcome draws no noise")
         if self.sample_a_size >= self.n_population:
             raise ValidationError("sample_a_size must be below n_population")
         if self.design_kind is DesignKind.SRSWOR and self.sample_a_size < p + 1:  # validate's underdetermined fit
@@ -204,10 +201,6 @@ class ScenarioConfig:
             self.model_spec.columns(which, p)  # checks the range of the column overrides
         self.plan.check(self.fit_method)
 
-    @property
-    def n_covariate_columns(self) -> int:
-        return 1 + len(self.covariates)
-
     @cached_property  # a pickled config carries it to the workers, so a study builds it once
     def model_spec(self) -> ModelSpec:
         return ModelSpec(outcome_family=self.outcome_family, fit_method=self.fit_method,
@@ -218,11 +211,7 @@ def _draw_outcomes(x: np.ndarray, config: ScenarioConfig, rng) -> np.ndarray:
     eta = x @ np.asarray(config.beta_true)
     if config.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
         return (rng.random(x.shape[0]) < expit(eta)).astype(float)
-    if config.noise_sd_coef is not None:
-        sd = np.abs(x @ np.asarray(config.noise_sd_coef))
-    else:
-        sd = config.noise_sd
-    return eta + rng.standard_normal(x.shape[0]) * sd
+    return eta + rng.standard_normal(x.shape[0]) * config.noise_sd
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -258,7 +247,7 @@ def generate_population(config: ScenarioConfig) -> FinitePopulation:
 
     y = _draw_outcomes(x, config, rng)
     if not np.all(np.isfinite(y)):
-        raise ValidationError("non-finite outcome; change beta_true, noise_sd or noise_sd_coef")
+        raise ValidationError("non-finite outcome; change beta_true or noise_sd")
     return FinitePopulation(x=x, y=y, pi_a=pi_a, pi_b_true=pi_b, design=config.design_kind)
 
 

@@ -4,7 +4,8 @@ Every object here types its fields by their annotations when it is constructed
 (:func:`typed_fields`, arrays as read-only float64), so it is immutable and safe to
 share across threads or worker processes. All but :class:`FinitePopulation` check their
 invariants then; its one producer, ``simulate.generate_population``, checks the frame.
-:func:`validate` alone states the value rules of :class:`ObservedData`; an error of a row rule
+:func:`validate` alone states the value rules of :class:`ObservedData`, and
+:meth:`ModelSpec.check_outcomes` the one a model's outcome family adds; an error of a row rule
 names the sample and the first row at fault, which the CLI maps to a CSV file and line.
 A config value goes through the same rule (:func:`config_value`, :func:`config_dataclass`),
 so a malformed one raises a :class:`ValidationError` that names its dotted key.
@@ -339,6 +340,13 @@ class ModelSpec:
         if not cols or min(cols) < 0 or max(cols) >= n_covariates:
             raise ValidationError(f"{which} column mask {list(cols)} out of range for {n_covariates} covariates")
         return np.array(cols)
+
+    def check_outcomes(self, observed: ObservedData) -> ObservedData:
+        """``observed``, if this family takes each outcome it holds (a row rule): ``logistic_binary`` takes 0 and 1."""
+        for label, y in (("A", observed.y_a), ("B", observed.y_b)):
+            if y is not None and self.outcome_family is OutcomeFamily.LOGISTIC_BINARY:
+                _require((y == 0.0) | (y == 1.0), label, lambda row: f"binary outcome must be 0 or 1, not {y[row]:g}")
+        return observed
 
 
 def _require(holds: np.ndarray, sample: str, rule) -> None:

@@ -139,6 +139,21 @@ class TestEstimateMode:
         err = capsys.readouterr().err
         assert "line 5" in err and "1.5" in err
 
+    @pytest.mark.parametrize("sample", ["sample_a.csv", "sample_b.csv"])
+    def test_a_logistic_outcome_other_than_0_or_1_names_its_line(self, tmp_path, capsys, sample):
+        observed = make_observed(seed=84)
+        binary = ObservedData(n_population=observed.n_population, design=observed.design, x_a=observed.x_a,
+                              pi_a=observed.pi_a, y_a=(observed.y_a > 1.0).astype(float), x_b=observed.x_b,
+                              y_b=(observed.y_b > 1.0).astype(float))
+        config = estimate_config(tmp_path, binary, outcome_family="logistic_binary")
+        assert main(["estimate", "--config", str(config)]) == 0
+        path = tmp_path / sample
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rpartition(",")[0] + ",0.5"  # y, the last column, on the third data row
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"validation error: {path} line 4: binary outcome must be 0 or 1, not 0.5\n"
+
     # x_1 = 1e160 on one row of the selection fit's reference sample squares past the float range in its gram
     # matrix, which numpy once warned of (exit 1 under error::RuntimeWarning); the solve reports it instead
     @pytest.mark.parametrize("sample, fit_method", [("sample_a.csv", "pseudo_ml"), ("sample_a.csv", "kim_haziza"),
@@ -189,10 +204,11 @@ class TestEstimateMode:
         from surveyblend import ObservedData
 
         observed = ObservedData(n_population=observed.n_population, design=observed.design,
-                                x_a=observed.x_a, pi_a=observed.pi_a, y_a=observed.y_a,
+                                x_a=observed.x_a, pi_a=observed.pi_a, y_a=np.where(observed.x_a[:, 1] > 0, 1.0, 0.0),
                                 x_b=observed.x_b, y_b=separated)
         config = estimate_config(tmp_path, observed, outcome_family="logistic_binary")
         assert main(["estimate", "--config", str(config)]) == 3
+        assert "solver error: logistic outcome fit: separation" in capsys.readouterr().err
 
     def test_singular_jacobian_exit_code(self, tmp_path, capsys):
         base = make_observed(seed=83)  # then x_2 again as x_3
@@ -567,7 +583,7 @@ class TestSimulateMode:
     # values that used to fail only once the study ran, with a traceback
     ("simulate", "scenario", "seed", -1),
     ("simulate", "scenario", "pi_a_coef", [0.5]),
-    ("simulate", "scenario", "noise_sd_coef", [1.0]),
+    ("simulate", "scenario", "noise_sd_coef", [1.0]),  # not a scenario key: noise_sd alone sets the noise
     ("simulate", "scenario.covariates.0", "params", [1.0]),
     ("simulate", "scenario.covariates.0", "params", [0.0, -1.0]),
     # integers that int() would truncate
@@ -648,10 +664,11 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, mode, sect
 
 
 @pytest.mark.parametrize("edits, message", [
-    ({"noise_sd_coef": [1.0, 0.5], "noise_sd": 2.0}, "noise_sd 2.0 is unread beside noise_sd_coef"),
-    ({"outcome_family": "logistic_binary", "noise_sd": 2.0}, "a logistic_binary outcome draws no noise"),
-    ({"outcome_family": "logistic_binary", "noise_sd_coef": [1.0, 0.5]}, "a logistic_binary outcome draws no noise"),
-], ids=["noise_sd-beside-noise_sd_coef", "noise_sd-under-logistic", "noise_sd_coef-under-logistic"])
+    ({"outcome_family": "logistic_binary", "noise_sd": 2.0},
+     "noise_sd is unread: a logistic_binary outcome draws no noise"),
+    # not a scenario key: noise_sd alone sets the noise
+    ({"noise_sd_coef": [1.0, 0.5]}, "config section scenario: unknown key 'noise_sd_coef'"),
+], ids=["noise_sd-under-logistic", "noise_sd_coef-is-unknown"])
 def test_a_noise_setting_the_outcome_model_does_not_read_is_validation_error(tmp_path, capsys, edits, message):
     path = edited_config(tmp_path, "simulate", "scenario", lambda target: target.update(edits))
     assert main(["simulate", "--config", str(path)]) == 2
@@ -1027,7 +1044,7 @@ def fuzz_configs(directory):
         "scenario": {"n_population": 300, "covariates": [{"kind": "normal", "params": [0.0, 1.0]},
                                                           {"kind": "uniform", "params": [0.0, 1.0]}],
                      "beta_true": [1.0, 1.0, 0.5], "alpha_true": [-1.0, 0.4, 0.2], "sample_a_size": 60,
-                     "pi_a_coef": [0.0, 0.3, 0.0], "noise_sd_coef": [1.0, 0.1, 0.0],
+                     "pi_a_coef": [0.0, 0.3, 0.0], "noise_sd": 0.5,
                      "outcome_cols_override": [0, 1], "design_kind": "poisson", "fit_method": "pseudo_ml",
                      "replicates": 3, "level": 0.9, "seed": 5,
                      "plan": {"prob_points": ["HT"], "var_pairs": [["DR1", "both_correct"]],

@@ -8,6 +8,7 @@ under a correctly specified model.
 
 import dataclasses
 import functools
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from surveyblend import (
     OutcomeFamily,
     ScenarioConfig,
     SolverError,
+    ValidationError,
     draw_samples,
     fit_nuisance,
     generate_population,
@@ -314,6 +316,24 @@ def test_kh_score_matches_its_two_sums(family):
         theta = rng.normal(scale=0.5, size=2 * observed.n_covariates)
         want = kh_score_by_the_sums(observed, family, theta)
         assert np.max(np.abs(system(theta)[0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sample", ["A", "B"])
+@pytest.mark.parametrize("value", [0.5, -5e-324, 1e155])
+def test_a_logistic_outcome_other_than_0_or_1_is_a_validation_error_naming_its_row(sample, value):
+    # Under logistic_binary every given outcome on either sample is 0 or 1; a linear outcome takes any finite value.
+    base = make_observed(seed=22)
+    y = {"A": (base.y_a > 1.0).astype(float), "B": (base.y_b > 1.0).astype(float)}
+    binary = dataclasses.replace(base, y_a=y["A"], y_b=y["B"])
+    y[sample][3] = value
+    edited = dataclasses.replace(base, y_a=y["A"], y_b=y["B"])
+    logistic = ModelSpec(outcome_family=OutcomeFamily.LOGISTIC_BINARY)
+    assert logistic.check_outcomes(binary) is binary and ModelSpec().check_outcomes(edited) is edited
+    fit_nuisance(binary, logistic)
+    message = f"binary outcome must be 0 or 1, not {value:g}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$") as caught:
+        fit_nuisance(edited, logistic)
+    assert (caught.value.sample, caught.value.row) == (sample, 3)
 
 
 class TestNewton:

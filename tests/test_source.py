@@ -10,7 +10,10 @@ import textwrap
 from enum import Enum
 from pathlib import Path
 
+import yaml
 from conftest import make_observed
+from surveyblend import ScenarioConfig
+from surveyblend.types import field_names
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "surveyblend"
@@ -124,6 +127,33 @@ def test_every_errstate_is_a_layer_entry():
     found = [f"{path.name}:{scope}" for path in sorted(SRC.rglob("*.py"))
              for scope in sites(ast.parse(path.read_text(), filename=str(path)), "")]
     assert sorted(found) == sorted(ERRSTATE_ENTRIES), f"np.errstate sites in src/surveyblend: {found}"
+
+
+def scenario_keywords(path: Path) -> set[str]:
+    """The keywords that ``path`` passes to ScenarioConfig, with those of a module-level ``dict(...)`` it unpacks."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dicts = {target.id: node.value.keywords for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "dict"
+             for target in node.targets if isinstance(target, ast.Name)}
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2] == "ScenarioConfig":
+            for keyword in node.keywords:
+                if keyword.arg:
+                    keys.add(keyword.arg)
+                elif isinstance(keyword.value, ast.Name):  # **name, a module-level dict(...)
+                    keys.update(k.arg for k in dicts.get(keyword.value.id, []))
+    return keys
+
+
+def test_every_scenario_field_is_set_by_a_study():
+    # A ScenarioConfig field is a setting some study needs: the shipped simulate example, a benchmark workload or a
+    # conftest acceptance scenario sets it by name (a commented-out key does not count). A field that none of them
+    # sets is an option that no caller needs.
+    keys = set(yaml.safe_load((ROOT / "configs" / "simulate_example.yaml").read_text())["scenario"])
+    keys |= scenario_keywords(ROOT / "benchmark" / "run.py") | scenario_keywords(ROOT / "tests" / "conftest.py")
+    unset = [name for name in field_names(ScenarioConfig) if name not in keys]
+    assert not unset, f"ScenarioConfig fields that no study sets: {unset}"
 
 
 def package_modules():
